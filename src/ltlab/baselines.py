@@ -142,23 +142,6 @@ def ib_class_coefficients(counts: ClassCounts, alpha_scale: float) -> np.ndarray
     return alpha_scale * inv / inv.sum()
 
 
-def _group_by_label(features, labels):
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("features must be (n, p) aligned with labels")
-    return x, y, [int(c) for c in np.unique(y)]
-
-
-def _top_ranges(block: np.ndarray, k: int):
-    """The k largest pairwise distances in a class block, floored, with index pairs."""
-    n = block.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    dists = np.array([max(float(np.linalg.norm(block[i] - block[j])), RANGE_DIST_FLOOR) for i, j in pairs])
-    order = np.argsort(-dists, kind="stable")[: min(k, len(pairs))]
-    return dists[order], [pairs[i] for i in order]
-
-
 def range_loss(features, labels, k: int, margin: float, alpha: float, beta: float) -> float:
     """alpha * sum of per-class harmonic means of the k largest intra-class
     ranges, plus beta * hinge(margin - minimum center distance).
@@ -171,51 +154,78 @@ def range_loss(features, labels, k: int, margin: float, alpha: float, beta: floa
 
 
 def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta: float):
-    """Range loss together with its gradient w.r.t. the feature matrix."""
+    """Range loss together with its gradient w.r.t. the feature matrix.
+
+    A batch is one pass of array operations, with no Python loop over
+    pairs or classes. Same-class pairs are picked from the upper-triangle
+    index pairs before their feature differences are gathered, so the
+    float work and memory grow with the number of same-class pairs; only
+    the integer index pairs grow with the batch size squared.
+
+    Equal distances keep the row-major (i, j) pair order when a class's k
+    largest are chosen, and the first of equal centre distances wins the
+    inter term. Pairs at the distance floor get no gradient.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if margin <= 0:
         raise ValueError("margin must be positive")
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be >= 0")
-    x, y, classes = _group_by_label(features, labels)
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError("features must be (n, p) aligned with labels")
+    _, cls = np.unique(y, return_inverse=True)
+    sizes = np.bincount(cls)
+    n_cls = len(sizes)
     grad = np.zeros_like(x)
 
-    intra = 0.0
-    for c in classes:
-        idx = np.flatnonzero(y == c)
-        if idx.size < 2:
-            continue
-        block = x[idx]
-        dists, pairs = _top_ranges(block, k)
-        inv_sum = float((1.0 / dists).sum())
-        k_used = len(pairs)
-        intra += k_used / inv_sum
-        # d(k/S)/dD_j = (k/S^2) / D_j^2, chained through D_j = |h_i - h_j|.
-        for d, (i, j) in zip(dists, pairs):
-            if d <= RANGE_DIST_FLOOR:
-                continue
-            coeff = alpha * (k_used / inv_sum ** 2) / d ** 2
-            diff = (block[i] - block[j]) / d
-            grad[idx[i]] += coeff * diff
-            grad[idx[j]] -= coeff * diff
+    ii, jj = np.triu_indices(len(y), 1)
+    same = cls[ii] == cls[jj]
+    ii, jj = ii[same], jj[same]
+    pair_cls = cls[ii]
+    delta = x[ii] - x[jj]
+    dists = np.maximum(np.linalg.norm(delta, axis=1), RANGE_DIST_FLOOR)
+
+    # Class-major, then descending distance; the stable sort keeps the
+    # pair order among ties. Each class keeps its first k pairs.
+    order = np.lexsort((-dists, pair_cls))
+    pair_counts = np.bincount(pair_cls, minlength=n_cls)
+    rank = np.arange(len(order)) - (np.cumsum(pair_counts) - pair_counts)[pair_cls[order]]
+    top = order[rank < k]
+    top_cls = pair_cls[top]
+    d = dists[top]
+    k_used = np.minimum(pair_counts, k)
+    inv_sum = np.bincount(top_cls, weights=1.0 / d, minlength=n_cls)
+    with_pairs = pair_counts > 0
+    intra = float((k_used[with_pairs] / inv_sum[with_pairs]).sum())
+
+    # d(k/S)/dD_j = (k/S^2) / D_j^2, chained through D_j = |h_i - h_j|.
+    live = d > RANGE_DIST_FLOOR
+    top, top_cls, d = top[live], top_cls[live], d[live]
+    coeff = alpha * (k_used[top_cls] / inv_sum[top_cls] ** 2) / d ** 2
+    step = coeff[:, None] * (delta[top] / d[:, None])
+    # Interleave each pair's +/- rows so every row accumulates in pair order.
+    rows = np.column_stack((ii[top], jj[top])).ravel()
+    np.add.at(grad, rows, np.stack((step, -step), axis=1).reshape(-1, x.shape[1]))
 
     inter = 0.0
-    if len(classes) >= 2:
-        centers = {c: x[y == c].mean(axis=0) for c in classes}
-        best = None
-        for a_i, ca in enumerate(classes):
-            for cb in classes[a_i + 1:]:
-                d = float(np.linalg.norm(centers[ca] - centers[cb]))
-                if best is None or d < best[0]:
-                    best = (d, ca, cb)
-        d_center, ca, cb = best
+    if n_cls >= 2:
+        centers = np.zeros((n_cls, x.shape[1]))
+        np.add.at(centers, cls, x)
+        centers /= sizes[:, None]
+        ca, cb = np.triu_indices(n_cls, 1)
+        gaps = centers[ca] - centers[cb]
+        center_dists = np.linalg.norm(gaps, axis=1)
+        best = int(np.argmin(center_dists))
+        d_center = float(center_dists[best])
         inter = max(margin - d_center, 0.0)
         if inter > 0 and d_center > 0:
-            direction = (centers[ca] - centers[cb]) / d_center
-            na, nb = int((y == ca).sum()), int((y == cb).sum())
-            grad[y == ca] += -beta * direction / na
-            grad[y == cb] += beta * direction / nb
+            direction = gaps[best] / d_center
+            a, b = ca[best], cb[best]
+            grad[cls == a] += -beta * direction / sizes[a]
+            grad[cls == b] += beta * direction / sizes[b]
     elif beta > 0:
         raise ValueError("inter-class term needs at least two classes in the batch")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,11 +31,15 @@ from .data import gaussian_mixture, load_csv_dataset, save_csv_dataset
 from .errors import ConfigError, DataError, NumericError
 from .nc_metrics import FeatureBank, nc1, nc2, nc3, nc4_agreement
 from .reweighting import WeightSolution, closed_form_weight, loss_imbalance_rho
-from .scheduler import ml_series, ml_tail, mittag_leffler
+from .scheduler import ml_series, ml_series_log_peak, ml_tail, mittag_leffler
 from .trainer import EpochRecord, forward_batch, run_experiment
 
 METRIC_COLUMNS = ("epoch", "train_loss", "bal_acc", "acc_head", "acc_med", "acc_tail",
                   "lr", "rho", "nc1", "nc2", "nc3", "nc4")
+
+# ``mlf`` shows the series value next to the tail only while the series'
+# cancellation error, its largest term times machine epsilon, stays below this.
+SERIES_NOISE_LIMIT = 1e-6
 
 
 def _load_datasets(cfg: ExperimentConfig):
@@ -229,11 +234,13 @@ def cmd_mlf(args) -> int:
         raise ConfigError(str(exc)) from exc
     branch = "series" if args.z < 1.0 else "tail"
     payload = {"a": args.a, "z": args.z, "value": value, "branch": branch}
-    if args.z > 0:
+    # Make the piecewise handoff visible whenever the branches disagree and
+    # the series is not lost to cancellation.
+    trusted = math.log(SERIES_NOISE_LIMIT / np.finfo(float).eps)
+    if args.z > 0 and ml_series_log_peak(args.a, args.z) < trusted:
         series_value = ml_series(args.a, args.z)
         tail_value = ml_tail(args.a, args.z)
-        # Make the piecewise handoff visible whenever the branches disagree.
-        if np.isfinite(series_value) and abs(series_value - tail_value) > 1e-3:
+        if abs(series_value - tail_value) > 1e-3:
             payload["series_value"] = series_value
             payload["tail_value"] = tail_value
     print(json.dumps(payload, indent=2))

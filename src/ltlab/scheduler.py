@@ -27,6 +27,7 @@ __all__ = [
     "MultiStepConfig",
     "mittag_leffler",
     "ml_series",
+    "ml_series_log_peak",
     "ml_tail",
     "entropy_alpha",
     "mile_lr_at",
@@ -67,6 +68,20 @@ def ml_series(a: float, z: float) -> float:
         if abs(term) < SERIES_TOL:
             break
     return total
+
+
+def ml_series_log_peak(a: float, z: float) -> float:
+    """log of the largest series term z^k / Gamma(a k + 1) over k <= 200.
+
+    The alternating sum in ``ml_series`` loses about this term times the
+    machine epsilon to cancellation, so its value means nothing once that
+    is not small. Working in logs keeps the check itself from overflowing.
+    """
+    _check_ml_args(a, z)
+    if z == 0.0:
+        return 0.0  # only the k = 0 term, 1, is nonzero
+    log_z = math.log(z)
+    return max(k * log_z - math.lgamma(a * k + 1.0) for k in range(SERIES_MAX_TERMS + 1))
 
 
 def ml_tail(a: float, z: float) -> float:

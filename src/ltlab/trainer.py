@@ -407,7 +407,7 @@ def _base_losses(ctx: RunContext, h, z, probs, y):
     return ell, weights, dz
 
 
-def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int) -> float:
+def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: float) -> float:
     config = ctx.config
     h, z, probs = forward_batch(state.params, x)
     ell, weights, dz_rows = _base_losses(ctx, h, z, probs, y)
@@ -451,7 +451,6 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int) -> float
         raise NumericError(f"non-finite loss at epoch {epoch}, iteration {state.iteration}")
 
     grads = _grads_from_dz(state.params, x, h, z, dz, dh_extra=dh_extra)
-    lr = _lr_at(ctx, epoch, state.iteration)
     sgd_step(state.params, grads, lr, config.momentum, config.weight_decay,
              state.velocity, update_bias=config.use_bias)
     state.iteration += 1
@@ -487,7 +486,7 @@ def train_epoch(state: TrainState, train: Dataset, test: Dataset, epoch: int,
     epoch_seed = config.seed * 1_000_003 + epoch
     for idx in batch_iter(train, config.batch_size, epoch_seed):
         last_lr = _lr_at(ctx, epoch, state.iteration)
-        loss = _batch_update(state, ctx, train.x[idx], train.y[idx], epoch)
+        loss = _batch_update(state, ctx, train.x[idx], train.y[idx], epoch, last_lr)
         total += loss * len(idx)
         seen += len(idx)
     for name in ("weights", "bias", "hidden_weights", "hidden_bias"):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltlab.baselines import (
+    RANGE_DIST_FLOOR,
     ClassCounts,
     cb_weights,
     focal_loss,
@@ -221,3 +224,166 @@ class TestRangeLoss:
                 x[i, j] = orig
                 fd[i, j] = (up - down) / (2 * h)
         assert np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()) < 1e-6
+
+
+def _top_ranges_loop(block, k):
+    """The k largest pairwise distances in a class block, floored, with index pairs."""
+    n = block.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    dists = np.array([max(float(np.linalg.norm(block[i] - block[j])), RANGE_DIST_FLOOR) for i, j in pairs])
+    order = np.argsort(-dists, kind="stable")[: min(k, len(pairs))]
+    return dists[order], [pairs[i] for i in order]
+
+
+def _range_loss_grad_loop(features, labels, k, margin, alpha, beta):
+    """Pair-loop reference for range_loss_grad: one np.linalg.norm per pair."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if margin <= 0:
+        raise ValueError("margin must be positive")
+    if alpha < 0 or beta < 0:
+        raise ValueError("alpha and beta must be >= 0")
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError("features must be (n, p) aligned with labels")
+    classes = [int(c) for c in np.unique(y)]
+    grad = np.zeros_like(x)
+
+    intra = 0.0
+    for c in classes:
+        idx = np.flatnonzero(y == c)
+        if idx.size < 2:
+            continue
+        block = x[idx]
+        dists, pairs = _top_ranges_loop(block, k)
+        inv_sum = float((1.0 / dists).sum())
+        k_used = len(pairs)
+        intra += k_used / inv_sum
+        for d, (i, j) in zip(dists, pairs):
+            if d <= RANGE_DIST_FLOOR:
+                continue
+            coeff = alpha * (k_used / inv_sum ** 2) / d ** 2
+            diff = (block[i] - block[j]) / d
+            grad[idx[i]] += coeff * diff
+            grad[idx[j]] -= coeff * diff
+
+    inter = 0.0
+    if len(classes) >= 2:
+        centers = {c: x[y == c].mean(axis=0) for c in classes}
+        best = None
+        for a_i, ca in enumerate(classes):
+            for cb in classes[a_i + 1:]:
+                d = float(np.linalg.norm(centers[ca] - centers[cb]))
+                if best is None or d < best[0]:
+                    best = (d, ca, cb)
+        d_center, ca, cb = best
+        inter = max(margin - d_center, 0.0)
+        if inter > 0 and d_center > 0:
+            direction = (centers[ca] - centers[cb]) / d_center
+            na, nb = int((y == ca).sum()), int((y == cb).sum())
+            grad[y == ca] += -beta * direction / na
+            grad[y == cb] += beta * direction / nb
+    elif beta > 0:
+        raise ValueError("inter-class term needs at least two classes in the batch")
+
+    return float(alpha * intra + beta * inter), grad
+
+
+@st.composite
+def range_batches(draw):
+    """Batches drawn from a small pool of rows, so coincident features and
+    singleton classes are common; labels may all be equal."""
+    n = draw(st.integers(0, 14))
+    p = draw(st.integers(1, 4))
+    coord = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.lists(coord, min_size=p, max_size=p), min_size=1, max_size=max(n, 1)))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, draw(st.integers(0, 3))), min_size=n, max_size=n))
+    x = np.array([pool[r] for r in rows], dtype=np.float64).reshape(n, p)
+    return x, np.array(labels, dtype=np.int64)
+
+
+def _centres_resolved(x, y):
+    """False when two class centres coincide up to rounding."""
+    classes = np.unique(y)
+    if len(classes) < 2:
+        return True
+    centres = np.stack([x[y == c].mean(axis=0) for c in classes])
+    gaps = np.linalg.norm(centres[:, None] - centres[None], axis=2)
+    return gaps[np.triu_indices(len(classes), 1)].min() > 1e-9 * max(1.0, np.abs(x).max())
+
+
+class TestRangeLossMatchesLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(batch=range_batches(), k=st.integers(1, 8), margin=st.floats(0.1, 10.0),
+           alpha=st.floats(0.0, 2.0), beta=st.sampled_from([0.0, 0.8]))
+    def test_value_and_gradient(self, batch, k, margin, alpha, beta):
+        x, y = batch
+        if beta > 0 and len(np.unique(y)) < 2:
+            for fn in (_range_loss_grad_loop, range_loss_grad):
+                with pytest.raises(ValueError):
+                    fn(x, y, k, margin, alpha, beta)
+            return
+        want_value, want_grad = _range_loss_grad_loop(x, y, k, margin, alpha, beta)
+        value, grad = range_loss_grad(x, y, k, margin, alpha, beta)
+        assert value == pytest.approx(want_value, rel=1e-12)
+        if not _centres_resolved(x, y):
+            # The hinge direction is the sign of rounding noise here: numpy's
+            # mean sums a single column pairwise but several columns row by
+            # row, so the loop itself flips it with the feature layout.
+            # Check the intra gradient alone.
+            _, want_grad = _range_loss_grad_loop(x, y, k, margin, alpha, 0.0)
+            _, grad = range_loss_grad(x, y, k, margin, alpha, 0.0)
+        assert np.allclose(grad, want_grad, rtol=0.0, atol=1e-12)
+
+    def test_exact_ties_keep_pair_order(self):
+        # Integer coordinates give bit-equal distances in both versions.
+        # Class 0 (rows 0, 2, 3, 5) has three pairs at distance 5: (0, 2),
+        # (0, 3) and (0, 5). k = 2 must keep the first two in pair order,
+        # leaving row 5 without an intra gradient. Class 1 adds its one
+        # range, 1.
+        x = np.array([[0.0, 0.0], [9.0, 9.0], [3.0, 4.0], [4.0, 3.0], [9.0, 8.0], [0.0, 5.0]])
+        y = np.array([0, 1, 0, 0, 1, 0])
+        want_value, want_grad = _range_loss_grad_loop(x, y, 2, 1.0, 1.0, 0.0)
+        value, grad = range_loss_grad(x, y, 2, 1.0, 1.0, 0.0)
+        assert value == want_value == pytest.approx(6.0)
+        assert np.array_equal(grad != 0, want_grad != 0)
+        assert np.array_equal(np.flatnonzero(np.abs(grad).sum(axis=1)), [0, 1, 2, 3, 4])
+        assert np.allclose(grad, want_grad, rtol=0.0, atol=1e-15)
+
+    def test_first_closest_centre_pair_wins(self):
+        # Centres at 0, 2 and 4 on a line: pairs (0, 1) and (1, 2) tie at 2,
+        # and the first one pushes classes 0 and 1 apart.
+        x = np.array([[4.0, 0.0], [0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
+        y = np.array([2, 0, 1, 2])
+        want_value, want_grad = _range_loss_grad_loop(x, y, 1, 5.0, 0.0, 1.0)
+        value, grad = range_loss_grad(x, y, 1, 5.0, 0.0, 1.0)
+        assert value == want_value == 3.0
+        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(grad[:, 0], [0.0, 1.0, -1.0, 0.0])
+
+    def test_floor_pairs_get_no_gradient(self):
+        # Rows 0 and 1 sit 1e-14 apart, below the floor: their pair counts at
+        # the floor in the value but pushes neither row.
+        x = np.array([[1.0, 2.0], [1.0, 2.0 + 1e-14], [7.0, 2.0]])
+        y = np.array([0, 0, 1])
+        want_value, want_grad = _range_loss_grad_loop(x, y, 3, 1.0, 1.0, 0.0)
+        value, grad = range_loss_grad(x, y, 3, 1.0, 1.0, 0.0)
+        assert value == want_value == RANGE_DIST_FLOOR
+        assert np.array_equal(grad, want_grad)
+        assert not grad.any()
+
+    @pytest.mark.parametrize("bad", [dict(k=0), dict(margin=0.0), dict(alpha=-1.0), dict(beta=-1.0)])
+    def test_validation_errors_kept(self, bad):
+        args = dict(k=2, margin=1.0, alpha=1.0, beta=1.0) | bad
+        x, y = np.zeros((3, 2)), np.array([0, 1, 1])
+        for fn in (_range_loss_grad_loop, range_loss_grad):
+            with pytest.raises(ValueError):
+                fn(x, y, **args)
+
+    def test_misaligned_features_rejected(self):
+        with pytest.raises(ValueError):
+            range_loss_grad(np.zeros((3, 2)), np.array([0, 1]), 2, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            range_loss_grad(np.zeros(3), np.array([0, 1, 1]), 2, 1.0, 1.0, 0.0)

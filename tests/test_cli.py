@@ -238,6 +238,15 @@ class TestMlf:
     def test_domain_error(self, capsys):
         assert main(["mlf", "--a", "1.5", "--z", "1"]) == 2
 
+    @pytest.mark.parametrize("a,z", [(0.3, 3.0), (0.1, 1000.0)])
+    def test_cancelled_series_not_reported(self, capsys, a, z):
+        # The series' largest term times eps is far above 1e-6 here (at
+        # z = 1000 it overflows a double), so only the tail is shown.
+        assert main(["mlf", "--a", str(a), "--z", str(z)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == pytest.approx(1.0 / (z * math.gamma(1.0 - a)), rel=1e-12)
+        assert "series_value" not in payload and "tail_value" not in payload
+
 
 class TestCsvTrainingPath:
     def test_train_from_generated_csv(self, config_path, tmp_path, capsys):

@@ -13,6 +13,7 @@ from ltlab.scheduler import (
     mile_lr_at,
     mittag_leffler,
     ml_series,
+    ml_series_log_peak,
     ml_tail,
     multistep_lr_at,
 )
@@ -49,6 +50,15 @@ class TestMittagLeffler:
         assert ml_tail(0.5, 4.0) == pytest.approx(1.0 / (4.0 * math.sqrt(math.pi)))
         with pytest.raises(ValueError):
             ml_tail(0.5, 0.0)
+
+    def test_series_log_peak(self):
+        # E_1(-1): terms 1/k!, largest 1 at k = 0 and 1.
+        assert ml_series_log_peak(1.0, 1.0) == 0.0
+        # E_0.3(-3) peaks at k = 128 near 5e15: rounding alone is about 1.
+        assert ml_series_log_peak(0.3, 3.0) == pytest.approx(
+            max(k * math.log(3.0) - math.lgamma(0.3 * k + 1.0) for k in range(201)))
+        assert ml_series_log_peak(0.3, 3.0) > math.log(1e15)
+        assert ml_series_log_peak(0.5, 0.0) == 0.0
 
     def test_heavier_than_exponential_tail(self):
         ratios = [mittag_leffler(0.5, z) / math.exp(-z) for z in np.arange(1.0, 6.0, 0.5)]

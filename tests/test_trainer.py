@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ltlab.baselines import range_loss, range_loss_grad
 from ltlab.data import LongTailSpec, gaussian_mixture
 from ltlab.errors import ConfigError
 from ltlab.reweighting import ReweightConfig
@@ -12,6 +13,7 @@ from ltlab.trainer import (
     ModelParams,
     TrainConfig,
     _ce_from_logits,
+    _grads_from_dz,
     backward,
     ce_loss,
     forward,
@@ -31,6 +33,24 @@ def small_linear_params(seed=0, c=3, d=4):
 def weighted_ce(params, x, y, w):
     _, z, _ = forward_batch(params, x)
     return float(np.mean(np.asarray(w) * _ce_from_logits(z, np.asarray(y))))
+
+
+def finite_difference(params, name, loss, h=1e-5):
+    """Central differences of loss() w.r.t. every entry of params.<name>."""
+    arr = getattr(params, name)
+    fd = np.zeros_like(arr)
+    it = np.nditer(arr, flags=["multi_index"])
+    while not it.finished:
+        i = it.multi_index
+        orig = arr[i]
+        arr[i] = orig + h
+        up = loss()
+        arr[i] = orig - h
+        down = loss()
+        arr[i] = orig
+        fd[i] = (up - down) / (2 * h)
+        it.iternext()
+    return fd
 
 
 class TestForward:
@@ -117,23 +137,40 @@ class TestBackward:
         y = rng.integers(0, 4, 8)
         w = rng.uniform(0.2, 2.0, 8)
         grads = backward(params, x, y, w)
-        h = 1e-5
         for name, g in grads.items():
-            arr = getattr(params, name)
-            fd = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                i = it.multi_index
-                orig = arr[i]
-                arr[i] = orig + h
-                up = weighted_ce(params, x, y, w)
-                arr[i] = orig - h
-                down = weighted_ce(params, x, y, w)
-                arr[i] = orig
-                fd[i] = (up - down) / (2 * h)
-                it.iternext()
+            fd = finite_difference(params, name, lambda: weighted_ce(params, x, y, w))
             rel = np.abs(g - fd).max() / max(1.0, np.abs(fd).max())
             assert rel < 1e-5, f"{name}: {rel}"
+
+    def test_range_path_finite_difference(self):
+        # Training adds the range regularizer on the hidden features and
+        # reaches the hidden layer only through dh_extra, composed as here.
+        method = MethodConfig(name="range")
+        range_args = (method.range_k, method.range_margin, method.range_alpha, method.range_beta)
+        rng = np.random.default_rng(11)
+        params = init_params(3, 5, 6, seed=12)
+        x = rng.standard_normal((12, 5))
+        y = np.repeat(np.arange(3), 4)
+        m = len(y)
+
+        def loss():
+            h, z, _ = forward_batch(params, x)
+            return float(np.mean(_ce_from_logits(z, y))) + method.range_lambda * range_loss(h, y, *range_args)
+
+        h, z, probs = forward_batch(params, x)
+        dz = probs.copy()
+        dz[np.arange(m), y] -= 1.0
+        dz /= m
+        _, range_grad = range_loss_grad(h, y, *range_args)
+        grads = _grads_from_dz(params, x, h, z, dz, dh_extra=method.range_lambda * range_grad)
+        ce_only = _grads_from_dz(params, x, h, z, dz)
+        for name, g in grads.items():
+            fd = finite_difference(params, name, loss, h=1e-6)
+            scale = max(1.0, np.abs(fd).max())
+            assert np.abs(g - fd).max() / scale < 1e-6, name
+            if name.startswith("hidden"):
+                # The range term moves these far beyond the tolerance.
+                assert np.abs(ce_only[name] - fd).max() / scale > 1e-3, name
 
     def test_gradient_is_weighted_sum_of_per_sample_gradients(self):
         params = small_linear_params(seed=5)
