@@ -30,7 +30,7 @@ from .config import CsvSource, ExperimentConfig, load_experiment_config
 from .data import gaussian_mixture, load_csv_dataset, save_csv_dataset
 from .errors import ConfigError, DataError, NumericError
 from .nc_metrics import FeatureBank, nc1, nc2, nc3, nc4_agreement
-from .reweighting import WeightSolution, closed_form_weight, loss_imbalance_rho
+from .reweighting import closed_form_weight, loss_imbalance_rho
 from .scheduler import ml_series, ml_series_log_peak, ml_tail, mittag_leffler
 from .trainer import EpochRecord, forward_batch, run_experiment
 
@@ -126,20 +126,15 @@ def cmd_train(args) -> int:
             np.savetxt(out / "classifier.csv", state.params.weights, delimiter=",")
             np.savetxt(out / "bias.csv", state.params.bias[None, :], delimiter=",")
 
+    bal_acc = [s["bal_acc"] for s in summaries]
     agg = {
         "method": train_cfg.method.name,
         "seeds": list(seeds),
-        "bal_acc_mean": float(np.mean([s["bal_acc"] for s in summaries])),
-        "bal_acc_per_seed": [s["bal_acc"] for s in summaries],
-        "rho_final": float(np.mean([s["rho_final"] for s in summaries])),
-        "nc1": float(np.mean([s["nc1"] for s in summaries])),
-        "nc2": float(np.mean([s["nc2"] for s in summaries])),
-        "nc3": float(np.mean([s["nc3"] for s in summaries])),
-        "nc4": float(np.mean([s["nc4"] for s in summaries])),
-        "acc_head": float(np.mean([s["acc_head"] for s in summaries])),
-        "acc_med": float(np.mean([s["acc_med"] for s in summaries])),
-        "acc_tail": float(np.mean([s["acc_tail"] for s in summaries])),
+        "bal_acc_mean": float(np.mean(bal_acc)),
+        "bal_acc_per_seed": bal_acc,
     }
+    agg.update((k, float(np.mean([s[k] for s in summaries])))
+               for k in summaries[0] if k not in ("method", "seed", "bal_acc"))
     _write_json(out / "summary.json", agg)
     print(json.dumps(agg, indent=2))
     return 0
@@ -215,15 +210,9 @@ def cmd_weights(args) -> int:
     else:
         w0 = [1.0] * len(losses)
     l_bar = float(np.mean(losses))
-    present = tuple(range(len(losses)))
-    w_star = {c: closed_form_weight(losses[c], l_bar, args.alpha, w0[c]) for c in present}
-    solution = WeightSolution(
-        present=present,
-        w_star=w_star,
-        beta={c: 1.0 for c in present},
-        w_hat=dict(w_star),
-    )
-    print(json.dumps({"l_bar": l_bar, "weights": solution.to_json_dict()}, indent=2))
+    w_star = closed_form_weight(losses, l_bar, args.alpha, w0).tolist()
+    weights = {str(c): {"w_star": w, "beta": 1.0, "w_hat": w} for c, w in enumerate(w_star)}
+    print(json.dumps({"l_bar": l_bar, "weights": weights}, indent=2))
     return 0
 
 

@@ -12,6 +12,10 @@ counts the mini-batches in which class c has appeared, compensates for
 how rarely tail classes are seen across batches; beta is normalized to
 unit mean over the classes present in the batch, and the effective weight
 is w_hat_c = beta_c * w_c.
+
+One batch is one length-C solve (``inverse_weights``): class means from
+``np.bincount``, L_bar over the present classes, the vectorized closed
+form and beta, all as array operations.
 """
 
 from __future__ import annotations
@@ -21,41 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ClassLossStats",
     "ReweightConfig",
-    "MacroState",
-    "WeightSolution",
     "loss_imbalance_rho",
     "closed_form_weight",
-    "batch_class_stats",
-    "update_macro_counters",
-    "macro_factors",
-    "effective_weights",
-    "reweighted_batch_loss",
+    "inverse_weights",
 ]
 
-
-@dataclass(frozen=True)
-class ClassLossStats:
-    """Per-class mean losses observed in one batch.
-
-    ``present`` lists the class ids that occur in the batch in ascending
-    order; ``batch_mean`` is the plain average of the per-class means
-    over those classes (not over samples).
-    """
-
-    present: tuple[int, ...]
-    mean_loss: dict[int, float]
-    batch_mean: float
-
-    def __post_init__(self):
-        if not self.present:
-            raise ValueError("stats need at least one present class")
-        vals = [self.mean_loss[c] for c in self.present]
-        if any(not np.isfinite(v) or v < 0 for v in vals):
-            raise ValueError("per-class mean losses must be finite and nonnegative")
-        if abs(self.batch_mean - float(np.mean(vals))) > 1e-12:
-            raise ValueError("batch_mean inconsistent with per-class means")
+REWEIGHT_MODES = ("both", "batch", "macro")
 
 
 @dataclass(frozen=True)
@@ -63,14 +39,12 @@ class ReweightConfig:
     """Hyper-parameters of the inverse reweighting scheme.
 
     ``alpha`` is the Tikhonov strength pulling weights toward the prior,
-    ``gamma`` the macro-compensation exponent, ``prior_weights`` an
-    optional per-class prior (all ones when None), and ``switch_epoch``
-    the first epoch at which reweighting is applied.
+    ``gamma`` the macro-compensation exponent, and ``switch_epoch`` the
+    first epoch at which reweighting is applied.
     """
 
     alpha: float = 0.0
     gamma: float = 1.0
-    prior_weights: dict[int, float] | None = None
     switch_epoch: int = 0
 
     def __post_init__(self):
@@ -80,54 +54,6 @@ class ReweightConfig:
             raise ValueError("gamma must be >= 0")
         if self.switch_epoch < 0:
             raise ValueError("switch_epoch must be >= 0")
-        if self.prior_weights is not None:
-            if any(w <= 0 for w in self.prior_weights.values()):
-                raise ValueError("prior weights must be positive")
-
-    def prior(self, class_id: int) -> float:
-        if self.prior_weights is None:
-            return 1.0
-        return self.prior_weights.get(class_id, 1.0)
-
-
-class MacroState:
-    """Batch-appearance counters B_c, one per class, starting at zero.
-
-    Single-writer: exactly one training loop increments the counters,
-    which are monotonically non-decreasing over training.
-    """
-
-    def __init__(self, class_count: int):
-        if class_count < 1:
-            raise ValueError("class_count must be >= 1")
-        self.batch_counts = np.zeros(class_count, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class WeightSolution:
-    """Batch weights w_star, macro factors beta, and their product w_hat."""
-
-    present: tuple[int, ...]
-    w_star: dict[int, float]
-    beta: dict[int, float]
-    w_hat: dict[int, float]
-
-    def __post_init__(self):
-        betas = [self.beta[c] for c in self.present]
-        if abs(float(np.mean(betas)) - 1.0) > 1e-10:
-            raise ValueError("macro factors must average to 1 over present classes")
-        for c in self.present:
-            if abs(self.w_hat[c] - self.beta[c] * self.w_star[c]) > 1e-12:
-                raise ValueError("w_hat must equal beta * w_star")
-            if self.w_hat[c] <= 0:
-                raise ValueError("effective weights must be positive")
-
-    def to_json_dict(self) -> dict:
-        """JSON-friendly form: {class_id: {w_star, beta, w_hat}}."""
-        return {
-            str(c): {"w_star": self.w_star[c], "beta": self.beta[c], "w_hat": self.w_hat[c]}
-            for c in self.present
-        }
 
 
 def loss_imbalance_rho(class_losses) -> float:
@@ -149,86 +75,62 @@ def loss_imbalance_rho(class_losses) -> float:
     return float(losses.std() / mean)
 
 
-def closed_form_weight(l_c: float, l_bar: float, alpha: float, w0: float = 1.0) -> float:
+def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
     """Unique minimizer of (w*l_c - l_bar)^2 + alpha*(w - w0)^2.
 
-    The 0/0 corner alpha == 0, l_c == 0 returns the prior w0, the
-    continuous-in-alpha limit.
+    Broadcasts over array arguments and returns a float when every
+    argument is a scalar. l_c == 0 returns the prior w0: the exact
+    minimizer for alpha > 0, and the continuous-in-alpha limit of the 0/0
+    corner alpha == 0. As with float division, a weight beyond the float
+    range is inf.
     """
-    if l_c < 0 or l_bar < 0:
+    l_c, l_bar, alpha, w0 = (np.asarray(v, dtype=np.float64) for v in (l_c, l_bar, alpha, w0))
+    if (l_c < 0).any() or (l_bar < 0).any():
         raise ValueError("losses must be nonnegative")
-    if alpha < 0:
+    if (alpha < 0).any():
         raise ValueError("alpha must be >= 0")
-    if w0 <= 0:
+    if (w0 <= 0).any():
         raise ValueError("prior weight must be positive")
-    if alpha == 0.0:
-        if l_c == 0.0:
-            return w0
-        # (l_bar * l_c) / l_c^2 in a form that cannot underflow to 0.
-        return l_bar / l_c
-    return (l_bar * l_c + alpha * w0) / (l_c * l_c + alpha)
+    anchored = alpha > 0
+    # When l_c and alpha are both tiny, l_c^2 and alpha*w0 underflow and the
+    # weight would read 0. Scaling both by 2^500 keeps them below 1, so it
+    # is exact, adds no overflow and leaves every other input's rounding alone.
+    scale = np.where(np.maximum(l_c, alpha) < 2.0 ** -500, 2.0 ** 500, 1.0)
+    l_s, alpha_s = l_c * scale, alpha * scale
+    zero = l_c == 0
+    with np.errstate(over="ignore"):
+        # Unanchored: (l_bar * l_c) / l_c^2 in a form that cannot underflow to 0.
+        num = np.where(anchored, l_bar * l_s + alpha_s * w0, l_bar)
+        den = np.where(anchored, l_c * l_s + alpha_s, l_c)
+        w = np.where(zero, w0, num / np.where(zero, 1.0, den))
+    return float(w) if w.ndim == 0 else w
 
 
-def batch_class_stats(per_sample_losses, labels) -> ClassLossStats:
-    """Per-class mean losses in a batch and their cross-class mean."""
-    losses = np.asarray(per_sample_losses, dtype=np.float64)
-    y = np.asarray(labels)
-    if losses.shape != y.shape or losses.ndim != 1:
-        raise ValueError(f"losses and labels must be 1-D of equal length, got {losses.shape} vs {y.shape}")
-    if losses.size == 0:
-        raise ValueError("batch must be non-empty")
-    if not np.isfinite(losses).all() or (losses < 0).any():
-        raise ValueError("per-sample losses must be finite and nonnegative")
-    present = tuple(int(c) for c in np.unique(y))
-    mean_loss = {c: float(losses[y == c].mean()) for c in present}
-    batch_mean = float(np.mean([mean_loss[c] for c in present]))
-    return ClassLossStats(present=present, mean_loss=mean_loss, batch_mean=batch_mean)
+def inverse_weights(losses, labels, batch_counts, prior, config: ReweightConfig,
+                    mode: str = "both") -> np.ndarray:
+    """Effective per-class weights w_hat for one batch, length C.
 
-
-def update_macro_counters(state: MacroState, present) -> MacroState:
-    """Increment B_c by one for each class present in the batch (in place)."""
-    for c in present:
-        state.batch_counts[c] += 1
-    return state
-
-
-def macro_factors(state: MacroState, present, gamma: float) -> dict[int, float]:
-    """beta_c = B_c^(-gamma), normalized to unit mean over present classes.
-
-    Counters must already be incremented for the current batch, so every
-    present class has B_c >= 1.
+    ``losses`` are the batch's per-sample losses, ``labels`` their class
+    ids in [0, C), ``batch_counts`` the counters B_c already incremented
+    for this batch, and ``prior`` the per-class prior w0. ``mode`` picks the
+    factors: "both" (w_star * beta), "batch" (w_star) or "macro" (beta).
+    Classes absent from the batch get weight 1.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    present = tuple(present)
-    counts = np.array([state.batch_counts[c] for c in present], dtype=np.float64)
-    if (counts < 1).any():
-        raise ValueError("present class has zero batch count; update counters before computing factors")
-    raw = counts ** (-gamma)
-    norm = raw / raw.mean()
-    return {c: float(b) for c, b in zip(present, norm)}
-
-
-def effective_weights(stats: ClassLossStats, state: MacroState, config: ReweightConfig) -> WeightSolution:
-    """Compose the closed-form batch weights with the macro factors."""
-    w_star = {
-        c: closed_form_weight(stats.mean_loss[c], stats.batch_mean, config.alpha, config.prior(c))
-        for c in stats.present
-    }
-    beta = macro_factors(state, stats.present, config.gamma)
-    w_hat = {c: beta[c] * w_star[c] for c in stats.present}
-    return WeightSolution(present=stats.present, w_star=w_star, beta=beta, w_hat=w_hat)
-
-
-def reweighted_batch_loss(per_sample_losses, labels, solution: WeightSolution) -> float:
-    """Mean over samples of w_hat[label] * loss."""
-    losses = np.asarray(per_sample_losses, dtype=np.float64)
-    y = np.asarray(labels)
-    if losses.shape != y.shape or losses.size == 0:
-        raise ValueError("losses and labels must be non-empty and aligned")
-    have = set(solution.present)
-    missing = sorted(set(int(c) for c in y) - have)
-    if missing:
-        raise ValueError(f"no effective weight for classes {missing}")
-    w = np.array([solution.w_hat[int(c)] for c in y])
-    return float(np.mean(w * losses))
+    losses = np.asarray(losses, dtype=np.float64)
+    labels = np.asarray(labels)
+    if losses.ndim != 1 or losses.shape != labels.shape or losses.size == 0:
+        raise ValueError(f"losses and labels must be 1-D, non-empty and of equal length, "
+                         f"got {losses.shape} vs {labels.shape}")
+    n = np.bincount(labels, minlength=len(batch_counts))
+    present = n > 0
+    w_hat = np.ones(len(batch_counts))
+    if mode != "macro":
+        mean = np.bincount(labels, weights=losses, minlength=len(n))[present] / n[present]
+        w_hat[present] = closed_form_weight(mean, mean.mean(), config.alpha, prior[present])
+    if mode != "batch":
+        counts = batch_counts[present].astype(np.float64)
+        if (counts < 1).any():
+            raise ValueError("present class has zero batch count; update counters before solving")
+        beta = counts ** -config.gamma
+        w_hat[present] *= beta / beta.mean()
+    return w_hat

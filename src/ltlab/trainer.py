@@ -17,7 +17,7 @@ metrics and the loss imbalance coefficient are recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .baselines import ClassCounts
 from .data import Dataset, batch_iter
 from .errors import ConfigError, NumericError
 from .nc_metrics import FeatureBank, NcReport, make_report
-from .reweighting import MacroState, ReweightConfig
+from .reweighting import REWEIGHT_MODES, ReweightConfig
 
 __all__ = [
     "VALID_METHODS",
@@ -136,7 +136,7 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0")
         if self.hidden_dim < 0:
             raise ConfigError("hidden_dim must be >= 0")
-        if self.reweight_mode not in ("both", "batch", "macro"):
+        if self.reweight_mode not in REWEIGHT_MODES:
             raise ConfigError(f"unknown reweight_mode {self.reweight_mode!r}")
         if self.reweight_base not in VALID_METHODS or self.reweight_base == "inverse":
             raise ConfigError(f"reweight_base must be a base method, got {self.reweight_base!r}")
@@ -146,7 +146,7 @@ class TrainConfig:
 class TrainState:
     params: ModelParams
     velocity: dict[str, np.ndarray]
-    macro: MacroState
+    batch_counts: np.ndarray  # (C,) int64 batch-appearance counters B_c
     iteration: int = 0
 
 
@@ -294,7 +294,7 @@ class RunContext:
     base_method: str
     class_weights: np.ndarray | None  # static per-class multipliers
     ib_lambda: np.ndarray | None
-    reweight: ReweightConfig
+    prior: np.ndarray  # (C,) inverse-solve prior w0: ones, or the base class weights
     inverse_active: bool
     iters_per_epoch: int
     mile: scheduler.MileLrConfig | None
@@ -328,9 +328,9 @@ def prepare_run(config: TrainConfig, train: Dataset) -> tuple[TrainState, RunCon
     if base_name == "ib":
         ib_lambda = baselines.ib_class_coefficients(counts, method.ib_alpha_scale)
 
-    rw = config.reweight
+    prior = np.ones(train.class_count)
     if method.name == "inverse" and config.use_base_prior and class_weights is not None:
-        rw = replace(rw, prior_weights={c: float(w) for c, w in enumerate(class_weights)})
+        prior = class_weights
 
     iters_per_epoch = math.ceil(len(train) / config.batch_size)
     mile = multistep = None
@@ -356,14 +356,15 @@ def prepare_run(config: TrainConfig, train: Dataset) -> tuple[TrainState, RunCon
     if params.hidden_weights is not None:
         velocity["hidden_weights"] = np.zeros_like(params.hidden_weights)
         velocity["hidden_bias"] = np.zeros_like(params.hidden_bias)
-    state = TrainState(params=params, velocity=velocity, macro=MacroState(train.class_count))
+    state = TrainState(params=params, velocity=velocity,
+                       batch_counts=np.zeros(train.class_count, dtype=np.int64))
     ctx = RunContext(
         config=config,
         counts=counts,
         base_method=base_name,
         class_weights=class_weights,
         ib_lambda=ib_lambda,
-        reweight=rw,
+        prior=prior,
         inverse_active=method.name == "inverse",
         iters_per_epoch=iters_per_epoch,
         mile=mile,
@@ -411,28 +412,15 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
     config = ctx.config
     h, z, probs = forward_batch(state.params, x)
     ell, weights, dz_rows = _base_losses(ctx, h, z, probs, y)
-    base = weights * ell  # effective per-sample base losses
-
-    # Batch-appearance counters accumulate from epoch 0.
-    present = sorted(int(c) for c in np.unique(y))
-    reweighting.update_macro_counters(state.macro, present)
 
     coef = weights
-    if ctx.inverse_active and epoch >= ctx.reweight.switch_epoch:
-        try:
-            stats = reweighting.batch_class_stats(base, y)
-            if config.reweight_mode == "both":
-                w_hat = reweighting.effective_weights(stats, state.macro, ctx.reweight).w_hat
-            elif config.reweight_mode == "batch":
-                w_hat = {c: reweighting.closed_form_weight(
-                    stats.mean_loss[c], stats.batch_mean, ctx.reweight.alpha, ctx.reweight.prior(c))
-                    for c in stats.present}
-            else:  # macro only
-                w_hat = reweighting.macro_factors(state.macro, stats.present, ctx.reweight.gamma)
-        except ValueError as exc:
-            raise NumericError(
-                f"weight solve failed at epoch {epoch}, iteration {state.iteration}: {exc}") from exc
-        coef = weights * np.array([w_hat[int(c)] for c in y])
+    if ctx.inverse_active:
+        # Batch-appearance counters accumulate from epoch 0.
+        state.batch_counts += np.bincount(y, minlength=len(state.batch_counts)) > 0
+        if epoch >= config.reweight.switch_epoch:
+            w_hat = reweighting.inverse_weights(weights * ell, y, state.batch_counts, ctx.prior,
+                                                config.reweight, config.reweight_mode)
+            coef = weights * w_hat[y]
 
     m = len(y)
     loss = float(np.mean(coef * ell))
@@ -459,19 +447,15 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
 
 def _per_class_accuracy(params: ModelParams, dataset: Dataset) -> np.ndarray:
     _, z, _ = forward_batch(params, dataset.x)
-    pred = z.argmax(axis=1)
-    acc = np.empty(dataset.class_count)
-    for c in range(dataset.class_count):
-        mask = dataset.y == c
-        acc[c] = float((pred[mask] == c).mean()) if mask.any() else 0.0
-    return acc
+    hits = np.bincount(dataset.y, weights=z.argmax(axis=1) == dataset.y, minlength=dataset.class_count)
+    return hits / dataset.counts.per_class
 
 
 def _epoch_report(state: TrainState, train: Dataset, epoch: int) -> NcReport:
     h, z, _ = forward_batch(state.params, train.x)
     bank = FeatureBank.from_labels(h, train.y)
     ce = _ce_from_logits(z, train.y)
-    per_class = [float(ce[train.y == c].mean()) for c in range(train.class_count)]
+    per_class = np.bincount(train.y, weights=ce, minlength=train.class_count) / train.counts.per_class
     try:
         return make_report(state.params.weights, state.params.bias, bank, per_class, epoch)
     except ValueError as exc:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from ltlab.cli import main
 from ltlab.data import load_csv_dataset
 from ltlab.etf import make_nc_fixture
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 
 BASE_CONFIG = """
 [dataset]
@@ -80,9 +83,8 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        for key in ("method", "seeds", "bal_acc_mean", "bal_acc_per_seed", "rho_final",
-                    "nc1", "nc2", "nc3", "nc4", "acc_head", "acc_med", "acc_tail"):
-            assert key in summary
+        assert list(summary) == ["method", "seeds", "bal_acc_mean", "bal_acc_per_seed", "rho_final",
+                                 "nc1", "nc2", "nc3", "nc4", "acc_head", "acc_med", "acc_tail"]
         assert summary["method"] == "ce"
         assert summary["seeds"] == [1]
         assert math.isfinite(summary["bal_acc_mean"])
@@ -124,6 +126,15 @@ class TestTrain:
         main(["train", "--config", str(config_path), "--out", str(out2)])
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    # The run diverges on purpose; numpy warns about the inf and nan it produces.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_4_naming_epoch_and_iteration(self, tmp_path, capsys):
+        text = DEFAULT_CONFIG.read_text()
+        cfg = tmp_path / "diverge.ini"
+        cfg.write_text(text.replace("switch_epoch = 12", "switch_epoch = 0").replace("eta0 = 0.1", "eta0 = 1e8"))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        assert "non-finite loss at epoch 0, iteration 11" in capsys.readouterr().err
 
     def test_trained_dumps_feed_nc_eval(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -206,6 +217,13 @@ class TestWeights:
         main(["weights", "--losses", "2", "--alpha", "0.1"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["weights"]["0"]["w_star"] == pytest.approx(1.0)
+
+    def test_stdout_format(self, capsys):
+        assert main(["weights", "--losses", "0,3", "--alpha", "0", "--w0", "0.5,1"]) == 0
+        expected = {"l_bar": 1.5, "weights": {
+            "0": {"w_star": 0.5, "beta": 1.0, "w_hat": 0.5},
+            "1": {"w_star": 0.5, "beta": 1.0, "w_hat": 0.5}}}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     def test_negative_loss_rejected(self, capsys):
         assert main(["weights", "--losses", "1,-2", "--alpha", "0"]) == 2

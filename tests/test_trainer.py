@@ -286,7 +286,7 @@ class TestTrainEpoch:
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=(), decay=0.1))
         state, ctx = prepare_run(cfg, train)
         train_epoch(state, train, test, 0, cfg, ctx)
-        assert state.macro.batch_counts.sum() > 0
+        assert state.batch_counts.sum() > 0
 
     def test_label_symmetry(self):
         train, test = gaussian_mixture(balanced_spec(noise=0.5, seed=6))
@@ -383,8 +383,8 @@ class TestRunExperiment:
                           reweight_base="cb", use_base_prior=True,
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
         state, ctx = prepare_run(cfg, train)
-        assert ctx.reweight.prior_weights is not None
-        assert ctx.reweight.prior(3) > ctx.reweight.prior(0)  # rarer class, larger prior
+        assert np.array_equal(ctx.prior, ctx.class_weights)
+        assert ctx.prior[3] > ctx.prior[0]  # rarer class, larger prior
         records = [train_epoch(state, train, test, e, cfg, ctx) for e in range(2)]
         assert np.isfinite(records[-1].train_loss)
 
