@@ -221,7 +221,7 @@ def cmd_mlf(args) -> int:
         value = mittag_leffler(args.a, args.z)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    branch = "series" if args.z < 1.0 else "tail"
+    branch = "series" if args.z < 1.0 else "exp" if args.a == 1.0 else "tail"
     payload = {"a": args.a, "z": args.z, "value": value, "branch": branch}
     # Make the piecewise handoff visible whenever the branches disagree and
     # the series is not lost to cancellation.

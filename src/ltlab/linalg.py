@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["matrix", "matmul", "frobenius_norm", "trace", "pinv", "default_rank_tol"]
+__all__ = ["matrix", "frobenius_norm", "trace", "pinv", "default_rank_tol"]
 
 
 def matrix(data) -> np.ndarray:
@@ -25,16 +25,6 @@ def matrix(data) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with an explicit dimension check."""
-    a, b = matrix(a), matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
 
 
 def frobenius_norm(a) -> float:

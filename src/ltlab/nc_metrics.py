@@ -13,11 +13,17 @@ compute:
   the nearest-class-mean prediction;
 * rho: the class-wise loss imbalance coefficient of supplied per-class
   average losses.
+
+The class means are computed once per bank and shared by every metric.
+NC4 finds the nearest class mean from Gram-form distances and rechecks
+near ties in the direct form, so it matches the direct argmin exactly
+(the error bound is in ``nc4_agreement``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +46,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeatureBank:
-    """Per-class collections of p-dimensional feature vectors."""
+    """Per-class collections of p-dimensional feature vectors.
+
+    The blocks are treated as immutable: the class means are computed on
+    first use and cached on the instance.
+    """
 
     class_ids: tuple[int, ...]
     features: tuple[np.ndarray, ...]  # one (n_c, p) block per class id
@@ -62,8 +72,11 @@ class FeatureBank:
     def from_labels(cls, features, labels) -> "FeatureBank":
         x = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels)
-        ids = tuple(int(c) for c in np.unique(y))
-        return cls(class_ids=ids, features=tuple(x[y == c] for c in ids))
+        if y.shape != x.shape[:1]:
+            raise ValueError(f"{y.size} labels for {x.shape[0]} feature rows")
+        order = np.argsort(y, kind="stable")  # rows of each class keep their order
+        ids, starts = np.unique(y[order], return_index=True)
+        return cls(class_ids=tuple(int(c) for c in ids), features=tuple(np.split(x[order], starts[1:])))
 
     @property
     def class_count(self) -> int:
@@ -72,6 +85,13 @@ class FeatureBank:
     @property
     def feature_dim(self) -> int:
         return self.features[0].shape[1]
+
+    @cached_property
+    def _means(self) -> tuple[np.ndarray, np.ndarray]:
+        means = np.stack([block.mean(axis=0) for block in self.features])
+        global_mean = means.mean(axis=0)
+        means.flags.writeable = global_mean.flags.writeable = False
+        return means, global_mean
 
 
 @dataclass(frozen=True)
@@ -100,9 +120,10 @@ def etf_gram_target(class_count: int) -> np.ndarray:
 
 
 def class_means(bank: FeatureBank):
-    """Per-class feature means and their unweighted average (global mean)."""
-    means = np.stack([block.mean(axis=0) for block in bank.features])
-    return means, means.mean(axis=0)
+    """Per-class feature means and their unweighted average (global mean).
+
+    Computed once per bank; the returned arrays are the read-only cache."""
+    return bank._means
 
 
 def covariances(bank: FeatureBank):
@@ -152,24 +173,61 @@ def nc3(classifier, bank: FeatureBank) -> float:
     return _normalized_gram_distance(w @ m_dot, bank.class_count, "W M")
 
 
+def _nearest_means(x: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Row-wise first argmin of sum((x_i - mu_k)^2) over k, without the
+    (n, C, p) difference tensor; see ``nc4_agreement`` for the recheck."""
+    p = x.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are rechecked
+        x_sq = np.einsum("ij,ij->i", x, x)
+        mu_sq = np.einsum("ij,ij->i", means, means)
+        d2 = x @ means.T
+        d2 *= -2.0
+        d2 += x_sq[:, None]
+        d2 += mu_sq
+        u = np.finfo(np.float64).eps / 2
+        gamma = (p + 3) * u / (1 - (p + 3) * u)
+        tol = 8 * gamma * (x_sq + mu_sq.max()) + 8 * p * np.finfo(np.float64).smallest_subnormal
+        nearest = np.argmin(d2, axis=1)
+        candidates = d2 <= (d2[np.arange(len(d2)), nearest] + tol)[:, None]
+    candidates[~np.isfinite(d2).all(axis=1)] = True
+    for i in np.flatnonzero(candidates.sum(axis=1) > 1):
+        k = np.flatnonzero(candidates[i])  # ascending, so argmin keeps the lowest id
+        nearest[i] = k[np.argmin(((x[i] - means[k]) ** 2).sum(axis=1))]
+    return nearest
+
+
 def nc4_agreement(classifier, bias, bank: FeatureBank) -> float:
     """Fraction of samples where the classifier argmax equals the
     nearest-class-mean argmin. Ties resolve to the lowest class id on
-    both sides."""
+    both sides.
+
+    The nearest mean equals the argmin of the direct squared distances
+    sum_j (x_j - mu_kj)^2 on every input. Write S_i = ||x_i||^2 +
+    max_k ||mu_k||^2, u = eps/2 and gamma_n = n u / (1 - n u). In any
+    summation order, blocked BLAS and FMA included, every term of the
+    direct form passes at most p + 1 roundings and every term of the Gram
+    form ||x||^2 - 2 x.mu + ||mu||^2 at most p + 2, so each form is within
+    2 gamma_{p+2} S_i of the exact distance. Any class that attains the
+    direct minimum is therefore within 8 gamma_{p+2} S_i of the Gram-form
+    minimum. The candidates are every class within
+
+        tol_i = 8 gamma_{p+3} S_i + 8 p * 2^-1074
+
+    of that minimum: the step from p + 2 to p + 3 covers the rounding of
+    tol_i and of min + tol_i, and the last term covers products that
+    underflow. A row with one candidate has found its nearest mean. A row
+    with more, or with a non-finite Gram distance, takes the argmin of the
+    direct form over its candidates in ascending class id.
+    """
     w = np.asarray(classifier, dtype=np.float64)
     b = np.asarray(bias, dtype=np.float64)
     means, _ = class_means(bank)
-    ids = np.asarray(bank.class_ids)
-    agree = 0
-    total = 0
-    for block in bank.features:
-        logits = block @ w.T + b
-        pred = np.argmax(logits, axis=1)  # first max = lowest class id
-        d2 = ((block[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        nearest = ids[np.argmin(d2, axis=1)]
-        agree += int((pred == nearest).sum())
-        total += block.shape[0]
-    return agree / total
+    x = np.concatenate(bank.features)
+    nearest = np.asarray(bank.class_ids)[_nearest_means(x, means)]
+    logits = x @ w.T
+    logits += b
+    pred = np.argmax(logits, axis=1)  # first max = lowest class id
+    return int((pred == nearest).sum()) / x.shape[0]
 
 
 def make_report(classifier, bias, bank: FeatureBank, per_class_losses, epoch: int) -> NcReport:

@@ -100,12 +100,14 @@ def ml_tail(a: float, z: float) -> float:
 def mittag_leffler(a: float, z: float) -> float:
     """Evaluate E_a(-z) for 0 < a <= 1 and z >= 0.
 
-    Piecewise: the truncated power series for z < 1, the asymptotic tail
-    for z >= 1.
+    Piecewise: the truncated power series for z < 1; for z >= 1 the exact
+    E_1(-z) = e^{-z} at a = 1 and the asymptotic tail otherwise.
     """
     _check_ml_args(a, z)
     if z < 1.0:
         return ml_series(a, z)
+    if a == 1.0:
+        return math.exp(-z)
     return ml_tail(a, z)
 
 

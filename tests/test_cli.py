@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -145,7 +146,11 @@ class TestTrain:
                      "--bias", str(out / "bias.csv")])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        assert all(math.isfinite(report[k]) for k in ("nc1", "nc2", "nc3", "nc4"))
+        with open(out / "metrics.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        # The dumps of the trained model reproduce its last epoch's metrics exactly.
+        cols = ("nc1", "nc2", "nc3", "nc4")
+        assert {k: repr(report[k]) for k in cols} == {k: last[k] for k in cols}
         assert "rho" not in report
 
 
@@ -246,10 +251,10 @@ class TestMlf:
         assert payload["value"] == pytest.approx(0.141047, rel=1e-4)
 
     def test_branch_gap_reported(self, capsys):
-        main(["mlf", "--a", "1.0", "--z", "1"])
+        main(["mlf", "--a", "1", "--z", "1"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["branch"] == "tail"
-        assert payload["value"] == 0.0
+        assert payload["branch"] == "exp"
+        assert payload["value"] == 0.36787944117144233
         assert payload["series_value"] == pytest.approx(math.exp(-1), abs=1e-6)
         assert payload["tail_value"] == 0.0
 

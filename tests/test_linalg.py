@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltlab.linalg import frobenius_norm, matmul, matrix, pinv, trace
+from ltlab.linalg import frobenius_norm, matrix, pinv, trace
 
 
 def gauss_inverse(a):
@@ -37,35 +37,6 @@ class TestMatrix:
     def test_accepts_lists(self):
         m = matrix([[1, 2], [3, 4]])
         assert m.shape == (2, 2) and m.dtype == np.float64
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_example(self):
-        out = matmul([[1, 2], [3, 4]], [[1], [1]])
-        assert np.array_equal(out, [[3], [7]])
-
-    def test_zero_matrix(self):
-        a = np.random.default_rng(0).standard_normal((3, 3))
-        assert np.array_equal(matmul(np.zeros((2, 3)), a), np.zeros((2, 3)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            a = rng.standard_normal((4, 6))
-            b = rng.standard_normal((6, 3))
-            c = rng.standard_normal((3, 5))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            scale = max(np.abs(left).max(), 1.0)
-            assert np.abs(left - right).max() / scale < 1e-9
 
 
 class TestFrobeniusAndTrace:

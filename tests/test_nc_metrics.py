@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltlab.etf import make_etf, make_nc_fixture
 from ltlab.nc_metrics import (
@@ -18,6 +22,33 @@ from ltlab.nc_metrics import (
 TOY = FeatureBank(class_ids=(0, 1), features=(np.array([[0.0], [2.0]]), np.array([[4.0], [6.0]])))
 
 
+def _nc4_loop(classifier, bias, bank):
+    """Per-class reference for nc4_agreement: the full (n_c, C, p) tensor of
+    direct differences, argmin over classes and argmax over logits."""
+    w = np.asarray(classifier, dtype=np.float64)
+    b = np.asarray(bias, dtype=np.float64)
+    means = np.stack([block.mean(axis=0) for block in bank.features])
+    ids = np.asarray(bank.class_ids)
+    agree = 0
+    total = 0
+    for block in bank.features:
+        logits = block @ w.T + b
+        pred = np.argmax(logits, axis=1)
+        d2 = ((block[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        nearest = ids[np.argmin(d2, axis=1)]
+        agree += int((pred == nearest).sum())
+        total += block.shape[0]
+    return agree / total
+
+
+def _mask_bank(x, y):
+    """Reference FeatureBank.from_labels: one boolean mask per class id."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    ids = tuple(int(c) for c in np.unique(y))
+    return ids, tuple(x[y == c] for c in ids)
+
+
 def fixture_bank(fx):
     x = np.concatenate(fx.features)
     y = np.repeat(np.arange(fx.etf.class_count), [b.shape[0] for b in fx.features])
@@ -31,7 +62,27 @@ class TestFeatureBank:
         assert bank.class_ids == (0, 1)
         assert np.array_equal(bank.features[1], [[1.0], [3.0]])
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 40), p=st.integers(1, 5),
+           label_pool=st.lists(st.integers(-3, 50), min_size=1, max_size=6, unique=True))
+    def test_from_labels_matches_masks(self, seed, n, p, label_pool):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        y = rng.choice(label_pool, size=n)
+        bank = FeatureBank.from_labels(x, y)
+        ids, blocks = _mask_bank(x, y)
+        assert bank.class_ids == ids
+        assert len(bank.features) == len(blocks)
+        for got, want in zip(bank.features, blocks):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="2 labels for 3 feature rows"):
+            FeatureBank.from_labels(np.zeros((3, 2)), [0, 1])
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            FeatureBank.from_labels(np.zeros((0, 2)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
             FeatureBank(class_ids=(0,), features=(np.zeros((0, 2)),))
         with pytest.raises(ValueError):
@@ -52,6 +103,14 @@ class TestClassMeans:
         bank = FeatureBank.from_labels(np.vstack([m, -m]), [0, 1])
         _, global_mean = class_means(bank)
         assert np.abs(global_mean).max() == 0.0
+
+    def test_computed_once_and_read_only(self):
+        bank = FeatureBank.from_labels(np.arange(12.0).reshape(6, 2), [0, 1, 2, 0, 1, 2])
+        means, global_mean = class_means(bank)
+        again = class_means(bank)
+        assert again[0] is means and again[1] is global_mean
+        with pytest.raises(ValueError):
+            means[0, 0] = 1.0
 
     def test_permutation_oracle(self):
         rng = np.random.default_rng(0)
@@ -168,6 +227,103 @@ class TestNc4Agreement:
     def test_single_class(self):
         bank = FeatureBank.from_labels(np.array([[1.0], [2.0]]), [0, 0])
         assert nc4_agreement(np.array([[1.0]]), np.zeros(1), bank) == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**31), sizes=st.lists(st.integers(1, 12), min_size=1, max_size=7),
+           p=st.integers(1, 9), offset=st.sampled_from([0.0, 1.0, 1e8]),
+           duplicate=st.booleans(), dead_frac=st.sampled_from([0.0, 0.3, 1.0]),
+           integer=st.booleans())
+    def test_equals_loop_oracle(self, seed, sizes, p, offset, duplicate, dead_frac, integer):
+        rng = np.random.default_rng(seed)
+        c = len(sizes)
+        x = rng.standard_normal((sum(sizes), p))
+        if integer:
+            x = np.round(3 * x)  # small integers: exact ties between classes are common
+        x[rng.random(len(x)) < dead_frac] = 0.0  # dead-ReLU rows
+        x += offset
+        y = np.repeat(np.arange(c), sizes)
+        if duplicate and c > 1:  # the last class copies the first: equal means
+            x = np.concatenate([x, x[y == 0]])
+            y = np.concatenate([y, np.full(sizes[0], c - 1)])
+        bank = FeatureBank.from_labels(x, y)
+        w = rng.standard_normal((c, p))
+        b = rng.standard_normal(c)
+        assert nc4_agreement(w, b, bank) == _nc4_loop(w, b, bank)
+        zeros = np.zeros(c)  # every prediction is class 0: NC4 counts nearest == 0
+        assert nc4_agreement(np.zeros((c, p)), zeros, bank) == _nc4_loop(np.zeros((c, p)), zeros, bank)
+
+    def test_equidistant_samples_take_lower_id(self):
+        # Means 0 and 2; the two samples at 1 are exactly equidistant. With a
+        # zero classifier every prediction is class 0, so agreement counts
+        # the samples whose nearest mean is class 0: 3 of 4 when ties go to
+        # the lower id, 1 of 4 when they go to the higher.
+        for offset in (0.0, 1e8):
+            x = offset + np.array([[-1.0], [1.0], [1.0], [3.0]])
+            for labels in ([0, 0, 1, 1], [1, 1, 0, 0]):
+                bank = FeatureBank.from_labels(x, labels)
+                assert nc4_agreement(np.zeros((2, 1)), np.zeros(2), bank) == 0.75
+
+    @pytest.mark.parametrize("label", [0, 1, 2])
+    def test_equidistant_in_two_dimensions(self, label):
+        # Means (3, 4), (-4, 3) and (0, -5) all lie at distance 5 from the
+        # sample at the origin, so its nearest mean is class 0 whichever
+        # class it belongs to. That class's block is the origin and twice
+        # its mean; the others are their mean plus and minus (1, 0).
+        mus = np.array([[3.0, 4.0], [-4.0, 3.0], [0.0, -5.0]])
+        blocks = [np.vstack([np.zeros(2), 2 * mu]) if k == label else mu + np.array([[1.0, 0.0], [-1.0, 0.0]])
+                  for k, mu in enumerate(mus)]
+        bank = FeatureBank(class_ids=(0, 1, 2), features=tuple(blocks))
+        assert np.array_equal(class_means(bank)[0], mus)
+        # A zero classifier predicts class 0. Mean 0 is nearest to the
+        # origin and to class 0's other rows: 2 of 6 rows when the origin is
+        # one of class 0's two rows, 3 of 6 otherwise.
+        assert nc4_agreement(np.zeros((3, 2)), np.zeros(3), bank) == (2 if label == 0 else 3) / 6
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160, 1e200])
+    def test_underflow_and_overflow_match_direct_form(self, scale):
+        # Squares underflow below 1e-162 and overflow above 1e154; rows
+        # whose Gram distances are not finite are rechecked in full.
+        rng = np.random.default_rng(15)
+        y = np.repeat(np.arange(4), 10)
+        x = scale * (rng.standard_normal((40, 3)) + 2 * rng.standard_normal((4, 3))[y])
+        bank = FeatureBank.from_labels(x, y)
+        w = rng.standard_normal((4, 3)) / scale
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            assert nc4_agreement(w, np.zeros(4), bank) == _nc4_loop(w, np.zeros(4), bank)
+
+    def test_gram_cancellation_is_rechecked(self):
+        # Features offset by 1e8 with unit spread: the Gram form loses about
+        # 1e16 * 2^-53 ~ 1 to cancellation, about the gaps between distances.
+        rng = np.random.default_rng(13)
+        y = np.repeat(np.arange(6), 40)
+        x = 1e8 + rng.standard_normal((240, 4)) + 0.3 * rng.standard_normal((6, 4))[y]
+        bank = FeatureBank.from_labels(x, y)
+        means, _ = class_means(bank)
+        direct = np.argmin(((x[:, None, :] - means[None]) ** 2).sum(axis=2), axis=1)
+        gram = np.argmin((x * x).sum(1)[:, None] - 2 * x @ means.T + (means * means).sum(1), axis=1)
+        assert (gram != direct).any()  # the case really needs the recheck
+        for k in range(6):
+            onehot = np.zeros((6, 4))
+            bias = np.where(np.arange(6) == k, 1.0, 0.0)  # predicts class k everywhere
+            assert nc4_agreement(onehot, bias, bank) == np.mean(direct == k)
+
+    def test_peak_memory_without_distance_tensor(self):
+        # 4,000 x 64 features in 50 classes with half the rows in the head
+        # class: an (n_c, C, p) difference tensor for it alone is 51 MB.
+        n, p, c = 4000, 64, 50
+        rng = np.random.default_rng(14)
+        y = np.concatenate([np.zeros(n // 2, dtype=int), rng.integers(1, c, size=n - n // 2)])
+        bank = FeatureBank.from_labels(rng.standard_normal((n, p)), y)
+        w, b = rng.standard_normal((c, p)), rng.standard_normal(c)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            nc4_agreement(w, b, bank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bank.class_count == c
+        assert peak - base < 3 * (n * p + n * c) * 8
 
 
 class TestDeterminismAndReport:

@@ -33,9 +33,11 @@ class TestMittagLeffler:
         assert mittag_leffler(0.5, 4.0) == pytest.approx(1.0 / (4.0 * math.sqrt(math.pi)), rel=1e-12)
         assert mittag_leffler(0.5, 4.0) == pytest.approx(0.141047, rel=1e-4)
 
-    def test_tail_at_one_parameter(self):
-        # Gamma(0) treated as +inf
-        assert mittag_leffler(1.0, 2.0) == 0.0
+    @pytest.mark.parametrize("z", [1.0, 2.5, 10.0])
+    def test_exponential_at_one_parameter(self, z):
+        # E_1(-z) = e^{-z}; the tail 1/(z Gamma(0)) alone would give 0.
+        assert mittag_leffler(1.0, z) == math.exp(-z)
+        assert ml_tail(1.0, z) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
