@@ -198,8 +198,9 @@ def _nearest_means(x: np.ndarray, means: np.ndarray) -> np.ndarray:
 
 def nc4_agreement(classifier, bias, bank: FeatureBank) -> float:
     """Fraction of samples where the classifier argmax equals the
-    nearest-class-mean argmin. Ties resolve to the lowest class id on
-    both sides.
+    nearest-class-mean argmin. Classifier row k belongs to the bank's k-th
+    class (ascending id), so both sides are compared as class positions,
+    whatever the ids are. Ties resolve to the lowest class on both sides.
 
     The nearest mean equals the argmin of the direct squared distances
     sum_j (x_j - mu_kj)^2 on every input. Write S_i = ||x_i||^2 +
@@ -223,7 +224,7 @@ def nc4_agreement(classifier, bias, bank: FeatureBank) -> float:
     b = np.asarray(bias, dtype=np.float64)
     means, _ = class_means(bank)
     x = np.concatenate(bank.features)
-    nearest = np.asarray(bank.class_ids)[_nearest_means(x, means)]
+    nearest = _nearest_means(x, means)
     logits = x @ w.T
     logits += b
     pred = np.argmax(logits, axis=1)  # first max = lowest class id

@@ -15,7 +15,10 @@ is w_hat_c = beta_c * w_c.
 
 One batch is one length-C solve (``inverse_weights``): class means from
 ``np.bincount``, L_bar over the present classes, the vectorized closed
-form and beta, all as array operations.
+form and beta, all as array operations. ``closed_form_weight`` and
+``inverse_weights`` validate their arguments once per call and share one
+unvalidated closed-form kernel; the trainer calls the solve's kernel on
+inputs it builds itself, so no batch pays for validation.
 """
 
 from __future__ import annotations
@@ -75,6 +78,11 @@ def loss_imbalance_rho(class_losses) -> float:
     return float(losses.std() / mean)
 
 
+# Below this, l_c**2 and alpha*w0 can underflow; the closed form then
+# scales l_c and alpha by 2**500 (see _closed_form).
+_TINY = 2.0 ** -500
+
+
 def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
     """Unique minimizer of (w*l_c - l_bar)^2 + alpha*(w - w0)^2.
 
@@ -91,19 +99,34 @@ def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
         raise ValueError("alpha must be >= 0")
     if (w0 <= 0).any():
         raise ValueError("prior weight must be positive")
-    anchored = alpha > 0
-    # When l_c and alpha are both tiny, l_c^2 and alpha*w0 underflow and the
-    # weight would read 0. Scaling both by 2^500 keeps them below 1, so it
-    # is exact, adds no overflow and leaves every other input's rounding alone.
-    scale = np.where(np.maximum(l_c, alpha) < 2.0 ** -500, 2.0 ** 500, 1.0)
-    l_s, alpha_s = l_c * scale, alpha * scale
-    zero = l_c == 0
+    w = _closed_form(l_c, l_bar, alpha, w0)
+    return float(w) if w.ndim == 0 else w
+
+
+def _closed_form(l_c, l_bar, alpha, w0):
+    """The closed form on validated input: ``l_c`` an array, ``alpha`` a
+    float or an array.
+
+    With every l_c > 0 and alpha >= 2^-500 it is the one expression
+    (l_bar*l_c + alpha*w0) / (l_c^2 + alpha); only otherwise are the
+    corners taken.
+    """
+    # A NaN alpha fails this test and takes the corner form, which reads it as unanchored.
+    plain_alpha = (alpha >= _TINY).all() if isinstance(alpha, np.ndarray) else alpha >= _TINY
     with np.errstate(over="ignore"):
+        if plain_alpha and l_c.all():
+            return (l_bar * l_c + alpha * w0) / (l_c * l_c + alpha)
+        anchored = alpha > 0
+        # When l_c and alpha are both tiny, l_c^2 and alpha*w0 underflow and the
+        # weight would read 0. Scaling both by 2^500 keeps them below 1, so it
+        # is exact, adds no overflow and leaves every other input's rounding alone.
+        scale = np.where(np.maximum(l_c, alpha) < _TINY, 2.0 ** 500, 1.0)
+        l_s, alpha_s = l_c * scale, alpha * scale
+        zero = l_c == 0
         # Unanchored: (l_bar * l_c) / l_c^2 in a form that cannot underflow to 0.
         num = np.where(anchored, l_bar * l_s + alpha_s * w0, l_bar)
         den = np.where(anchored, l_c * l_s + alpha_s, l_c)
-        w = np.where(zero, w0, num / np.where(zero, 1.0, den))
-    return float(w) if w.ndim == 0 else w
+        return np.where(zero, w0, num / np.where(zero, 1.0, den))
 
 
 def inverse_weights(losses, labels, batch_counts, prior, config: ReweightConfig,
@@ -122,15 +145,21 @@ def inverse_weights(losses, labels, batch_counts, prior, config: ReweightConfig,
         raise ValueError(f"losses and labels must be 1-D, non-empty and of equal length, "
                          f"got {losses.shape} vs {labels.shape}")
     n = np.bincount(labels, minlength=len(batch_counts))
+    if mode != "batch" and (batch_counts[n > 0] < 1).any():
+        raise ValueError("present class has zero batch count; update counters before solving")
+    return _solve(losses, labels, n, batch_counts, prior, config, mode)
+
+
+def _solve(losses, labels, n, batch_counts, prior, config: ReweightConfig, mode: str) -> np.ndarray:
+    """``inverse_weights`` on validated input, with the batch's class sizes
+    ``n`` (``np.bincount(labels, minlength=C)``) given."""
     present = n > 0
-    w_hat = np.ones(len(batch_counts))
+    w_hat = np.ones(len(n))
+    # x.sum() / len(x) is np.mean(x), the same sum and division, without its Python overhead.
     if mode != "macro":
         mean = np.bincount(labels, weights=losses, minlength=len(n))[present] / n[present]
-        w_hat[present] = closed_form_weight(mean, mean.mean(), config.alpha, prior[present])
+        w_hat[present] = _closed_form(mean, mean.sum() / len(mean), config.alpha, prior[present])
     if mode != "batch":
-        counts = batch_counts[present].astype(np.float64)
-        if (counts < 1).any():
-            raise ValueError("present class has zero batch count; update counters before solving")
-        beta = counts ** -config.gamma
-        w_hat[present] *= beta / beta.mean()
+        beta = batch_counts[present].astype(np.float64) ** -config.gamma
+        w_hat[present] *= beta / (beta.sum() / len(beta))
     return w_hat

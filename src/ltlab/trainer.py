@@ -4,14 +4,21 @@ The model is a linear softmax classifier, optionally preceded by one
 ReLU hidden layer. Gradients are analytic, optimization is SGD with
 momentum and weight decay, and every run is deterministic in its seed.
 
-Each batch goes through the selected base loss; once the reweighting
-switch epoch is reached, per-class weights are solved in closed form
-from the batch's class-mean losses and combined with the macro
-batch-frequency factors, and the weighted mean loss drives the update.
-Batch-appearance counters accumulate from epoch 0 so the macro factors
-reflect true appearance frequencies. At the end of every epoch the
-last-layer features of the training set are collected and the collapse
-metrics and the loss imbalance coefficient are recorded.
+The parameters are views of one contiguous float64 buffer
+(``ModelParams``, biases last); the SGD velocity and the gradient share
+its layout, so a step is a few in-place ufuncs over the whole buffer.
+
+A batch is one pass that computes each intermediate once: the features
+(the ReLU in place over the hidden pre-activation) and the logits; one
+exp and one row sum for both the softmax and the cross entropy; the base
+loss's dlogits rows, built in place; from the reweighting switch epoch
+on, the closed-form class weights times the macro batch-frequency
+factors (whose counters accumulate from epoch 0); and a backward pass
+that takes the ReLU mask from those features and writes into the
+gradient buffer. ``forward_batch`` and ``backward`` call the same
+kernels. Each epoch ends with the collapse metrics and rho from the
+training features and logits, and the per-class accuracy from the test
+logits; no softmax is formed there.
 """
 
 from __future__ import annotations
@@ -50,26 +57,71 @@ __all__ = [
 VALID_METHODS = ("ce", "inv_freq", "inv_sqrt", "cb", "focal", "ib", "range", "inverse")
 
 
-@dataclass
-class ModelParams:
-    """Classifier weights/bias plus the optional hidden layer."""
+# Buffer order of the tensors: the biases last, so a bias-frozen step is
+# a prefix of the buffer. Reports and dumps name them in _NAMES order.
+_LAYOUT = ("weights", "hidden_weights", "bias", "hidden_bias")
+_NAMES = ("weights", "bias", "hidden_weights", "hidden_bias")
 
-    weights: np.ndarray  # (C, p)
-    bias: np.ndarray  # (C,)
-    hidden_weights: np.ndarray | None = None  # (p, d)
-    hidden_bias: np.ndarray | None = None  # (p,)
+
+class ModelParams:
+    """Classifier weights/bias plus the optional hidden layer.
+
+    ``weights`` (C, p), ``bias`` (C,), ``hidden_weights`` (p, d) and
+    ``hidden_bias`` (p,) are views of the one float64 buffer ``flat``
+    (the hidden pair is None for the linear model). ``bias_start`` is the
+    buffer offset of the first bias slot. The constructor copies its
+    arguments. Attributes cannot be rebound, so the views never detach
+    from the buffer: write into them instead (``params.weights[:] = w``).
+    """
+
+    __slots__ = ("flat", "bias_start") + _NAMES
+
+    def __init__(self, weights, bias, hidden_weights=None, hidden_bias=None):
+        if (hidden_weights is None) != (hidden_bias is None):
+            raise ValueError("hidden_weights and hidden_bias must be given together")
+        given = dict(weights=weights, bias=bias, hidden_weights=hidden_weights, hidden_bias=hidden_bias)
+        arrays = {k: np.asarray(given[k], dtype=np.float64) for k in _LAYOUT if given[k] is not None}
+        self._bind(np.concatenate([a.ravel() for a in arrays.values()]),
+                   {k: a.shape for k, a in arrays.items()})
+
+    def _bind(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> None:
+        offset = 0
+        for name in _LAYOUT:
+            if name == "bias":
+                object.__setattr__(self, "bias_start", offset)
+            view = None
+            if name in shapes:
+                size = math.prod(shapes[name])
+                view = flat[offset:offset + size].reshape(shapes[name])
+                offset += size
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "flat", flat)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot rebind ModelParams.{name}; its tensors are views of one "
+                             f"buffer, so assign into them (params.{name}[...] = ...)")
+
+    __delattr__ = __setattr__
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        """The present tensors by name, in the order weights, bias, hidden_weights, hidden_bias."""
+        return {name: getattr(self, name) for name in _NAMES if getattr(self, name) is not None}
+
+    def _with_buffer(self, flat: np.ndarray) -> "ModelParams":
+        new = object.__new__(ModelParams)
+        new._bind(flat, {name: arr.shape for name, arr in self.tensors().items()})
+        return new
+
+    def zeros_like(self) -> "ModelParams":
+        """A zero buffer of the same layout (velocity, gradient)."""
+        return self._with_buffer(np.zeros_like(self.flat))
+
+    def copy(self) -> "ModelParams":
+        return self._with_buffer(self.flat.copy())
 
     @property
     def class_count(self) -> int:
         return self.weights.shape[0]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            weights=self.weights.copy(),
-            bias=self.bias.copy(),
-            hidden_weights=None if self.hidden_weights is None else self.hidden_weights.copy(),
-            hidden_bias=None if self.hidden_bias is None else self.hidden_bias.copy(),
-        )
 
 
 @dataclass(frozen=True)
@@ -145,7 +197,8 @@ class TrainConfig:
 @dataclass
 class TrainState:
     params: ModelParams
-    velocity: dict[str, np.ndarray]
+    velocity: ModelParams  # momentum buffer, laid out as params
+    grads: ModelParams  # gradient buffer each batch's backward pass writes
     batch_counts: np.ndarray  # (C,) int64 batch-appearance counters B_c
     iteration: int = 0
 
@@ -183,24 +236,55 @@ def init_params(class_count: int, input_dim: int, hidden_dim: int, seed: int) ->
                        hidden_weights=hidden_w, hidden_bias=hidden_b)
 
 
-def forward_batch(params: ModelParams, x: np.ndarray):
+def _forward(params: ModelParams, x: np.ndarray):
+    """Features and logits. The hidden ReLU runs in place over the
+    pre-activation, whose sign pattern it keeps: h > 0 exactly where
+    pre > 0. The linear model's features are x itself."""
+    h = x
+    if params.hidden_weights is not None:
+        h = x @ params.hidden_weights.T
+        h += params.hidden_bias
+        np.maximum(h, 0.0, out=h)
+    z = h @ params.weights.T
+    z += params.bias
+    return h, z
+
+
+def _shifted_exp(z: np.ndarray):
+    """Row max, exp(z - max) and its row sum: the one exp and row sum that
+    the softmax and the cross entropy share."""
+    zmax = z.max(axis=1, keepdims=True)
+    e = z - zmax
+    np.exp(e, out=e)
+    return zmax, e, e.sum(axis=1, keepdims=True)
+
+
+def _ce(z, rows, y, zmax, s) -> np.ndarray:
+    """Per-sample cross entropy max + log(sum exp(z - max)) - z_y (underflow safe)."""
+    return zmax[:, 0] + np.log(s[:, 0]) - z[rows, y]
+
+
+def _ce_from_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    zmax, _, s = _shifted_exp(z)
+    return _ce(z, np.arange(len(y)), y, zmax, s)
+
+
+def forward_batch(params: ModelParams, x):
     """Features, logits, and softmax probabilities for a batch.
 
     Softmax subtracts the row max before exponentiating.
     """
     x = np.asarray(x, dtype=np.float64)
+    p = x.shape[1]
     if params.hidden_weights is not None:
-        if x.shape[1] != params.hidden_weights.shape[1]:
-            raise ValueError(f"input dim {x.shape[1]} != hidden fan-in {params.hidden_weights.shape[1]}")
-        h = np.maximum(x @ params.hidden_weights.T + params.hidden_bias, 0.0)
-    else:
-        h = x
-    if h.shape[1] != params.weights.shape[1]:
-        raise ValueError(f"feature dim {h.shape[1]} != classifier fan-in {params.weights.shape[1]}")
-    z = h @ params.weights.T + params.bias
-    zs = z - z.max(axis=1, keepdims=True)
-    e = np.exp(zs)
-    probs = e / e.sum(axis=1, keepdims=True)
+        if p != params.hidden_weights.shape[1]:
+            raise ValueError(f"input dim {p} != hidden fan-in {params.hidden_weights.shape[1]}")
+        p = params.hidden_weights.shape[0]
+    if p != params.weights.shape[1]:
+        raise ValueError(f"feature dim {p} != classifier fan-in {params.weights.shape[1]}")
+    h, z = _forward(params, x)
+    _, probs, s = _shifted_exp(z)
+    probs /= s
     return h, z, probs
 
 
@@ -218,32 +302,24 @@ def ce_loss(probs, target: int) -> float:
     return -math.log(p_t)
 
 
-def _ce_from_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample cross entropy via log-sum-exp (underflow safe)."""
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    return lse - z[np.arange(len(y)), y]
-
-
-def _focal_from_probs(probs: np.ndarray, y: np.ndarray, gamma: float):
-    """Per-sample focal losses and d(loss)/d(logits) rows."""
-    m = len(y)
-    idx = np.arange(m)
-    p_t = np.clip(probs[idx, y], 1e-300, 1.0)
-    one_m = 1.0 - p_t
-    losses = one_m ** gamma * (-np.log(p_t))
-    # d(loss)/dz_k = gcoef * (delta_tk - p_k); gcoef = -1 recovers plain CE.
-    gcoef = -(one_m ** gamma)
-    if gamma > 0:
-        pos = one_m > 0
-        gcoef[pos] += gamma * p_t[pos] * np.log(p_t[pos]) * one_m[pos] ** (gamma - 1.0)
-    dz = -gcoef[:, None] * probs
-    dz[idx, y] += gcoef
-    return losses, dz
+def _backward(params: ModelParams, x, h, dz, grads: ModelParams, dh_extra=None) -> None:
+    """Write the gradients of the loss whose dlogits rows are ``dz`` into
+    ``grads``; ``dh_extra`` is a further gradient w.r.t. the features ``h``
+    that ``_forward`` returned for ``x``."""
+    np.matmul(dz.T, h, out=grads.weights)
+    dz.sum(axis=0, out=grads.bias)
+    if params.hidden_weights is not None:
+        dh = dz @ params.weights
+        if dh_extra is not None:
+            dh += dh_extra
+        dh *= h > 0  # the ReLU's derivative: the pre-activation's sign pattern
+        np.matmul(dh.T, x, out=grads.hidden_weights)
+        dh.sum(axis=0, out=grads.hidden_bias)
 
 
 def backward(params: ModelParams, x, y, per_sample_weights) -> dict[str, np.ndarray]:
-    """Analytic gradients of mean(w_i * ce_i) w.r.t. all parameters.
+    """Analytic gradients of mean(w_i * ce_i) w.r.t. all parameters, by
+    tensor name (views of one buffer laid out like ``params``).
 
     Weight decay is applied by ``sgd_step``, not here, so these gradients
     can be checked directly against finite differences of the loss.
@@ -251,38 +327,33 @@ def backward(params: ModelParams, x, y, per_sample_weights) -> dict[str, np.ndar
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     w = np.asarray(per_sample_weights, dtype=np.float64)
-    h, z, probs = forward_batch(params, x)
+    h, z = _forward(params, x)
+    _, dz, s = _shifted_exp(z)
+    dz /= s
     m = len(y)
-    dz = probs.copy()
     dz[np.arange(m), y] -= 1.0
     dz *= (w / m)[:, None]
-    return _grads_from_dz(params, x, h, z, dz)
+    grads = params.zeros_like()
+    _backward(params, x, h, dz, grads)
+    return grads.tensors()
 
 
-def _grads_from_dz(params: ModelParams, x, h, z, dz, dh_extra=None) -> dict[str, np.ndarray]:
-    grads = {"weights": dz.T @ h, "bias": dz.sum(axis=0)}
-    if params.hidden_weights is not None:
-        dh = dz @ params.weights
-        if dh_extra is not None:
-            dh = dh + dh_extra
-        pre = x @ params.hidden_weights.T + params.hidden_bias
-        dpre = dh * (pre > 0)
-        grads["hidden_weights"] = dpre.T @ x
-        grads["hidden_bias"] = dpre.sum(axis=0)
-    return grads
+def sgd_step(params: ModelParams, grads: ModelParams, lr: float, momentum: float,
+             weight_decay: float, velocity: ModelParams, update_bias: bool = True) -> None:
+    """v <- momentum*v + (grad + weight_decay*param); param <- param - lr*v.
 
-
-def sgd_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float, momentum: float,
-             weight_decay: float, velocity: dict[str, np.ndarray], update_bias: bool = True) -> None:
-    """v <- momentum*v + (grad + weight_decay*param); param <- param - lr*v."""
-    for name, grad in grads.items():
-        if not update_bias and name in ("bias", "hidden_bias"):
-            continue
-        param = getattr(params, name)
-        v = velocity[name]
-        v *= momentum
-        v += grad + weight_decay * param
-        param -= lr * v
+    ``grads`` and ``velocity`` are laid out like ``params``; ``grads`` is
+    left as it is. With ``update_bias`` off the step covers only the slots
+    before ``bias_start``, so the biases and their velocity do not move.
+    """
+    stop = None if update_bias else params.bias_start
+    p, v = params.flat[:stop], velocity.flat[:stop]
+    step = p * weight_decay
+    step += grads.flat[:stop]
+    v *= momentum
+    v += step
+    np.multiply(v, lr, out=step)
+    p -= step
 
 
 @dataclass
@@ -352,11 +423,7 @@ def prepare_run(config: TrainConfig, train: Dataset) -> tuple[TrainState, RunCon
             eta0=config.lr.eta0, milestones=config.lr.milestones, decay=config.lr.decay)
 
     params = init_params(train.class_count, train.input_dim, config.hidden_dim, config.seed)
-    velocity = {"weights": np.zeros_like(params.weights), "bias": np.zeros_like(params.bias)}
-    if params.hidden_weights is not None:
-        velocity["hidden_weights"] = np.zeros_like(params.hidden_weights)
-        velocity["hidden_bias"] = np.zeros_like(params.hidden_bias)
-    state = TrainState(params=params, velocity=velocity,
+    state = TrainState(params=params, velocity=params.zeros_like(), grads=params.zeros_like(),
                        batch_counts=np.zeros(train.class_count, dtype=np.int64))
     ctx = RunContext(
         config=config,
@@ -380,51 +447,67 @@ def _lr_at(ctx: RunContext, epoch: int, iteration: int) -> float:
     return scheduler.multistep_lr_at(epoch, ctx.multistep)
 
 
-def _base_losses(ctx: RunContext, h, z, probs, y):
+def _base_losses(ctx: RunContext, h, z, y):
     """Per-sample base losses, stop-gradient weights, and dloss/dlogits rows.
 
-    The returned losses already include the method's static multipliers;
-    gradients flow only through the differentiable rows, scaled by the
-    weights at composition time.
+    The weights are the method's static multipliers (or the IB
+    attenuation, or focal alpha); they scale the losses and the rows at
+    composition time and get no gradient. The softmax and the cross
+    entropy share one exp and one row sum, and the dlogits rows are built
+    in the softmax's buffer.
     """
     method = ctx.config.method
+    rows = np.arange(len(y))
+    zmax, probs, s = _shifted_exp(z)
+    probs /= s
     if ctx.base_method == "focal":
-        ell, dz = _focal_from_probs(probs, y, method.focal_gamma)
+        p_t = np.clip(probs[rows, y], 1e-300, 1.0)
+        one_m = 1.0 - p_t
+        decay = one_m ** method.focal_gamma
+        ell = decay * (-np.log(p_t))
+        # d(loss)/dz_k = gcoef * (delta_tk - p_k); gcoef = -1 recovers plain CE.
+        gcoef = -decay
+        if method.focal_gamma > 0:
+            pos = one_m > 0
+            gcoef[pos] += (method.focal_gamma * p_t[pos] * np.log(p_t[pos])
+                           * one_m[pos] ** (method.focal_gamma - 1.0))
+        probs *= -gcoef[:, None]
+        probs[rows, y] += gcoef
         weights = np.full(len(y), 1.0 if method.focal_alpha is None else method.focal_alpha)
-        return ell, weights, dz
-    ell = _ce_from_logits(z, y)
-    dz = probs.copy()
-    dz[np.arange(len(y)), y] -= 1.0
+        return ell, weights, probs
+    ell = _ce(z, rows, y, zmax, s)
     if ctx.class_weights is not None:
         weights = ctx.class_weights[y]
     elif ctx.base_method == "ib":
         # Influence factor |p - onehot|_1 |h|_1 = 2(1 - p_t) |h|_1, used as
         # a per-sample attenuation treated as constant by the gradient.
-        p_t = probs[np.arange(len(y)), y]
-        influence = 2.0 * (1.0 - p_t) * np.abs(h).sum(axis=1)
+        influence = 2.0 * (1.0 - probs[rows, y]) * np.abs(h).sum(axis=1)
         weights = ctx.ib_lambda[y] / (influence + method.ib_eps)
     else:
         weights = np.ones(len(y))
-    return ell, weights, dz
+    probs[rows, y] -= 1.0
+    return ell, weights, probs
 
 
 def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: float) -> float:
     config = ctx.config
-    h, z, probs = forward_batch(state.params, x)
-    ell, weights, dz_rows = _base_losses(ctx, h, z, probs, y)
+    params = state.params
+    h, z = _forward(params, x)
+    ell, weights, dz = _base_losses(ctx, h, z, y)
 
     coef = weights
     if ctx.inverse_active:
         # Batch-appearance counters accumulate from epoch 0.
-        state.batch_counts += np.bincount(y, minlength=len(state.batch_counts)) > 0
+        sizes = np.bincount(y, minlength=len(state.batch_counts))
+        state.batch_counts += sizes > 0
         if epoch >= config.reweight.switch_epoch:
-            w_hat = reweighting.inverse_weights(weights * ell, y, state.batch_counts, ctx.prior,
-                                                config.reweight, config.reweight_mode)
+            w_hat = reweighting._solve(weights * ell, y, sizes, state.batch_counts, ctx.prior,
+                                       config.reweight, config.reweight_mode)
             coef = weights * w_hat[y]
 
     m = len(y)
-    loss = float(np.mean(coef * ell))
-    dz = dz_rows * (coef / m)[:, None]
+    loss = float((coef * ell).sum() / m)  # np.mean's sum and division, without its overhead
+    dz *= (coef / m)[:, None]
 
     dh_extra = None
     if ctx.base_method == "range":
@@ -432,27 +515,27 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
         range_val, range_grad = baselines.range_loss_grad(
             h, y, method.range_k, method.range_margin, method.range_alpha, method.range_beta)
         loss += method.range_lambda * range_val
-        if state.params.hidden_weights is not None:
+        if params.hidden_weights is not None:
             dh_extra = method.range_lambda * range_grad
 
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NumericError(f"non-finite loss at epoch {epoch}, iteration {state.iteration}")
 
-    grads = _grads_from_dz(state.params, x, h, z, dz, dh_extra=dh_extra)
-    sgd_step(state.params, grads, lr, config.momentum, config.weight_decay,
+    _backward(params, x, h, dz, state.grads, dh_extra)
+    sgd_step(params, state.grads, lr, config.momentum, config.weight_decay,
              state.velocity, update_bias=config.use_bias)
     state.iteration += 1
     return loss
 
 
 def _per_class_accuracy(params: ModelParams, dataset: Dataset) -> np.ndarray:
-    _, z, _ = forward_batch(params, dataset.x)
+    _, z = _forward(params, dataset.x)
     hits = np.bincount(dataset.y, weights=z.argmax(axis=1) == dataset.y, minlength=dataset.class_count)
     return hits / dataset.counts.per_class
 
 
 def _epoch_report(state: TrainState, train: Dataset, epoch: int) -> NcReport:
-    h, z, _ = forward_batch(state.params, train.x)
+    h, z = _forward(state.params, train.x)
     bank = FeatureBank.from_labels(h, train.y)
     ce = _ce_from_logits(z, train.y)
     per_class = np.bincount(train.y, weights=ce, minlength=train.class_count) / train.counts.per_class
@@ -473,10 +556,9 @@ def train_epoch(state: TrainState, train: Dataset, test: Dataset, epoch: int,
         loss = _batch_update(state, ctx, train.x[idx], train.y[idx], epoch, last_lr)
         total += loss * len(idx)
         seen += len(idx)
-    for name in ("weights", "bias", "hidden_weights", "hidden_bias"):
-        arr = getattr(state.params, name)
-        if arr is not None and not np.isfinite(arr).all():
-            raise NumericError(f"non-finite {name} after epoch {epoch}")
+    if not np.isfinite(state.params.flat).all():
+        name = next(k for k, v in state.params.tensors().items() if not np.isfinite(v).all())
+        raise NumericError(f"non-finite {name} after epoch {epoch}")
 
     report = _epoch_report(state, train, epoch)
     per_class_acc = _per_class_accuracy(state.params, test)

@@ -28,14 +28,13 @@ def _nc4_loop(classifier, bias, bank):
     w = np.asarray(classifier, dtype=np.float64)
     b = np.asarray(bias, dtype=np.float64)
     means = np.stack([block.mean(axis=0) for block in bank.features])
-    ids = np.asarray(bank.class_ids)
     agree = 0
     total = 0
     for block in bank.features:
         logits = block @ w.T + b
         pred = np.argmax(logits, axis=1)
         d2 = ((block[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        nearest = ids[np.argmin(d2, axis=1)]
+        nearest = np.argmin(d2, axis=1)
         agree += int((pred == nearest).sum())
         total += block.shape[0]
     return agree / total
@@ -227,6 +226,15 @@ class TestNc4Agreement:
     def test_single_class(self):
         bank = FeatureBank.from_labels(np.array([[1.0], [2.0]]), [0, 0])
         assert nc4_agreement(np.array([[1.0]]), np.zeros(1), bank) == 1.0
+
+    @pytest.mark.parametrize("labels", [(0, 0, 1, 1), (1, 1, 2, 2), (3, 3, 7, 7)])
+    def test_class_ids_need_not_start_at_zero(self, labels):
+        # Classifier row k belongs to the bank's k-th class whatever its id:
+        # the separating classifier agrees with the nearest mean everywhere.
+        x = np.array([[-1.0], [-1.1], [1.0], [1.1]])
+        bank = FeatureBank.from_labels(x, labels)
+        assert nc4_agreement(np.array([[-1.0], [1.0]]), np.zeros(2), bank) == 1.0
+        assert nc4_agreement(np.array([[1.0], [-1.0]]), np.zeros(2), bank) == 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**31), sizes=st.lists(st.integers(1, 12), min_size=1, max_size=7),

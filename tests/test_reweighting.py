@@ -10,6 +10,7 @@ from ltlab.cli import main
 from ltlab.data import Dataset
 from ltlab.reweighting import (
     ReweightConfig,
+    _closed_form,
     closed_form_weight,
     inverse_weights,
     loss_imbalance_rho,
@@ -32,6 +33,20 @@ def _closed_form_scalar(l_c, l_bar, alpha, w0):
     if alpha == 0.0:
         return l_bar / l_c
     return (l_bar * l_c + alpha * w0) / (l_c * l_c + alpha)
+
+
+def _closed_form_where(l_c, l_bar, alpha, w0):
+    """The closed form as one np.where composition, every corner on every
+    call: the reference for the kernel's one-expression common case."""
+    l_c, l_bar, alpha, w0 = (np.asarray(v, dtype=np.float64) for v in (l_c, l_bar, alpha, w0))
+    anchored = alpha > 0
+    scale = np.where(np.maximum(l_c, alpha) < 2.0 ** -500, 2.0 ** 500, 1.0)
+    l_s, alpha_s = l_c * scale, alpha * scale
+    zero = l_c == 0
+    with np.errstate(over="ignore"):
+        num = np.where(anchored, l_bar * l_s + alpha_s * w0, l_bar)
+        den = np.where(anchored, l_c * l_s + alpha_s, l_c)
+        return np.where(zero, w0, num / np.where(zero, 1.0, den))
 
 
 def _solve_loop(losses, labels, batch_counts, prior, alpha, gamma, mode):
@@ -155,6 +170,33 @@ class TestClosedFormWeight:
             scalar = closed_form_weight(*row)
             assert isinstance(scalar, float)
             assert scalar == vec[i] == _closed_form_scalar(*row)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 1e300)),
+                                   st.floats(0.0, 1e300),
+                                   st.one_of(st.just(0.0), st.just(2.0 ** -500), st.just(2.0 ** -501),
+                                             st.floats(0.0, 1e300)),
+                                   st.floats(1e-300, 1e300)), min_size=1, max_size=12),
+           scalar_alpha=st.booleans())
+    @example(rows=[(1.0, 1.0, 2.0 ** -500, 1.0), (2.0 ** -600, 1.0, 2.0 ** -500, 1.0)], scalar_alpha=True)
+    @example(rows=[(1e200, 1e200, 0.5, 1.0), (1e-200, 1e200, 0.5, 1.0)], scalar_alpha=False)
+    def test_matches_where_composition_bit_for_bit(self, rows, scalar_alpha):
+        # The kernel takes the corners only for a zero loss or alpha < 2^-500;
+        # with a scalar alpha (the per-batch solve) or an array, on all inputs
+        # it equals the composition that takes them every time.
+        l_c, l_bar, alpha, w0 = (np.array(col) for col in zip(*rows))
+        if scalar_alpha:
+            alpha = float(alpha[0])
+        with np.errstate(invalid="ignore"):  # inf / inf reads NaN in both forms
+            expected = _closed_form_where(l_c, l_bar, alpha, w0)
+            for got in (_closed_form(l_c, l_bar, alpha, w0), closed_form_weight(l_c, l_bar, alpha, w0)):
+                assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_nan_alpha_takes_the_corner_form(self):
+        # NaN > 0 is false, so the corner form reads it as unanchored: l_bar / l_c.
+        assert closed_form_weight(2.0, 1.0, np.nan) == 0.5
+        assert _closed_form(np.array([2.0]), 1.0, np.nan, 1.0)[0] == 0.5
 
 
 class TestInverseWeights:

@@ -1,19 +1,23 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ltlab.baselines import range_loss, range_loss_grad
-from ltlab.data import LongTailSpec, gaussian_mixture
-from ltlab.errors import ConfigError
-from ltlab.reweighting import ReweightConfig
+from ltlab import baselines
+from ltlab.baselines import focal_loss, range_loss, range_loss_grad
+from ltlab.data import LongTailSpec, batch_iter, gaussian_mixture
+from ltlab.errors import ConfigError, NumericError
+from ltlab.reweighting import ReweightConfig, inverse_weights
 from ltlab.trainer import (
+    VALID_METHODS,
     LrSpec,
     MethodConfig,
     ModelParams,
     TrainConfig,
+    _backward,
+    _batch_update,
     _ce_from_logits,
-    _grads_from_dz,
     backward,
     ce_loss,
     forward,
@@ -157,13 +161,15 @@ class TestBackward:
             h, z, _ = forward_batch(params, x)
             return float(np.mean(_ce_from_logits(z, y))) + method.range_lambda * range_loss(h, y, *range_args)
 
-        h, z, probs = forward_batch(params, x)
+        h, _, probs = forward_batch(params, x)
         dz = probs.copy()
         dz[np.arange(m), y] -= 1.0
         dz /= m
         _, range_grad = range_loss_grad(h, y, *range_args)
-        grads = _grads_from_dz(params, x, h, z, dz, dh_extra=method.range_lambda * range_grad)
-        ce_only = _grads_from_dz(params, x, h, z, dz)
+        grads, ce_only = params.zeros_like(), params.zeros_like()
+        _backward(params, x, h, dz, grads, dh_extra=method.range_lambda * range_grad)
+        _backward(params, x, h, dz, ce_only)
+        grads, ce_only = grads.tensors(), ce_only.tensors()
         for name, g in grads.items():
             fd = finite_difference(params, name, loss, h=1e-6)
             scale = max(1.0, np.abs(fd).max())
@@ -188,44 +194,104 @@ class TestBackward:
             assert np.abs(total[k] - accum[k]).max() < 1e-10
 
 
+def one_by_one(weight, bias):
+    return ModelParams(weights=[[weight]], bias=[bias])
+
+
 class TestSgdStep:
     def test_vanilla_step(self):
-        params = ModelParams(weights=np.array([[1.0]]), bias=np.zeros(1))
-        vel = {"weights": np.zeros((1, 1)), "bias": np.zeros(1)}
-        sgd_step(params, {"weights": np.array([[0.5]]), "bias": np.zeros(1)},
-                 lr=0.1, momentum=0.0, weight_decay=0.0, velocity=vel)
+        params = one_by_one(1.0, 0.0)
+        sgd_step(params, one_by_one(0.5, 0.0), lr=0.1, momentum=0.0, weight_decay=0.0,
+                 velocity=params.zeros_like())
         assert params.weights[0, 0] == pytest.approx(0.95)
 
     def test_zero_grads_no_motion(self):
-        params = ModelParams(weights=np.array([[2.0]]), bias=np.array([1.0]))
-        vel = {"weights": np.zeros((1, 1)), "bias": np.zeros(1)}
-        sgd_step(params, {"weights": np.zeros((1, 1)), "bias": np.zeros(1)},
-                 lr=0.5, momentum=0.9, weight_decay=0.0, velocity=vel)
+        params = one_by_one(2.0, 1.0)
+        sgd_step(params, params.zeros_like(), lr=0.5, momentum=0.9, weight_decay=0.0,
+                 velocity=params.zeros_like())
         assert params.weights[0, 0] == 2.0
         assert params.bias[0] == 1.0
 
     def test_momentum_unroll(self):
-        params = ModelParams(weights=np.array([[0.0]]), bias=np.zeros(1))
-        vel = {"weights": np.zeros((1, 1)), "bias": np.zeros(1)}
-        g = {"weights": np.array([[1.0]]), "bias": np.zeros(1)}
+        params = one_by_one(0.0, 0.0)
+        vel = params.zeros_like()
+        g = one_by_one(1.0, 0.0)
         sgd_step(params, g, lr=0.1, momentum=0.9, weight_decay=0.0, velocity=vel)
         sgd_step(params, g, lr=0.1, momentum=0.9, weight_decay=0.0, velocity=vel)
         assert params.weights[0, 0] == pytest.approx(-0.1 * (1.0 + 1.9))
+        assert g.weights[0, 0] == 1.0  # the gradient buffer is left as it is
 
     def test_weight_decay_enters_velocity(self):
-        params = ModelParams(weights=np.array([[10.0]]), bias=np.zeros(1))
-        vel = {"weights": np.zeros((1, 1)), "bias": np.zeros(1)}
-        sgd_step(params, {"weights": np.zeros((1, 1)), "bias": np.zeros(1)},
-                 lr=0.1, momentum=0.0, weight_decay=0.01, velocity=vel)
+        params = one_by_one(10.0, 0.0)
+        sgd_step(params, params.zeros_like(), lr=0.1, momentum=0.0, weight_decay=0.01,
+                 velocity=params.zeros_like())
         assert params.weights[0, 0] == pytest.approx(10.0 - 0.1 * 0.1)
 
     def test_bias_frozen_when_disabled(self):
-        params = ModelParams(weights=np.ones((1, 1)), bias=np.array([0.5]))
-        vel = {"weights": np.zeros((1, 1)), "bias": np.zeros(1)}
-        sgd_step(params, {"weights": np.ones((1, 1)), "bias": np.ones(1)},
-                 lr=0.1, momentum=0.0, weight_decay=0.0, velocity=vel, update_bias=False)
+        params = one_by_one(1.0, 0.5)
+        sgd_step(params, one_by_one(1.0, 1.0), lr=0.1, momentum=0.0, weight_decay=0.0,
+                 velocity=params.zeros_like(), update_bias=False)
         assert params.bias[0] == 0.5
         assert params.weights[0, 0] != 1.0
+
+    def test_both_biases_and_their_velocity_frozen(self):
+        params = init_params(3, 4, 5, seed=0)
+        params.bias[:] = [0.1, -0.2, 0.3]
+        params.hidden_bias[:] = np.linspace(-1.0, 1.0, 5)
+        before = params.copy()
+        vel = params.zeros_like()
+        grads = params.zeros_like()
+        grads.flat[:] = 1.0
+        for _ in range(3):
+            sgd_step(params, grads, lr=0.1, momentum=0.9, weight_decay=0.01, velocity=vel,
+                     update_bias=False)
+        for name in ("bias", "hidden_bias"):
+            assert np.array_equal(getattr(params, name), getattr(before, name)), name
+            assert not getattr(vel, name).any(), name
+        for name in ("weights", "hidden_weights"):
+            assert (getattr(params, name) != getattr(before, name)).all(), name
+
+
+class TestModelParams:
+    def test_tensors_are_views_of_one_buffer(self):
+        params = init_params(3, 4, 5, seed=1)
+        sizes = {name: arr.size for name, arr in params.tensors().items()}
+        assert list(sizes) == ["weights", "bias", "hidden_weights", "hidden_bias"]
+        assert params.flat.shape == (sum(sizes.values()),) and params.flat.flags.c_contiguous
+        for name, arr in params.tensors().items():
+            assert np.shares_memory(arr, params.flat), name
+        # Weights first, biases last: a bias-frozen step is a prefix of the buffer.
+        assert params.bias_start == sizes["weights"] + sizes["hidden_weights"]
+        assert np.array_equal(params.flat[params.bias_start:],
+                              np.concatenate([params.bias, params.hidden_bias]))
+        params.flat[:] = np.arange(params.flat.size)
+        assert params.weights[0, 1] == 1.0 and params.hidden_weights[0, 0] == sizes["weights"]
+
+    def test_attributes_cannot_be_rebound(self):
+        params = init_params(3, 4, 0, seed=2)
+        for name in ("weights", "bias", "hidden_weights", "flat", "bias_start", "other"):
+            with pytest.raises(AttributeError):
+                setattr(params, name, np.zeros(3))
+        with pytest.raises(AttributeError):
+            del params.weights
+        params.weights[:] = 7.0  # writing into a view is the way to change a tensor
+        assert (params.flat[:params.weights.size] == 7.0).all()
+
+    def test_constructor_copies_and_layouts_match(self):
+        w = np.ones((2, 3))
+        params = ModelParams(weights=w, bias=np.zeros(2))
+        w[0, 0] = 5.0
+        assert params.weights[0, 0] == 1.0
+        assert params.hidden_weights is None and params.hidden_bias is None
+        assert params.bias_start == 6
+        for other in (params.copy(), params.zeros_like()):
+            assert not np.shares_memory(other.flat, params.flat)
+            assert other.bias_start == params.bias_start
+            assert {k: v.shape for k, v in other.tensors().items()} == {"weights": (2, 3), "bias": (2,)}
+        assert np.array_equal(params.copy().flat, params.flat)
+        assert not params.zeros_like().flat.any()
+        with pytest.raises(ValueError):
+            ModelParams(weights=w, bias=np.zeros(2), hidden_weights=np.ones((3, 1)))
 
 
 def balanced_spec(noise=0.0, seed=3):
@@ -397,3 +463,280 @@ class TestRunExperiment:
             MethodConfig(name="nope")
         with pytest.raises(ConfigError):
             TrainConfig(reweight_base="inverse")
+
+
+# --- The batch step before the flat parameter buffer, kept as the oracle. ---
+# Parameters and velocity are separate arrays in a namespace and a dict;
+# every intermediate is recomputed as the batch step once did, and the
+# weight solve takes every closed-form corner with np.where.
+
+def _forward_batch_ref(params, x):
+    if params.hidden_weights is not None:
+        h = np.maximum(x @ params.hidden_weights.T + params.hidden_bias, 0.0)
+    else:
+        h = x
+    z = h @ params.weights.T + params.bias
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return h, z, e / e.sum(axis=1, keepdims=True)
+
+
+def _ce_from_logits_ref(z, y):
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    return lse - z[np.arange(len(y)), y]
+
+
+def _focal_from_probs_ref(probs, y, gamma):
+    idx = np.arange(len(y))
+    p_t = np.clip(probs[idx, y], 1e-300, 1.0)
+    one_m = 1.0 - p_t
+    losses = one_m ** gamma * (-np.log(p_t))
+    gcoef = -(one_m ** gamma)
+    if gamma > 0:
+        pos = one_m > 0
+        gcoef[pos] += gamma * p_t[pos] * np.log(p_t[pos]) * one_m[pos] ** (gamma - 1.0)
+    dz = -gcoef[:, None] * probs
+    dz[idx, y] += gcoef
+    return losses, dz
+
+
+def _base_losses_ref(ctx, h, z, probs, y):
+    method = ctx.config.method
+    if ctx.base_method == "focal":
+        ell, dz = _focal_from_probs_ref(probs, y, method.focal_gamma)
+        return ell, np.full(len(y), 1.0 if method.focal_alpha is None else method.focal_alpha), dz
+    ell = _ce_from_logits_ref(z, y)
+    dz = probs.copy()
+    dz[np.arange(len(y)), y] -= 1.0
+    if ctx.class_weights is not None:
+        weights = ctx.class_weights[y]
+    elif ctx.base_method == "ib":
+        p_t = probs[np.arange(len(y)), y]
+        influence = 2.0 * (1.0 - p_t) * np.abs(h).sum(axis=1)
+        weights = ctx.ib_lambda[y] / (influence + method.ib_eps)
+    else:
+        weights = np.ones(len(y))
+    return ell, weights, dz
+
+
+def _grads_from_dz_ref(params, x, h, dz, dh_extra=None):
+    grads = {"weights": dz.T @ h, "bias": dz.sum(axis=0)}
+    if params.hidden_weights is not None:
+        dh = dz @ params.weights
+        if dh_extra is not None:
+            dh = dh + dh_extra
+        pre = x @ params.hidden_weights.T + params.hidden_bias
+        dpre = dh * (pre > 0)
+        grads["hidden_weights"] = dpre.T @ x
+        grads["hidden_bias"] = dpre.sum(axis=0)
+    return grads
+
+
+def _inverse_weights_ref(losses, labels, batch_counts, prior, config, mode):
+    n = np.bincount(labels, minlength=len(batch_counts))
+    present = n > 0
+    w_hat = np.ones(len(batch_counts))
+    if mode != "macro":
+        l_c = np.bincount(labels, weights=losses, minlength=len(n))[present] / n[present]
+        l_bar, alpha, w0 = l_c.mean(), config.alpha, prior[present]
+        scale = np.where(np.maximum(l_c, alpha) < 2.0 ** -500, 2.0 ** 500, 1.0)
+        l_s, alpha_s = l_c * scale, alpha * scale
+        zero = l_c == 0
+        with np.errstate(over="ignore"):
+            num = np.where(alpha > 0, l_bar * l_s + alpha_s * w0, l_bar)
+            den = np.where(alpha > 0, l_c * l_s + alpha_s, l_c)
+            w_hat[present] = np.where(zero, w0, num / np.where(zero, 1.0, den))
+    if mode != "batch":
+        beta = batch_counts[present].astype(np.float64) ** -config.gamma
+        w_hat[present] *= beta / beta.mean()
+    return w_hat
+
+
+def _sgd_step_ref(params, grads, lr, momentum, weight_decay, velocity, update_bias):
+    for name, grad in grads.items():
+        if not update_bias and name in ("bias", "hidden_bias"):
+            continue
+        param = getattr(params, name)
+        v = velocity[name]
+        v *= momentum
+        v += grad + weight_decay * param
+        param -= lr * v
+
+
+def _batch_update_ref(ref, ctx, x, y, epoch, lr):
+    config = ctx.config
+    h, z, probs = _forward_batch_ref(ref.params, x)
+    ell, weights, dz_rows = _base_losses_ref(ctx, h, z, probs, y)
+    coef = weights
+    if ctx.inverse_active:
+        ref.batch_counts += np.bincount(y, minlength=len(ref.batch_counts)) > 0
+        if epoch >= config.reweight.switch_epoch:
+            w_hat = _inverse_weights_ref(weights * ell, y, ref.batch_counts, ctx.prior,
+                                         config.reweight, config.reweight_mode)
+            coef = weights * w_hat[y]
+    m = len(y)
+    loss = float(np.mean(coef * ell))
+    dz = dz_rows * (coef / m)[:, None]
+    dh_extra = None
+    if ctx.base_method == "range":
+        method = config.method
+        range_val, range_grad = range_loss_grad(
+            h, y, method.range_k, method.range_margin, method.range_alpha, method.range_beta)
+        loss += method.range_lambda * range_val
+        if ref.params.hidden_weights is not None:
+            dh_extra = method.range_lambda * range_grad
+    grads = _grads_from_dz_ref(ref.params, x, h, dz, dh_extra)
+    _sgd_step_ref(ref.params, grads, lr, config.momentum, config.weight_decay, ref.velocity,
+                  config.use_bias)
+    return loss
+
+
+def _long_tail_data(seed=21):
+    spec = LongTailSpec(class_count=5, n_max=30, imbalance_factor=10.0, input_dim=6,
+                        class_separation=1.5, seed=seed, test_per_class=4)
+    return gaussian_mixture(spec)
+
+
+def _config(method, hidden, use_bias=True, mode="both", base="ce", prior=False, alpha=0.5,
+            switch_epoch=1):
+    return TrainConfig(
+        epochs=3, batch_size=13, momentum=0.9, weight_decay=5e-4, seed=4, hidden_dim=hidden,
+        use_bias=use_bias, reweight_mode=mode, reweight_base=base, use_base_prior=prior,
+        method=MethodConfig(name=method, cb_beta=0.99, focal_alpha=0.25, range_margin=3.0),
+        reweight=ReweightConfig(alpha=alpha, gamma=1.5, switch_epoch=switch_epoch),
+        lr=LrSpec(schedule="multistep", eta0=0.1, milestones=(2,), decay=0.1))
+
+
+ORACLE_ARMS = [dict(method=m) for m in VALID_METHODS if m != "inverse"] + [
+    dict(method="inverse", mode="both"),
+    dict(method="inverse", mode="batch"),
+    dict(method="inverse", mode="macro"),
+    dict(method="inverse", alpha=0.0),
+    dict(method="inverse", base="cb", prior=True),
+    dict(method="inverse", mode="macro", base="inv_freq", prior=True),
+    dict(method="inverse", base="focal"),
+    dict(method="inverse", base="ib"),
+    dict(method="inverse", base="range"),
+]
+
+
+class TestBatchStepOracle:
+    """The one-pass batch step equals the old composition bit for bit."""
+
+    @pytest.mark.parametrize("use_bias", (True, False))
+    @pytest.mark.parametrize("hidden", (0, 5))
+    @pytest.mark.parametrize("arm", ORACLE_ARMS, ids=lambda a: "-".join(f"{v}" for v in a.values()))
+    def test_matches_old_composition(self, arm, hidden, use_bias):
+        train, _ = _long_tail_data()
+        cfg = _config(hidden=hidden, use_bias=use_bias, **arm)
+        state, ctx = prepare_run(cfg, train)
+        tensors = state.params.tensors()
+        ref = SimpleNamespace(
+            params=SimpleNamespace(**{"hidden_weights": None, "hidden_bias": None,
+                                      **{name: arr.copy() for name, arr in tensors.items()}}),
+            velocity={name: np.zeros_like(arr) for name, arr in tensors.items()},
+            batch_counts=state.batch_counts.copy())
+        steps = 0
+        for epoch in range(cfg.epochs):
+            lr = 0.1 if epoch < 2 else 0.01
+            for idx in batch_iter(train, cfg.batch_size, 100 + epoch):
+                x, y = train.x[idx], train.y[idx]
+                loss = _batch_update(state, ctx, x, y, epoch, lr)
+                assert loss == _batch_update_ref(ref, ctx, x, y, epoch, lr)
+                for name, arr in state.params.tensors().items():
+                    assert np.array_equal(arr, getattr(ref.params, name)), (steps, name)
+                    assert np.array_equal(getattr(state.velocity, name), ref.velocity[name]), (steps, name)
+                assert np.array_equal(state.batch_counts, ref.batch_counts)
+                steps += 1
+        assert steps == 3 * math.ceil(len(train) / cfg.batch_size)
+        if cfg.method.name == "inverse":
+            assert state.batch_counts.min() > 0
+        if not use_bias:
+            assert not state.params.bias.any()
+
+
+def _differentiable_loss(params, ctx, x, y):
+    """Per-sample base loss from the public forward pass: focal through the
+    scalar ``focal_loss``, CE otherwise."""
+    _, z, probs = forward_batch(params, x)
+    if ctx.base_method == "focal":
+        return np.array([focal_loss(p, t, ctx.config.method.focal_gamma) for p, t in zip(probs, y)])
+    return _ce_from_logits(z, y)
+
+
+def _stop_gradient_coef(params, ctx, x, y, counts_after):
+    """Per-sample factors the step holds constant, from their definitions."""
+    method = ctx.config.method
+    h, _, probs = forward_batch(params, x)
+    coef = np.ones(len(y))
+    if ctx.base_method == "focal":
+        coef = np.full(len(y), method.focal_alpha)
+    elif ctx.base_method == "inv_freq":
+        coef = baselines.inv_freq_weights(ctx.counts)[y]
+    elif ctx.base_method == "inv_sqrt":
+        coef = baselines.inv_sqrt_weights(ctx.counts)[y]
+    elif ctx.base_method == "cb":
+        coef = baselines.cb_weights(ctx.counts, method.cb_beta)[y]
+    elif ctx.base_method == "ib":
+        influence = np.abs(probs - np.eye(probs.shape[1])[y]).sum(axis=1) * np.abs(h).sum(axis=1)
+        coef = baselines.ib_class_coefficients(ctx.counts, method.ib_alpha_scale)[y] / (
+            influence + method.ib_eps)
+    if method.name == "inverse":
+        losses = coef * _differentiable_loss(params, ctx, x, y)
+        coef = coef * inverse_weights(losses, y, counts_after, ctx.prior, ctx.config.reweight,
+                                      ctx.config.reweight_mode)[y]
+    return coef
+
+
+class TestBatchStepFiniteDifference:
+    """The gradient the batch step writes is the derivative of its loss.
+
+    The stop-gradient factors are held at their values at the base point,
+    as the step treats them: the static class weights, focal alpha, the IB
+    influence attenuation 1 / (|p - onehot|_1 |h|_1 + eps) and the solved
+    inverse weights w_hat. What stays differentiable is the base loss
+    (CE, or focal with its (1 - p_t)^gamma factor) and the range term.
+    """
+
+    @pytest.mark.parametrize("hidden", (0, 6))
+    @pytest.mark.parametrize("method, base", [(m, "ce") for m in VALID_METHODS] + [("inverse", "ib"),
+                                                                                   ("inverse", "focal")])
+    def test_applied_gradient(self, method, base, hidden):
+        train, _ = _long_tail_data(seed=31)
+        cfg = _config(method, hidden, base=base, switch_epoch=0)
+        state, ctx = prepare_run(cfg, train)
+        idx = np.arange(0, len(train), 3)  # every class present
+        x, y = train.x[idx], train.y[idx]
+        counts_after = state.batch_counts + (np.bincount(y, minlength=train.class_count) > 0)
+        coef = _stop_gradient_coef(state.params, ctx, x, y, counts_after)
+        range_args = (cfg.method.range_k, cfg.method.range_margin, cfg.method.range_alpha,
+                      cfg.method.range_beta)
+
+        def loss():
+            value = float(np.mean(coef * _differentiable_loss(state.params, ctx, x, y)))
+            if ctx.base_method == "range":
+                h, _, _ = forward_batch(state.params, x)
+                value += cfg.method.range_lambda * range_loss(h, y, *range_args)
+            return value
+
+        before = state.params.copy()
+        applied = _batch_update(state, ctx, x, y, 0, 0.0)  # lr 0 leaves the parameters alone
+        assert np.array_equal(state.params.flat, before.flat)
+        assert applied == pytest.approx(loss(), rel=1e-12)
+        for name, g in state.grads.tensors().items():
+            fd = finite_difference(state.params, name, loss, h=1e-6)
+            scale = max(1.0, np.abs(fd).max())
+            assert np.abs(g - fd).max() / scale < 1e-6, name
+            assert np.abs(fd).max() > 1e-4, name  # the check is not vacuous
+
+
+class TestEpochEndFiniteness:
+    def test_non_finite_parameter_named(self):
+        train, test = gaussian_mixture(balanced_spec())
+        cfg = TrainConfig(epochs=1, batch_size=40, seed=1, hidden_dim=4, use_bias=False,
+                          lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
+        state, ctx = prepare_run(cfg, train)
+        # A frozen -inf hidden bias silences its unit: the losses stay finite.
+        state.params.hidden_bias[2] = -np.inf
+        with pytest.raises(NumericError, match="non-finite hidden_bias after epoch 0"):
+            train_epoch(state, train, test, 0, cfg, ctx)
