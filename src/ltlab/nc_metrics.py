@@ -223,6 +223,8 @@ def nc4_agreement(classifier, bias, bank: FeatureBank) -> float:
     w = np.asarray(classifier, dtype=np.float64)
     b = np.asarray(bias, dtype=np.float64)
     means, _ = class_means(bank)
+    if w.shape[0] != len(means):
+        raise ValueError(f"classifier has {w.shape[0]} rows but the bank {len(means)} classes")
     x = np.concatenate(bank.features)
     nearest = _nearest_means(x, means)
     logits = x @ w.T

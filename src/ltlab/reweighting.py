@@ -145,6 +145,11 @@ def inverse_weights(losses, labels, batch_counts, prior, config: ReweightConfig,
         raise ValueError(f"losses and labels must be 1-D, non-empty and of equal length, "
                          f"got {losses.shape} vs {labels.shape}")
     n = np.bincount(labels, minlength=len(batch_counts))
+    if mode != "macro":
+        if (losses < 0).any():
+            raise ValueError("losses must be nonnegative")
+        if (prior[n > 0] <= 0).any():
+            raise ValueError("prior weight must be positive")
     if mode != "batch" and (batch_counts[n > 0] < 1).any():
         raise ValueError("present class has zero batch count; update counters before solving")
     return _solve(losses, labels, n, batch_counts, prior, config, mode)

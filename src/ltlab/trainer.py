@@ -58,9 +58,8 @@ VALID_METHODS = ("ce", "inv_freq", "inv_sqrt", "cb", "focal", "ib", "range", "in
 
 
 # Buffer order of the tensors: the biases last, so a bias-frozen step is
-# a prefix of the buffer. Reports and dumps name them in _NAMES order.
+# a prefix of the buffer.
 _LAYOUT = ("weights", "hidden_weights", "bias", "hidden_bias")
-_NAMES = ("weights", "bias", "hidden_weights", "hidden_bias")
 
 
 class ModelParams:
@@ -74,7 +73,7 @@ class ModelParams:
     from the buffer: write into them instead (``params.weights[:] = w``).
     """
 
-    __slots__ = ("flat", "bias_start") + _NAMES
+    __slots__ = ("flat", "bias_start") + _LAYOUT
 
     def __init__(self, weights, bias, hidden_weights=None, hidden_bias=None):
         if (hidden_weights is None) != (hidden_bias is None):
@@ -103,9 +102,13 @@ class ModelParams:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor, which binds a fresh buffer.
+        return ModelParams, (self.weights, self.bias, self.hidden_weights, self.hidden_bias)
+
     def tensors(self) -> dict[str, np.ndarray]:
-        """The present tensors by name, in the order weights, bias, hidden_weights, hidden_bias."""
-        return {name: getattr(self, name) for name in _NAMES if getattr(self, name) is not None}
+        """The present tensors by name, in buffer order."""
+        return {name: getattr(self, name) for name in _LAYOUT if getattr(self, name) is not None}
 
     def _with_buffer(self, flat: np.ndarray) -> "ModelParams":
         new = object.__new__(ModelParams)
@@ -323,6 +326,7 @@ def backward(params: ModelParams, x, y, per_sample_weights) -> dict[str, np.ndar
 
     Weight decay is applied by ``sgd_step``, not here, so these gradients
     can be checked directly against finite differences of the loss.
+    ``sgd_step`` takes them as ``ModelParams(**grads)``.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

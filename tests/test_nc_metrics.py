@@ -235,6 +235,10 @@ class TestNc4Agreement:
         bank = FeatureBank.from_labels(x, labels)
         assert nc4_agreement(np.array([[-1.0], [1.0]]), np.zeros(2), bank) == 1.0
         assert nc4_agreement(np.array([[1.0], [-1.0]]), np.zeros(2), bank) == 0.0
+        # One row per class the bank holds: a classifier with a row for a
+        # class the bank lacks cannot be matched to it by position.
+        with pytest.raises(ValueError, match="3 rows but the bank 2 classes"):
+            nc4_agreement(np.array([[-1.0], [0.0], [1.0]]), np.zeros(3), bank)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**31), sizes=st.lists(st.integers(1, 12), min_size=1, max_size=7),

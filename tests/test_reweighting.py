@@ -228,6 +228,23 @@ class TestInverseWeights:
         prior = np.linspace(0.5, 2.0, len(counts))
         self._check(losses, labels, np.array(counts, dtype=np.int64), prior, alpha, 1.7, mode)
 
+    @pytest.mark.parametrize("mode", ("both", "batch"))
+    def test_negative_loss_rejected(self, mode):
+        with pytest.raises(ValueError, match="losses must be nonnegative"):
+            _solve([-1.0, 2.0], [0, 1], [1, 1], mode=mode)
+
+    @pytest.mark.parametrize("mode", ("both", "batch"))
+    @pytest.mark.parametrize("bad", (0.0, -1.0))
+    def test_non_positive_prior_of_present_class_rejected(self, mode, bad):
+        with pytest.raises(ValueError, match="prior weight must be positive"):
+            _solve([1.0, 2.0], [0, 1], [1, 1, 1], prior=[1.0, bad, 1.0], mode=mode)
+        # An absent class's prior is never read.
+        _solve([1.0, 2.0], [0, 1], [1, 1, 1], prior=[1.0, 1.0, bad], mode=mode)
+
+    def test_macro_reads_neither_losses_nor_prior(self):
+        beta = _solve([-1.0, 2.0], [0, 1], [1, 4], prior=[0.0, -1.0], gamma=1.0, mode="macro")
+        assert beta.tolist() == pytest.approx([1.6, 0.4])
+
     @staticmethod
     def _check(losses, labels, counts, prior, alpha, gamma, mode):
         w_hat = inverse_weights(np.array(losses), np.array(labels), counts, prior,

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -193,6 +195,18 @@ class TestBackward:
         for k in total:
             assert np.abs(total[k] - accum[k]).max() < 1e-10
 
+    @pytest.mark.parametrize("hidden", [0, 5])
+    def test_gradients_step_through_sgd_step(self, hidden):
+        rng = np.random.default_rng(7)
+        params = init_params(4, 6, hidden, seed=8)
+        before = params.copy()
+        x = rng.standard_normal((8, 6))
+        grads = backward(params, x, rng.integers(0, 4, 8), np.ones(8))
+        sgd_step(params, ModelParams(**grads), lr=0.1, momentum=0.0, weight_decay=0.0,
+                 velocity=params.zeros_like())
+        for name, g in grads.items():
+            assert np.array_equal(getattr(params, name), getattr(before, name) - 0.1 * g), name
+
 
 def one_by_one(weight, bias):
     return ModelParams(weights=[[weight]], bias=[bias])
@@ -256,7 +270,7 @@ class TestModelParams:
     def test_tensors_are_views_of_one_buffer(self):
         params = init_params(3, 4, 5, seed=1)
         sizes = {name: arr.size for name, arr in params.tensors().items()}
-        assert list(sizes) == ["weights", "bias", "hidden_weights", "hidden_bias"]
+        assert list(sizes) == ["weights", "hidden_weights", "bias", "hidden_bias"]
         assert params.flat.shape == (sum(sizes.values()),) and params.flat.flags.c_contiguous
         for name, arr in params.tensors().items():
             assert np.shares_memory(arr, params.flat), name
@@ -292,6 +306,16 @@ class TestModelParams:
         assert not params.zeros_like().flat.any()
         with pytest.raises(ValueError):
             ModelParams(weights=w, bias=np.zeros(2), hidden_weights=np.ones((3, 1)))
+
+    @pytest.mark.parametrize("hidden_dim", (0, 5))
+    def test_copies_and_pickles_bind_a_fresh_buffer(self, hidden_dim):
+        params = init_params(3, 4, hidden_dim, seed=3)
+        for other in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert isinstance(other, ModelParams)
+            assert not np.shares_memory(other.flat, params.flat)
+            assert np.array_equal(other.flat, params.flat) and other.bias_start == params.bias_start
+            for name, arr in other.tensors().items():
+                assert np.shares_memory(arr, other.flat), name
 
 
 def balanced_spec(noise=0.0, seed=3):
