@@ -9,6 +9,7 @@ range loss is a batch-level feature-geometry regularizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,6 +154,15 @@ def range_loss(features, labels, k: int, margin: float, alpha: float, beta: floa
     return value
 
 
+@lru_cache(maxsize=16)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, cached per size as read-only arrays: a
+    run sees only two batch sizes and a few class counts per batch."""
+    ii, jj = np.triu_indices(n, 1)
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
+
+
 def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta: float):
     """Range loss together with its gradient w.r.t. the feature matrix.
 
@@ -181,7 +191,7 @@ def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta:
     n_cls = len(sizes)
     grad = np.zeros_like(x)
 
-    ii, jj = np.triu_indices(len(y), 1)
+    ii, jj = _pair_indices(len(y))
     same = cls[ii] == cls[jj]
     ii, jj = ii[same], jj[same]
     pair_cls = cls[ii]
@@ -215,7 +225,7 @@ def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta:
         centers = np.zeros((n_cls, x.shape[1]))
         np.add.at(centers, cls, x)
         centers /= sizes[:, None]
-        ca, cb = np.triu_indices(n_cls, 1)
+        ca, cb = _pair_indices(n_cls)
         gaps = centers[ca] - centers[cb]
         center_dists = np.linalg.norm(gaps, axis=1)
         best = int(np.argmin(center_dists))

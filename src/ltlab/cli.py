@@ -152,6 +152,29 @@ def _load_matrix_csv(path: str, what: str) -> np.ndarray:
     return m
 
 
+def _load_class_losses(path: str, class_count: int) -> list[float]:
+    """The per-class losses of ``nc-eval --losses``: a JSON list of one
+    finite, nonnegative number per class."""
+    try:
+        with open(path) as fh:
+            losses = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot open losses file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"malformed losses file {path}: {exc}") from exc
+    if not isinstance(losses, list) or len(losses) != class_count:
+        found = f"{len(losses)} entries" if isinstance(losses, list) else json.dumps(losses)[:60]
+        raise DataError(f"losses file {path} must hold a JSON list of {class_count} losses, "
+                        f"one per class; found {found}")
+    for i, value in enumerate(losses):
+        # Comparisons with an int are exact, so this also rejects ints beyond the float range.
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not 0 <= value <= sys.float_info.max:
+            raise DataError(f"losses file {path}: entry {i} is {value!r}, "
+                            "not a finite, nonnegative number")
+    return [float(v) for v in losses]
+
+
 def cmd_nc_eval(args) -> int:
     bank_data = load_csv_dataset(args.features, args.label_column, split="train")
     bank = FeatureBank.from_labels(bank_data.x, bank_data.y)
@@ -166,20 +189,16 @@ def cmd_nc_eval(args) -> int:
             raise DataError(f"bias length {b.size} does not match {bank.class_count} classes")
     else:
         b = np.zeros(bank.class_count)
+    losses = None if args.losses is None else _load_class_losses(args.losses, bank.class_count)
+    logits = bank.features @ w.T
+    logits += b
     report = {
         "nc1": nc1(bank),
         "nc2": nc2(w),
         "nc3": nc3(w, bank),
-        "nc4": nc4_agreement(w, b, bank),
+        "nc4": nc4_agreement(logits, bank),
     }
-    if args.losses is not None:
-        try:
-            with open(args.losses) as fh:
-                losses = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot open losses file {args.losses}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed losses file {args.losses}: {exc}") from exc
+    if losses is not None:
         report["rho"] = loss_imbalance_rho(losses)
     print(json.dumps(report, indent=2))
     return 0

@@ -9,15 +9,21 @@ compute:
   and the normalized simplex-ETF Gram;
 * NC3: the same distance for W M, where M stacks the centered class
   means (classifier/mean self-duality);
-* NC4 agreement: fraction of samples whose classifier prediction matches
-  the nearest-class-mean prediction;
+* NC4 agreement: fraction of samples whose classifier prediction (the
+  argmax of the supplied logits) matches the nearest-class-mean
+  prediction;
 * rho: the class-wise loss imbalance coefficient of supplied per-class
   average losses.
 
-The class means are computed once per bank and shared by every metric.
-NC4 finds the nearest class mean from Gram-form distances and rechecks
-near ties in the direct form, so it matches the direct argmin exactly
-(the error bound is in ``nc4_agreement``).
+A ``FeatureBank`` holds one class-sorted (n, p) array and the class
+offsets; its per-class blocks are views. The class means (block sums over
+the counts) are computed once per bank and shared by every metric.
+Sigma_W is one matmul of the centred features. NC4 takes the logits of
+the bank's rows, finds the nearest class mean from Gram-form distances
+and rechecks near ties in the direct form, so it matches the direct
+argmin exactly (the error bound is in ``nc4_agreement``). The centred
+features and the distances can go to a caller's buffers, which is how
+the trainer's epoch end avoids per-epoch (n, p) and (n, C) arrays.
 """
 
 from __future__ import annotations
@@ -44,39 +50,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureBank:
-    """Per-class collections of p-dimensional feature vectors.
+    """p-dimensional feature vectors grouped by class.
 
-    The blocks are treated as immutable: the class means are computed on
-    first use and cached on the instance.
+    ``features`` is one (n, p) float64 array whose rows are sorted by
+    class: class ``class_ids[k]`` holds rows ``offsets[k]:offsets[k + 1]``,
+    and ``blocks`` gives those rows as views. The bank keeps the array it
+    is given, without a copy. The class means are computed on first use
+    and cached on the instance, so the rows must not change while the bank
+    is in use.
     """
 
     class_ids: tuple[int, ...]
-    features: tuple[np.ndarray, ...]  # one (n_c, p) block per class id
+    features: np.ndarray  # (n, p), class-sorted
+    offsets: np.ndarray  # (C + 1,) block boundaries, from 0 to n
 
     def __post_init__(self):
-        if len(self.class_ids) != len(self.features) or not self.class_ids:
-            raise ValueError("need one non-empty feature block per class id")
+        if not self.class_ids:
+            raise ValueError("need at least one class")
         if any(b >= a for a, b in zip(self.class_ids[1:], self.class_ids)):
             raise ValueError("class ids must be strictly increasing")
-        dims = set()
-        for block in self.features:
-            if block.ndim != 2 or block.shape[0] == 0:
-                raise ValueError("each class needs a non-empty (n, p) feature block")
-            dims.add(block.shape[1])
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent feature dimensions: {sorted(dims)}")
+        if self.features.ndim != 2 or self.features.dtype != np.float64:
+            raise ValueError("features must be an (n, p) float64 array")
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if offsets.shape != (len(self.class_ids) + 1,) or offsets[0] != 0 \
+                or offsets[-1] != len(self.features):
+            raise ValueError(f"need {len(self.class_ids) + 1} offsets from 0 to "
+                             f"{len(self.features)} for {len(self.class_ids)} classes")
+        if (offsets[1:] <= offsets[:-1]).any():
+            raise ValueError("each class needs a non-empty feature block")
+        object.__setattr__(self, "offsets", offsets)
 
     @classmethod
     def from_labels(cls, features, labels) -> "FeatureBank":
-        x = np.asarray(features, dtype=np.float64)
+        """A bank over one class-sorted copy of ``features``; rows of each
+        class keep their order (a stable sort by label)."""
+        x = np.asarray(features)
         y = np.asarray(labels)
         if y.shape != x.shape[:1]:
             raise ValueError(f"{y.size} labels for {x.shape[0]} feature rows")
-        order = np.argsort(y, kind="stable")  # rows of each class keep their order
+        order = np.argsort(y, kind="stable")
         ids, starts = np.unique(y[order], return_index=True)
-        return cls(class_ids=tuple(int(c) for c in ids), features=tuple(np.split(x[order], starts[1:])))
+        return cls(class_ids=tuple(int(c) for c in ids),
+                   features=x[order].astype(np.float64, copy=False),
+                   offsets=np.append(starts, len(y)))
 
     @property
     def class_count(self) -> int:
@@ -84,11 +102,20 @@ class FeatureBank:
 
     @property
     def feature_dim(self) -> int:
-        return self.features[0].shape[1]
+        return self.features.shape[1]
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The per-class (n_c, p) blocks, as views of ``features``."""
+        return tuple(np.split(self.features, self.offsets[1:-1]))
 
     @cached_property
     def _means(self) -> tuple[np.ndarray, np.ndarray]:
-        means = np.stack([block.mean(axis=0) for block in self.features])
+        # Block sums over the counts: the same sums and division as block.mean(axis=0).
+        means = np.empty((self.class_count, self.feature_dim))
+        for block, row in zip(self.blocks, means):
+            block.sum(axis=0, out=row)
+        means /= np.diff(self.offsets)[:, None]
         global_mean = means.mean(axis=0)
         means.flags.writeable = global_mean.flags.writeable = False
         return means, global_mean
@@ -126,26 +153,32 @@ def class_means(bank: FeatureBank):
     return bank._means
 
 
-def covariances(bank: FeatureBank):
+def covariances(bank: FeatureBank, out: np.ndarray | None = None):
     """Within-class scatter Sigma_W (averaged over all samples) and
-    between-class scatter Sigma_B of the centered class means."""
+    between-class scatter Sigma_B of the centered class means.
+
+    Sigma_W is one matmul of the features centred on their class means.
+    The centred rows go to a fresh array, or to ``out``, an (n, p) float64
+    array. ``out`` may be ``bank.features`` itself, which is then
+    overwritten (after the class means are cached), so pass it only when
+    nothing reads the rows afterwards.
+    """
     means, global_mean = class_means(bank)
-    p = bank.feature_dim
-    sigma_w = np.zeros((p, p))
-    total = 0
-    for block, mu in zip(bank.features, means):
-        centered = block - mu
-        sigma_w += centered.T @ centered
-        total += block.shape[0]
-    sigma_w /= total
+    centred = np.empty_like(bank.features) if out is None else out
+    if centred.shape != bank.features.shape or centred.dtype != np.float64:
+        raise ValueError(f"out must be a {bank.features.shape} float64 array")
+    for block, mu, rows in zip(bank.blocks, means, np.split(centred, bank.offsets[1:-1])):
+        np.subtract(block, mu, out=rows)
+    sigma_w = centred.T @ centred
+    sigma_w /= len(centred)
     centered_means = means - global_mean
     sigma_b = centered_means.T @ centered_means / bank.class_count
     return sigma_w, sigma_b
 
 
-def nc1(bank: FeatureBank, rank_tol: float | None = None) -> float:
-    """trace(Sigma_W @ pinv(Sigma_B)) / C."""
-    sigma_w, sigma_b = covariances(bank)
+def nc1(bank: FeatureBank, rank_tol: float | None = None, out: np.ndarray | None = None) -> float:
+    """trace(Sigma_W @ pinv(Sigma_B)) / C; ``out`` is as in ``covariances``."""
+    sigma_w, sigma_b = covariances(bank, out)
     return trace(sigma_w @ pinv(sigma_b, rank_tol)) / bank.class_count
 
 
@@ -173,14 +206,16 @@ def nc3(classifier, bank: FeatureBank) -> float:
     return _normalized_gram_distance(w @ m_dot, bank.class_count, "W M")
 
 
-def _nearest_means(x: np.ndarray, means: np.ndarray) -> np.ndarray:
+def _nearest_means(x: np.ndarray, means: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise first argmin of sum((x_i - mu_k)^2) over k, without the
-    (n, C, p) difference tensor; see ``nc4_agreement`` for the recheck."""
+    (n, C, p) difference tensor. The Gram-form distances go to ``out`` when
+    it is given, and then become the candidate mask in place, so no other
+    (n, C) array is made. See ``nc4_agreement`` for the recheck."""
     p = x.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are rechecked
         x_sq = np.einsum("ij,ij->i", x, x)
         mu_sq = np.einsum("ij,ij->i", means, means)
-        d2 = x @ means.T
+        d2 = np.matmul(x, means.T, out=out)
         d2 *= -2.0
         d2 += x_sq[:, None]
         d2 += mu_sq
@@ -188,19 +223,26 @@ def _nearest_means(x: np.ndarray, means: np.ndarray) -> np.ndarray:
         gamma = (p + 3) * u / (1 - (p + 3) * u)
         tol = 8 * gamma * (x_sq + mu_sq.max()) + 8 * p * np.finfo(np.float64).smallest_subnormal
         nearest = np.argmin(d2, axis=1)
-        candidates = d2 <= (d2[np.arange(len(d2)), nearest] + tol)[:, None]
-    candidates[~np.isfinite(d2).all(axis=1)] = True
-    for i in np.flatnonzero(candidates.sum(axis=1) > 1):
-        k = np.flatnonzero(candidates[i])  # ascending, so argmin keeps the lowest id
+        finite = np.isfinite(d2.sum(axis=1))  # False for a NaN or an infinity (or an overflow)
+        threshold = d2[np.arange(len(d2)), nearest] + tol
+        np.less_equal(d2, threshold[:, None], out=d2)  # 1.0 marks a candidate
+    for i in np.flatnonzero((d2.sum(axis=1) > 1) | ~finite):
+        # Ascending class ids, so argmin keeps the lowest; a non-finite row checks every class.
+        k = np.flatnonzero(d2[i]) if finite[i] else np.arange(len(means))
         nearest[i] = k[np.argmin(((x[i] - means[k]) ** 2).sum(axis=1))]
     return nearest
 
 
-def nc4_agreement(classifier, bias, bank: FeatureBank) -> float:
-    """Fraction of samples where the classifier argmax equals the
-    nearest-class-mean argmin. Classifier row k belongs to the bank's k-th
-    class (ascending id), so both sides are compared as class positions,
-    whatever the ids are. Ties resolve to the lowest class on both sides.
+def nc4_agreement(logits, bank: FeatureBank, out: np.ndarray | None = None) -> float:
+    """Fraction of the bank's rows where the logits' argmax equals the
+    nearest-class-mean argmin.
+
+    ``logits`` is the (n, C) classifier output for the bank's rows, in
+    bank order (``bank.features @ W.T + b``); column k belongs to the
+    bank's k-th class (ascending id), so both sides are compared as class
+    positions, whatever the ids are. Ties resolve to the lowest class on
+    both sides. ``out``, an optional (n, C) float64 array, takes the
+    Gram-form squared distances and is left holding the candidate mask.
 
     The nearest mean equals the argmin of the direct squared distances
     sum_j (x_j - mu_kj)^2 on every input. Write S_i = ||x_i||^2 +
@@ -217,29 +259,37 @@ def nc4_agreement(classifier, bias, bank: FeatureBank) -> float:
     of that minimum: the step from p + 2 to p + 3 covers the rounding of
     tol_i and of min + tol_i, and the last term covers products that
     underflow. A row with one candidate has found its nearest mean. A row
-    with more, or with a non-finite Gram distance, takes the argmin of the
-    direct form over its candidates in ascending class id.
+    with more takes the argmin of the direct form over its candidates in
+    ascending class id; a row with a non-finite Gram distance (or whose
+    distances sum past the float range) takes it over every class.
     """
-    w = np.asarray(classifier, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
+    z = np.asarray(logits)
     means, _ = class_means(bank)
-    if w.shape[0] != len(means):
-        raise ValueError(f"classifier has {w.shape[0]} rows but the bank {len(means)} classes")
-    x = np.concatenate(bank.features)
-    nearest = _nearest_means(x, means)
-    logits = x @ w.T
-    logits += b
-    pred = np.argmax(logits, axis=1)  # first max = lowest class id
-    return int((pred == nearest).sum()) / x.shape[0]
+    if z.shape != (len(bank.features), len(means)):
+        shape = "x".join(str(n) for n in z.shape)
+        raise ValueError(f"logits are {shape} but the bank has {len(bank.features)} rows "
+                         f"in {len(means)} classes")
+    nearest = _nearest_means(bank.features, means, out)
+    pred = np.argmax(z, axis=1)  # first max = lowest class position
+    return int((pred == nearest).sum()) / len(z)
 
 
-def make_report(classifier, bias, bank: FeatureBank, per_class_losses, epoch: int) -> NcReport:
-    """Assemble all metrics for one snapshot."""
+def make_report(classifier, logits, bank: FeatureBank, per_class_losses, epoch: int, *,
+                distances: np.ndarray | None = None, centred: np.ndarray | None = None) -> NcReport:
+    """Assemble all metrics for one snapshot.
+
+    ``logits`` are the classifier's logits of the bank's rows, in bank
+    order. ``distances`` (n, C) and ``centred`` (n, p) are optional work
+    buffers for NC4's squared distances and NC1's centred features.
+    ``centred`` may be ``bank.features``: NC4 reads the rows and caches
+    the class means before NC1 centres them.
+    """
+    nc4 = nc4_agreement(logits, bank, distances)  # first: NC1 may centre the rows in place
     return NcReport(
         epoch=epoch,
-        nc1=nc1(bank),
+        nc1=nc1(bank, out=centred),
         nc2=nc2(classifier),
         nc3=nc3(classifier, bank),
-        nc4_agreement=nc4_agreement(classifier, bias, bank),
+        nc4_agreement=nc4,
         rho=loss_imbalance_rho(per_class_losses),
     )

@@ -16,9 +16,16 @@ on, the closed-form class weights times the macro batch-frequency
 factors (whose counters accumulate from epoch 0); and a backward pass
 that takes the ReLU mask from those features and writes into the
 gradient buffer. ``forward_batch`` and ``backward`` call the same
-kernels. Each epoch ends with the collapse metrics and rho from the
-training features and logits, and the per-class accuracy from the test
-logits; no softmax is formed there.
+kernels.
+
+Each epoch ends with the collapse metrics and rho from the training
+features and logits, and the per-class accuracy from the test logits; no
+softmax is formed there. The epoch end works in stable label order (the
+batches still index the original order) in buffers that ``prepare_run``
+allocates once per run, so after the first epoch it allocates no (n, p)
+or (n, C) array: the forward pass writes the features and logits into
+theirs, the scratch holds the cross entropy's exp and then NC4's squared
+distances, and NC1 centres the features in the feature buffer last.
 """
 
 from __future__ import annotations
@@ -239,25 +246,27 @@ def init_params(class_count: int, input_dim: int, hidden_dim: int, seed: int) ->
                        hidden_weights=hidden_w, hidden_bias=hidden_b)
 
 
-def _forward(params: ModelParams, x: np.ndarray):
-    """Features and logits. The hidden ReLU runs in place over the
-    pre-activation, whose sign pattern it keeps: h > 0 exactly where
-    pre > 0. The linear model's features are x itself."""
+def _forward(params: ModelParams, x: np.ndarray, h_out=None, z_out=None):
+    """Features and logits, written into ``h_out`` and ``z_out`` when
+    given (the epoch end's buffers) and into fresh arrays otherwise. The
+    hidden ReLU runs in place over the pre-activation, whose sign pattern
+    it keeps: h > 0 exactly where pre > 0. The linear model's features are
+    x itself, and it leaves ``h_out`` alone."""
     h = x
     if params.hidden_weights is not None:
-        h = x @ params.hidden_weights.T
+        h = np.matmul(x, params.hidden_weights.T, out=h_out)
         h += params.hidden_bias
         np.maximum(h, 0.0, out=h)
-    z = h @ params.weights.T
+    z = np.matmul(h, params.weights.T, out=z_out)
     z += params.bias
     return h, z
 
 
-def _shifted_exp(z: np.ndarray):
-    """Row max, exp(z - max) and its row sum: the one exp and row sum that
-    the softmax and the cross entropy share."""
+def _shifted_exp(z: np.ndarray, out=None):
+    """Row max, exp(z - max) (in ``out`` when given) and its row sum: the
+    one exp and row sum that the softmax and the cross entropy share."""
     zmax = z.max(axis=1, keepdims=True)
-    e = z - zmax
+    e = np.subtract(z, zmax, out=out)
     np.exp(e, out=e)
     return zmax, e, e.sum(axis=1, keepdims=True)
 
@@ -267,8 +276,8 @@ def _ce(z, rows, y, zmax, s) -> np.ndarray:
     return zmax[:, 0] + np.log(s[:, 0]) - z[rows, y]
 
 
-def _ce_from_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    zmax, _, s = _shifted_exp(z)
+def _ce_from_logits(z: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    zmax, _, s = _shifted_exp(z, out)
     return _ce(z, np.arange(len(y)), y, zmax, s)
 
 
@@ -375,6 +384,20 @@ class RunContext:
     mile: scheduler.MileLrConfig | None
     multistep: scheduler.MultiStepConfig | None
     groups: tuple[np.ndarray, np.ndarray, np.ndarray]  # head/med/tail class ids
+    # The epoch end: the sets it evaluates, the training rows in stable
+    # label order, and its per-run buffers. The test buffers are the first
+    # rows of the training ones, which the training set's report is done
+    # with by the time the test accuracy runs.
+    train: Dataset
+    test: Dataset | None
+    sorted_x: np.ndarray  # (n, d) train.x itself when the labels are already in order
+    sorted_y: np.ndarray  # (n,) non-decreasing
+    offsets: np.ndarray  # (C + 1,) class k holds sorted rows offsets[k]:offsets[k + 1]
+    features: np.ndarray  # (n, p) the hidden features, then NC1's centred features
+    logits: np.ndarray  # (n, C)
+    scratch: np.ndarray  # (n, C) the cross entropy's exp, then NC4's squared distances
+    test_features: np.ndarray | None  # (n_test, p), unused by the linear model
+    test_logits: np.ndarray | None  # (n_test, C)
 
 
 def _tercile_groups(counts: ClassCounts):
@@ -393,8 +416,13 @@ def _static_class_weights(method: MethodConfig, name: str, counts: ClassCounts) 
     return None
 
 
-def prepare_run(config: TrainConfig, train: Dataset) -> tuple[TrainState, RunContext]:
-    """Initialize parameters, optimizer state, and per-run caches."""
+def prepare_run(config: TrainConfig, train: Dataset,
+                test: Dataset | None = None) -> tuple[TrainState, RunContext]:
+    """Initialize parameters, optimizer state, and per-run caches.
+
+    ``train_epoch`` needs ``test``, the set whose per-class accuracy each
+    epoch reports; a run that only takes batch steps can leave it out.
+    """
     method = config.method
     base_name = config.reweight_base if method.name == "inverse" else method.name
     counts = train.counts
@@ -426,6 +454,17 @@ def prepare_run(config: TrainConfig, train: Dataset) -> tuple[TrainState, RunCon
         multistep = scheduler.MultiStepConfig(
             eta0=config.lr.eta0, milestones=config.lr.milestones, decay=config.lr.decay)
 
+    y = train.y
+    if (y[1:] >= y[:-1]).all():
+        sorted_x, sorted_y = train.x, y
+    else:
+        order = np.argsort(y, kind="stable")  # rows of each class keep their order
+        sorted_x, sorted_y = train.x[order], y[order]
+    n, c = len(train), train.class_count
+    n_test = 0 if test is None else len(test)
+    features = np.empty((max(n, n_test), config.hidden_dim or train.input_dim))
+    logits = np.empty((max(n, n_test), c))
+
     params = init_params(train.class_count, train.input_dim, config.hidden_dim, config.seed)
     state = TrainState(params=params, velocity=params.zeros_like(), grads=params.zeros_like(),
                        batch_counts=np.zeros(train.class_count, dtype=np.int64))
@@ -441,6 +480,16 @@ def prepare_run(config: TrainConfig, train: Dataset) -> tuple[TrainState, RunCon
         mile=mile,
         multistep=multistep,
         groups=_tercile_groups(counts),
+        train=train,
+        test=test,
+        sorted_x=np.asarray(sorted_x, dtype=np.float64),
+        sorted_y=sorted_y,
+        offsets=np.concatenate(([0], np.cumsum(counts.per_class))),
+        features=features[:n],
+        logits=logits[:n],
+        scratch=np.empty((n, c)),
+        test_features=None if test is None else features[:n_test],
+        test_logits=None if test is None else logits[:n_test],
     )
     return state, ctx
 
@@ -532,26 +581,35 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
     return loss
 
 
-def _per_class_accuracy(params: ModelParams, dataset: Dataset) -> np.ndarray:
-    _, z = _forward(params, dataset.x)
+def _per_class_accuracy(params: ModelParams, dataset: Dataset, h_out, z_out) -> np.ndarray:
+    _, z = _forward(params, dataset.x, h_out, z_out)
     hits = np.bincount(dataset.y, weights=z.argmax(axis=1) == dataset.y, minlength=dataset.class_count)
     return hits / dataset.counts.per_class
 
 
-def _epoch_report(state: TrainState, train: Dataset, epoch: int) -> NcReport:
-    h, z = _forward(state.params, train.x)
-    bank = FeatureBank.from_labels(h, train.y)
-    ce = _ce_from_logits(z, train.y)
-    per_class = np.bincount(train.y, weights=ce, minlength=train.class_count) / train.counts.per_class
+def _epoch_report(state: TrainState, ctx: RunContext, epoch: int) -> NcReport:
+    """The collapse metrics and rho of the training set, computed in
+    stable label order in the run's buffers (see the module docstring)."""
+    params, counts = state.params, ctx.counts
+    h, z = _forward(params, ctx.sorted_x, ctx.features, ctx.logits)
+    ce = _ce_from_logits(z, ctx.sorted_y, ctx.scratch)
+    per_class = np.bincount(ctx.sorted_y, weights=ce, minlength=len(counts)) / counts.per_class
+    bank = FeatureBank(class_ids=tuple(range(len(counts))), features=h, offsets=ctx.offsets)
     try:
-        return make_report(state.params.weights, state.params.bias, bank, per_class, epoch)
+        return make_report(params.weights, z, bank, per_class, epoch,
+                           distances=ctx.scratch, centred=ctx.features)
     except ValueError as exc:
         raise NumericError(f"metric computation failed after epoch {epoch}: {exc}") from exc
 
 
 def train_epoch(state: TrainState, train: Dataset, test: Dataset, epoch: int,
                 config: TrainConfig, ctx: RunContext) -> EpochRecord:
-    """One pass over the training set plus epoch-end evaluation."""
+    """One pass over the training set plus epoch-end evaluation.
+
+    ``train`` and ``test`` must be the sets that ``prepare_run`` was given.
+    """
+    if train is not ctx.train or test is not ctx.test:
+        raise ValueError("train_epoch needs the train and test sets that prepare_run was given")
     total, seen = 0.0, 0
     last_lr = float("nan")
     epoch_seed = config.seed * 1_000_003 + epoch
@@ -564,8 +622,8 @@ def train_epoch(state: TrainState, train: Dataset, test: Dataset, epoch: int,
         name = next(k for k, v in state.params.tensors().items() if not np.isfinite(v).all())
         raise NumericError(f"non-finite {name} after epoch {epoch}")
 
-    report = _epoch_report(state, train, epoch)
-    per_class_acc = _per_class_accuracy(state.params, test)
+    report = _epoch_report(state, ctx, epoch)
+    per_class_acc = _per_class_accuracy(state.params, test, ctx.test_features, ctx.test_logits)
     head, med, tail = ctx.groups
     return EpochRecord(
         epoch=epoch,
@@ -589,7 +647,7 @@ def run_experiment(config: TrainConfig, train: Dataset, test: Dataset):
     Returns the per-epoch records, a summary of the final epoch, and the
     finished training state (for parameter dumps).
     """
-    state, ctx = prepare_run(config, train)
+    state, ctx = prepare_run(config, train, test)
     records = [train_epoch(state, train, test, e, config, ctx) for e in range(config.epochs)]
     last = records[-1]
     summary = {

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ltlab.baselines import (
     RANGE_DIST_FLOOR,
     ClassCounts,
+    _pair_indices,
     cb_weights,
     focal_loss,
     ib_class_coefficients,
@@ -312,6 +313,29 @@ def _centres_resolved(x, y):
     centres = np.stack([x[y == c].mean(axis=0) for c in classes])
     gaps = np.linalg.norm(centres[:, None] - centres[None], axis=2)
     return gaps[np.triu_indices(len(classes), 1)].min() > 1e-9 * max(1.0, np.abs(x).max())
+
+
+class TestPairIndices:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+    def test_cached_read_only_triu_indices(self, n):
+        ii, jj = _pair_indices(n)
+        want_i, want_j = np.triu_indices(n, 1)
+        assert np.array_equal(ii, want_i) and np.array_equal(jj, want_j)
+        assert ii.dtype == want_i.dtype and jj.dtype == want_j.dtype
+        again = _pair_indices(n)
+        assert again[0] is ii and again[1] is jj
+        with pytest.raises(ValueError):
+            ii[...] = 0
+
+    def test_repeated_batches_are_byte_identical(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((16, 4))
+        y = rng.integers(0, 3, size=16)
+        first = range_loss_grad(x, y, 2, 5.0, 0.5, 0.5)
+        for _ in range(3):
+            value, grad = range_loss_grad(x, y, 2, 5.0, 0.5, 0.5)
+            assert value == first[0] and grad.tobytes() == first[1].tobytes()
+        assert _pair_indices(16)[0].flags.writeable is False
 
 
 class TestRangeLossMatchesLoop:

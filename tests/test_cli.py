@@ -181,11 +181,36 @@ class TestNcEval:
     def test_losses_add_rho(self, tmp_path, capsys):
         feat, clf = write_fixture_dumps(tmp_path)
         losses = tmp_path / "losses.json"
-        losses.write_text("[1.0, 3.0]")
-        main(["nc-eval", "--features", str(feat), "--classifier", str(clf),
-              "--losses", str(losses)])
+        losses.write_text("[1.0, 3.0, 1, 3.0]")  # one per class of the 4-class fixture
+        assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf),
+                     "--losses", str(losses)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["rho"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"0": 1.0, "1": 3.0, "2": 1.0, "3": 3.0}', "list of 4 losses, one per class; found {\"0\": 1.0"),
+        ("[1.0, 3.0, 2.0]", "list of 4 losses, one per class; found 3 entries"),
+        ("[1.0, 3.0, 2.0, 1.0, 1.0]", "found 5 entries"),
+        ("[1.0, -3.0, 2.0, 1.0]", "entry 1 is -3.0, not a finite, nonnegative number"),
+        ('[1.0, 3.0, "a", 1.0]', "entry 2 is 'a', not a finite"),
+        ("[1.0, 3.0, true, 1.0]", "entry 2 is True, not a finite"),
+        ("[1.0, 3.0, null, 1.0]", "entry 2 is None, not a finite"),
+        ("[1.0, NaN, 2.0, 1.0]", "entry 1 is nan, not a finite"),
+        ("[1.0, 2.0, 2.0, Infinity]", "entry 3 is inf, not a finite"),
+        ("[1.0, 2.0, 2.0, 1" + "0" * 400 + "]", "entry 3 is 1000"),
+        ("[1.0, 2.0,", "malformed losses file"),
+    ])
+    def test_bad_losses_exit_3_naming_file_and_problem(self, tmp_path, capsys, text, message):
+        feat, clf = write_fixture_dumps(tmp_path)
+        losses = tmp_path / "losses.json"
+        losses.write_text(text)
+        code = main(["nc-eval", "--features", str(feat), "--classifier", str(clf),
+                     "--losses", str(losses)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("data error: ")
+        assert str(losses) in captured.err and message in captured.err
 
     def test_missing_classifier_file(self, tmp_path, capsys):
         feat, _ = write_fixture_dumps(tmp_path)

@@ -19,7 +19,7 @@ from ltlab.nc_metrics import (
     nc4_agreement,
 )
 
-TOY = FeatureBank(class_ids=(0, 1), features=(np.array([[0.0], [2.0]]), np.array([[4.0], [6.0]])))
+TOY = FeatureBank(class_ids=(0, 1), features=np.array([[0.0], [2.0], [4.0], [6.0]]), offsets=(0, 2, 4))
 
 
 def _nc4_loop(classifier, bias, bank):
@@ -27,10 +27,10 @@ def _nc4_loop(classifier, bias, bank):
     direct differences, argmin over classes and argmax over logits."""
     w = np.asarray(classifier, dtype=np.float64)
     b = np.asarray(bias, dtype=np.float64)
-    means = np.stack([block.mean(axis=0) for block in bank.features])
+    means = np.stack([block.mean(axis=0) for block in bank.blocks])
     agree = 0
     total = 0
-    for block in bank.features:
+    for block in bank.blocks:
         logits = block @ w.T + b
         pred = np.argmax(logits, axis=1)
         d2 = ((block[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
@@ -38,6 +38,13 @@ def _nc4_loop(classifier, bias, bank):
         agree += int((pred == nearest).sum())
         total += block.shape[0]
     return agree / total
+
+
+def _nc4(classifier, bias, bank, out=None):
+    """nc4_agreement on the logits of the classifier and bias."""
+    logits = bank.features @ np.asarray(classifier, dtype=np.float64).T
+    logits += bias
+    return nc4_agreement(logits, bank, out)
 
 
 def _mask_bank(x, y):
@@ -59,7 +66,9 @@ class TestFeatureBank:
         x = np.array([[1.0], [2.0], [3.0]])
         bank = FeatureBank.from_labels(x, [1, 0, 1])
         assert bank.class_ids == (0, 1)
-        assert np.array_equal(bank.features[1], [[1.0], [3.0]])
+        assert np.array_equal(bank.blocks[1], [[1.0], [3.0]])
+        assert np.array_equal(bank.features, [[2.0], [1.0], [3.0]])
+        assert bank.offsets.tolist() == [0, 1, 3]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(1, 40), p=st.integers(1, 5),
@@ -71,9 +80,11 @@ class TestFeatureBank:
         bank = FeatureBank.from_labels(x, y)
         ids, blocks = _mask_bank(x, y)
         assert bank.class_ids == ids
-        assert len(bank.features) == len(blocks)
-        for got, want in zip(bank.features, blocks):
+        assert len(bank.blocks) == len(blocks)
+        for got, want in zip(bank.blocks, blocks):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, bank.features)
+        assert not np.shares_memory(bank.features, x)  # one copy, in class order
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError, match="2 labels for 3 feature rows"):
@@ -82,12 +93,27 @@ class TestFeatureBank:
     def test_validation(self):
         with pytest.raises(ValueError):
             FeatureBank.from_labels(np.zeros((0, 2)), np.zeros(0, dtype=int))
-        with pytest.raises(ValueError):
-            FeatureBank(class_ids=(0,), features=(np.zeros((0, 2)),))
-        with pytest.raises(ValueError):
-            FeatureBank(class_ids=(1, 0), features=(np.zeros((1, 2)), np.zeros((1, 2))))
-        with pytest.raises(ValueError):
-            FeatureBank(class_ids=(0, 1), features=(np.zeros((1, 2)), np.zeros((1, 3))))
+        with pytest.raises(ValueError, match="non-empty"):
+            FeatureBank(class_ids=(0, 1), features=np.zeros((2, 2)), offsets=(0, 0, 2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FeatureBank(class_ids=(1, 0), features=np.zeros((2, 2)), offsets=(0, 1, 2))
+        with pytest.raises(ValueError, match="3 offsets from 0 to 2"):
+            FeatureBank(class_ids=(0, 1), features=np.zeros((2, 2)), offsets=(0, 1, 3))
+        with pytest.raises(ValueError, match="3 offsets"):
+            FeatureBank(class_ids=(0, 1), features=np.zeros((2, 2)), offsets=(0, 2))
+        with pytest.raises(ValueError, match="float64"):
+            FeatureBank(class_ids=(0,), features=np.zeros(2), offsets=(0, 2))
+        with pytest.raises(ValueError, match="float64"):
+            FeatureBank(class_ids=(0,), features=np.zeros((2, 2), dtype=np.float32), offsets=(0, 2))
+        with pytest.raises(ValueError, match="at least one class"):
+            FeatureBank(class_ids=(), features=np.zeros((0, 2)), offsets=(0,))
+
+    def test_keeps_the_given_array(self):
+        x = np.arange(8.0).reshape(4, 2)
+        bank = FeatureBank(class_ids=(0, 3), features=x, offsets=np.array([0, 1, 4]))
+        assert bank.features is x
+        assert [b.shape[0] for b in bank.blocks] == [1, 3]
+        assert all(np.shares_memory(b, x) for b in bank.blocks)
 
 
 class TestClassMeans:
@@ -122,7 +148,49 @@ class TestClassMeans:
         assert np.abs(global_mean - global_p).max() < 1e-12
 
 
+def _covariances_loop(bank):
+    """Reference covariances: one centred matmul per class block."""
+    means = np.stack([block.mean(axis=0) for block in bank.blocks])
+    sigma_w = np.zeros((bank.feature_dim, bank.feature_dim))
+    for block, mu in zip(bank.blocks, means):
+        centered = block - mu
+        sigma_w += centered.T @ centered
+    centered_means = means - means.mean(axis=0)
+    return sigma_w / len(bank.features), centered_means.T @ centered_means / bank.class_count
+
+
 class TestCovariances:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+           p=st.integers(1, 12), offset=st.sampled_from([0.0, 3.0, 1e4]))
+    def test_matches_block_loop(self, seed, sizes, p, offset):
+        rng = np.random.default_rng(seed)
+        y = np.repeat(np.arange(len(sizes)), sizes)
+        x = offset + rng.standard_normal((len(y), p))
+        bank = FeatureBank.from_labels(x, y)
+        want_w, want_b = _covariances_loop(bank)
+        sigma_w, sigma_b = covariances(bank)
+        assert np.array_equal(sigma_b, want_b)
+        scale = np.abs(want_w).max()
+        assert np.abs(sigma_w - want_w).max() <= 1e-12 * scale
+        assert np.array_equal(sigma_w, sigma_w.T)
+
+    def test_out_buffer_and_in_place(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((30, 4))
+        y = rng.integers(0, 3, size=30)
+        fresh = covariances(FeatureBank.from_labels(x, y))
+        bank = FeatureBank.from_labels(x, y)
+        out = np.full_like(bank.features, np.nan)
+        for buffer in (out, bank.features):  # a separate buffer, then the bank's own rows
+            got = covariances(bank, out=buffer)
+            assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+        # The bank's rows are now centred; its cached means are not.
+        assert np.abs(np.stack([b.mean(axis=0) for b in bank.blocks])).max() < 1e-12
+        assert np.array_equal(class_means(bank)[0], class_means(FeatureBank.from_labels(x, y))[0])
+        with pytest.raises(ValueError, match="float64"):
+            covariances(bank, out=np.zeros((30, 3)))
+
     def test_collapsed_features(self):
         fx = make_nc_fixture(3, 5, n_per_class=4, scale=1.0, radius=1.0, seed=0)
         sigma_w, _ = covariances(fixture_bank(fx))
@@ -210,7 +278,7 @@ class TestNc3:
 class TestNc4Agreement:
     def test_fixture_full_agreement(self):
         fx = make_nc_fixture(4, 6, n_per_class=3, scale=1.0, radius=1.0, seed=8)
-        assert nc4_agreement(fx.classifier, np.zeros(4), fixture_bank(fx)) == 1.0
+        assert _nc4(fx.classifier, np.zeros(4), fixture_bank(fx)) == 1.0
 
     def test_zero_classifier_brute_force(self):
         rng = np.random.default_rng(9)
@@ -218,14 +286,14 @@ class TestNc4Agreement:
         y = rng.integers(0, 3, size=25)
         bank = FeatureBank.from_labels(x, y)
         means, _ = class_means(bank)
-        nearest = np.array([np.argmin(((f - means) ** 2).sum(axis=1)) for f in np.concatenate(bank.features)])
+        nearest = np.array([np.argmin(((f - means) ** 2).sum(axis=1)) for f in bank.features])
         expected = float(np.mean(nearest == 0))
-        got = nc4_agreement(np.zeros((3, 3)), np.zeros(3), bank)
+        got = _nc4(np.zeros((3, 3)), np.zeros(3), bank)
         assert got == pytest.approx(expected)
 
     def test_single_class(self):
         bank = FeatureBank.from_labels(np.array([[1.0], [2.0]]), [0, 0])
-        assert nc4_agreement(np.array([[1.0]]), np.zeros(1), bank) == 1.0
+        assert _nc4(np.array([[1.0]]), np.zeros(1), bank) == 1.0
 
     @pytest.mark.parametrize("labels", [(0, 0, 1, 1), (1, 1, 2, 2), (3, 3, 7, 7)])
     def test_class_ids_need_not_start_at_zero(self, labels):
@@ -233,12 +301,14 @@ class TestNc4Agreement:
         # the separating classifier agrees with the nearest mean everywhere.
         x = np.array([[-1.0], [-1.1], [1.0], [1.1]])
         bank = FeatureBank.from_labels(x, labels)
-        assert nc4_agreement(np.array([[-1.0], [1.0]]), np.zeros(2), bank) == 1.0
-        assert nc4_agreement(np.array([[1.0], [-1.0]]), np.zeros(2), bank) == 0.0
+        assert _nc4(np.array([[-1.0], [1.0]]), np.zeros(2), bank) == 1.0
+        assert _nc4(np.array([[1.0], [-1.0]]), np.zeros(2), bank) == 0.0
         # One row per class the bank holds: a classifier with a row for a
         # class the bank lacks cannot be matched to it by position.
-        with pytest.raises(ValueError, match="3 rows but the bank 2 classes"):
-            nc4_agreement(np.array([[-1.0], [0.0], [1.0]]), np.zeros(3), bank)
+        with pytest.raises(ValueError, match="logits are 4x3 but the bank has 4 rows in 2 classes"):
+            _nc4(np.array([[-1.0], [0.0], [1.0]]), np.zeros(3), bank)
+        with pytest.raises(ValueError, match="logits are 3x2 but the bank has 4 rows"):
+            nc4_agreement(np.zeros((3, 2)), bank)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**31), sizes=st.lists(st.integers(1, 12), min_size=1, max_size=7),
@@ -260,9 +330,9 @@ class TestNc4Agreement:
         bank = FeatureBank.from_labels(x, y)
         w = rng.standard_normal((c, p))
         b = rng.standard_normal(c)
-        assert nc4_agreement(w, b, bank) == _nc4_loop(w, b, bank)
+        assert _nc4(w, b, bank) == _nc4_loop(w, b, bank)
         zeros = np.zeros(c)  # every prediction is class 0: NC4 counts nearest == 0
-        assert nc4_agreement(np.zeros((c, p)), zeros, bank) == _nc4_loop(np.zeros((c, p)), zeros, bank)
+        assert _nc4(np.zeros((c, p)), zeros, bank) == _nc4_loop(np.zeros((c, p)), zeros, bank)
 
     def test_equidistant_samples_take_lower_id(self):
         # Means 0 and 2; the two samples at 1 are exactly equidistant. With a
@@ -273,7 +343,7 @@ class TestNc4Agreement:
             x = offset + np.array([[-1.0], [1.0], [1.0], [3.0]])
             for labels in ([0, 0, 1, 1], [1, 1, 0, 0]):
                 bank = FeatureBank.from_labels(x, labels)
-                assert nc4_agreement(np.zeros((2, 1)), np.zeros(2), bank) == 0.75
+                assert _nc4(np.zeros((2, 1)), np.zeros(2), bank) == 0.75
 
     @pytest.mark.parametrize("label", [0, 1, 2])
     def test_equidistant_in_two_dimensions(self, label):
@@ -284,12 +354,12 @@ class TestNc4Agreement:
         mus = np.array([[3.0, 4.0], [-4.0, 3.0], [0.0, -5.0]])
         blocks = [np.vstack([np.zeros(2), 2 * mu]) if k == label else mu + np.array([[1.0, 0.0], [-1.0, 0.0]])
                   for k, mu in enumerate(mus)]
-        bank = FeatureBank(class_ids=(0, 1, 2), features=tuple(blocks))
+        bank = FeatureBank(class_ids=(0, 1, 2), features=np.concatenate(blocks), offsets=(0, 2, 4, 6))
         assert np.array_equal(class_means(bank)[0], mus)
         # A zero classifier predicts class 0. Mean 0 is nearest to the
         # origin and to class 0's other rows: 2 of 6 rows when the origin is
         # one of class 0's two rows, 3 of 6 otherwise.
-        assert nc4_agreement(np.zeros((3, 2)), np.zeros(3), bank) == (2 if label == 0 else 3) / 6
+        assert _nc4(np.zeros((3, 2)), np.zeros(3), bank) == (2 if label == 0 else 3) / 6
 
     @pytest.mark.parametrize("scale", [1e-170, 1e160, 1e200])
     def test_underflow_and_overflow_match_direct_form(self, scale):
@@ -301,7 +371,17 @@ class TestNc4Agreement:
         bank = FeatureBank.from_labels(x, y)
         w = rng.standard_normal((4, 3)) / scale
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            assert nc4_agreement(w, np.zeros(4), bank) == _nc4_loop(w, np.zeros(4), bank)
+            assert _nc4(w, np.zeros(4), bank) == _nc4_loop(w, np.zeros(4), bank)
+
+    def test_overflow_to_minus_infinity_is_rechecked(self):
+        # -2 x.mu overflows to -inf for both large means, so the Gram form
+        # ties classes 1 and 2 at -inf for the row at 1e154 and its argmin
+        # picks class 1; the direct form puts that row on its own mean, 2.
+        x = np.array([[0.0], [1.2e154], [1.0e154]])
+        bank = FeatureBank.from_labels(x, [0, 1, 2])
+        bias = np.array([0.0, 0.0, 1.0])  # predicts class 2 everywhere
+        with np.errstate(over="ignore"):
+            assert _nc4(np.zeros((3, 1)), bias, bank) == _nc4_loop(np.zeros((3, 1)), bias, bank) == 1 / 3
 
     def test_gram_cancellation_is_rechecked(self):
         # Features offset by 1e8 with unit spread: the Gram form loses about
@@ -317,7 +397,7 @@ class TestNc4Agreement:
         for k in range(6):
             onehot = np.zeros((6, 4))
             bias = np.where(np.arange(6) == k, 1.0, 0.0)  # predicts class k everywhere
-            assert nc4_agreement(onehot, bias, bank) == np.mean(direct == k)
+            assert _nc4(onehot, bias, bank) == np.mean(direct == k)
 
     def test_peak_memory_without_distance_tensor(self):
         # 4,000 x 64 features in 50 classes with half the rows in the head
@@ -326,16 +406,29 @@ class TestNc4Agreement:
         rng = np.random.default_rng(14)
         y = np.concatenate([np.zeros(n // 2, dtype=int), rng.integers(1, c, size=n - n // 2)])
         bank = FeatureBank.from_labels(rng.standard_normal((n, p)), y)
-        w, b = rng.standard_normal((c, p)), rng.standard_normal(c)
+        logits = bank.features @ rng.standard_normal((c, p)).T
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            nc4_agreement(w, b, bank)
+            nc4_agreement(logits, bank)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert bank.class_count == c
         assert peak - base < 3 * (n * p + n * c) * 8
+
+    def test_distance_buffer(self):
+        rng = np.random.default_rng(17)
+        y = np.repeat(np.arange(5), [9, 1, 4, 7, 2])
+        bank = FeatureBank.from_labels(rng.standard_normal((len(y), 3)), y)
+        w, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
+        out = np.full((len(y), 5), np.nan)
+        assert _nc4(w, b, bank, out) == _nc4(w, b, bank) == _nc4_loop(w, b, bank)
+        # The buffer ends as the candidate mask, which holds each row's nearest mean.
+        means, _ = class_means(bank)
+        nearest = np.argmin(((bank.features[:, None] - means) ** 2).sum(axis=2), axis=1)
+        assert np.isin(out, (0.0, 1.0)).all()
+        assert (out[np.arange(len(y)), nearest] == 1.0).all()
 
 
 class TestDeterminismAndReport:
@@ -349,7 +442,7 @@ class TestDeterminismAndReport:
         bank2 = FeatureBank.from_labels(x[perm], y[perm])
         assert nc1(bank1) == pytest.approx(nc1(bank2), abs=1e-10)
         assert nc3(w, bank1) == pytest.approx(nc3(w, bank2), abs=1e-10)
-        assert nc4_agreement(w, np.zeros(5), bank1) == nc4_agreement(w, np.zeros(5), bank2)
+        assert _nc4(w, np.zeros(5), bank1) == _nc4(w, np.zeros(5), bank2)
 
     def test_noise_increases_nc1(self):
         fx = make_nc_fixture(4, 8, n_per_class=10, scale=1.0, radius=1.0, seed=11)
@@ -366,7 +459,8 @@ class TestDeterminismAndReport:
 
     def test_report_fields(self):
         fx = make_nc_fixture(3, 5, n_per_class=2, scale=1.0, radius=1.0, seed=12)
-        report = make_report(fx.classifier, np.zeros(3), fixture_bank(fx), [1.0, 1.0, 1.0], epoch=7)
+        bank = fixture_bank(fx)
+        report = make_report(fx.classifier, bank.features @ fx.classifier.T, bank, [1.0, 1.0, 1.0], epoch=7)
         assert report.epoch == 7
         assert report.rho == 0.0
         assert report.nc4_agreement == 1.0

@@ -1,16 +1,18 @@
 import copy
 import math
 import pickle
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ltlab import baselines
+from ltlab import baselines, linalg
 from ltlab.baselines import focal_loss, range_loss, range_loss_grad
-from ltlab.data import LongTailSpec, batch_iter, gaussian_mixture
+from ltlab.data import Dataset, LongTailSpec, batch_iter, gaussian_mixture
 from ltlab.errors import ConfigError, NumericError
-from ltlab.reweighting import ReweightConfig, inverse_weights
+from ltlab.nc_metrics import etf_gram_target, nc2
+from ltlab.reweighting import ReweightConfig, inverse_weights, loss_imbalance_rho
 from ltlab.trainer import (
     VALID_METHODS,
     LrSpec,
@@ -20,6 +22,8 @@ from ltlab.trainer import (
     _backward,
     _batch_update,
     _ce_from_logits,
+    _epoch_report,
+    _per_class_accuracy,
     backward,
     ce_loss,
     forward,
@@ -332,7 +336,7 @@ class TestTrainEpoch:
                               method=MethodConfig(name=method),
                               reweight=ReweightConfig(alpha=0.0, gamma=1.0, switch_epoch=0),
                               lr=LrSpec(schedule="multistep", eta0=0.3, milestones=(), decay=0.1))
-            state, ctx = prepare_run(cfg, train)
+            state, ctx = prepare_run(cfg, train, test)
             state.params.weights[:] = 0.0  # symmetric start keeps class losses exactly equal
             records = [train_epoch(state, train, test, e, cfg, ctx) for e in range(3)]
             return records, state.params.weights.copy()
@@ -349,7 +353,7 @@ class TestTrainEpoch:
                           method=MethodConfig(name="ce"),
                           reweight=ReweightConfig(switch_epoch=10),
                           lr=LrSpec(schedule="multistep", eta0=1.0, milestones=(), decay=0.1))
-        state, ctx = prepare_run(cfg, train)
+        state, ctx = prepare_run(cfg, train, test)
         train_epoch(state, train, test, 0, cfg, ctx)
         _, z, _ = forward_batch(state.params, train.x)
         assert np.array_equal(z.argmax(axis=1), train.y)
@@ -374,7 +378,7 @@ class TestTrainEpoch:
                           method=MethodConfig(name="inverse"),
                           reweight=ReweightConfig(switch_epoch=100),
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=(), decay=0.1))
-        state, ctx = prepare_run(cfg, train)
+        state, ctx = prepare_run(cfg, train, test)
         train_epoch(state, train, test, 0, cfg, ctx)
         assert state.batch_counts.sum() > 0
 
@@ -387,15 +391,16 @@ class TestTrainEpoch:
                               method=MethodConfig(name="inverse"),
                               reweight=ReweightConfig(alpha=0.3, gamma=1.0, switch_epoch=0),
                               lr=LrSpec(schedule="multistep", eta0=0.2, milestones=(), decay=0.1))
-            state, ctx = prepare_run(cfg, train)
             base = init_params(4, 8, 0, seed=42)
             if permute:
                 data = train.__class__(x=train.x, y=perm[train.y],
                                        counts=train.counts, split="train")
+                state, ctx = prepare_run(cfg, data, test)
                 state.params.weights[:] = base.weights[np.argsort(perm)]
                 state.params.bias[:] = base.bias[np.argsort(perm)]
             else:
                 data = train
+                state, ctx = prepare_run(cfg, data, test)
                 state.params.weights[:] = base.weights
                 state.params.bias[:] = base.bias
             train_epoch(state, data, test, 0, cfg, ctx)
@@ -472,7 +477,7 @@ class TestRunExperiment:
                           reweight=ReweightConfig(alpha=1.0, gamma=1.0, switch_epoch=0),
                           reweight_base="cb", use_base_prior=True,
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
-        state, ctx = prepare_run(cfg, train)
+        state, ctx = prepare_run(cfg, train, test)
         assert np.array_equal(ctx.prior, ctx.class_weights)
         assert ctx.prior[3] > ctx.prior[0]  # rarer class, larger prior
         records = [train_epoch(state, train, test, e, cfg, ctx) for e in range(2)]
@@ -759,8 +764,136 @@ class TestEpochEndFiniteness:
         train, test = gaussian_mixture(balanced_spec())
         cfg = TrainConfig(epochs=1, batch_size=40, seed=1, hidden_dim=4, use_bias=False,
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
-        state, ctx = prepare_run(cfg, train)
+        state, ctx = prepare_run(cfg, train, test)
         # A frozen -inf hidden bias silences its unit: the losses stay finite.
         state.params.hidden_bias[2] = -np.inf
         with pytest.raises(NumericError, match="non-finite hidden_bias after epoch 0"):
             train_epoch(state, train, test, 0, cfg, ctx)
+
+
+# --- The epoch end before the class-sorted buffers, kept as the oracle. ---
+# Every epoch re-sorted the features into copied per-class blocks, looped
+# over them for Sigma_W, recomputed the logits of the concatenated blocks
+# for NC4, and took the per-class CE in the original row order.
+
+def _epoch_report_ref(params, train, test):
+    h, z, _ = _forward_batch_ref(params, train.x)
+    order = np.argsort(train.y, kind="stable")
+    _, starts = np.unique(train.y[order], return_index=True)
+    blocks = np.split(h[order], starts[1:])
+    c = len(blocks)
+    means = np.stack([block.mean(axis=0) for block in blocks])
+    global_mean = means.mean(axis=0)
+    sigma_w = np.zeros((h.shape[1], h.shape[1]))
+    for block, mu in zip(blocks, means):
+        centered = block - mu
+        sigma_w += centered.T @ centered
+    sigma_w /= len(h)
+    centered_means = means - global_mean
+    sigma_b = centered_means.T @ centered_means / c
+    w, b = params.weights, params.bias
+    gram = w @ centered_means.T
+    x = np.concatenate(blocks)
+    pred = np.argmax(x @ w.T + b, axis=1)
+    nearest = np.argmin(((x[:, None, :] - means[None]) ** 2).sum(axis=2), axis=1)
+    ce = _ce_from_logits(z, train.y)
+    per_class = np.bincount(train.y, weights=ce, minlength=c) / train.counts.per_class
+    _, z_test, _ = _forward_batch_ref(params, test.x)
+    hits = np.bincount(test.y, weights=z_test.argmax(axis=1) == test.y, minlength=c)
+    return dict(
+        nc1=linalg.trace(sigma_w @ linalg.pinv(sigma_b)) / c,
+        nc2=nc2(w),
+        nc3=linalg.frobenius_norm(gram / linalg.frobenius_norm(gram) - etf_gram_target(c)),
+        nc4=int((pred == nearest).sum()) / len(x),
+        rho=loss_imbalance_rho(per_class),
+        per_class_acc=hits / test.counts.per_class,
+    )
+
+
+def _shuffled(dataset, seed):
+    perm = np.random.default_rng(seed).permutation(len(dataset))
+    return Dataset(x=dataset.x[perm], y=dataset.y[perm], counts=dataset.counts, split=dataset.split)
+
+
+class TestEpochEndOracle:
+    """The class-sorted epoch end equals the old composition: nc1 within
+    1e-12 relative, everything else bit for bit."""
+
+    @pytest.mark.parametrize("shuffle", (False, True), ids=("sorted", "shuffled"))
+    @pytest.mark.parametrize("hidden", (0, 6))
+    @pytest.mark.parametrize("singletons", (False, True))
+    def test_matches_old_composition(self, hidden, shuffle, singletons):
+        # IF 40 over n_max 40 leaves the rarest classes with one sample.
+        spec = LongTailSpec(class_count=7, n_max=40, imbalance_factor=40.0 if singletons else 8.0,
+                            input_dim=5, class_separation=2.0, seed=9, test_per_class=6)
+        train, test = gaussian_mixture(spec)
+        assert (min(train.counts.per_class) == 1) == singletons
+        if shuffle:
+            train, test = _shuffled(train, 1), _shuffled(test, 2)
+        kept = train.x.copy(), train.y.copy(), test.x.copy()
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=3, hidden_dim=hidden,
+                          method=MethodConfig(name="inverse"),
+                          reweight=ReweightConfig(alpha=0.5, gamma=1.0, switch_epoch=1),
+                          lr=LrSpec(schedule="multistep", eta0=0.2, milestones=(2,), decay=0.1))
+        state, ctx = prepare_run(cfg, train, test)
+        assert (ctx.sorted_x is train.x) == (not shuffle)  # a copy only for unsorted labels
+        for epoch in range(3):
+            record = train_epoch(state, train, test, epoch, cfg, ctx)
+            ref = _epoch_report_ref(state.params, train, test)
+            assert (record.nc2, record.nc3, record.nc4, record.rho) == (
+                ref["nc2"], ref["nc3"], ref["nc4"], ref["rho"])
+            assert record.nc1 == pytest.approx(ref["nc1"], rel=1e-12, abs=0.0)
+            per_class_acc = _per_class_accuracy(state.params, test, ctx.test_features, ctx.test_logits)
+            assert per_class_acc.tobytes() == ref["per_class_acc"].tobytes()
+            assert record.bal_acc == float(ref["per_class_acc"].mean())
+            # Run again on the same buffers: the epoch end leaves nothing behind.
+            again = _epoch_report(state, ctx, epoch)
+            assert (again.nc1, again.nc4_agreement, again.rho) == (record.nc1, record.nc4, record.rho)
+        for before, after in zip(kept, (train.x, train.y, test.x)):
+            assert np.array_equal(before, after)
+
+    def test_needs_the_prepared_sets(self):
+        train, test = gaussian_mixture(balanced_spec())
+        cfg = TrainConfig(epochs=1, batch_size=40, lr=LrSpec(schedule="multistep", milestones=()))
+        state, ctx = prepare_run(cfg, train)
+        with pytest.raises(ValueError, match="sets that prepare_run was given"):
+            train_epoch(state, train, test, 0, cfg, ctx)
+        state, ctx = prepare_run(cfg, train, test)
+        with pytest.raises(ValueError, match="sets that prepare_run was given"):
+            train_epoch(state, _shuffled(train, 0), test, 0, cfg, ctx)
+
+
+class TestEpochEndAllocations:
+    def test_no_row_sized_array_after_the_first_epoch(self):
+        # The shape of the benchmark's wide workload: C = 50, a 64-unit
+        # hidden layer and about 4,400 training rows.
+        spec = LongTailSpec(class_count=50, n_max=400, imbalance_factor=100.0, input_dim=64,
+                            class_separation=4.0, seed=7, test_per_class=20)
+        train, test = gaussian_mixture(spec)
+        cfg = TrainConfig(epochs=2, batch_size=256, seed=1, hidden_dim=64,
+                          method=MethodConfig(name="inverse"),
+                          lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
+        state, ctx = prepare_run(cfg, train, test)
+        train_epoch(state, train, test, 0, cfg, ctx)
+
+        def peak_bytes(fn, *args):
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        n, p, c = len(train), cfg.hidden_dim, train.class_count
+        assert n > 4000
+        assert peak_bytes(_epoch_report, state, ctx, 1) < n * p * 8
+        test_peak = peak_bytes(_per_class_accuracy, state.params, test, ctx.test_features, ctx.test_logits)
+        assert test_peak < len(test) * c * 8
+        # train_epoch's own epoch end works in the same buffers: the test
+        # logits, computed last, are left in theirs.
+        ctx.logits.fill(np.nan)
+        train_epoch(state, train, test, 1, cfg, ctx)
+        _, z_test, _ = forward_batch(state.params, test.x)
+        assert np.array_equal(ctx.test_logits, z_test)
+        assert np.shares_memory(ctx.test_logits, ctx.logits)  # the test rows reuse the training buffers
