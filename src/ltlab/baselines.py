@@ -174,7 +174,8 @@ def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta:
 
     Equal distances keep the row-major (i, j) pair order when a class's k
     largest are chosen, and the first of equal centre distances wins the
-    inter term. Pairs at the distance floor get no gradient.
+    inter term. Pairs at the distance floor get no gradient. Labels are
+    nonnegative integer class ids.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -186,8 +187,11 @@ def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta:
     y = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("features must be (n, p) aligned with labels")
-    _, cls = np.unique(y, return_inverse=True)
-    sizes = np.bincount(cls)
+    # Dense class ids in label order, as np.unique's inverse gives them, without its sort.
+    tally = np.bincount(y)
+    present = tally > 0
+    cls = (np.cumsum(present) - 1)[y]
+    sizes = tally[present]
     n_cls = len(sizes)
     grad = np.zeros_like(x)
 

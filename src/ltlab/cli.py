@@ -102,16 +102,18 @@ def cmd_train(args) -> int:
     if args.method is not None:
         train_cfg = replace(train_cfg, method=replace(train_cfg.method, name=args.method))
     seeds = args.seed if args.seed else [train_cfg.seed]
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"--seed {repeated} is given more than once; each seed writes its own files")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_set, test_set = _load_datasets(cfg)
 
-    summaries = []
+    # Every seed trains before any file is written, so a failed run writes no per-seed files.
+    results = run_experiment(train_cfg, train_set, test_set, seeds)
+    summaries = [summary for _, summary, _ in results]
     single = len(seeds) == 1
-    for seed in seeds:
-        run_cfg = replace(train_cfg, seed=seed)
-        records, summary, state = run_experiment(run_cfg, train_set, test_set)
-        summaries.append(summary)
+    for seed, (records, _, state) in zip(seeds, results):
         metrics_name = "metrics.csv" if single else f"metrics_seed{seed}.csv"
         params_name = "params.json" if single else f"params_seed{seed}.json"
         _write_metrics_csv(out / metrics_name, records)

@@ -204,14 +204,20 @@ def load_csv_dataset(path, label_column: str = "label", split: str = "train") ->
         raise DataError(f"{path}: {exc}") from exc
 
 
-def batch_iter(dataset: Dataset, batch_size: int, epoch_seed: int):
+def batch_iter(dataset: Dataset, batch_size: int, epoch_seed):
     """Seeded shuffle of all indices, yielded in consecutive batches.
 
     The final partial batch is kept; together the batches cover every
-    index exactly once.
+    index exactly once. ``epoch_seed`` may also be a sequence of R seeds,
+    for runs trained in lockstep: each batch is then (R, B), row r being
+    the batch that seed r alone would give.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    perm = np.random.default_rng(epoch_seed).permutation(len(dataset))
-    for start in range(0, len(perm), batch_size):
-        yield perm[start:start + batch_size]
+    n = len(dataset)
+    if np.ndim(epoch_seed) == 0:
+        perm = np.random.default_rng(epoch_seed).permutation(n)
+    else:
+        perm = np.stack([np.random.default_rng(seed).permutation(n) for seed in epoch_seed])
+    for start in range(0, n, batch_size):
+        yield perm[..., start:start + batch_size]

@@ -15,10 +15,12 @@ is w_hat_c = beta_c * w_c.
 
 One batch is one length-C solve (``inverse_weights``): class means from
 ``np.bincount``, L_bar over the present classes, the vectorized closed
-form and beta, all as array operations. ``closed_form_weight`` and
-``inverse_weights`` validate their arguments once per call and share one
-unvalidated closed-form kernel; the trainer calls the solve's kernel on
-inputs it builds itself, so no batch pays for validation.
+form and beta, all as array operations. The trainer solves the batches of
+R lockstep runs at once, over R * C class slots, each run with its own
+L_bar and beta mean. ``closed_form_weight`` and ``inverse_weights``
+validate their arguments once per call and share one unvalidated
+closed-form kernel; the trainer calls the solve's kernel on inputs it
+builds itself, so no batch pays for validation.
 """
 
 from __future__ import annotations
@@ -152,19 +154,41 @@ def inverse_weights(losses, labels, batch_counts, prior, config: ReweightConfig,
             raise ValueError("prior weight must be positive")
     if mode != "batch" and (batch_counts[n > 0] < 1).any():
         raise ValueError("present class has zero batch count; update counters before solving")
-    return _solve(losses, labels, n, batch_counts, prior, config, mode)
+    return _solve(losses, labels, n[None], np.asarray(batch_counts)[None], np.asarray(prior)[None],
+                  config, mode)[0]
 
 
-def _solve(losses, labels, n, batch_counts, prior, config: ReweightConfig, mode: str) -> np.ndarray:
-    """``inverse_weights`` on validated input, with the batch's class sizes
-    ``n`` (``np.bincount(labels, minlength=C)``) given."""
+def _solve(losses, slots, n, batch_counts, prior, config: ReweightConfig, mode: str) -> np.ndarray:
+    """``inverse_weights`` on validated input, for the batches of R runs at
+    once: ``n`` (the batches' class sizes), ``batch_counts`` and ``prior``
+    are (R, C), ``slots`` holds each sample's class slot r * C + c (shaped
+    like ``losses``), and the result is (R, C). Each run's L_bar and beta
+    mean are over its own present classes."""
     present = n > 0
-    w_hat = np.ones(len(n))
-    # x.sum() / len(x) is np.mean(x), the same sum and division, without its Python overhead.
+    w = 1.0  # the present slots' weights, run by run
     if mode != "macro":
-        mean = np.bincount(labels, weights=losses, minlength=len(n))[present] / n[present]
-        w_hat[present] = _closed_form(mean, mean.sum() / len(mean), config.alpha, prior[present])
+        sums = np.bincount(slots.ravel(), weights=losses.ravel(), minlength=n.size)
+        mean = sums[present.ravel()] / n[present]
+        w = _closed_form(mean, _run_means(mean, present), config.alpha, prior[present])
     if mode != "batch":
         beta = batch_counts[present].astype(np.float64) ** -config.gamma
-        w_hat[present] *= beta / (beta.sum() / len(beta))
+        w = w * (beta / _run_means(beta, present))
+    w_hat = np.ones(n.shape)
+    w_hat[present] = w
     return w_hat
+
+
+def _run_means(values, present):
+    """Each run's mean over its present slots, repeated over them:
+    ``values`` holds one entry per True of ``present`` (R, C), run by run.
+    A run's block sums as it would alone, so its weights do not depend on
+    the runs it is stacked with."""
+    if len(present) == 1:  # one run: its block is all of ``values``, and a scalar broadcasts
+        return values.sum() / len(values)
+    means, start = np.empty_like(values), 0
+    for size in present.sum(axis=1).tolist():
+        end = start + size
+        # np.add.reduce(x) / len(x) is np.mean(x), the same sum and division, without its overhead.
+        means[start:end] = np.add.reduce(values[start:end]) / size
+        start = end
+    return means

@@ -4,28 +4,38 @@ The model is a linear softmax classifier, optionally preceded by one
 ReLU hidden layer. Gradients are analytic, optimization is SGD with
 momentum and weight decay, and every run is deterministic in its seed.
 
-The parameters are views of one contiguous float64 buffer
-(``ModelParams``, biases last); the SGD velocity and the gradient share
-its layout, so a step is a few in-place ufuncs over the whole buffer.
+The R seeds of one ``TrainConfig`` train in lockstep as one stack; one
+seed is the stack with R = 1, through the same code. The parameters of
+run r are row r of one C-contiguous (R, P) float64 buffer (``ModelParams``,
+biases last in each row), so each tensor is a view with a leading run
+axis: weights (R, C, p), bias (R, C), hidden weights (R, p, d) and hidden
+bias (R, p), and ``params[r]`` is run r's ``ModelParams``, views of its
+row. The SGD velocity and the gradient share that layout, so a step is a
+few in-place ufuncs over the whole (R, P) buffer; the counters B_c are one
+(R, C) array.
 
-A batch is one pass that computes each intermediate once: the features
-(the ReLU in place over the hidden pre-activation) and the logits; one
+A batch step takes each seed's own shuffled batch (every seed's batches
+have the same sizes), gathers them as (R, B, d) inputs and computes each
+intermediate once for the whole stack: the features (the ReLU in place
+over the hidden pre-activation) and the logits, as batched matmuls; one
 exp and one row sum for both the softmax and the cross entropy; the base
 loss's dlogits rows, built in place; from the reweighting switch epoch
 on, the closed-form class weights times the macro batch-frequency
-factors (whose counters accumulate from epoch 0); and a backward pass
-that takes the ReLU mask from those features and writes into the
-gradient buffer. ``forward_batch`` and ``backward`` call the same
-kernels.
+factors (whose counters accumulate from epoch 0), solved for all R * C
+class slots at once; and a backward pass that takes the ReLU mask from
+those features and writes into the gradient buffer. Only the range loss
+runs per run. The step returns each run's loss. ``forward_batch`` and
+``backward`` call the same kernels on one run's parameters.
 
-Each epoch ends with the collapse metrics and rho from the training
-features and logits, and the per-class accuracy from the test logits; no
-softmax is formed there. The epoch end works in stable label order (the
-batches still index the original order) in buffers that ``prepare_run``
-allocates once per run, so after the first epoch it allocates no (n, p)
-or (n, C) array: the forward pass writes the features and logits into
-theirs, the scratch holds the cross entropy's exp and then NC4's squared
-distances, and NC1 centres the features in the feature buffer last.
+Each epoch ends, run by run, with the collapse metrics and rho from the
+training features and logits, and the per-class accuracy from the test
+logits; no softmax is formed there. The epoch end works in stable label
+order (the batches still index the original order) in one set of buffers
+that ``prepare_run`` allocates once per stack and the runs use in turn,
+so after the first epoch it allocates no (n, p) or (n, C) array: the
+forward pass writes the features and logits into theirs, the scratch
+holds the cross entropy's exp and then NC4's squared distances, and NC1
+centres the features in the feature buffer last.
 """
 
 from __future__ import annotations
@@ -78,6 +88,10 @@ class ModelParams:
     buffer offset of the first bias slot. The constructor copies its
     arguments. Attributes cannot be rebound, so the views never detach
     from the buffer: write into them instead (``params.weights[:] = w``).
+
+    A stack of R runs (``ModelParams.stack``) has an (R, P) buffer: each
+    tensor gains a leading run axis, ``bias_start`` is an offset within a
+    row, and ``params[r]`` is run r, views of row r.
     """
 
     __slots__ = ("flat", "bias_start") + _LAYOUT
@@ -87,10 +101,17 @@ class ModelParams:
             raise ValueError("hidden_weights and hidden_bias must be given together")
         given = dict(weights=weights, bias=bias, hidden_weights=hidden_weights, hidden_bias=hidden_bias)
         arrays = {k: np.asarray(given[k], dtype=np.float64) for k in _LAYOUT if given[k] is not None}
-        self._bind(np.concatenate([a.ravel() for a in arrays.values()]),
-                   {k: a.shape for k, a in arrays.items()})
+        lead = arrays["weights"].shape[:-2]  # the run axis of a stack, else ()
+        self._bind(np.concatenate([a.reshape(lead + (-1,)) for a in arrays.values()], axis=-1),
+                   {k: a.shape[len(lead):] for k, a in arrays.items()})
+
+    @classmethod
+    def stack(cls, runs) -> "ModelParams":
+        """The given runs' parameters, copied into the rows of one (R, P) buffer."""
+        return runs[0]._with_buffer(np.stack([run.flat for run in runs]))
 
     def _bind(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> None:
+        lead = flat.shape[:-1]
         offset = 0
         for name in _LAYOUT:
             if name == "bias":
@@ -98,7 +119,7 @@ class ModelParams:
             view = None
             if name in shapes:
                 size = math.prod(shapes[name])
-                view = flat[offset:offset + size].reshape(shapes[name])
+                view = flat[..., offset:offset + size].reshape(lead + shapes[name])
                 offset += size
             object.__setattr__(self, name, view)
         object.__setattr__(self, "flat", flat)
@@ -113,13 +134,21 @@ class ModelParams:
         # Copies and pickles rebuild through the constructor, which binds a fresh buffer.
         return ModelParams, (self.weights, self.bias, self.hidden_weights, self.hidden_bias)
 
+    def __getitem__(self, r: int) -> "ModelParams":
+        """Run r of a stack: views of row r of the buffer."""
+        if self.flat.ndim != 2:
+            raise TypeError("only a stack of runs can be indexed")
+        return self._with_buffer(self.flat[r])
+
     def tensors(self) -> dict[str, np.ndarray]:
         """The present tensors by name, in buffer order."""
         return {name: getattr(self, name) for name in _LAYOUT if getattr(self, name) is not None}
 
     def _with_buffer(self, flat: np.ndarray) -> "ModelParams":
+        """The same per-run layout over ``flat``, (P,) or a stack's (R, P)."""
         new = object.__new__(ModelParams)
-        new._bind(flat, {name: arr.shape for name, arr in self.tensors().items()})
+        lead = self.flat.ndim - 1
+        new._bind(flat, {name: arr.shape[lead:] for name, arr in self.tensors().items()})
         return new
 
     def zeros_like(self) -> "ModelParams":
@@ -131,7 +160,7 @@ class ModelParams:
 
     @property
     def class_count(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -206,11 +235,19 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    params: ModelParams
+    """Optimizer state of the R runs of one stack (see the module docstring)."""
+
+    params: ModelParams  # a stack: tensors (R, ...) over one (R, P) buffer
     velocity: ModelParams  # momentum buffer, laid out as params
     grads: ModelParams  # gradient buffer each batch's backward pass writes
-    batch_counts: np.ndarray  # (C,) int64 batch-appearance counters B_c
+    batch_counts: np.ndarray  # (R, C) int64 batch-appearance counters B_c
     iteration: int = 0
+
+    def run(self, r: int) -> "TrainState":
+        """Run r's state, views of row r of every buffer, for reading its
+        parameters; the stack's own state is the one that trains."""
+        return TrainState(self.params[r], self.velocity[r], self.grads[r], self.batch_counts[r],
+                          self.iteration)
 
 
 @dataclass(frozen=True)
@@ -247,38 +284,40 @@ def init_params(class_count: int, input_dim: int, hidden_dim: int, seed: int) ->
 
 
 def _forward(params: ModelParams, x: np.ndarray, h_out=None, z_out=None):
-    """Features and logits, written into ``h_out`` and ``z_out`` when
-    given (the epoch end's buffers) and into fresh arrays otherwise. The
-    hidden ReLU runs in place over the pre-activation, whose sign pattern
-    it keeps: h > 0 exactly where pre > 0. The linear model's features are
-    x itself, and it leaves ``h_out`` alone."""
+    """Features and logits of one run, or of a stack with (R, B, d) inputs,
+    written into ``h_out`` and ``z_out`` when given (the epoch end's
+    buffers) and into fresh arrays otherwise. The hidden ReLU runs in place
+    over the pre-activation, whose sign pattern it keeps: h > 0 exactly
+    where pre > 0. The linear model's features are x itself, and it leaves
+    ``h_out`` alone."""
     h = x
     if params.hidden_weights is not None:
-        h = np.matmul(x, params.hidden_weights.T, out=h_out)
-        h += params.hidden_bias
+        h = np.matmul(x, params.hidden_weights.swapaxes(-1, -2), out=h_out)
+        h += params.hidden_bias[..., None, :]
         np.maximum(h, 0.0, out=h)
-    z = np.matmul(h, params.weights.T, out=z_out)
-    z += params.bias
+    z = np.matmul(h, params.weights.swapaxes(-1, -2), out=z_out)
+    z += params.bias[..., None, :]
     return h, z
 
 
 def _shifted_exp(z: np.ndarray, out=None):
     """Row max, exp(z - max) (in ``out`` when given) and its row sum: the
     one exp and row sum that the softmax and the cross entropy share."""
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = z.max(axis=-1, keepdims=True)
     e = np.subtract(z, zmax, out=out)
     np.exp(e, out=e)
-    return zmax, e, e.sum(axis=1, keepdims=True)
+    return zmax, e, e.sum(axis=-1, keepdims=True)
 
 
-def _ce(z, rows, y, zmax, s) -> np.ndarray:
-    """Per-sample cross entropy max + log(sum exp(z - max)) - z_y (underflow safe)."""
-    return zmax[:, 0] + np.log(s[:, 0]) - z[rows, y]
+def _ce(z_target, zmax, s) -> np.ndarray:
+    """Per-sample cross entropy max + log(sum exp(z - max)) - z_y (underflow
+    safe), from the target logits z_y."""
+    return zmax[..., 0] + np.log(s[..., 0]) - z_target
 
 
 def _ce_from_logits(z: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     zmax, _, s = _shifted_exp(z, out)
-    return _ce(z, np.arange(len(y)), y, zmax, s)
+    return _ce(z[np.arange(len(y)), y], zmax, s)
 
 
 def forward_batch(params: ModelParams, x):
@@ -317,16 +356,19 @@ def ce_loss(probs, target: int) -> float:
 def _backward(params: ModelParams, x, h, dz, grads: ModelParams, dh_extra=None) -> None:
     """Write the gradients of the loss whose dlogits rows are ``dz`` into
     ``grads``; ``dh_extra`` is a further gradient w.r.t. the features ``h``
-    that ``_forward`` returned for ``x``."""
-    np.matmul(dz.T, h, out=grads.weights)
-    dz.sum(axis=0, out=grads.bias)
+    that ``_forward`` returned for ``x``. Works on one run or a stack. The
+    hidden model's features are spent by then, and their buffer takes the
+    feature gradient: ``h`` is overwritten."""
+    np.matmul(dz.swapaxes(-1, -2), h, out=grads.weights)
+    dz.sum(axis=-2, out=grads.bias)
     if params.hidden_weights is not None:
-        dh = dz @ params.weights
+        active = h > 0  # the ReLU's derivative: the pre-activation's sign pattern
+        dh = np.matmul(dz, params.weights, out=h)
         if dh_extra is not None:
             dh += dh_extra
-        dh *= h > 0  # the ReLU's derivative: the pre-activation's sign pattern
-        np.matmul(dh.T, x, out=grads.hidden_weights)
-        dh.sum(axis=0, out=grads.hidden_bias)
+        dh *= active
+        np.matmul(dh.swapaxes(-1, -2), x, out=grads.hidden_weights)
+        dh.sum(axis=-2, out=grads.hidden_bias)
 
 
 def backward(params: ModelParams, x, y, per_sample_weights) -> dict[str, np.ndarray]:
@@ -355,14 +397,15 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float, momentum: float
              weight_decay: float, velocity: ModelParams, update_bias: bool = True) -> None:
     """v <- momentum*v + (grad + weight_decay*param); param <- param - lr*v.
 
-    ``grads`` and ``velocity`` are laid out like ``params``; ``grads`` is
-    left as it is. With ``update_bias`` off the step covers only the slots
-    before ``bias_start``, so the biases and their velocity do not move.
+    ``grads`` and ``velocity`` are laid out like ``params``, one run or a
+    stack; ``grads`` is left as it is. With ``update_bias`` off the step
+    covers only the slots before ``bias_start`` of each row, so the biases
+    and their velocity do not move.
     """
     stop = None if update_bias else params.bias_start
-    p, v = params.flat[:stop], velocity.flat[:stop]
+    p, v = params.flat[..., :stop], velocity.flat[..., :stop]
     step = p * weight_decay
-    step += grads.flat[:stop]
+    step += grads.flat[..., :stop]
     v *= momentum
     v += step
     np.multiply(v, lr, out=step)
@@ -371,23 +414,25 @@ def sgd_step(params: ModelParams, grads: ModelParams, lr: float, momentum: float
 
 @dataclass
 class RunContext:
-    """Dataset-derived caches shared by every epoch of one run."""
+    """Dataset-derived caches shared by every epoch and run of one stack."""
 
     config: TrainConfig
+    seeds: tuple[int, ...]  # run r trains with seed seeds[r]
     counts: ClassCounts
     base_method: str
     class_weights: np.ndarray | None  # static per-class multipliers
     ib_lambda: np.ndarray | None
-    prior: np.ndarray  # (C,) inverse-solve prior w0: ones, or the base class weights
+    prior: np.ndarray  # (R, C) inverse-solve prior w0 of each run: ones, or the base class weights
+    slot_offsets: np.ndarray  # (R, 1) r * C: run r's class c is slot r * C + c of the stack
     inverse_active: bool
     iters_per_epoch: int
     mile: scheduler.MileLrConfig | None
     multistep: scheduler.MultiStepConfig | None
     groups: tuple[np.ndarray, np.ndarray, np.ndarray]  # head/med/tail class ids
     # The epoch end: the sets it evaluates, the training rows in stable
-    # label order, and its per-run buffers. The test buffers are the first
-    # rows of the training ones, which the training set's report is done
-    # with by the time the test accuracy runs.
+    # label order, and its buffers, which the runs use in turn. The test
+    # buffers are the first rows of the training ones, which the training
+    # set's report is done with by the time the test accuracy runs.
     train: Dataset
     test: Dataset | None
     sorted_x: np.ndarray  # (n, d) train.x itself when the labels are already in order
@@ -416,13 +461,18 @@ def _static_class_weights(method: MethodConfig, name: str, counts: ClassCounts) 
     return None
 
 
-def prepare_run(config: TrainConfig, train: Dataset,
-                test: Dataset | None = None) -> tuple[TrainState, RunContext]:
-    """Initialize parameters, optimizer state, and per-run caches.
+def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None,
+                seeds=None) -> tuple[TrainState, RunContext]:
+    """Initialize the parameters, the optimizer state and the caches of a
+    stack with one run per seed in ``seeds`` (default: ``config.seed``
+    alone), each initialized from its own seed.
 
     ``train_epoch`` needs ``test``, the set whose per-class accuracy each
     epoch reports; a run that only takes batch steps can leave it out.
     """
+    seeds = (config.seed,) if seeds is None else tuple(seeds)
+    if not seeds:
+        raise ValueError("a stack needs at least one seed")
     method = config.method
     base_name = config.reweight_base if method.name == "inverse" else method.name
     counts = train.counts
@@ -465,16 +515,19 @@ def prepare_run(config: TrainConfig, train: Dataset,
     features = np.empty((max(n, n_test), config.hidden_dim or train.input_dim))
     logits = np.empty((max(n, n_test), c))
 
-    params = init_params(train.class_count, train.input_dim, config.hidden_dim, config.seed)
+    params = ModelParams.stack([init_params(c, train.input_dim, config.hidden_dim, seed)
+                                for seed in seeds])
     state = TrainState(params=params, velocity=params.zeros_like(), grads=params.zeros_like(),
-                       batch_counts=np.zeros(train.class_count, dtype=np.int64))
+                       batch_counts=np.zeros((len(seeds), c), dtype=np.int64))
     ctx = RunContext(
         config=config,
+        seeds=seeds,
         counts=counts,
         base_method=base_name,
         class_weights=class_weights,
         ib_lambda=ib_lambda,
-        prior=prior,
+        prior=np.broadcast_to(prior, (len(seeds), c)),  # one row for every run, not copied
+        slot_offsets=c * np.arange(len(seeds))[:, None],
         inverse_active=method.name == "inverse",
         iters_per_epoch=iters_per_epoch,
         mile=mile,
@@ -501,20 +554,27 @@ def _lr_at(ctx: RunContext, epoch: int, iteration: int) -> float:
 
 
 def _base_losses(ctx: RunContext, h, z, y):
-    """Per-sample base losses, stop-gradient weights, and dloss/dlogits rows.
+    """Per-sample base losses, stop-gradient weights, and dloss/dlogits rows
+    of a stack's batches: ``z`` (R, B, C) and ``y`` (R, B) give (R, B),
+    (R, B) and (R, B, C).
 
     The weights are the method's static multipliers (or the IB
     attenuation, or focal alpha); they scale the losses and the rows at
     composition time and get no gradient. The softmax and the cross
-    entropy share one exp and one row sum, and the dlogits rows are built
-    in the softmax's buffer.
+    entropy share one exp and one row sum, and the softmax and then the
+    dlogits rows are built in the logits' buffer: ``z`` is overwritten.
     """
     method = ctx.config.method
-    rows = np.arange(len(y))
-    zmax, probs, s = _shifted_exp(z)
+    # Flat offsets of the target logits: z.reshape(-1)[target] is (R, B). The
+    # logits are _forward's fresh C-contiguous output, so the reshape is a view.
+    runs, m = y.shape
+    target = y + np.arange(0, z.size, z.shape[-1]).reshape(runs, m)
+    z_target = z.reshape(-1)[target]
+    zmax, probs, s = _shifted_exp(z, out=z)
     probs /= s
+    flat = probs.reshape(-1)
     if ctx.base_method == "focal":
-        p_t = np.clip(probs[rows, y], 1e-300, 1.0)
+        p_t = np.clip(flat[target], 1e-300, 1.0)
         one_m = 1.0 - p_t
         decay = one_m ** method.focal_gamma
         ell = decay * (-np.log(p_t))
@@ -524,25 +584,27 @@ def _base_losses(ctx: RunContext, h, z, y):
             pos = one_m > 0
             gcoef[pos] += (method.focal_gamma * p_t[pos] * np.log(p_t[pos])
                            * one_m[pos] ** (method.focal_gamma - 1.0))
-        probs *= -gcoef[:, None]
-        probs[rows, y] += gcoef
-        weights = np.full(len(y), 1.0 if method.focal_alpha is None else method.focal_alpha)
+        probs *= -gcoef[..., None]
+        flat[target] += gcoef
+        weights = np.full(y.shape, 1.0 if method.focal_alpha is None else method.focal_alpha)
         return ell, weights, probs
-    ell = _ce(z, rows, y, zmax, s)
+    ell = _ce(z_target, zmax, s)
     if ctx.class_weights is not None:
         weights = ctx.class_weights[y]
     elif ctx.base_method == "ib":
         # Influence factor |p - onehot|_1 |h|_1 = 2(1 - p_t) |h|_1, used as
         # a per-sample attenuation treated as constant by the gradient.
-        influence = 2.0 * (1.0 - probs[rows, y]) * np.abs(h).sum(axis=1)
+        influence = 2.0 * (1.0 - flat[target]) * np.abs(h).sum(axis=-1)
         weights = ctx.ib_lambda[y] / (influence + method.ib_eps)
     else:
-        weights = np.ones(len(y))
-    probs[rows, y] -= 1.0
+        weights = np.ones(y.shape)
+    flat[target] -= 1.0
     return ell, weights, probs
 
 
-def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: float) -> float:
+def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: float) -> np.ndarray:
+    """One SGD step of every run of the stack on its own batch: ``x``
+    (R, B, d) and ``y`` (R, B). Returns each run's reweighted mean loss."""
     config = ctx.config
     params = state.params
     h, z = _forward(params, x)
@@ -550,29 +612,36 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
 
     coef = weights
     if ctx.inverse_active:
+        # One bincount over the class slots sizes every run's classes.
+        counts = state.batch_counts
+        slots = y + ctx.slot_offsets
+        sizes = np.bincount(slots.ravel(), minlength=counts.size).reshape(counts.shape)
         # Batch-appearance counters accumulate from epoch 0.
-        sizes = np.bincount(y, minlength=len(state.batch_counts))
-        state.batch_counts += sizes > 0
+        counts += sizes > 0
         if epoch >= config.reweight.switch_epoch:
-            w_hat = reweighting._solve(weights * ell, y, sizes, state.batch_counts, ctx.prior,
+            w_hat = reweighting._solve(weights * ell, slots, sizes, counts, ctx.prior,
                                        config.reweight, config.reweight_mode)
-            coef = weights * w_hat[y]
+            coef = weights * w_hat.ravel()[slots]
 
-    m = len(y)
-    loss = float((coef * ell).sum() / m)  # np.mean's sum and division, without its overhead
-    dz *= (coef / m)[:, None]
+    m = y.shape[1]
+    loss = np.add.reduce(coef * ell, axis=-1) / m  # np.mean's sum and division, without its overhead
+    dz *= (coef / m)[..., None]
 
     dh_extra = None
     if ctx.base_method == "range":
         method = config.method
-        range_val, range_grad = baselines.range_loss_grad(
-            h, y, method.range_k, method.range_margin, method.range_alpha, method.range_beta)
-        loss += method.range_lambda * range_val
         if params.hidden_weights is not None:
-            dh_extra = method.range_lambda * range_grad
+            dh_extra = np.empty_like(h)
+        for r in range(len(loss)):
+            range_val, range_grad = baselines.range_loss_grad(
+                h[r], y[r], method.range_k, method.range_margin, method.range_alpha, method.range_beta)
+            loss[r] += method.range_lambda * range_val
+            if dh_extra is not None:
+                np.multiply(range_grad, method.range_lambda, out=dh_extra[r])
 
-    if not math.isfinite(loss):
-        raise NumericError(f"non-finite loss at epoch {epoch}, iteration {state.iteration}")
+    if not all(map(math.isfinite, loss.tolist())):
+        seed = ctx.seeds[int(np.argmin(np.isfinite(loss)))]
+        raise NumericError(f"seed {seed}: non-finite loss at epoch {epoch}, iteration {state.iteration}")
 
     _backward(params, x, h, dz, state.grads, dh_extra)
     sgd_step(params, state.grads, lr, config.momentum, config.weight_decay,
@@ -587,80 +656,108 @@ def _per_class_accuracy(params: ModelParams, dataset: Dataset, h_out, z_out) -> 
     return hits / dataset.counts.per_class
 
 
-def _epoch_report(state: TrainState, ctx: RunContext, epoch: int) -> NcReport:
-    """The collapse metrics and rho of the training set, computed in
-    stable label order in the run's buffers (see the module docstring)."""
-    params, counts = state.params, ctx.counts
+def _epoch_report(params: ModelParams, ctx: RunContext, epoch: int) -> NcReport:
+    """The collapse metrics and rho of one run's training set, computed in
+    stable label order in the stack's buffers (see the module docstring).
+    A metric that cannot be computed raises ValueError."""
+    counts = ctx.counts
     h, z = _forward(params, ctx.sorted_x, ctx.features, ctx.logits)
     ce = _ce_from_logits(z, ctx.sorted_y, ctx.scratch)
     per_class = np.bincount(ctx.sorted_y, weights=ce, minlength=len(counts)) / counts.per_class
     bank = FeatureBank(class_ids=tuple(range(len(counts))), features=h, offsets=ctx.offsets)
-    try:
-        return make_report(params.weights, z, bank, per_class, epoch,
-                           distances=ctx.scratch, centred=ctx.features)
-    except ValueError as exc:
-        raise NumericError(f"metric computation failed after epoch {epoch}: {exc}") from exc
+    return make_report(params.weights, z, bank, per_class, epoch,
+                       distances=ctx.scratch, centred=ctx.features)
+
+
+def _train_batches(state: TrainState, ctx: RunContext, epoch: int) -> tuple[list[float], float]:
+    """One pass of every run of the stack over the training set, each in
+    its own seeded order. Returns each run's mean training loss and the
+    last learning rate. (A function of its own, so that the epoch's
+    (R, n) batch order is freed before the epoch end runs.)"""
+    train = ctx.train
+    totals, seen = [0.0] * len(ctx.seeds), 0
+    lr = float("nan")
+    epoch_seeds = [seed * 1_000_003 + epoch for seed in ctx.seeds]
+    for idx in batch_iter(train, ctx.config.batch_size, epoch_seeds):  # (R, B), row r in seed r's order
+        lr = _lr_at(ctx, epoch, state.iteration)
+        loss = _batch_update(state, ctx, train.x.take(idx, axis=0), train.y[idx], epoch, lr)
+        m = idx.shape[1]
+        totals = [total + run_loss * m for total, run_loss in zip(totals, loss.tolist())]
+        seen += m
+    return [total / seen for total in totals], lr
 
 
 def train_epoch(state: TrainState, train: Dataset, test: Dataset, epoch: int,
-                config: TrainConfig, ctx: RunContext) -> EpochRecord:
-    """One pass over the training set plus epoch-end evaluation.
+                config: TrainConfig, ctx: RunContext) -> list[EpochRecord]:
+    """One pass of every run of the stack over the training set, each in
+    its own seeded order, plus each run's epoch-end evaluation. Returns
+    the runs' records in seed order.
 
     ``train`` and ``test`` must be the sets that ``prepare_run`` was given.
     """
     if train is not ctx.train or test is not ctx.test:
         raise ValueError("train_epoch needs the train and test sets that prepare_run was given")
-    total, seen = 0.0, 0
-    last_lr = float("nan")
-    epoch_seed = config.seed * 1_000_003 + epoch
-    for idx in batch_iter(train, config.batch_size, epoch_seed):
-        last_lr = _lr_at(ctx, epoch, state.iteration)
-        loss = _batch_update(state, ctx, train.x[idx], train.y[idx], epoch, last_lr)
-        total += loss * len(idx)
-        seen += len(idx)
+    train_losses, last_lr = _train_batches(state, ctx, epoch)
     if not np.isfinite(state.params.flat).all():
-        name = next(k for k, v in state.params.tensors().items() if not np.isfinite(v).all())
-        raise NumericError(f"non-finite {name} after epoch {epoch}")
+        r = int(np.argmin(np.isfinite(state.params.flat).all(axis=1)))
+        name = next(k for k, v in state.params[r].tensors().items() if not np.isfinite(v).all())
+        raise NumericError(f"seed {ctx.seeds[r]}: non-finite {name} after epoch {epoch}")
 
-    report = _epoch_report(state, ctx, epoch)
-    per_class_acc = _per_class_accuracy(state.params, test, ctx.test_features, ctx.test_logits)
     head, med, tail = ctx.groups
-    return EpochRecord(
-        epoch=epoch,
-        train_loss=total / seen,
-        bal_acc=float(per_class_acc.mean()),
-        acc_head=float(per_class_acc[head].mean()),
-        acc_med=float(per_class_acc[med].mean()),
-        acc_tail=float(per_class_acc[tail].mean()),
-        lr=last_lr,
-        rho=report.rho,
-        nc1=report.nc1,
-        nc2=report.nc2,
-        nc3=report.nc3,
-        nc4=report.nc4_agreement,
-    )
+    records = []
+    for r, seed in enumerate(ctx.seeds):
+        params = state.params[r]
+        try:
+            report = _epoch_report(params, ctx, epoch)
+        except ValueError as exc:
+            raise NumericError(f"seed {seed}: metric computation failed after epoch {epoch}: "
+                               f"{exc}") from exc
+        per_class_acc = _per_class_accuracy(params, test, ctx.test_features, ctx.test_logits)
+        records.append(EpochRecord(
+            epoch=epoch,
+            train_loss=train_losses[r],
+            bal_acc=float(per_class_acc.mean()),
+            acc_head=float(per_class_acc[head].mean()),
+            acc_med=float(per_class_acc[med].mean()),
+            acc_tail=float(per_class_acc[tail].mean()),
+            lr=last_lr,
+            rho=report.rho,
+            nc1=report.nc1,
+            nc2=report.nc2,
+            nc3=report.nc3,
+            nc4=report.nc4_agreement,
+        ))
+    return records
 
 
-def run_experiment(config: TrainConfig, train: Dataset, test: Dataset):
-    """Full training run.
+def run_experiment(config: TrainConfig, train: Dataset, test: Dataset, seeds=None):
+    """Full training run of ``config`` for each seed in ``seeds``, trained
+    in lockstep as one stack; each seed's outputs equal those of a run of
+    that seed alone.
 
-    Returns the per-epoch records, a summary of the final epoch, and the
-    finished training state (for parameter dumps).
+    For each seed, in order, returns the per-epoch records, a summary of
+    the final epoch, and the run's finished state (views of its row of
+    the stack, for parameter dumps). Without ``seeds`` it trains
+    ``config.seed`` alone and returns that one triple.
     """
-    state, ctx = prepare_run(config, train, test)
-    records = [train_epoch(state, train, test, e, config, ctx) for e in range(config.epochs)]
-    last = records[-1]
-    summary = {
-        "method": config.method.name,
-        "seed": config.seed,
-        "bal_acc": last.bal_acc,
-        "rho_final": last.rho,
-        "nc1": last.nc1,
-        "nc2": last.nc2,
-        "nc3": last.nc3,
-        "nc4": last.nc4,
-        "acc_head": last.acc_head,
-        "acc_med": last.acc_med,
-        "acc_tail": last.acc_tail,
-    }
-    return records, summary, state
+    state, ctx = prepare_run(config, train, test, seeds)
+    epochs = [train_epoch(state, train, test, e, config, ctx) for e in range(config.epochs)]
+    results = []
+    for r, seed in enumerate(ctx.seeds):
+        records = [runs[r] for runs in epochs]
+        last = records[-1]
+        summary = {
+            "method": config.method.name,
+            "seed": seed,
+            "bal_acc": last.bal_acc,
+            "rho_final": last.rho,
+            "nc1": last.nc1,
+            "nc2": last.nc2,
+            "nc3": last.nc3,
+            "nc4": last.nc4,
+            "acc_head": last.acc_head,
+            "acc_med": last.acc_med,
+            "acc_tail": last.acc_tail,
+        }
+        results.append((records, summary, state.run(r)))
+    return results[0] if seeds is None else results

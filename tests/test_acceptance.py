@@ -121,12 +121,12 @@ def default_experiment():
     return load_experiment_config(str(DEFAULT_CONFIG))
 
 
-def run_arm(train_cfg: TrainConfig, train_set, test_set, mode: str, seed: int):
+def run_arm(train_cfg: TrainConfig, train_set, test_set, mode: str):
+    """The arm's summaries, one per seed of SEEDS, trained as one lockstep stack."""
     method = replace(train_cfg.method, name="ce" if mode == "ce" else "inverse")
     rmode = mode if mode != "ce" else "both"
-    cfg = replace(train_cfg, seed=seed, method=method, reweight_mode=rmode)
-    _, summary, _ = run_experiment(cfg, train_set, test_set)
-    return summary
+    cfg = replace(train_cfg, method=method, reweight_mode=rmode)
+    return [summary for _, summary, _ in run_experiment(cfg, train_set, test_set, SEEDS)]
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +138,7 @@ def paired_runs(default_experiment):
         train_set, test_set = gaussian_mixture(spec)
         modes = ("ce", "batch", "macro", "both") if imb == 100.0 else ("ce", "both")
         for mode in modes:
-            out[(imb, mode)] = [run_arm(default_experiment.train, train_set, test_set, mode, s)
-                                for s in SEEDS]
+            out[(imb, mode)] = run_arm(default_experiment.train, train_set, test_set, mode)
     return out
 
 

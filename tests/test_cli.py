@@ -107,6 +107,16 @@ class TestTrain:
         assert (out / "metrics_seed1.csv").exists()
         assert (out / "metrics_seed2.csv").exists()
 
+    def test_each_seed_of_a_stack_writes_what_it_writes_alone(self, config_path, tmp_path):
+        argv = ["train", "--config", str(config_path), "--method", "inverse"]
+        assert main(argv + ["--out", str(tmp_path / "stack"), "--seed", "2", "--seed", "1"]) == 0
+        for seed in (2, 1):
+            alone = tmp_path / f"seed{seed}"
+            assert main(argv + ["--out", str(alone), "--seed", str(seed)]) == 0
+            stack = tmp_path / "stack"
+            assert (stack / f"metrics_seed{seed}.csv").read_bytes() == (alone / "metrics.csv").read_bytes()
+            assert (stack / f"params_seed{seed}.json").read_bytes() == (alone / "params.json").read_bytes()
+
     def test_unknown_method_lists_valid(self, config_path, tmp_path, capsys):
         code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "x"),
                      "--method", "bogus"])
@@ -136,6 +146,26 @@ class TestTrain:
         cfg.write_text(text.replace("switch_epoch = 12", "switch_epoch = 0").replace("eta0 = 0.1", "eta0 = 1e8"))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
         assert "non-finite loss at epoch 0, iteration 11" in capsys.readouterr().err
+
+    # The runs diverge on purpose; numpy warns about the inf and nan they produce.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_a_stack_names_the_seed_and_writes_no_seed_files(self, tmp_path, capsys):
+        text = DEFAULT_CONFIG.read_text()
+        cfg = tmp_path / "diverge.ini"
+        cfg.write_text(text.replace("switch_epoch = 12", "switch_epoch = 0")
+                       .replace("eta0 = 0.1", "eta0 = 1e8"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "2", "--seed", "3"]) == 4
+        # Both seeds overflow at iteration 11; the first in seed order is named.
+        assert "seed 2: non-finite loss at epoch 0, iteration 11" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_repeated_seed_exits_2_naming_it(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(config_path), "--out", str(out)]
+        assert main(argv + ["--seed", "4", "--seed", "2", "--seed", "4", "--seed", "2"]) == 2
+        assert "--seed 4 is given more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trained_dumps_feed_nc_eval(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"

@@ -183,6 +183,16 @@ class TestBatchIter:
         assert a == b
         assert a != c
 
+    def test_seed_sequence_stacks_each_seeds_batches(self):
+        ds = self.make_dataset(50)
+        stacked = list(batch_iter(ds, 16, [3, 8, 3]))
+        for r, seed in enumerate([3, 8, 3]):
+            alone = list(batch_iter(ds, 16, seed))
+            assert len(stacked) == len(alone) == 4
+            for batch, own in zip(stacked, alone):
+                assert batch.shape == (3, len(own))
+                assert np.array_equal(batch[r], own)
+
     def test_batch_size_validation(self):
         with pytest.raises(ValueError):
             list(batch_iter(self.make_dataset(5), 0, 0))

@@ -84,6 +84,12 @@ def _inverse_run(labels, class_count, **train_kwargs):
     return data, state, ctx
 
 
+def _step(state, ctx, x, y):
+    """One lr-0 batch step of the one-run stack; returns its loss."""
+    [loss] = _batch_update(state, ctx, x[None], y[None], 0, 0.0)
+    return loss
+
+
 class TestLossImbalanceRho:
     def test_equal_losses(self):
         assert loss_imbalance_rho([2.0, 2.0, 2.0]) == 0.0
@@ -284,17 +290,17 @@ class TestBatchClassStats:
 class TestMacroState:
     def test_counter_updates(self):
         data, state, ctx = _inverse_run([0, 0, 1], 2)
-        _batch_update(state, ctx, data.x[:2], data.y[:2], 0, 0.0)
-        assert state.batch_counts.tolist() == [1, 0]
+        _step(state, ctx, data.x[:2], data.y[:2])
+        assert state.batch_counts.tolist() == [[1, 0]]
         state.batch_counts[:] = [4, 1]
-        _batch_update(state, ctx, data.x, data.y, 0, 0.0)
-        assert state.batch_counts.tolist() == [5, 2]
+        _step(state, ctx, data.x, data.y)
+        assert state.batch_counts.tolist() == [[5, 2]]
 
     def test_double_update_increments_twice(self):
         data, state, ctx = _inverse_run([1, 2, 2, 0], 3)
         for _ in range(2):
-            _batch_update(state, ctx, data.x[:3], data.y[:3], 0, 0.0)
-        assert state.batch_counts.tolist() == [0, 2, 2]
+            _step(state, ctx, data.x[:3], data.y[:3])
+        assert state.batch_counts.tolist() == [[0, 2, 2]]
         assert state.batch_counts.dtype == np.int64
 
     def test_factors_hand_example(self):
@@ -363,13 +369,13 @@ class TestReweightedBatchLoss:
     # _batch_update returns the batch's reweighted mean loss; lr 0 leaves the
     # parameters alone so the losses below can be recomputed independently.
     def _batch_ce(self, state, data):
-        _, z, _ = forward_batch(state.params, data.x)
+        _, z, _ = forward_batch(state.params[0], data.x)
         return _ce_from_logits(z, data.y)
 
     def test_unit_weights_match_plain_mean(self):
         # first batch: every present class has B_c = 1, so beta is all ones
         data, state, ctx = _inverse_run([0, 1, 0, 2, 1], 3, reweight_mode="macro")
-        loss = _batch_update(state, ctx, data.x, data.y, 0, 0.0)
+        loss = _step(state, ctx, data.x, data.y)
         assert loss == pytest.approx(float(np.mean(self._batch_ce(state, data))), rel=1e-12)
 
     def test_hand_example(self):
@@ -378,7 +384,7 @@ class TestReweightedBatchLoss:
         data, state, ctx = _inverse_run([0, 0, 0, 1, 2, 2], 3, reweight=ReweightConfig(gamma=0.0))
         ce = self._batch_ce(state, data)
         l_bar = np.mean([ce[data.y == c].mean() for c in range(3)])
-        loss = _batch_update(state, ctx, data.x, data.y, 0, 0.0)
+        loss = _step(state, ctx, data.x, data.y)
         assert loss == pytest.approx(l_bar, rel=1e-12)
 
     def test_no_op_on_balanced_stream(self):
@@ -407,4 +413,4 @@ class TestReweightConfig:
         # ones unless use_base_prior is set and the base has class weights
         for kwargs in ({}, {"use_base_prior": True}, {"reweight_base": "cb"}):
             _, _, ctx = _inverse_run([0, 1, 1, 2, 2, 2], 3, **kwargs)
-            assert ctx.prior.tolist() == [1.0, 1.0, 1.0]
+            assert ctx.prior.tolist() == [[1.0, 1.0, 1.0]]

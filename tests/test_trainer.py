@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -173,8 +174,8 @@ class TestBackward:
         dz /= m
         _, range_grad = range_loss_grad(h, y, *range_args)
         grads, ce_only = params.zeros_like(), params.zeros_like()
-        _backward(params, x, h, dz, grads, dh_extra=method.range_lambda * range_grad)
-        _backward(params, x, h, dz, ce_only)
+        _backward(params, x, h.copy(), dz, grads, dh_extra=method.range_lambda * range_grad)
+        _backward(params, x, h, dz, ce_only)  # overwrites h
         grads, ce_only = grads.tensors(), ce_only.tensors()
         for name, g in grads.items():
             fd = finite_difference(params, name, loss, h=1e-6)
@@ -321,6 +322,32 @@ class TestModelParams:
             for name, arr in other.tensors().items():
                 assert np.shares_memory(arr, other.flat), name
 
+    @pytest.mark.parametrize("hidden_dim", (0, 5))
+    def test_stack_rows_are_runs(self, hidden_dim):
+        runs = [init_params(3, 4, hidden_dim, seed) for seed in (1, 2)]
+        stack = ModelParams.stack(runs)
+        assert stack.flat.shape == (2, runs[0].flat.size) and stack.flat.flags.c_contiguous
+        assert stack.bias_start == runs[0].bias_start and stack.class_count == 3
+        for r, run in enumerate(runs):
+            row = stack[r]
+            assert np.shares_memory(row.flat, stack.flat[r])
+            for name, arr in run.tensors().items():
+                assert getattr(stack, name).shape == (2,) + arr.shape
+                assert np.shares_memory(getattr(stack, name), stack.flat), name
+                assert np.array_equal(getattr(stack, name)[r], arr), name
+                assert np.array_equal(getattr(row, name), arr), name
+        assert not np.shares_memory(stack.flat, runs[0].flat)  # the stack holds copies
+        stack.weights[1] += 1.0  # a write through the stacked view reaches the row's
+        assert np.array_equal(stack[1].weights, runs[1].weights + 1.0)
+        copies = (stack.copy(), stack.zeros_like(), copy.deepcopy(stack), pickle.loads(pickle.dumps(stack)))
+        for other in copies:
+            assert other.flat.shape == stack.flat.shape and not np.shares_memory(other.flat, stack.flat)
+            assert {k: v.shape for k, v in other.tensors().items()} == {
+                k: v.shape for k, v in stack.tensors().items()}
+        assert np.array_equal(copy.deepcopy(stack).flat, stack.flat)
+        with pytest.raises(TypeError, match="only a stack"):
+            runs[0][0]
+
 
 def balanced_spec(noise=0.0, seed=3):
     return LongTailSpec(class_count=4, n_max=40, imbalance_factor=1.0, input_dim=8,
@@ -338,7 +365,7 @@ class TestTrainEpoch:
                               lr=LrSpec(schedule="multistep", eta0=0.3, milestones=(), decay=0.1))
             state, ctx = prepare_run(cfg, train, test)
             state.params.weights[:] = 0.0  # symmetric start keeps class losses exactly equal
-            records = [train_epoch(state, train, test, e, cfg, ctx) for e in range(3)]
+            records = [train_epoch(state, train, test, e, cfg, ctx)[0] for e in range(3)]
             return records, state.params.weights.copy()
 
         rec_ce, w_ce = trajectory("ce")
@@ -355,7 +382,7 @@ class TestTrainEpoch:
                           lr=LrSpec(schedule="multistep", eta0=1.0, milestones=(), decay=0.1))
         state, ctx = prepare_run(cfg, train, test)
         train_epoch(state, train, test, 0, cfg, ctx)
-        _, z, _ = forward_batch(state.params, train.x)
+        _, z, _ = forward_batch(state.params[0], train.x)
         assert np.array_equal(z.argmax(axis=1), train.y)
 
     def test_deterministic_replay(self):
@@ -404,7 +431,7 @@ class TestTrainEpoch:
                 state.params.weights[:] = base.weights
                 state.params.bias[:] = base.bias
             train_epoch(state, data, test, 0, cfg, ctx)
-            return state.params
+            return state.params[0]
 
         # row pi(c) of the permuted run should match row c of the plain run
         plain = run_one(False)
@@ -478,9 +505,9 @@ class TestRunExperiment:
                           reweight_base="cb", use_base_prior=True,
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
         state, ctx = prepare_run(cfg, train, test)
-        assert np.array_equal(ctx.prior, ctx.class_weights)
-        assert ctx.prior[3] > ctx.prior[0]  # rarer class, larger prior
-        records = [train_epoch(state, train, test, e, cfg, ctx) for e in range(2)]
+        assert np.array_equal(ctx.prior[0], ctx.class_weights)
+        assert ctx.prior[0, 3] > ctx.prior[0, 0]  # rarer class, larger prior
+        records = [train_epoch(state, train, test, e, cfg, ctx)[0] for e in range(2)]
         assert np.isfinite(records[-1].train_loss)
 
     def test_config_validation(self):
@@ -600,7 +627,7 @@ def _batch_update_ref(ref, ctx, x, y, epoch, lr):
     if ctx.inverse_active:
         ref.batch_counts += np.bincount(y, minlength=len(ref.batch_counts)) > 0
         if epoch >= config.reweight.switch_epoch:
-            w_hat = _inverse_weights_ref(weights * ell, y, ref.batch_counts, ctx.prior,
+            w_hat = _inverse_weights_ref(weights * ell, y, ref.batch_counts, ctx.prior[0],
                                          config.reweight, config.reweight_mode)
             coef = weights * w_hat[y]
     m = len(y)
@@ -649,6 +676,48 @@ ORACLE_ARMS = [dict(method=m) for m in VALID_METHODS if m != "inverse"] + [
 ]
 
 
+class TestLockstep:
+    """A stack of seeds trains each one exactly as a run of that seed alone:
+    the same records, summary and final parameters, bit for bit."""
+
+    @pytest.mark.parametrize("use_bias", (True, False))
+    @pytest.mark.parametrize("hidden", (0, 5))
+    @pytest.mark.parametrize("method", VALID_METHODS)
+    def test_stack_equals_single_runs(self, method, hidden, use_bias):
+        train, test = _long_tail_data()
+        cfg = _config(method, hidden, use_bias=use_bias)
+        seeds = (9, 2, 5)  # in no particular order: each row keeps its seed
+        stacked = run_experiment(cfg, train, test, seeds)
+        assert [summary["seed"] for _, summary, _ in stacked] == list(seeds)
+        for seed, (records, summary, state) in zip(seeds, stacked):
+            alone_records, alone_summary, alone = run_experiment(replace(cfg, seed=seed), train, test)
+            assert records == alone_records
+            assert summary == alone_summary
+            assert state.params.flat.tobytes() == alone.params.flat.tobytes()
+            assert state.velocity.flat.tobytes() == alone.velocity.flat.tobytes()
+            assert np.array_equal(state.batch_counts, alone.batch_counts)
+
+    def test_one_seed_is_the_config_seed(self):
+        train, test = _long_tail_data()
+        cfg = _config("inverse", 0)
+        [(records, summary, state)] = run_experiment(cfg, train, test, [cfg.seed])
+        alone_records, alone_summary, alone = run_experiment(cfg, train, test)
+        assert (records, summary) == (alone_records, alone_summary)
+        assert state.params.flat.tobytes() == alone.params.flat.tobytes()
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_experiment(cfg, train, test, [])
+
+    # The run diverges on purpose; numpy warns about the inf and nan it produces.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_seed(self):
+        train, test = _long_tail_data()
+        cfg = _config("ce", 5)
+        state, ctx = prepare_run(cfg, train, test, (3, 8))
+        state.params.weights[1] = 1e308  # only the second run overflows
+        with pytest.raises(NumericError, match="seed 8: non-finite loss at epoch 0, iteration 0"):
+            train_epoch(state, train, test, 0, cfg, ctx)
+
+
 class TestBatchStepOracle:
     """The one-pass batch step equals the old composition bit for bit."""
 
@@ -659,29 +728,30 @@ class TestBatchStepOracle:
         train, _ = _long_tail_data()
         cfg = _config(hidden=hidden, use_bias=use_bias, **arm)
         state, ctx = prepare_run(cfg, train)
-        tensors = state.params.tensors()
+        run = state.run(0)  # views of the one-run stack's row
+        tensors = run.params.tensors()
         ref = SimpleNamespace(
             params=SimpleNamespace(**{"hidden_weights": None, "hidden_bias": None,
                                       **{name: arr.copy() for name, arr in tensors.items()}}),
             velocity={name: np.zeros_like(arr) for name, arr in tensors.items()},
-            batch_counts=state.batch_counts.copy())
+            batch_counts=run.batch_counts.copy())
         steps = 0
         for epoch in range(cfg.epochs):
             lr = 0.1 if epoch < 2 else 0.01
             for idx in batch_iter(train, cfg.batch_size, 100 + epoch):
                 x, y = train.x[idx], train.y[idx]
-                loss = _batch_update(state, ctx, x, y, epoch, lr)
+                [loss] = _batch_update(state, ctx, x[None], y[None], epoch, lr)
                 assert loss == _batch_update_ref(ref, ctx, x, y, epoch, lr)
-                for name, arr in state.params.tensors().items():
+                for name, arr in run.params.tensors().items():
                     assert np.array_equal(arr, getattr(ref.params, name)), (steps, name)
-                    assert np.array_equal(getattr(state.velocity, name), ref.velocity[name]), (steps, name)
-                assert np.array_equal(state.batch_counts, ref.batch_counts)
+                    assert np.array_equal(getattr(run.velocity, name), ref.velocity[name]), (steps, name)
+                assert np.array_equal(run.batch_counts, ref.batch_counts)
                 steps += 1
         assert steps == 3 * math.ceil(len(train) / cfg.batch_size)
         if cfg.method.name == "inverse":
-            assert state.batch_counts.min() > 0
+            assert run.batch_counts.min() > 0
         if not use_bias:
-            assert not state.params.bias.any()
+            assert not run.params.bias.any()
 
 
 def _differentiable_loss(params, ctx, x, y):
@@ -712,7 +782,7 @@ def _stop_gradient_coef(params, ctx, x, y, counts_after):
             influence + method.ib_eps)
     if method.name == "inverse":
         losses = coef * _differentiable_loss(params, ctx, x, y)
-        coef = coef * inverse_weights(losses, y, counts_after, ctx.prior, ctx.config.reweight,
+        coef = coef * inverse_weights(losses, y, counts_after, ctx.prior[0], ctx.config.reweight,
                                       ctx.config.reweight_mode)[y]
     return coef
 
@@ -734,26 +804,27 @@ class TestBatchStepFiniteDifference:
         train, _ = _long_tail_data(seed=31)
         cfg = _config(method, hidden, base=base, switch_epoch=0)
         state, ctx = prepare_run(cfg, train)
+        run = state.run(0)  # views of the one-run stack's row
         idx = np.arange(0, len(train), 3)  # every class present
         x, y = train.x[idx], train.y[idx]
-        counts_after = state.batch_counts + (np.bincount(y, minlength=train.class_count) > 0)
-        coef = _stop_gradient_coef(state.params, ctx, x, y, counts_after)
+        counts_after = run.batch_counts + (np.bincount(y, minlength=train.class_count) > 0)
+        coef = _stop_gradient_coef(run.params, ctx, x, y, counts_after)
         range_args = (cfg.method.range_k, cfg.method.range_margin, cfg.method.range_alpha,
                       cfg.method.range_beta)
 
         def loss():
-            value = float(np.mean(coef * _differentiable_loss(state.params, ctx, x, y)))
+            value = float(np.mean(coef * _differentiable_loss(run.params, ctx, x, y)))
             if ctx.base_method == "range":
-                h, _, _ = forward_batch(state.params, x)
+                h, _, _ = forward_batch(run.params, x)
                 value += cfg.method.range_lambda * range_loss(h, y, *range_args)
             return value
 
-        before = state.params.copy()
-        applied = _batch_update(state, ctx, x, y, 0, 0.0)  # lr 0 leaves the parameters alone
-        assert np.array_equal(state.params.flat, before.flat)
+        before = run.params.copy()
+        [applied] = _batch_update(state, ctx, x[None], y[None], 0, 0.0)  # lr 0 leaves the parameters alone
+        assert np.array_equal(run.params.flat, before.flat)
         assert applied == pytest.approx(loss(), rel=1e-12)
-        for name, g in state.grads.tensors().items():
-            fd = finite_difference(state.params, name, loss, h=1e-6)
+        for name, g in run.grads.tensors().items():
+            fd = finite_difference(run.params, name, loss, h=1e-6)
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(g - fd).max() / scale < 1e-6, name
             assert np.abs(fd).max() > 1e-4, name  # the check is not vacuous
@@ -766,8 +837,8 @@ class TestEpochEndFiniteness:
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
         state, ctx = prepare_run(cfg, train, test)
         # A frozen -inf hidden bias silences its unit: the losses stay finite.
-        state.params.hidden_bias[2] = -np.inf
-        with pytest.raises(NumericError, match="non-finite hidden_bias after epoch 0"):
+        state.params.hidden_bias[0, 2] = -np.inf
+        with pytest.raises(NumericError, match="seed 1: non-finite hidden_bias after epoch 0"):
             train_epoch(state, train, test, 0, cfg, ctx)
 
 
@@ -837,17 +908,18 @@ class TestEpochEndOracle:
                           lr=LrSpec(schedule="multistep", eta0=0.2, milestones=(2,), decay=0.1))
         state, ctx = prepare_run(cfg, train, test)
         assert (ctx.sorted_x is train.x) == (not shuffle)  # a copy only for unsorted labels
+        params = state.params[0]
         for epoch in range(3):
-            record = train_epoch(state, train, test, epoch, cfg, ctx)
-            ref = _epoch_report_ref(state.params, train, test)
+            [record] = train_epoch(state, train, test, epoch, cfg, ctx)
+            ref = _epoch_report_ref(params, train, test)
             assert (record.nc2, record.nc3, record.nc4, record.rho) == (
                 ref["nc2"], ref["nc3"], ref["nc4"], ref["rho"])
             assert record.nc1 == pytest.approx(ref["nc1"], rel=1e-12, abs=0.0)
-            per_class_acc = _per_class_accuracy(state.params, test, ctx.test_features, ctx.test_logits)
+            per_class_acc = _per_class_accuracy(params, test, ctx.test_features, ctx.test_logits)
             assert per_class_acc.tobytes() == ref["per_class_acc"].tobytes()
             assert record.bal_acc == float(ref["per_class_acc"].mean())
             # Run again on the same buffers: the epoch end leaves nothing behind.
-            again = _epoch_report(state, ctx, epoch)
+            again = _epoch_report(params, ctx, epoch)
             assert (again.nc1, again.nc4_agreement, again.rho) == (record.nc1, record.nc4, record.rho)
         for before, after in zip(kept, (train.x, train.y, test.x)):
             assert np.array_equal(before, after)
@@ -887,13 +959,14 @@ class TestEpochEndAllocations:
 
         n, p, c = len(train), cfg.hidden_dim, train.class_count
         assert n > 4000
-        assert peak_bytes(_epoch_report, state, ctx, 1) < n * p * 8
-        test_peak = peak_bytes(_per_class_accuracy, state.params, test, ctx.test_features, ctx.test_logits)
+        params = state.params[0]
+        assert peak_bytes(_epoch_report, params, ctx, 1) < n * p * 8
+        test_peak = peak_bytes(_per_class_accuracy, params, test, ctx.test_features, ctx.test_logits)
         assert test_peak < len(test) * c * 8
         # train_epoch's own epoch end works in the same buffers: the test
         # logits, computed last, are left in theirs.
         ctx.logits.fill(np.nan)
         train_epoch(state, train, test, 1, cfg, ctx)
-        _, z_test, _ = forward_batch(state.params, test.x)
+        _, z_test, _ = forward_batch(params, test.x)
         assert np.array_equal(ctx.test_logits, z_test)
         assert np.shares_memory(ctx.test_logits, ctx.logits)  # the test rows reuse the training buffers
