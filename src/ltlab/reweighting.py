@@ -165,28 +165,27 @@ def _solve(losses, slots, n, batch_counts, prior, config: ReweightConfig, mode: 
     like ``losses``), and the result is (R, C). Each run's L_bar and beta
     mean are over its own present classes."""
     present = n > 0
+    sizes = present.sum(axis=1).tolist()  # each run's number of present classes
     w = 1.0  # the present slots' weights, run by run
     if mode != "macro":
         sums = np.bincount(slots.ravel(), weights=losses.ravel(), minlength=n.size)
         mean = sums[present.ravel()] / n[present]
-        w = _closed_form(mean, _run_means(mean, present), config.alpha, prior[present])
+        w = _closed_form(mean, _run_means(mean, sizes), config.alpha, prior[present])
     if mode != "batch":
         beta = batch_counts[present].astype(np.float64) ** -config.gamma
-        w = w * (beta / _run_means(beta, present))
+        w = w * (beta / _run_means(beta, sizes))
     w_hat = np.ones(n.shape)
     w_hat[present] = w
     return w_hat
 
 
-def _run_means(values, present):
+def _run_means(values, sizes):
     """Each run's mean over its present slots, repeated over them:
-    ``values`` holds one entry per True of ``present`` (R, C), run by run.
+    ``values`` holds the present slots run by run, ``sizes[r]`` of run r.
     A run's block sums as it would alone, so its weights do not depend on
     the runs it is stacked with."""
-    if len(present) == 1:  # one run: its block is all of ``values``, and a scalar broadcasts
-        return values.sum() / len(values)
     means, start = np.empty_like(values), 0
-    for size in present.sum(axis=1).tolist():
+    for size in sizes:
         end = start + size
         # np.add.reduce(x) / len(x) is np.mean(x), the same sum and division, without its overhead.
         means[start:end] = np.add.reduce(values[start:end]) / size

@@ -735,10 +735,10 @@ def run_experiment(config: TrainConfig, train: Dataset, test: Dataset, seeds=Non
     in lockstep as one stack; each seed's outputs equal those of a run of
     that seed alone.
 
-    For each seed, in order, returns the per-epoch records, a summary of
-    the final epoch, and the run's finished state (views of its row of
-    the stack, for parameter dumps). Without ``seeds`` it trains
-    ``config.seed`` alone and returns that one triple.
+    Returns one triple per seed, in order: the per-epoch records, a
+    summary of the final epoch, and the run's finished state (views of its
+    row of the stack, for parameter dumps). Without ``seeds`` it trains
+    ``config.seed`` alone, and the list holds that one triple.
     """
     state, ctx = prepare_run(config, train, test, seeds)
     epochs = [train_epoch(state, train, test, e, config, ctx) for e in range(config.epochs)]
@@ -760,4 +760,4 @@ def run_experiment(config: TrainConfig, train: Dataset, test: Dataset, seeds=Non
             "acc_tail": last.acc_tail,
         }
         results.append((records, summary, state.run(r)))
-    return results[0] if seeds is None else results
+    return results

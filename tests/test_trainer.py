@@ -393,8 +393,8 @@ class TestTrainEpoch:
                           method=MethodConfig(name="inverse"),
                           reweight=ReweightConfig(alpha=0.5, gamma=1.0, switch_epoch=1),
                           lr=LrSpec(schedule="multistep", eta0=0.2, milestones=(2,), decay=0.1))
-        rec_a, sum_a, _ = run_experiment(cfg, train, test)
-        rec_b, sum_b, _ = run_experiment(cfg, train, test)
+        [(rec_a, sum_a, _)] = run_experiment(cfg, train, test)
+        [(rec_b, sum_b, _)] = run_experiment(cfg, train, test)
         assert sum_a == sum_b
         for a, b in zip(rec_a, rec_b):
             assert a == b
@@ -445,7 +445,7 @@ class TestRunExperiment:
         train, test = gaussian_mixture(balanced_spec())
         cfg = TrainConfig(epochs=1, batch_size=64, seed=0,
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
-        records, summary, _ = run_experiment(cfg, train, test)
+        [(records, summary, _)] = run_experiment(cfg, train, test)
         assert len(records) == 1
         assert summary["rho_final"] == records[-1].rho
 
@@ -453,7 +453,7 @@ class TestRunExperiment:
         train, test = gaussian_mixture(balanced_spec(noise=0.4))
         cfg = TrainConfig(epochs=3, batch_size=32, seed=1,
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
-        records, summary, _ = run_experiment(cfg, train, test)
+        [(records, summary, _)] = run_experiment(cfg, train, test)
         last = records[-1]
         assert summary["bal_acc"] == last.bal_acc
         assert summary["nc2"] == last.nc2
@@ -463,7 +463,7 @@ class TestRunExperiment:
         train, test = gaussian_mixture(balanced_spec(noise=1.0))
         cfg = TrainConfig(epochs=2, batch_size=32, seed=2,
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
-        records, _, _ = run_experiment(cfg, train, test)
+        [(records, _, _)] = run_experiment(cfg, train, test)
         for r in records:
             for v in (r.bal_acc, r.acc_head, r.acc_med, r.acc_tail, r.nc4):
                 assert 0.0 <= v <= 1.0
@@ -473,7 +473,7 @@ class TestRunExperiment:
         cfg = TrainConfig(epochs=4, batch_size=40, seed=3,
                           lr=LrSpec(schedule="mile", eta0=0.2, warmup_epochs=1,
                                     switch_epoch=3, tail_param="entropy"))
-        records, _, _ = run_experiment(cfg, train, test)
+        [(records, _, _)] = run_experiment(cfg, train, test)
         assert all(r.lr > 0 for r in records)
 
     def test_every_method_trains(self):
@@ -483,7 +483,7 @@ class TestRunExperiment:
                               method=MethodConfig(name=name, range_margin=2.0),
                               reweight=ReweightConfig(switch_epoch=0),
                               lr=LrSpec(schedule="multistep", eta0=0.05, milestones=()))
-            records, summary, _ = run_experiment(cfg, train, test)
+            [(records, summary, _)] = run_experiment(cfg, train, test)
             assert np.isfinite(records[0].train_loss)
             assert np.isfinite(summary["bal_acc"])
 
@@ -492,7 +492,7 @@ class TestRunExperiment:
         cfg = TrainConfig(epochs=2, batch_size=40, seed=5, hidden_dim=6,
                           method=MethodConfig(name="range", range_margin=2.0),
                           lr=LrSpec(schedule="multistep", eta0=0.05, milestones=()))
-        records, _, _ = run_experiment(cfg, train, test)
+        [(records, _, _)] = run_experiment(cfg, train, test)
         assert np.isfinite(records[-1].train_loss)
 
     def test_base_prior_composition(self):
@@ -676,21 +676,27 @@ ORACLE_ARMS = [dict(method=m) for m in VALID_METHODS if m != "inverse"] + [
 ]
 
 
+def _arm_id(arm):
+    return "-".join(f"{v}" for v in arm.values())
+
+
 class TestLockstep:
     """A stack of seeds trains each one exactly as a run of that seed alone:
     the same records, summary and final parameters, bit for bit."""
 
+    # Every method, and every stacked branch of the weight solve: the batch
+    # and macro modes, alpha 0, and a non-uniform (R, C) prior.
     @pytest.mark.parametrize("use_bias", (True, False))
     @pytest.mark.parametrize("hidden", (0, 5))
-    @pytest.mark.parametrize("method", VALID_METHODS)
-    def test_stack_equals_single_runs(self, method, hidden, use_bias):
+    @pytest.mark.parametrize("arm", ORACLE_ARMS, ids=_arm_id)
+    def test_stack_equals_single_runs(self, arm, hidden, use_bias):
         train, test = _long_tail_data()
-        cfg = _config(method, hidden, use_bias=use_bias)
+        cfg = _config(hidden=hidden, use_bias=use_bias, **arm)
         seeds = (9, 2, 5)  # in no particular order: each row keeps its seed
         stacked = run_experiment(cfg, train, test, seeds)
         assert [summary["seed"] for _, summary, _ in stacked] == list(seeds)
         for seed, (records, summary, state) in zip(seeds, stacked):
-            alone_records, alone_summary, alone = run_experiment(replace(cfg, seed=seed), train, test)
+            [(alone_records, alone_summary, alone)] = run_experiment(replace(cfg, seed=seed), train, test)
             assert records == alone_records
             assert summary == alone_summary
             assert state.params.flat.tobytes() == alone.params.flat.tobytes()
@@ -701,7 +707,7 @@ class TestLockstep:
         train, test = _long_tail_data()
         cfg = _config("inverse", 0)
         [(records, summary, state)] = run_experiment(cfg, train, test, [cfg.seed])
-        alone_records, alone_summary, alone = run_experiment(cfg, train, test)
+        [(alone_records, alone_summary, alone)] = run_experiment(cfg, train, test)
         assert (records, summary) == (alone_records, alone_summary)
         assert state.params.flat.tobytes() == alone.params.flat.tobytes()
         with pytest.raises(ValueError, match="at least one seed"):
@@ -723,7 +729,7 @@ class TestBatchStepOracle:
 
     @pytest.mark.parametrize("use_bias", (True, False))
     @pytest.mark.parametrize("hidden", (0, 5))
-    @pytest.mark.parametrize("arm", ORACLE_ARMS, ids=lambda a: "-".join(f"{v}" for v in a.values()))
+    @pytest.mark.parametrize("arm", ORACLE_ARMS, ids=_arm_id)
     def test_matches_old_composition(self, arm, hidden, use_bias):
         train, _ = _long_tail_data()
         cfg = _config(hidden=hidden, use_bias=use_bias, **arm)
