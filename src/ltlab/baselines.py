@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "BASE_METHODS",
     "ClassCounts",
     "inv_freq_weights",
     "inv_sqrt_weights",
@@ -24,6 +25,10 @@ __all__ = [
     "range_loss",
     "range_loss_grad",
 ]
+
+# The losses a method can train with on their own, and that the inverse
+# weights can multiply.
+BASE_METHODS = ("ce", "inv_freq", "inv_sqrt", "cb", "focal", "ib", "range")
 
 # Pairwise distances below this are floored before the harmonic mean in
 # range_loss, keeping the intra term finite when features coincide.

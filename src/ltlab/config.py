@@ -1,14 +1,20 @@
 """Experiment configuration documents.
 
 Plain INI files with five sections (dataset, train, method, reweight,
-lr), all optional. Unknown sections or keys are rejected before anything
-runs, so a typo cannot silently fall back to a default.
+lr), all optional. Each section fills one frozen dataclass, and its keys
+are that dataclass's field names: [train] fills ``TrainConfig``, and
+[method], [reweight] and [lr] the ``TrainConfig`` fields of those names.
+[dataset] fills ``LongTailSpec``, or ``CsvSource`` with ``kind = csv``;
+its ``classes`` key is ``LongTailSpec.class_count``. A key left out keeps
+its field's default, and so does an empty number, boolean or list; an
+empty string is taken as given. Unknown sections or keys are rejected
+before anything runs, so a typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .data import LongTailSpec
 from .errors import ConfigError
@@ -22,9 +28,13 @@ __all__ = ["CsvSource", "ExperimentConfig", "load_experiment_config"]
 class CsvSource:
     """External dataset: paths to train/test CSV files."""
 
-    train_path: str
-    test_path: str
+    train_path: str = ""
+    test_path: str = ""
     label_column: str = "label"
+
+    def __post_init__(self):
+        if not self.train_path or not self.test_path:
+            raise ConfigError("kind = csv requires train_path and test_path")
 
 
 @dataclass(frozen=True)
@@ -33,74 +43,46 @@ class ExperimentConfig:
     train: TrainConfig
 
 
-_DATASET_KEYS = {
-    "kind", "classes", "n_max", "imbalance_factor", "input_dim", "class_separation",
-    "noise_sigma", "seed", "test_per_class", "train_path", "test_path", "label_column",
+_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
+             "false": False, "no": False, "0": False, "off": False}
+
+
+def _boolean(raw: str) -> bool:
+    value = _BOOLEANS.get(raw.strip().lower())
+    if value is None:
+        raise ValueError(raw)
+    return value
+
+
+def _number_or_text(raw: str) -> float | str:
+    try:
+        return float(raw)
+    except ValueError:
+        return raw  # the dataclass decides which words it takes
+
+
+# One converter per field annotation (the modules postpone annotations, so
+# each is the string written in the dataclass), with what a bad value is
+# not. Text converters (no description) cannot fail and take "" as given.
+_CONVERTERS = {
+    "int": (int, "a valid integer"),
+    "float": (float, "a valid number"),
+    "float | None": (float, "a valid number"),
+    "bool": (_boolean, "a valid boolean"),
+    "tuple[int, ...]": (lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
+                        "a comma-separated integer list"),
+    "str": (str, None),
+    "float | str": (_number_or_text, None),
 }
-_TRAIN_KEYS = {"epochs", "batch_size", "momentum", "weight_decay", "seed", "hidden_dim", "use_bias"}
-_METHOD_KEYS = {
-    "name", "cb_beta", "focal_gamma", "focal_alpha", "ib_eps", "ib_alpha_scale",
-    "range_k", "range_margin", "range_alpha", "range_beta", "range_lambda",
-}
-_REWEIGHT_KEYS = {"alpha", "gamma", "switch_epoch", "mode", "base", "use_base_prior"}
-_LR_KEYS = {"schedule", "eta0", "warmup_epochs", "switch_epoch", "tail_param", "eps", "milestones", "decay"}
-_SECTION_KEYS = {
-    "dataset": _DATASET_KEYS,
-    "train": _TRAIN_KEYS,
-    "method": _METHOD_KEYS,
-    "reweight": _REWEIGHT_KEYS,
-    "lr": _LR_KEYS,
-}
+_KEY_OF_FIELD = {"class_count": "classes"}
+_DATASET_KINDS = {"synthetic": LongTailSpec, "csv": CsvSource}
+_SECTIONS = {"dataset": tuple(_DATASET_KINDS.values()), "train": (TrainConfig,),
+             "method": (MethodConfig,), "reweight": (ReweightConfig,), "lr": (LrSpec,)}
 
 
-class _Section:
-    """Typed access to one section's keys with error context."""
-
-    def __init__(self, name: str, values: dict[str, str]):
-        self.name = name
-        self.values = values
-
-    def _raw(self, key: str) -> str | None:
-        return self.values.get(key)
-
-    def _parse(self, key: str, default, conv, kind: str):
-        raw = self._raw(key)
-        if raw is None or raw == "":
-            return default
-        try:
-            return conv(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a valid {kind}") from None
-
-    def get_int(self, key: str, default: int) -> int:
-        return self._parse(key, default, int, "integer")
-
-    def get_float(self, key: str, default: float) -> float:
-        return self._parse(key, default, float, "number")
-
-    def get_str(self, key: str, default: str) -> str:
-        raw = self._raw(key)
-        return default if raw is None else raw
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self._raw(key)
-        if raw is None or raw == "":
-            return default
-        low = raw.strip().lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a valid boolean")
-
-    def get_int_list(self, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        raw = self._raw(key)
-        if raw is None or raw.strip() == "":
-            return default
-        try:
-            return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a comma-separated integer list") from None
+def _keys(cls) -> dict[str, object]:
+    """The INI key of each field of ``cls`` that a section sets."""
+    return {_KEY_OF_FIELD.get(f.name, f.name): f for f in fields(cls) if f.type in _CONVERTERS}
 
 
 def _read_document(path: str) -> dict[str, dict[str, str]]:
@@ -114,112 +96,45 @@ def _read_document(path: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     doc: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown config section [{section}]; valid: {', '.join(sorted(_SECTION_KEYS))}")
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]; valid: {', '.join(sorted(_SECTIONS))}")
         keys = dict(parser.items(section))
-        unknown = set(keys) - _SECTION_KEYS[section]
+        known = {"kind"} if section == "dataset" else set()
+        for cls in _SECTIONS[section]:
+            known.update(_keys(cls))
+        unknown = set(keys) - known
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
         doc[section] = keys
     return doc
 
 
-def _build_dataset(sec: _Section) -> LongTailSpec | CsvSource:
-    kind = sec.get_str("kind", "synthetic")
-    if kind == "csv":
-        train_path = sec.get_str("train_path", "")
-        test_path = sec.get_str("test_path", "")
-        if not train_path or not test_path:
-            raise ConfigError("[dataset] kind = csv requires train_path and test_path")
-        return CsvSource(train_path=train_path, test_path=test_path,
-                         label_column=sec.get_str("label_column", "label"))
-    if kind != "synthetic":
-        raise ConfigError(f"[dataset] kind must be 'synthetic' or 'csv', got {kind!r}")
+def _build(cls, section: str, values: dict[str, str], **nested):
+    """``cls`` from one section's values, with ``nested`` as the fields
+    that are sections of their own. Every error names the section once."""
+    kwargs = dict(nested)
+    for key, f in _keys(cls).items():
+        raw = values.get(key)
+        convert, kind = _CONVERTERS[f.type]
+        if raw is None or (raw == "" and kind is not None):
+            continue
+        try:
+            kwargs[f.name] = convert(raw)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not {kind}") from None
     try:
-        return LongTailSpec(
-            class_count=sec.get_int("classes", 10),
-            n_max=sec.get_int("n_max", 500),
-            imbalance_factor=sec.get_float("imbalance_factor", 100.0),
-            input_dim=sec.get_int("input_dim", 32),
-            class_separation=sec.get_float("class_separation", 2.0),
-            noise_sigma=sec.get_float("noise_sigma", 1.0),
-            seed=sec.get_int("seed", 0),
-            test_per_class=sec.get_int("test_per_class", 100),
-        )
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"[dataset] {exc}") from exc
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
     """Parse and fully validate an experiment document."""
     doc = _read_document(path)
-    sec = {name: _Section(name, doc.get(name, {})) for name in _SECTION_KEYS}
-
-    dataset = _build_dataset(sec["dataset"])
-
-    method_sec = sec["method"]
-    focal_alpha_raw = method_sec.get_str("focal_alpha", "")
-    try:
-        method = MethodConfig(
-            name=method_sec.get_str("name", "ce"),
-            cb_beta=method_sec.get_float("cb_beta", 0.9999),
-            focal_gamma=method_sec.get_float("focal_gamma", 2.0),
-            focal_alpha=None if focal_alpha_raw == "" else float(focal_alpha_raw),
-            ib_eps=method_sec.get_float("ib_eps", 1e-3),
-            ib_alpha_scale=method_sec.get_float("ib_alpha_scale", 1.0),
-            range_k=method_sec.get_int("range_k", 2),
-            range_margin=method_sec.get_float("range_margin", 5.0),
-            range_alpha=method_sec.get_float("range_alpha", 0.5),
-            range_beta=method_sec.get_float("range_beta", 0.5),
-            range_lambda=method_sec.get_float("range_lambda", 0.1),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[method] {exc}") from exc
-
-    rw_sec = sec["reweight"]
-    try:
-        reweight = ReweightConfig(
-            alpha=rw_sec.get_float("alpha", 0.0),
-            gamma=rw_sec.get_float("gamma", 1.0),
-            switch_epoch=rw_sec.get_int("switch_epoch", 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[reweight] {exc}") from exc
-
-    lr_sec = sec["lr"]
-    tail_raw = lr_sec.get_str("tail_param", "entropy")
-    if tail_raw != "entropy":
-        try:
-            tail: float | str = float(tail_raw)
-        except ValueError:
-            raise ConfigError(f"[lr] tail_param = {tail_raw!r} must be a number or 'entropy'") from None
-    else:
-        tail = "entropy"
-    lr = LrSpec(
-        schedule=lr_sec.get_str("schedule", "multistep"),
-        eta0=lr_sec.get_float("eta0", 0.1),
-        warmup_epochs=lr_sec.get_int("warmup_epochs", 0),
-        switch_epoch=lr_sec.get_int("switch_epoch", 0),
-        tail_param=tail,
-        eps=lr_sec.get_float("eps", 1e-3),
-        milestones=lr_sec.get_int_list("milestones", ()),
-        decay=lr_sec.get_float("decay", 0.1),
-    )
-
-    train_sec = sec["train"]
-    train = TrainConfig(
-        epochs=train_sec.get_int("epochs", 40),
-        batch_size=train_sec.get_int("batch_size", 256),
-        momentum=train_sec.get_float("momentum", 0.9),
-        weight_decay=train_sec.get_float("weight_decay", 5e-4),
-        seed=train_sec.get_int("seed", 0),
-        hidden_dim=train_sec.get_int("hidden_dim", 0),
-        use_bias=train_sec.get_bool("use_bias", True),
-        method=method,
-        reweight=reweight,
-        reweight_mode=rw_sec.get_str("mode", "both"),
-        reweight_base=rw_sec.get_str("base", "ce"),
-        use_base_prior=rw_sec.get_bool("use_base_prior", False),
-        lr=lr,
-    )
-    return ExperimentConfig(dataset=dataset, train=train)
+    dataset = doc.get("dataset", {})
+    kind = dataset.get("kind", "synthetic")
+    if kind not in _DATASET_KINDS:
+        raise ConfigError(f"[dataset] kind must be {' or '.join(map(repr, _DATASET_KINDS))}, got {kind!r}")
+    dataset = _build(_DATASET_KINDS[kind], "dataset", dataset)
+    nested = {name: _build(_SECTIONS[name][0], name, doc.get(name, {})) for name in ("method", "reweight", "lr")}
+    return ExperimentConfig(dataset=dataset, train=_build(TrainConfig, "train", doc.get("train", {}), **nested))

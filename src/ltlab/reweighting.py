@@ -29,6 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import BASE_METHODS
+from .errors import ConfigError
+
 __all__ = [
     "ReweightConfig",
     "loss_imbalance_rho",
@@ -45,12 +48,19 @@ class ReweightConfig:
 
     ``alpha`` is the Tikhonov strength pulling weights toward the prior,
     ``gamma`` the macro-compensation exponent, and ``switch_epoch`` the
-    first epoch at which reweighting is applied.
+    first epoch at which reweighting is applied. ``mode`` picks the
+    factors: "both" (w_star * beta), "batch" (w_star) or "macro" (beta).
+    ``base`` is the base loss that the weights multiply, and with
+    ``use_base_prior`` the prior w0 is that base's class weights, when it
+    has them, instead of ones.
     """
 
     alpha: float = 0.0
     gamma: float = 1.0
     switch_epoch: int = 0
+    mode: str = "both"
+    base: str = "ce"
+    use_base_prior: bool = False
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -59,6 +69,11 @@ class ReweightConfig:
             raise ValueError("gamma must be >= 0")
         if self.switch_epoch < 0:
             raise ValueError("switch_epoch must be >= 0")
+        if self.mode not in REWEIGHT_MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}; valid: {', '.join(REWEIGHT_MODES)}")
+        if self.base not in BASE_METHODS:
+            raise ConfigError(f"base must be a base method, got {self.base!r}; "
+                              f"valid: {', '.join(BASE_METHODS)}")
 
 
 def loss_imbalance_rho(class_losses) -> float:
@@ -131,15 +146,13 @@ def _closed_form(l_c, l_bar, alpha, w0):
         return np.where(zero, w0, num / np.where(zero, 1.0, den))
 
 
-def inverse_weights(losses, labels, batch_counts, prior, config: ReweightConfig,
-                    mode: str = "both") -> np.ndarray:
+def inverse_weights(losses, labels, batch_counts, prior, config: ReweightConfig) -> np.ndarray:
     """Effective per-class weights w_hat for one batch, length C.
 
     ``losses`` are the batch's per-sample losses, ``labels`` their class
     ids in [0, C), ``batch_counts`` the counters B_c already incremented
-    for this batch, and ``prior`` the per-class prior w0. ``mode`` picks the
-    factors: "both" (w_star * beta), "batch" (w_star) or "macro" (beta).
-    Classes absent from the batch get weight 1.
+    for this batch, and ``prior`` the per-class prior w0; ``config.mode``
+    picks the factors. Classes absent from the batch get weight 1.
     """
     losses = np.asarray(losses, dtype=np.float64)
     labels = np.asarray(labels)
@@ -147,18 +160,18 @@ def inverse_weights(losses, labels, batch_counts, prior, config: ReweightConfig,
         raise ValueError(f"losses and labels must be 1-D, non-empty and of equal length, "
                          f"got {losses.shape} vs {labels.shape}")
     n = np.bincount(labels, minlength=len(batch_counts))
-    if mode != "macro":
+    if config.mode != "macro":
         if (losses < 0).any():
             raise ValueError("losses must be nonnegative")
         if (prior[n > 0] <= 0).any():
             raise ValueError("prior weight must be positive")
-    if mode != "batch" and (batch_counts[n > 0] < 1).any():
+    if config.mode != "batch" and (batch_counts[n > 0] < 1).any():
         raise ValueError("present class has zero batch count; update counters before solving")
     return _solve(losses, labels, n[None], np.asarray(batch_counts)[None], np.asarray(prior)[None],
-                  config, mode)[0]
+                  config)[0]
 
 
-def _solve(losses, slots, n, batch_counts, prior, config: ReweightConfig, mode: str) -> np.ndarray:
+def _solve(losses, slots, n, batch_counts, prior, config: ReweightConfig) -> np.ndarray:
     """``inverse_weights`` on validated input, for the batches of R runs at
     once: ``n`` (the batches' class sizes), ``batch_counts`` and ``prior``
     are (R, C), ``slots`` holds each sample's class slot r * C + c (shaped
@@ -167,11 +180,11 @@ def _solve(losses, slots, n, batch_counts, prior, config: ReweightConfig, mode: 
     present = n > 0
     sizes = present.sum(axis=1).tolist()  # each run's number of present classes
     w = 1.0  # the present slots' weights, run by run
-    if mode != "macro":
+    if config.mode != "macro":
         sums = np.bincount(slots.ravel(), weights=losses.ravel(), minlength=n.size)
         mean = sums[present.ravel()] / n[present]
         w = _closed_form(mean, _run_means(mean, sizes), config.alpha, prior[present])
-    if mode != "batch":
+    if config.mode != "batch":
         beta = batch_counts[present].astype(np.float64) ** -config.gamma
         w = w * (beta / _run_means(beta, sizes))
     w_hat = np.ones(n.shape)

@@ -46,11 +46,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, reweighting, scheduler
-from .baselines import ClassCounts
+from .baselines import BASE_METHODS, ClassCounts
 from .data import Dataset, batch_iter
 from .errors import ConfigError, NumericError
 from .nc_metrics import FeatureBank, NcReport, make_report
-from .reweighting import REWEIGHT_MODES, ReweightConfig
+from .reweighting import ReweightConfig
 
 __all__ = [
     "VALID_METHODS",
@@ -71,7 +71,7 @@ __all__ = [
     "run_experiment",
 ]
 
-VALID_METHODS = ("ce", "inv_freq", "inv_sqrt", "cb", "focal", "ib", "range", "inverse")
+VALID_METHODS = BASE_METHODS + ("inverse",)
 
 
 # Buffer order of the tensors: the biases last, so a bias-frozen step is
@@ -199,9 +199,9 @@ class LrSpec:
 
     def __post_init__(self):
         if self.schedule not in ("mile", "multistep"):
-            raise ConfigError(f"unknown lr schedule {self.schedule!r}")
+            raise ConfigError(f"unknown schedule {self.schedule!r}; valid: mile, multistep")
         if isinstance(self.tail_param, str) and self.tail_param != "entropy":
-            raise ConfigError("lr tail_param must be a number or 'entropy'")
+            raise ConfigError(f"tail_param = {self.tail_param!r} must be a number or 'entropy'")
 
 
 @dataclass(frozen=True)
@@ -215,9 +215,6 @@ class TrainConfig:
     use_bias: bool = True
     method: MethodConfig = field(default_factory=MethodConfig)
     reweight: ReweightConfig = field(default_factory=ReweightConfig)
-    reweight_mode: str = "both"  # "both" | "batch" | "macro"
-    reweight_base: str = "ce"  # base loss when method is "inverse"
-    use_base_prior: bool = False
     lr: LrSpec = field(default_factory=LrSpec)
 
     def __post_init__(self):
@@ -227,10 +224,6 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0")
         if self.hidden_dim < 0:
             raise ConfigError("hidden_dim must be >= 0")
-        if self.reweight_mode not in REWEIGHT_MODES:
-            raise ConfigError(f"unknown reweight_mode {self.reweight_mode!r}")
-        if self.reweight_base not in VALID_METHODS or self.reweight_base == "inverse":
-            raise ConfigError(f"reweight_base must be a base method, got {self.reweight_base!r}")
 
 
 @dataclass
@@ -474,7 +467,7 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
     if not seeds:
         raise ValueError("a stack needs at least one seed")
     method = config.method
-    base_name = config.reweight_base if method.name == "inverse" else method.name
+    base_name = config.reweight.base if method.name == "inverse" else method.name
     counts = train.counts
     class_weights = _static_class_weights(method, base_name, counts)
     ib_lambda = None
@@ -482,7 +475,7 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
         ib_lambda = baselines.ib_class_coefficients(counts, method.ib_alpha_scale)
 
     prior = np.ones(train.class_count)
-    if method.name == "inverse" and config.use_base_prior and class_weights is not None:
+    if method.name == "inverse" and config.reweight.use_base_prior and class_weights is not None:
         prior = class_weights
 
     iters_per_epoch = math.ceil(len(train) / config.batch_size)
@@ -619,8 +612,7 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
         # Batch-appearance counters accumulate from epoch 0.
         counts += sizes > 0
         if epoch >= config.reweight.switch_epoch:
-            w_hat = reweighting._solve(weights * ell, slots, sizes, counts, ctx.prior,
-                                       config.reweight, config.reweight_mode)
+            w_hat = reweighting._solve(weights * ell, slots, sizes, counts, ctx.prior, config.reweight)
             coef = weights * w_hat.ravel()[slots]
 
     m = y.shape[1]

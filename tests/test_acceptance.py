@@ -125,7 +125,7 @@ def run_arm(train_cfg: TrainConfig, train_set, test_set, mode: str):
     """The arm's summaries, one per seed of SEEDS, trained as one lockstep stack."""
     method = replace(train_cfg.method, name="ce" if mode == "ce" else "inverse")
     rmode = mode if mode != "ce" else "both"
-    cfg = replace(train_cfg, method=method, reweight_mode=rmode)
+    cfg = replace(train_cfg, method=method, reweight=replace(train_cfg.reweight, mode=rmode))
     return [summary for _, summary, _ in run_experiment(cfg, train_set, test_set, SEEDS)]
 
 

@@ -53,9 +53,9 @@ OTHER_KEYS = [
     ("reweight", "alpha", "0.5", lambda c: c.train.reweight.alpha, 0.5),
     ("reweight", "gamma", "2.5", lambda c: c.train.reweight.gamma, 2.5),
     ("reweight", "switch_epoch", "2", lambda c: c.train.reweight.switch_epoch, 2),
-    ("reweight", "mode", "macro", lambda c: c.train.reweight_mode, "macro"),
-    ("reweight", "base", "cb", lambda c: c.train.reweight_base, "cb"),
-    ("reweight", "use_base_prior", "yes", lambda c: c.train.use_base_prior, True),
+    ("reweight", "mode", "macro", lambda c: c.train.reweight.mode, "macro"),
+    ("reweight", "base", "cb", lambda c: c.train.reweight.base, "cb"),
+    ("reweight", "use_base_prior", "yes", lambda c: c.train.reweight.use_base_prior, True),
     ("lr", "schedule", "mile", lambda c: c.train.lr.schedule, "mile"),
     ("lr", "eta0", "0.05", lambda c: c.train.lr.eta0, 0.05),
     ("lr", "warmup_epochs", "1", lambda c: c.train.lr.warmup_epochs, 1),
@@ -112,8 +112,8 @@ class TestKeys:
                                  class_separation=2.0, noise_sigma=1.0, seed=7, test_per_class=100),
             train=TrainConfig(epochs=40, batch_size=64, momentum=0.9, weight_decay=0.0005, seed=1,
                               hidden_dim=32, use_bias=True, method=MethodConfig(name="inverse"),
-                              reweight=ReweightConfig(alpha=0.5, gamma=2.5, switch_epoch=12),
-                              reweight_mode="both", reweight_base="ce", use_base_prior=False,
+                              reweight=ReweightConfig(alpha=0.5, gamma=2.5, switch_epoch=12, mode="both",
+                                                      base="ce", use_base_prior=False),
                               lr=LrSpec(schedule="multistep", eta0=0.1, milestones=(20, 32), decay=0.1)))
 
     def test_csv_section_does_not_read_the_synthetic_keys(self, tmp_path):
@@ -139,7 +139,7 @@ class TestEmptyValues:
         ("train", "use_bias", lambda c: c.train.use_bias, True),
         ("method", "range_k", lambda c: c.train.method.range_k, 2),
         ("reweight", "gamma", lambda c: c.train.reweight.gamma, 1.0),
-        ("reweight", "use_base_prior", lambda c: c.train.use_base_prior, False),
+        ("reweight", "use_base_prior", lambda c: c.train.reweight.use_base_prior, False),
         ("lr", "eta0", lambda c: c.train.lr.eta0, 0.1),
         ("lr", "milestones", lambda c: c.train.lr.milestones, ()),
         ("method", "focal_alpha", lambda c: c.train.method.focal_alpha, None),
@@ -167,6 +167,7 @@ class TestRejected:
         ("train", "use_bias", "maybe"),
         ("method", "cb_beta", "q"),
         ("method", "range_k", "2.0"),
+        ("method", "focal_alpha", "q"),
         ("reweight", "alpha", "x"),
         ("reweight", "switch_epoch", "1e2"),
         ("reweight", "use_base_prior", "2"),
@@ -175,24 +176,25 @@ class TestRejected:
         ("lr", "milestones", "1,x"),
         ("lr", "tail_param", "x"),
     ])
-    def test_bad_value_names_section_and_key(self, tmp_path, capsys, section, key, raw):
+    def test_bad_value_names_section_and_key_once(self, tmp_path, capsys, section, key, raw):
         err = _rejected(tmp_path, capsys, f"[{section}]\n{key} = {raw}\n")
         assert f"[{section}] {key} = {raw!r}" in err
+        assert err.count(f"[{section}]") == 1
 
     @pytest.mark.parametrize("text, named", [
         ("[dataset]\nimbalance_factor = 0.5\n", "[dataset] imbalance_factor must be >= 1"),
-        ("[reweight]\nalpha = -1\n", "[reweight] alpha must be >= 0"),
-        ("[method]\nname = bogus\n", "[method] unknown method 'bogus'"),
         ("[dataset]\nkind = parquet\n", "[dataset] kind must be 'synthetic' or 'csv', got 'parquet'"),
+        ("[train]\nepochs = 0\n", "[train] epochs and batch_size must be >= 1"),
+        ("[train]\nweight_decay = -1\n", "[train] weight_decay must be >= 0"),
+        ("[method]\nname = bogus\n", "[method] unknown method 'bogus'"),
+        ("[reweight]\nalpha = -1\n", "[reweight] alpha must be >= 0"),
+        ("[reweight]\nmode = bogus\n", "[reweight] unknown mode 'bogus'"),
+        ("[reweight]\nbase = inverse\n", "[reweight] base must be a base method, got 'inverse'"),
+        ("[lr]\nschedule = cosine\n", "[lr] unknown schedule 'cosine'"),
     ])
-    def test_bad_setting_names_section(self, tmp_path, capsys, text, named):
-        assert named in _rejected(tmp_path, capsys, text)
-
-    @pytest.mark.parametrize("text", ["[train]\nepochs = 0\n", "[train]\nweight_decay = -1\n",
-                                      "[reweight]\nmode = bogus\n", "[reweight]\nbase = inverse\n",
-                                      "[lr]\nschedule = cosine\n"])
-    def test_bad_setting_rejected(self, tmp_path, capsys, text):
-        _rejected(tmp_path, capsys, text)
+    def test_bad_setting_names_section_once(self, tmp_path, capsys, text, named):
+        err = _rejected(tmp_path, capsys, text)
+        assert named in err and err.count("[") == 1
 
     def test_unknown_section_is_named(self, tmp_path, capsys):
         assert "unknown config section [optim]" in _rejected(tmp_path, capsys, "[optim]\nlr = 1\n")

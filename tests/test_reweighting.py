@@ -69,7 +69,7 @@ def _solve(losses, labels, counts, prior=None, alpha=0.0, gamma=1.0, mode="both"
     counts = np.asarray(counts, dtype=np.int64)
     prior = np.ones(len(counts)) if prior is None else np.asarray(prior, dtype=np.float64)
     return inverse_weights(np.asarray(losses, dtype=np.float64), np.asarray(labels), counts,
-                           prior, ReweightConfig(alpha=alpha, gamma=gamma), mode)
+                           prior, ReweightConfig(alpha=alpha, gamma=gamma, mode=mode))
 
 
 def _inverse_run(labels, class_count, **train_kwargs):
@@ -254,7 +254,7 @@ class TestInverseWeights:
     @staticmethod
     def _check(losses, labels, counts, prior, alpha, gamma, mode):
         w_hat = inverse_weights(np.array(losses), np.array(labels), counts, prior,
-                                ReweightConfig(alpha=alpha, gamma=gamma), mode)
+                                ReweightConfig(alpha=alpha, gamma=gamma, mode=mode))
         expected = _solve_loop(losses, labels, counts, prior, alpha, gamma, mode)
         assert w_hat.shape == counts.shape
         for c in range(len(counts)):
@@ -374,7 +374,7 @@ class TestReweightedBatchLoss:
 
     def test_unit_weights_match_plain_mean(self):
         # first batch: every present class has B_c = 1, so beta is all ones
-        data, state, ctx = _inverse_run([0, 1, 0, 2, 1], 3, reweight_mode="macro")
+        data, state, ctx = _inverse_run([0, 1, 0, 2, 1], 3, reweight=ReweightConfig(mode="macro"))
         loss = _step(state, ctx, data.x, data.y)
         assert loss == pytest.approx(float(np.mean(self._batch_ce(state, data))), rel=1e-12)
 
@@ -411,6 +411,6 @@ class TestReweightConfig:
 
     def test_default_prior(self):
         # ones unless use_base_prior is set and the base has class weights
-        for kwargs in ({}, {"use_base_prior": True}, {"reweight_base": "cb"}):
-            _, _, ctx = _inverse_run([0, 1, 1, 2, 2, 2], 3, **kwargs)
+        for kwargs in ({}, {"use_base_prior": True}, {"base": "cb"}):
+            _, _, ctx = _inverse_run([0, 1, 1, 2, 2, 2], 3, reweight=ReweightConfig(**kwargs))
             assert ctx.prior.tolist() == [[1.0, 1.0, 1.0]]

@@ -501,8 +501,8 @@ class TestRunExperiment:
         train, test = gaussian_mixture(spec)
         cfg = TrainConfig(epochs=2, batch_size=32, seed=6,
                           method=MethodConfig(name="inverse", cb_beta=0.99),
-                          reweight=ReweightConfig(alpha=1.0, gamma=1.0, switch_epoch=0),
-                          reweight_base="cb", use_base_prior=True,
+                          reweight=ReweightConfig(alpha=1.0, gamma=1.0, switch_epoch=0, base="cb",
+                                                  use_base_prior=True),
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
         state, ctx = prepare_run(cfg, train, test)
         assert np.array_equal(ctx.prior[0], ctx.class_weights)
@@ -514,11 +514,11 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
-            TrainConfig(reweight_mode="bogus")
+            ReweightConfig(mode="bogus")
         with pytest.raises(ConfigError):
             MethodConfig(name="nope")
         with pytest.raises(ConfigError):
-            TrainConfig(reweight_base="inverse")
+            ReweightConfig(base="inverse")
 
 
 # --- The batch step before the flat parameter buffer, kept as the oracle. ---
@@ -628,7 +628,7 @@ def _batch_update_ref(ref, ctx, x, y, epoch, lr):
         ref.batch_counts += np.bincount(y, minlength=len(ref.batch_counts)) > 0
         if epoch >= config.reweight.switch_epoch:
             w_hat = _inverse_weights_ref(weights * ell, y, ref.batch_counts, ctx.prior[0],
-                                         config.reweight, config.reweight_mode)
+                                         config.reweight, config.reweight.mode)
             coef = weights * w_hat[y]
     m = len(y)
     loss = float(np.mean(coef * ell))
@@ -657,9 +657,10 @@ def _config(method, hidden, use_bias=True, mode="both", base="ce", prior=False, 
             switch_epoch=1):
     return TrainConfig(
         epochs=3, batch_size=13, momentum=0.9, weight_decay=5e-4, seed=4, hidden_dim=hidden,
-        use_bias=use_bias, reweight_mode=mode, reweight_base=base, use_base_prior=prior,
+        use_bias=use_bias,
         method=MethodConfig(name=method, cb_beta=0.99, focal_alpha=0.25, range_margin=3.0),
-        reweight=ReweightConfig(alpha=alpha, gamma=1.5, switch_epoch=switch_epoch),
+        reweight=ReweightConfig(alpha=alpha, gamma=1.5, switch_epoch=switch_epoch, mode=mode, base=base,
+                                use_base_prior=prior),
         lr=LrSpec(schedule="multistep", eta0=0.1, milestones=(2,), decay=0.1))
 
 
@@ -788,8 +789,7 @@ def _stop_gradient_coef(params, ctx, x, y, counts_after):
             influence + method.ib_eps)
     if method.name == "inverse":
         losses = coef * _differentiable_loss(params, ctx, x, y)
-        coef = coef * inverse_weights(losses, y, counts_after, ctx.prior[0], ctx.config.reweight,
-                                      ctx.config.reweight_mode)[y]
+        coef = coef * inverse_weights(losses, y, counts_after, ctx.prior[0], ctx.config.reweight)[y]
     return coef
 
 
