@@ -152,8 +152,9 @@ def range_loss(features, labels, k: int, margin: float, alpha: float, beta: floa
     """alpha * sum of per-class harmonic means of the k largest intra-class
     ranges, plus beta * hinge(margin - minimum center distance).
 
-    Classes with fewer than two samples contribute no intra term; when a
-    class has fewer than k pairwise distances, all available are used.
+    Classes with fewer than two samples contribute no intra term, and a
+    batch of one class, with no centre pair, no inter term; when a class
+    has fewer than k pairwise distances, all available are used.
     """
     value, _ = range_loss_grad(features, labels, k, margin, alpha, beta)
     return value
@@ -245,7 +246,5 @@ def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta:
             a, b = ca[best], cb[best]
             grad[cls == a] += -beta * direction / sizes[a]
             grad[cls == b] += beta * direction / sizes[b]
-    elif beta > 0:
-        raise ValueError("inter-class term needs at least two classes in the batch")
 
     return float(alpha * intra + beta * inter), grad

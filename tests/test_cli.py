@@ -131,6 +131,16 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_range_trains_through_a_one_class_batch(self, tmp_path):
+        # 72 rows in batches of 71: the last batch holds one row, so one class.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(BASE_CONFIG.replace("batch_size = 32", "batch_size = 71"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--method", "range"]) == 0
+        with open(out / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 and all(math.isfinite(float(r["train_loss"])) for r in rows)
+
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["train", "--config", str(config_path), "--out", str(out1)])
