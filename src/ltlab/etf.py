@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import matrix, pinv
+from .linalg import pinv
 
 __all__ = ["SimplexEtf", "NcFixture", "make_etf", "etf_gram", "make_nc_fixture", "fixture_class_losses"]
 
@@ -80,8 +80,7 @@ def make_etf(class_count: int, feature_dim: int, seed: int = 0) -> SimplexEtf:
 
 def etf_gram(etf: SimplexEtf) -> np.ndarray:
     """C x C matrix of pairwise inner products of the frame columns."""
-    m = matrix(etf.columns)
-    return m.T @ m
+    return etf.columns.T @ etf.columns
 
 
 def make_nc_fixture(

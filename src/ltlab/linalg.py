@@ -1,59 +1,26 @@
-"""Dense float64 matrix kernel.
-
-Thin, validated wrappers around numpy's LAPACK-backed routines. Every
-function works on plain 2-D ``numpy.ndarray`` objects; ``matrix`` is the
-validating constructor that enforces the shape and finiteness contract
-the geometry and metric code relies on.
-"""
+"""SVD pseudo-inverse for the collapse metrics and the ETF fixtures."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["matrix", "frobenius_norm", "trace", "pinv", "default_rank_tol"]
+__all__ = ["pinv"]
 
 
-def matrix(data) -> np.ndarray:
-    """Return ``data`` as a validated 2-D float64 matrix.
+def pinv(a, rank_tol: float | None = None) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of a finite 2-D matrix via SVD.
 
-    Raises ValueError if the input is not two-dimensional or contains
-    NaN/Inf entries.
+    Singular values sigma with sigma <= rank_tol * sigma_max are treated
+    as zero. ``rank_tol`` defaults to max(rows, cols) * eps. Raises
+    ValueError if the input is not two-dimensional or contains NaN/Inf.
     """
-    a = np.asarray(data, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    return a
-
-
-def frobenius_norm(a) -> float:
-    """sqrt of the sum of squared entries."""
-    return float(np.linalg.norm(matrix(a), ord="fro"))
-
-
-def trace(a) -> float:
-    """Sum of the diagonal of a square matrix."""
-    a = matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got {a.shape[0]}x{a.shape[1]}")
-    return float(np.trace(a))
-
-
-def default_rank_tol(a) -> float:
-    """Standard SVD rank cutoff: max(rows, cols) times machine epsilon."""
-    return max(a.shape) * float(np.finfo(np.float64).eps)
-
-
-def pinv(a, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
-
-    Singular values sigma with sigma <= rank_tol * sigma_max are treated
-    as zero. ``rank_tol`` defaults to max(rows, cols) * eps.
-    """
-    a = matrix(a)
     if rank_tol is None:
-        rank_tol = default_rank_tol(a)
+        rank_tol = max(a.shape) * float(np.finfo(np.float64).eps)
     elif rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
     u, s, vt = np.linalg.svd(a, full_matrices=False)

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import frobenius_norm, pinv, trace
+from .linalg import pinv
 from .reweighting import loss_imbalance_rho
 
 __all__ = [
@@ -179,14 +179,19 @@ def covariances(bank: FeatureBank, out: np.ndarray | None = None):
 def nc1(bank: FeatureBank, rank_tol: float | None = None, out: np.ndarray | None = None) -> float:
     """trace(Sigma_W @ pinv(Sigma_B)) / C; ``out`` is as in ``covariances``."""
     sigma_w, sigma_b = covariances(bank, out)
-    return trace(sigma_w @ pinv(sigma_b, rank_tol)) / bank.class_count
+    scatter = sigma_w @ pinv(sigma_b, rank_tol)
+    if not np.isfinite(scatter).all():
+        raise ValueError("Sigma_W pinv(Sigma_B) has non-finite entries; metric undefined")
+    return float(np.trace(scatter)) / bank.class_count
 
 
 def _normalized_gram_distance(gram: np.ndarray, class_count: int, what: str) -> float:
-    norm = frobenius_norm(gram)
+    if not np.isfinite(gram).all():
+        raise ValueError(f"{what} has non-finite entries; metric undefined")
+    norm = float(np.linalg.norm(gram))
     if norm == 0.0:
         raise ValueError(f"{what} is the zero matrix; metric undefined")
-    return frobenius_norm(gram / norm - etf_gram_target(class_count))
+    return float(np.linalg.norm(gram / norm - etf_gram_target(class_count)))
 
 
 def nc2(classifier) -> float:

@@ -468,3 +468,16 @@ class TestDeterminismAndReport:
     def test_report_rejects_non_finite(self):
         with pytest.raises(ValueError):
             NcReport(epoch=0, nc1=np.nan, nc2=0, nc3=0, nc4_agreement=1, rho=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_scatter_or_gram_is_rejected(self):
+        # Finite input whose products overflow. Class 0's rows sit at
+        # +/-1e200 around a zero mean, so Sigma_W is infinite while Sigma_B
+        # is not; a classifier row of 1e200 overflows W W^T, and W M over
+        # class means at +/-1e200.
+        bank = FeatureBank.from_labels(np.array([[1e200], [-1e200], [1.0], [1.0]]), np.array([0, 0, 1, 1]))
+        far = FeatureBank.from_labels(np.array([[1e200], [-1e200]]), np.array([0, 1]))
+        w = np.array([[1e200], [1.0]])
+        for metric in (lambda: nc1(bank), lambda: nc2(w), lambda: nc3(w, far)):
+            with pytest.raises(ValueError, match="non-finite"):
+                metric()

@@ -878,9 +878,9 @@ def _epoch_report_ref(params, train, test):
     _, z_test, _ = _forward_batch_ref(params, test.x)
     hits = np.bincount(test.y, weights=z_test.argmax(axis=1) == test.y, minlength=c)
     return dict(
-        nc1=linalg.trace(sigma_w @ linalg.pinv(sigma_b)) / c,
+        nc1=float(np.trace(sigma_w @ linalg.pinv(sigma_b))) / c,
         nc2=nc2(w),
-        nc3=linalg.frobenius_norm(gram / linalg.frobenius_norm(gram) - etf_gram_target(c)),
+        nc3=float(np.linalg.norm(gram / np.linalg.norm(gram) - etf_gram_target(c))),
         nc4=int((pred == nearest).sum()) / len(x),
         rho=loss_imbalance_rho(per_class),
         per_class_acc=hits / test.counts.per_class,
