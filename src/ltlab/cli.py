@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,7 @@ from .reweighting import closed_form_weight, loss_imbalance_rho
 from .scheduler import ml_series, ml_series_log_peak, ml_tail, mittag_leffler
 from .trainer import EpochRecord, forward_batch, run_experiment
 
-METRIC_COLUMNS = ("epoch", "train_loss", "bal_acc", "acc_head", "acc_med", "acc_tail",
-                  "lr", "rho", "nc1", "nc2", "nc3", "nc4")
+METRIC_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
 # ``mlf`` shows the series value next to the tail only while the series'
 # cancellation error, its largest term times machine epsilon, stays below this.
