@@ -14,7 +14,7 @@ before anything runs, so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 
 from .data import LongTailSpec
 from .errors import ConfigError
@@ -76,11 +76,11 @@ _CONVERTERS = {
 }
 _KEY_OF_FIELD = {"class_count": "classes"}
 _DATASET_KINDS = {"synthetic": LongTailSpec, "csv": CsvSource}
-_SECTIONS = {"dataset": tuple(_DATASET_KINDS.values()), "train": (TrainConfig,),
-             "method": (MethodConfig,), "reweight": (ReweightConfig,), "lr": (LrSpec,)}
+_SECTIONS = {"dataset": tuple(_DATASET_KINDS.values()), "train": (TrainConfig,), "method": (MethodConfig,),
+             "reweight": (ReweightConfig,), "lr": (LrSpec,)}
 
 
-def _keys(cls) -> dict[str, object]:
+def _keys(cls) -> dict[str, Field]:
     """The INI key of each field of ``cls`` that a section sets."""
     return {_KEY_OF_FIELD.get(f.name, f.name): f for f in fields(cls) if f.type in _CONVERTERS}
 
@@ -109,19 +109,21 @@ def _read_document(path: str) -> dict[str, dict[str, str]]:
     return doc
 
 
-def _build(cls, section: str, values: dict[str, str], **nested):
-    """``cls`` from one section's values, with ``nested`` as the fields
-    that are sections of their own. Every error names the section once."""
+def _build(cls, doc: dict[str, dict[str, str]], section: str, **nested):
+    """``cls`` from the document's ``section``, with ``nested`` as the
+    fields that are sections of their own. Every error names the section
+    once."""
+    values = doc.get(section, {})
     kwargs = dict(nested)
     for key, f in _keys(cls).items():
         raw = values.get(key)
-        convert, kind = _CONVERTERS[f.type]
-        if raw is None or (raw == "" and kind is not None):
+        convert, what = _CONVERTERS[f.type]
+        if raw is None or (raw == "" and what is not None):
             continue
         try:
             kwargs[f.name] = convert(raw)
         except ValueError:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not {kind}") from None
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from None
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -131,10 +133,10 @@ def _build(cls, section: str, values: dict[str, str], **nested):
 def load_experiment_config(path: str) -> ExperimentConfig:
     """Parse and fully validate an experiment document."""
     doc = _read_document(path)
-    dataset = doc.get("dataset", {})
-    kind = dataset.get("kind", "synthetic")
+    kind = doc.get("dataset", {}).get("kind", "synthetic")
     if kind not in _DATASET_KINDS:
         raise ConfigError(f"[dataset] kind must be {' or '.join(map(repr, _DATASET_KINDS))}, got {kind!r}")
-    dataset = _build(_DATASET_KINDS[kind], "dataset", dataset)
-    nested = {name: _build(_SECTIONS[name][0], name, doc.get(name, {})) for name in ("method", "reweight", "lr")}
-    return ExperimentConfig(dataset=dataset, train=_build(TrainConfig, "train", doc.get("train", {}), **nested))
+    return ExperimentConfig(
+        dataset=_build(_DATASET_KINDS[kind], doc, "dataset"),
+        train=_build(TrainConfig, doc, "train", method=_build(MethodConfig, doc, "method"),
+                     reweight=_build(ReweightConfig, doc, "reweight"), lr=_build(LrSpec, doc, "lr")))
