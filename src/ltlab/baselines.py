@@ -1,9 +1,11 @@
 """Reference reweighting losses used as comparison arms.
 
 Class-weight schemes (inverse frequency, inverse square root,
-class-balanced effective numbers) produce static per-class multipliers;
-focal and influence-balanced losses reshape individual sample losses;
-range loss is a batch-level feature-geometry regularizer.
+class-balanced effective numbers) produce static per-class multipliers,
+and ``ib_class_coefficients`` the influence-balanced loss's per-class
+factors; the trainer builds the focal and influence-balanced sample losses
+from each batch's softmax. Range loss is a batch-level feature-geometry
+regularizer, computed with its gradient by ``range_loss_grad``.
 """
 
 from __future__ import annotations
@@ -19,10 +21,7 @@ __all__ = [
     "inv_freq_weights",
     "inv_sqrt_weights",
     "cb_weights",
-    "focal_loss",
-    "ib_loss",
     "ib_class_coefficients",
-    "range_loss",
     "range_loss_grad",
 ]
 
@@ -31,7 +30,7 @@ __all__ = [
 BASE_METHODS = ("ce", "inv_freq", "inv_sqrt", "cb", "focal", "ib", "range")
 
 # Pairwise distances below this are floored before the harmonic mean in
-# range_loss, keeping the intra term finite when features coincide.
+# the range loss, keeping the intra term finite when features coincide.
 RANGE_DIST_FLOOR = 1e-12
 
 
@@ -50,11 +49,6 @@ class ClassCounts:
             raise ValueError("every class count must be >= 1")
         object.__setattr__(self, "per_class", counts)
         object.__setattr__(self, "total", sum(counts))
-
-    @classmethod
-    def from_labels(cls, labels, class_count: int) -> "ClassCounts":
-        counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=class_count)
-        return cls(per_class=tuple(int(n) for n in counts))
 
     def __len__(self) -> int:
         return len(self.per_class)
@@ -88,76 +82,12 @@ def cb_weights(counts: ClassCounts, beta: float) -> np.ndarray:
     return (1.0 - beta) / (1.0 - beta ** n)
 
 
-def _check_probs(probs) -> np.ndarray:
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("probability vector must be 1-D")
-    if (p < 0).any() or (p > 1).any():
-        raise ValueError("probabilities must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
-    return p
-
-
-def focal_loss(probs, target: int, gamma: float, alpha_t: float | None = None,
-               eps_floor: bool = False) -> float:
-    """-alpha_t * (1 - p_t)^gamma * log(p_t).
-
-    gamma = 0 with no alpha_t reduces to cross entropy. A zero target
-    probability raises unless ``eps_floor`` is set, which clips p_t at
-    1e-12 instead.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if alpha_t is not None and not 0.0 <= alpha_t <= 1.0:
-        raise ValueError("alpha_t must lie in [0, 1]")
-    p = _check_probs(probs)
-    p_t = float(p[target])
-    if p_t == 0.0:
-        if not eps_floor:
-            raise ValueError("target probability is zero (infinite loss); enable eps_floor to clip")
-        p_t = 1e-12
-    factor = 1.0 if alpha_t is None else alpha_t
-    return float(-factor * (1.0 - p_t) ** gamma * np.log(p_t))
-
-
-def ib_loss(probs, target: int, feature, eps: float) -> float:
-    """Cross entropy attenuated by the sample's influence factor.
-
-    The influence factor is the l1 gap between the prediction and the
-    one-hot target times the l1 norm of the feature; eps keeps the
-    denominator positive.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    p = _check_probs(probs)
-    p_t = float(p[target])
-    if p_t == 0.0:
-        raise ValueError("target probability is zero (infinite loss)")
-    one_hot = np.zeros_like(p)
-    one_hot[target] = 1.0
-    influence = float(np.abs(p - one_hot).sum()) * float(np.abs(np.asarray(feature, dtype=np.float64)).sum())
-    return float(-np.log(p_t) / (influence + eps))
-
-
 def ib_class_coefficients(counts: ClassCounts, alpha_scale: float) -> np.ndarray:
     """Per-class coefficients proportional to 1/n_c, summing to alpha_scale."""
     if alpha_scale <= 0:
         raise ValueError("alpha_scale must be positive")
     inv = 1.0 / _counts_array(counts)
     return alpha_scale * inv / inv.sum()
-
-
-def range_loss(features, labels, k: int, margin: float, alpha: float, beta: float) -> float:
-    """alpha * sum of per-class harmonic means of the k largest intra-class
-    ranges, plus beta * hinge(margin - minimum center distance).
-
-    Classes with fewer than two samples contribute no intra term, and a
-    batch of one class, with no centre pair, no inter term; when a class
-    has fewer than k pairwise distances, all available are used.
-    """
-    value, _ = range_loss_grad(features, labels, k, margin, alpha, beta)
-    return value
 
 
 @lru_cache(maxsize=16)
@@ -170,7 +100,14 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta: float):
-    """Range loss together with its gradient w.r.t. the feature matrix.
+    """Range loss and its gradient w.r.t. the feature matrix.
+
+    The loss is alpha * the sum of per-class harmonic means of the k
+    largest intra-class ranges, plus beta * hinge(margin - minimum center
+    distance). Classes with fewer than two samples contribute no intra
+    term, and a batch of one class, with no centre pair, no inter term;
+    when a class has fewer than k pairwise distances, all available are
+    used.
 
     A batch is one pass of array operations, with no Python loop over
     pairs or classes. Same-class pairs are picked from the upper-triangle

@@ -32,7 +32,7 @@ from .errors import ConfigError, DataError, NumericError
 from .nc_metrics import FeatureBank, nc1, nc2, nc3, nc4_agreement
 from .reweighting import closed_form_weight, loss_imbalance_rho
 from .scheduler import ml_series, ml_series_log_peak, ml_tail, mittag_leffler
-from .trainer import EpochRecord, forward_batch, run_experiment
+from .trainer import EpochRecord, forward, run_experiment
 
 METRIC_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
@@ -118,7 +118,7 @@ def cmd_train(args) -> int:
         _write_metrics_csv(out / metrics_name, records)
         _write_json(out / params_name, _params_payload(state.params))
         if single:
-            h, _, _ = forward_batch(state.params, train_set.x)
+            h, _ = forward(state.params, train_set.x)
             with open(out / "features.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow([f"f{i}" for i in range(h.shape[1])] + ["label"])

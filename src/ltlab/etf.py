@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import pinv
 
-__all__ = ["SimplexEtf", "NcFixture", "make_etf", "etf_gram", "make_nc_fixture", "fixture_class_losses"]
+__all__ = ["SimplexEtf", "NcFixture", "make_etf", "etf_gram", "make_nc_fixture"]
 
 
 @dataclass(frozen=True)
@@ -126,18 +126,3 @@ def make_nc_fixture(
         global_mean=mu_g,
     )
 
-
-def fixture_class_losses(fixture: NcFixture) -> np.ndarray:
-    """Average cross-entropy loss per class at the fixture configuration.
-
-    Logits are classifier @ feature with zero bias; the loss is the
-    standard softmax cross entropy computed via log-sum-exp.
-    """
-    w = fixture.classifier
-    losses = np.empty(fixture.etf.class_count)
-    for c, block in enumerate(fixture.features):
-        z = block @ w.T  # (n, C)
-        zmax = z.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-        losses[c] = float(np.mean(lse - z[:, c]))
-    return losses

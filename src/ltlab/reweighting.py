@@ -13,14 +13,14 @@ how rarely tail classes are seen across batches; beta is normalized to
 unit mean over the classes present in the batch, and the effective weight
 is w_hat_c = beta_c * w_c.
 
-One batch is one length-C solve (``inverse_weights``): class means from
-``np.bincount``, L_bar over the present classes, the vectorized closed
-form and beta, all as array operations. The trainer solves the batches of
-R lockstep runs at once, over R * C class slots, each run with its own
-L_bar and beta mean. ``closed_form_weight`` and ``inverse_weights``
-validate their arguments once per call and share one unvalidated
-closed-form kernel; the trainer calls the solve's kernel on inputs it
-builds itself, so no batch pays for validation.
+``inverse_weights`` solves the batches of R lockstep runs at once, over
+R * C class slots, each run with its own L_bar and beta mean: class means
+from ``np.bincount``, L_bar over the present classes, the vectorized
+closed form and beta, all as array operations; one run is the stack of
+one. The trainer builds its inputs, so the solve checks none, and no
+batch pays for validation. ``closed_form_weight`` validates its arguments
+(it serves ``ltlab weights``) and shares the closed-form kernel with the
+solve.
 """
 
 from __future__ import annotations
@@ -146,37 +146,18 @@ def _closed_form(l_c, l_bar, alpha, w0):
         return np.where(zero, w0, num / np.where(zero, 1.0, den))
 
 
-def inverse_weights(losses, labels, batch_counts, prior, config: ReweightConfig) -> np.ndarray:
-    """Effective per-class weights w_hat for one batch, length C.
+def inverse_weights(losses, slots, n, batch_counts, prior, config: ReweightConfig) -> np.ndarray:
+    """Effective per-class weights w_hat of the batches of R runs at once.
 
-    ``losses`` are the batch's per-sample losses, ``labels`` their class
-    ids in [0, C), ``batch_counts`` the counters B_c already incremented
-    for this batch, and ``prior`` the per-class prior w0; ``config.mode``
-    picks the factors. Classes absent from the batch get weight 1.
-    """
-    losses = np.asarray(losses, dtype=np.float64)
-    labels = np.asarray(labels)
-    if losses.ndim != 1 or losses.shape != labels.shape or losses.size == 0:
-        raise ValueError(f"losses and labels must be 1-D, non-empty and of equal length, "
-                         f"got {losses.shape} vs {labels.shape}")
-    n = np.bincount(labels, minlength=len(batch_counts))
-    if config.mode != "macro":
-        if (losses < 0).any():
-            raise ValueError("losses must be nonnegative")
-        if (prior[n > 0] <= 0).any():
-            raise ValueError("prior weight must be positive")
-    if config.mode != "batch" and (batch_counts[n > 0] < 1).any():
-        raise ValueError("present class has zero batch count; update counters before solving")
-    return _solve(losses, labels, n[None], np.asarray(batch_counts)[None], np.asarray(prior)[None],
-                  config)[0]
-
-
-def _solve(losses, slots, n, batch_counts, prior, config: ReweightConfig) -> np.ndarray:
-    """``inverse_weights`` on validated input, for the batches of R runs at
-    once: ``n`` (the batches' class sizes), ``batch_counts`` and ``prior``
-    are (R, C), ``slots`` holds each sample's class slot r * C + c (shaped
-    like ``losses``), and the result is (R, C). Each run's L_bar and beta
-    mean are over its own present classes."""
+    ``losses`` are the per-sample losses and ``slots`` each sample's class
+    slot r * C + c, of one shape ((R, B) in the trainer); ``n`` (the batches' class sizes),
+    ``batch_counts`` (the counters B_c, already incremented for these
+    batches) and ``prior`` (w0) are (R, C), and so is the result.
+    ``config.mode`` picks the factors. Each run's L_bar and beta mean are
+    over its own present classes, and absent classes get weight 1. The
+    arguments are not checked: the losses must be nonnegative, and a
+    present class needs B_c >= 1 and, unless the mode is "macro", a
+    positive prior."""
     present = n > 0
     sizes = present.sum(axis=1).tolist()  # each run's number of present classes
     w = 1.0  # the present slots' weights, run by run

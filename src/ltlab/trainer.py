@@ -24,8 +24,9 @@ on, the closed-form class weights times the macro batch-frequency
 factors (whose counters accumulate from epoch 0), solved for all R * C
 class slots at once; and a backward pass that takes the ReLU mask from
 those features and writes into the gradient buffer. Only the range loss
-runs per run. The step returns each run's loss. ``forward_batch`` and
-``backward`` call the same kernels on one run's parameters.
+runs per run. The step returns each run's loss. ``forward`` and
+``backward`` are those kernels, public, and take one run's parameters as
+well as a stack's.
 
 Each epoch ends, run by run, with the collapse metrics and rho from the
 training features and logits, and the per-class accuracy from the test
@@ -62,8 +63,6 @@ __all__ = [
     "EpochRecord",
     "init_params",
     "forward",
-    "forward_batch",
-    "ce_loss",
     "backward",
     "sgd_step",
     "prepare_run",
@@ -276,7 +275,7 @@ def init_params(class_count: int, input_dim: int, hidden_dim: int, seed: int) ->
                        hidden_weights=hidden_w, hidden_bias=hidden_b)
 
 
-def _forward(params: ModelParams, x: np.ndarray, h_out=None, z_out=None):
+def forward(params: ModelParams, x: np.ndarray, h_out=None, z_out=None):
     """Features and logits of one run, or of a stack with (R, B, d) inputs,
     written into ``h_out`` and ``z_out`` when given (the epoch end's
     buffers) and into fresh arrays otherwise. The hidden ReLU runs in place
@@ -313,45 +312,13 @@ def _ce_from_logits(z: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return _ce(z[np.arange(len(y)), y], zmax, s)
 
 
-def forward_batch(params: ModelParams, x):
-    """Features, logits, and softmax probabilities for a batch.
-
-    Softmax subtracts the row max before exponentiating.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    p = x.shape[1]
-    if params.hidden_weights is not None:
-        if p != params.hidden_weights.shape[1]:
-            raise ValueError(f"input dim {p} != hidden fan-in {params.hidden_weights.shape[1]}")
-        p = params.hidden_weights.shape[0]
-    if p != params.weights.shape[1]:
-        raise ValueError(f"feature dim {p} != classifier fan-in {params.weights.shape[1]}")
-    h, z = _forward(params, x)
-    _, probs, s = _shifted_exp(z)
-    probs /= s
-    return h, z, probs
-
-
-def forward(params: ModelParams, x):
-    """Single-sample forward pass: (features, logits, probabilities)."""
-    h, z, p = forward_batch(params, np.asarray(x, dtype=np.float64)[None, :])
-    return h[0], z[0], p[0]
-
-
-def ce_loss(probs, target: int) -> float:
-    """-log of the target-class probability."""
-    p_t = float(np.asarray(probs)[target])
-    if p_t <= 0:
-        raise ValueError("target probability must be positive; compute from logits instead")
-    return -math.log(p_t)
-
-
-def _backward(params: ModelParams, x, h, dz, grads: ModelParams, dh_extra=None) -> None:
+def backward(params: ModelParams, x, h, dz, grads: ModelParams, dh_extra=None) -> None:
     """Write the gradients of the loss whose dlogits rows are ``dz`` into
     ``grads``; ``dh_extra`` is a further gradient w.r.t. the features ``h``
-    that ``_forward`` returned for ``x``. Works on one run or a stack. The
+    that ``forward`` returned for ``x``. Works on one run or a stack. The
     hidden model's features are spent by then, and their buffer takes the
-    feature gradient: ``h`` is overwritten."""
+    feature gradient: ``h`` is overwritten. Weight decay is left to
+    ``sgd_step``."""
     np.matmul(dz.swapaxes(-1, -2), h, out=grads.weights)
     dz.sum(axis=-2, out=grads.bias)
     if params.hidden_weights is not None:
@@ -362,28 +329,6 @@ def _backward(params: ModelParams, x, h, dz, grads: ModelParams, dh_extra=None) 
         dh *= active
         np.matmul(dh.swapaxes(-1, -2), x, out=grads.hidden_weights)
         dh.sum(axis=-2, out=grads.hidden_bias)
-
-
-def backward(params: ModelParams, x, y, per_sample_weights) -> dict[str, np.ndarray]:
-    """Analytic gradients of mean(w_i * ce_i) w.r.t. all parameters, by
-    tensor name (views of one buffer laid out like ``params``).
-
-    Weight decay is applied by ``sgd_step``, not here, so these gradients
-    can be checked directly against finite differences of the loss.
-    ``sgd_step`` takes them as ``ModelParams(**grads)``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    w = np.asarray(per_sample_weights, dtype=np.float64)
-    h, z = _forward(params, x)
-    _, dz, s = _shifted_exp(z)
-    dz /= s
-    m = len(y)
-    dz[np.arange(m), y] -= 1.0
-    dz *= (w / m)[:, None]
-    grads = params.zeros_like()
-    _backward(params, x, h, dz, grads)
-    return grads.tensors()
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, lr: float, momentum: float,
@@ -559,7 +504,7 @@ def _base_losses(ctx: RunContext, h, z, y):
     """
     method = ctx.config.method
     # Flat offsets of the target logits: z.reshape(-1)[target] is (R, B). The
-    # logits are _forward's fresh C-contiguous output, so the reshape is a view.
+    # logits are forward's fresh C-contiguous output, so the reshape is a view.
     runs, m = y.shape
     target = y + np.arange(0, z.size, z.shape[-1]).reshape(runs, m)
     z_target = z.reshape(-1)[target]
@@ -600,7 +545,7 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
     (R, B, d) and ``y`` (R, B). Returns each run's reweighted mean loss."""
     config = ctx.config
     params = state.params
-    h, z = _forward(params, x)
+    h, z = forward(params, x)
     ell, weights, dz = _base_losses(ctx, h, z, y)
 
     coef = weights
@@ -612,7 +557,7 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
         # Batch-appearance counters accumulate from epoch 0.
         counts += sizes > 0
         if epoch >= config.reweight.switch_epoch:
-            w_hat = reweighting._solve(weights * ell, slots, sizes, counts, ctx.prior, config.reweight)
+            w_hat = reweighting.inverse_weights(weights * ell, slots, sizes, counts, ctx.prior, config.reweight)
             coef = weights * w_hat.ravel()[slots]
 
     m = y.shape[1]
@@ -635,7 +580,7 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
         seed = ctx.seeds[int(np.argmin(np.isfinite(loss)))]
         raise NumericError(f"seed {seed}: non-finite loss at epoch {epoch}, iteration {state.iteration}")
 
-    _backward(params, x, h, dz, state.grads, dh_extra)
+    backward(params, x, h, dz, state.grads, dh_extra)
     sgd_step(params, state.grads, lr, config.momentum, config.weight_decay,
              state.velocity, update_bias=config.use_bias)
     state.iteration += 1
@@ -643,7 +588,7 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
 
 
 def _per_class_accuracy(params: ModelParams, dataset: Dataset, h_out, z_out) -> np.ndarray:
-    _, z = _forward(params, dataset.x, h_out, z_out)
+    _, z = forward(params, dataset.x, h_out, z_out)
     hits = np.bincount(dataset.y, weights=z.argmax(axis=1) == dataset.y, minlength=dataset.class_count)
     return hits / dataset.counts.per_class
 
@@ -653,7 +598,7 @@ def _epoch_report(params: ModelParams, ctx: RunContext, epoch: int) -> NcReport:
     stable label order in the stack's buffers (see the module docstring).
     A metric that cannot be computed raises ValueError."""
     counts = ctx.counts
-    h, z = _forward(params, ctx.sorted_x, ctx.features, ctx.logits)
+    h, z = forward(params, ctx.sorted_x, ctx.features, ctx.logits)
     ce = _ce_from_logits(z, ctx.sorted_y, ctx.scratch)
     per_class = np.bincount(ctx.sorted_y, weights=ce, minlength=len(counts)) / counts.per_class
     bank = FeatureBank(class_ids=tuple(range(len(counts))), features=h, offsets=ctx.offsets)
@@ -679,16 +624,10 @@ def _train_batches(state: TrainState, ctx: RunContext, epoch: int) -> tuple[list
     return [total / seen for total in totals], lr
 
 
-def train_epoch(state: TrainState, train: Dataset, test: Dataset, epoch: int,
-                config: TrainConfig, ctx: RunContext) -> list[EpochRecord]:
-    """One pass of every run of the stack over the training set, each in
-    its own seeded order, plus each run's epoch-end evaluation. Returns
-    the runs' records in seed order.
-
-    ``train`` and ``test`` must be the sets that ``prepare_run`` was given.
-    """
-    if train is not ctx.train or test is not ctx.test:
-        raise ValueError("train_epoch needs the train and test sets that prepare_run was given")
+def train_epoch(state: TrainState, ctx: RunContext, epoch: int) -> list[EpochRecord]:
+    """One pass of every run of the stack over the sets that ``prepare_run``
+    was given: each run's batches in its own seeded order, then its
+    epoch-end evaluation. Returns the runs' records in seed order."""
     train_losses, last_lr = _train_batches(state, ctx, epoch)
     if not np.isfinite(state.params.flat).all():
         r = int(np.argmin(np.isfinite(state.params.flat).all(axis=1)))
@@ -704,7 +643,7 @@ def train_epoch(state: TrainState, train: Dataset, test: Dataset, epoch: int,
         except ValueError as exc:
             raise NumericError(f"seed {seed}: metric computation failed after epoch {epoch}: "
                                f"{exc}") from exc
-        per_class_acc = _per_class_accuracy(params, test, ctx.test_features, ctx.test_logits)
+        per_class_acc = _per_class_accuracy(params, ctx.test, ctx.test_features, ctx.test_logits)
         records.append(EpochRecord(
             epoch=epoch,
             train_loss=train_losses[r],
@@ -733,7 +672,7 @@ def run_experiment(config: TrainConfig, train: Dataset, test: Dataset, seeds=Non
     ``config.seed`` alone, and the list holds that one triple.
     """
     state, ctx = prepare_run(config, train, test, seeds)
-    epochs = [train_epoch(state, train, test, e, config, ctx) for e in range(config.epochs)]
+    epochs = [train_epoch(state, ctx, e) for e in range(config.epochs)]
     results = []
     for r, seed in enumerate(ctx.seeds):
         records = [runs[r] for runs in epochs]

@@ -21,7 +21,7 @@ from ltlab.trainer import (
     TrainConfig,
     _batch_update,
     _ce_from_logits,
-    forward_batch,
+    forward,
     prepare_run,
 )
 
@@ -65,11 +65,18 @@ def _solve_loop(losses, labels, batch_counts, prior, alpha, gamma, mode):
     return {c: beta[c] * w_star[c] for c in present}
 
 
+def _one_run(losses, labels, counts, prior, config):
+    """``inverse_weights`` on one batch, as the stack of one run: w_hat (C,)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    sizes = np.bincount(labels, minlength=len(counts))
+    return inverse_weights(np.asarray(losses, dtype=np.float64), labels, sizes[None],
+                           np.asarray(counts)[None], np.asarray(prior)[None], config)[0]
+
+
 def _solve(losses, labels, counts, prior=None, alpha=0.0, gamma=1.0, mode="both"):
     counts = np.asarray(counts, dtype=np.int64)
     prior = np.ones(len(counts)) if prior is None else np.asarray(prior, dtype=np.float64)
-    return inverse_weights(np.asarray(losses, dtype=np.float64), np.asarray(labels), counts,
-                           prior, ReweightConfig(alpha=alpha, gamma=gamma, mode=mode))
+    return _one_run(losses, labels, counts, prior, ReweightConfig(alpha=alpha, gamma=gamma, mode=mode))
 
 
 def _inverse_run(labels, class_count, **train_kwargs):
@@ -77,7 +84,7 @@ def _inverse_run(labels, class_count, **train_kwargs):
     labels = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(0)
     data = Dataset(x=rng.normal(size=(len(labels), 3)), y=labels,
-                   counts=ClassCounts.from_labels(labels, class_count), split="train")
+                   counts=ClassCounts(tuple(np.bincount(labels, minlength=class_count))), split="train")
     cfg = TrainConfig(epochs=1, batch_size=len(labels), method=MethodConfig(name="inverse"),
                       lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()), **train_kwargs)
     state, ctx = prepare_run(cfg, data)
@@ -235,17 +242,10 @@ class TestInverseWeights:
         self._check(losses, labels, np.array(counts, dtype=np.int64), prior, alpha, 1.7, mode)
 
     @pytest.mark.parametrize("mode", ("both", "batch"))
-    def test_negative_loss_rejected(self, mode):
-        with pytest.raises(ValueError, match="losses must be nonnegative"):
-            _solve([-1.0, 2.0], [0, 1], [1, 1], mode=mode)
-
-    @pytest.mark.parametrize("mode", ("both", "batch"))
     @pytest.mark.parametrize("bad", (0.0, -1.0))
-    def test_non_positive_prior_of_present_class_rejected(self, mode, bad):
-        with pytest.raises(ValueError, match="prior weight must be positive"):
-            _solve([1.0, 2.0], [0, 1], [1, 1, 1], prior=[1.0, bad, 1.0], mode=mode)
-        # An absent class's prior is never read.
-        _solve([1.0, 2.0], [0, 1], [1, 1, 1], prior=[1.0, 1.0, bad], mode=mode)
+    def test_absent_class_prior_is_never_read(self, mode, bad):
+        w_hat = _solve([1.0, 2.0], [0, 1], [1, 1, 1], prior=[1.0, 1.0, bad], mode=mode)
+        assert w_hat.tolist() == _solve([1.0, 2.0], [0, 1], [1, 1, 1], mode=mode).tolist()
 
     def test_macro_reads_neither_losses_nor_prior(self):
         beta = _solve([-1.0, 2.0], [0, 1], [1, 4], prior=[0.0, -1.0], gamma=1.0, mode="macro")
@@ -253,8 +253,7 @@ class TestInverseWeights:
 
     @staticmethod
     def _check(losses, labels, counts, prior, alpha, gamma, mode):
-        w_hat = inverse_weights(np.array(losses), np.array(labels), counts, prior,
-                                ReweightConfig(alpha=alpha, gamma=gamma, mode=mode))
+        w_hat = _one_run(losses, labels, counts, prior, ReweightConfig(alpha=alpha, gamma=gamma, mode=mode))
         expected = _solve_loop(losses, labels, counts, prior, alpha, gamma, mode)
         assert w_hat.shape == counts.shape
         for c in range(len(counts)):
@@ -279,12 +278,6 @@ class TestBatchClassStats:
     def test_single_sample(self):
         w = _solve([0.42], [3], [0, 0, 0, 1, 0], alpha=0.3)
         assert w.tolist() == [1.0] * 5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            _solve([1.0, 2.0], [0], [1])
-        with pytest.raises(ValueError):
-            _solve([], [], [1])
 
 
 class TestMacroState:
@@ -315,10 +308,6 @@ class TestMacroState:
     def test_factors_equal_counts(self):
         beta = _solve([1.0, 2.0, 3.0, 4.0], [0, 1, 2, 3], [6, 6, 6, 6], gamma=2.7, mode="macro")
         assert all(b == pytest.approx(1.0) for b in beta)
-
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError, match="zero batch count"):
-            _solve([1.0, 1.0], [0, 1], [3, 0], gamma=1.0, mode="macro")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -369,7 +358,7 @@ class TestReweightedBatchLoss:
     # _batch_update returns the batch's reweighted mean loss; lr 0 leaves the
     # parameters alone so the losses below can be recomputed independently.
     def _batch_ce(self, state, data):
-        _, z, _ = forward_batch(state.params[0], data.x)
+        _, z = forward(state.params[0], data.x)
         return _ce_from_logits(z, data.y)
 
     def test_unit_weights_match_plain_mean(self):

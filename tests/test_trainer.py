@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ltlab import baselines, linalg
-from ltlab.baselines import focal_loss, range_loss, range_loss_grad
+from ltlab.baselines import range_loss_grad
 from ltlab.data import Dataset, LongTailSpec, batch_iter, gaussian_mixture
 from ltlab.errors import ConfigError, NumericError
 from ltlab.nc_metrics import etf_gram_target, nc2
@@ -20,15 +20,12 @@ from ltlab.trainer import (
     MethodConfig,
     ModelParams,
     TrainConfig,
-    _backward,
     _batch_update,
     _ce_from_logits,
     _epoch_report,
     _per_class_accuracy,
     backward,
-    ce_loss,
     forward,
-    forward_batch,
     init_params,
     prepare_run,
     run_experiment,
@@ -36,14 +33,24 @@ from ltlab.trainer import (
     train_epoch,
 )
 
+from oracles import focal_loss, softmax, weighted_ce_dlogits
+
 
 def small_linear_params(seed=0, c=3, d=4):
     return init_params(c, d, 0, seed)
 
 
 def weighted_ce(params, x, y, w):
-    _, z, _ = forward_batch(params, x)
+    _, z = forward(params, x)
     return float(np.mean(np.asarray(w) * _ce_from_logits(z, np.asarray(y))))
+
+
+def kernel_grads(params, x, y, w):
+    """The gradients of mean(w_i * ce_i) by tensor name, from the kernels."""
+    h, z = forward(params, x)
+    grads = params.zeros_like()
+    backward(params, x, h, weighted_ce_dlogits(z, y, w), grads)
+    return grads.tensors()
 
 
 def finite_difference(params, name, loss, h=1e-5):
@@ -67,22 +74,22 @@ def finite_difference(params, name, loss, h=1e-5):
 class TestForward:
     def test_zero_logits_uniform(self):
         params = ModelParams(weights=np.zeros((4, 3)), bias=np.zeros(4))
-        _, _, probs = forward(params, np.array([1.0, -2.0, 0.5]))
+        probs = softmax(forward(params, np.array([[1.0, -2.0, 0.5]]))[1])[0]
         assert np.allclose(probs, 0.25, atol=1e-12)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_dominant_logit(self):
         params = ModelParams(weights=np.array([[500.0], [0.0], [0.0]]), bias=np.zeros(3))
-        _, _, probs = forward(params, np.array([1.0]))
+        probs = softmax(forward(params, np.array([[1.0]]))[1])[0]
         assert probs[0] == pytest.approx(1.0)
         assert probs[1] == pytest.approx(0.0, abs=1e-200)
 
     def test_identity_model_logits(self):
         params = ModelParams(weights=np.eye(3), bias=np.array([0.1, 0.2, 0.3]))
-        x = np.array([1.0, 2.0, 3.0])
-        h, z, _ = forward(params, x)
+        x = np.array([[1.0, 2.0, 3.0]])
+        h, z = forward(params, x)
         assert np.array_equal(h, x)
-        assert np.allclose(z, [1.1, 2.2, 3.3])
+        assert np.allclose(z, [[1.1, 2.2, 3.3]])
 
     def test_hidden_relu_path(self):
         params = ModelParams(
@@ -91,21 +98,21 @@ class TestForward:
             hidden_weights=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
             hidden_bias=np.zeros(2),
         )
-        h, _, _ = forward(params, np.array([2.0, 9.0, 9.0]))
-        assert np.array_equal(h, [2.0, 0.0])
+        h, _ = forward(params, np.array([[2.0, 9.0, 9.0]]))
+        assert np.array_equal(h, [[2.0, 0.0]])
 
     def test_dimension_mismatch(self):
         params = small_linear_params()
         with pytest.raises(ValueError):
-            forward(params, np.ones(7))
+            forward(params, np.ones((1, 7)))
 
 
 class TestCeLoss:
     def test_uniform_two_classes(self):
-        assert ce_loss([0.5, 0.5], 0) == pytest.approx(math.log(2), rel=1e-12)
+        assert _ce_from_logits(np.zeros((1, 2)), np.array([0]))[0] == pytest.approx(math.log(2), rel=1e-12)
 
     def test_correct_one_hot(self):
-        assert ce_loss([0.0, 1.0], 1) == 0.0
+        assert _ce_from_logits(np.array([[-1000.0, 0.0]]), np.array([1]))[0] == 0.0
 
     def test_non_target_permutation_invariance(self):
         params = ModelParams(weights=np.eye(4), bias=np.zeros(4))
@@ -115,10 +122,6 @@ class TestCeLoss:
         l2 = _ce_from_logits(z2, np.array([2]))
         assert l1[0] == pytest.approx(l2[0], rel=1e-15)
 
-    def test_zero_probability_rejected(self):
-        with pytest.raises(ValueError):
-            ce_loss([1.0, 0.0], 1)
-
 
 class TestBackward:
     def test_zero_weights_zero_gradient(self):
@@ -126,7 +129,7 @@ class TestBackward:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 4))
         y = rng.integers(0, 3, 6)
-        grads = backward(params, x, y, np.zeros(6))
+        grads = kernel_grads(params, x, y, np.zeros(6))
         assert all(np.abs(g).max() == 0.0 for g in grads.values())
 
     def test_doubling_weights_doubles_gradient(self):
@@ -135,8 +138,8 @@ class TestBackward:
         x = rng.standard_normal((5, 4))
         y = rng.integers(0, 3, 5)
         w = rng.uniform(0.1, 2.0, 5)
-        g1 = backward(params, x, y, w)
-        g2 = backward(params, x, y, 2 * w)
+        g1 = kernel_grads(params, x, y, w)
+        g2 = kernel_grads(params, x, y, 2 * w)
         for k in g1:
             assert np.allclose(g2[k], 2 * g1[k], rtol=1e-15)
 
@@ -147,7 +150,7 @@ class TestBackward:
         x = rng.standard_normal((8, 6))
         y = rng.integers(0, 4, 8)
         w = rng.uniform(0.2, 2.0, 8)
-        grads = backward(params, x, y, w)
+        grads = kernel_grads(params, x, y, w)
         for name, g in grads.items():
             fd = finite_difference(params, name, lambda: weighted_ce(params, x, y, w))
             rel = np.abs(g - fd).max() / max(1.0, np.abs(fd).max())
@@ -165,17 +168,16 @@ class TestBackward:
         m = len(y)
 
         def loss():
-            h, z, _ = forward_batch(params, x)
-            return float(np.mean(_ce_from_logits(z, y))) + method.range_lambda * range_loss(h, y, *range_args)
+            h, z = forward(params, x)
+            return (float(np.mean(_ce_from_logits(z, y)))
+                    + method.range_lambda * range_loss_grad(h, y, *range_args)[0])
 
-        h, _, probs = forward_batch(params, x)
-        dz = probs.copy()
-        dz[np.arange(m), y] -= 1.0
-        dz /= m
+        h, z = forward(params, x)
+        dz = weighted_ce_dlogits(z, y, np.ones(m))
         _, range_grad = range_loss_grad(h, y, *range_args)
         grads, ce_only = params.zeros_like(), params.zeros_like()
-        _backward(params, x, h.copy(), dz, grads, dh_extra=method.range_lambda * range_grad)
-        _backward(params, x, h, dz, ce_only)  # overwrites h
+        backward(params, x, h.copy(), dz, grads, dh_extra=method.range_lambda * range_grad)
+        backward(params, x, h, dz, ce_only)  # overwrites h
         grads, ce_only = grads.tensors(), ce_only.tensors()
         for name, g in grads.items():
             fd = finite_difference(params, name, loss, h=1e-6)
@@ -191,10 +193,10 @@ class TestBackward:
         x = rng.standard_normal((7, 4))
         y = rng.integers(0, 3, 7)
         w = rng.uniform(0.1, 3.0, 7)
-        total = backward(params, x, y, w)
+        total = kernel_grads(params, x, y, w)
         accum = {k: np.zeros_like(v) for k, v in total.items()}
         for i in range(7):
-            gi = backward(params, x[i:i + 1], y[i:i + 1], w[i:i + 1])
+            gi = kernel_grads(params, x[i:i + 1], y[i:i + 1], w[i:i + 1])
             for k in accum:
                 accum[k] += gi[k] / 7.0
         for k in total:
@@ -206,7 +208,7 @@ class TestBackward:
         params = init_params(4, 6, hidden, seed=8)
         before = params.copy()
         x = rng.standard_normal((8, 6))
-        grads = backward(params, x, rng.integers(0, 4, 8), np.ones(8))
+        grads = kernel_grads(params, x, rng.integers(0, 4, 8), np.ones(8))
         sgd_step(params, ModelParams(**grads), lr=0.1, momentum=0.0, weight_decay=0.0,
                  velocity=params.zeros_like())
         for name, g in grads.items():
@@ -365,7 +367,7 @@ class TestTrainEpoch:
                               lr=LrSpec(schedule="multistep", eta0=0.3, milestones=(), decay=0.1))
             state, ctx = prepare_run(cfg, train, test)
             state.params.weights[:] = 0.0  # symmetric start keeps class losses exactly equal
-            records = [train_epoch(state, train, test, e, cfg, ctx)[0] for e in range(3)]
+            records = [train_epoch(state, ctx, e)[0] for e in range(3)]
             return records, state.params.weights.copy()
 
         rec_ce, w_ce = trajectory("ce")
@@ -381,8 +383,8 @@ class TestTrainEpoch:
                           reweight=ReweightConfig(switch_epoch=10),
                           lr=LrSpec(schedule="multistep", eta0=1.0, milestones=(), decay=0.1))
         state, ctx = prepare_run(cfg, train, test)
-        train_epoch(state, train, test, 0, cfg, ctx)
-        _, z, _ = forward_batch(state.params[0], train.x)
+        train_epoch(state, ctx, 0)
+        _, z = forward(state.params[0], train.x)
         assert np.array_equal(z.argmax(axis=1), train.y)
 
     def test_deterministic_replay(self):
@@ -406,7 +408,7 @@ class TestTrainEpoch:
                           reweight=ReweightConfig(switch_epoch=100),
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=(), decay=0.1))
         state, ctx = prepare_run(cfg, train, test)
-        train_epoch(state, train, test, 0, cfg, ctx)
+        train_epoch(state, ctx, 0)
         assert state.batch_counts.sum() > 0
 
     def test_label_symmetry(self):
@@ -430,7 +432,7 @@ class TestTrainEpoch:
                 state, ctx = prepare_run(cfg, data, test)
                 state.params.weights[:] = base.weights
                 state.params.bias[:] = base.bias
-            train_epoch(state, data, test, 0, cfg, ctx)
+            train_epoch(state, ctx, 0)
             return state.params[0]
 
         # row pi(c) of the permuted run should match row c of the plain run
@@ -507,7 +509,7 @@ class TestRunExperiment:
         state, ctx = prepare_run(cfg, train, test)
         assert np.array_equal(ctx.prior[0], ctx.class_weights)
         assert ctx.prior[0, 3] > ctx.prior[0, 0]  # rarer class, larger prior
-        records = [train_epoch(state, train, test, e, cfg, ctx)[0] for e in range(2)]
+        records = [train_epoch(state, ctx, e)[0] for e in range(2)]
         assert np.isfinite(records[-1].train_loss)
 
     def test_config_validation(self):
@@ -722,7 +724,7 @@ class TestLockstep:
         state, ctx = prepare_run(cfg, train, test, (3, 8))
         state.params.weights[1] = 1e308  # only the second run overflows
         with pytest.raises(NumericError, match="seed 8: non-finite loss at epoch 0, iteration 0"):
-            train_epoch(state, train, test, 0, cfg, ctx)
+            train_epoch(state, ctx, 0)
 
 
 class TestBatchStepOracle:
@@ -763,17 +765,18 @@ class TestBatchStepOracle:
 
 def _differentiable_loss(params, ctx, x, y):
     """Per-sample base loss from the public forward pass: focal through the
-    scalar ``focal_loss``, CE otherwise."""
-    _, z, probs = forward_batch(params, x)
+    scalar ``focal_loss`` oracle, CE otherwise."""
+    _, z = forward(params, x)
     if ctx.base_method == "focal":
-        return np.array([focal_loss(p, t, ctx.config.method.focal_gamma) for p, t in zip(probs, y)])
+        return np.array([focal_loss(p, t, ctx.config.method.focal_gamma) for p, t in zip(softmax(z), y)])
     return _ce_from_logits(z, y)
 
 
 def _stop_gradient_coef(params, ctx, x, y, counts_after):
     """Per-sample factors the step holds constant, from their definitions."""
     method = ctx.config.method
-    h, _, probs = forward_batch(params, x)
+    h, z = forward(params, x)
+    probs = softmax(z)
     coef = np.ones(len(y))
     if ctx.base_method == "focal":
         coef = np.full(len(y), method.focal_alpha)
@@ -789,7 +792,9 @@ def _stop_gradient_coef(params, ctx, x, y, counts_after):
             influence + method.ib_eps)
     if method.name == "inverse":
         losses = coef * _differentiable_loss(params, ctx, x, y)
-        coef = coef * inverse_weights(losses, y, counts_after, ctx.prior[0], ctx.config.reweight)[y]
+        sizes = np.bincount(y, minlength=len(counts_after))
+        w_hat = inverse_weights(losses, y, sizes[None], counts_after[None], ctx.prior[:1], ctx.config.reweight)
+        coef = coef * w_hat[0, y]
     return coef
 
 
@@ -821,8 +826,8 @@ class TestBatchStepFiniteDifference:
         def loss():
             value = float(np.mean(coef * _differentiable_loss(run.params, ctx, x, y)))
             if ctx.base_method == "range":
-                h, _, _ = forward_batch(run.params, x)
-                value += cfg.method.range_lambda * range_loss(h, y, *range_args)
+                h, _ = forward(run.params, x)
+                value += cfg.method.range_lambda * range_loss_grad(h, y, *range_args)[0]
             return value
 
         before = run.params.copy()
@@ -845,7 +850,7 @@ class TestEpochEndFiniteness:
         # A frozen -inf hidden bias silences its unit: the losses stay finite.
         state.params.hidden_bias[0, 2] = -np.inf
         with pytest.raises(NumericError, match="seed 1: non-finite hidden_bias after epoch 0"):
-            train_epoch(state, train, test, 0, cfg, ctx)
+            train_epoch(state, ctx, 0)
 
 
 # --- The epoch end before the class-sorted buffers, kept as the oracle. ---
@@ -916,7 +921,7 @@ class TestEpochEndOracle:
         assert (ctx.sorted_x is train.x) == (not shuffle)  # a copy only for unsorted labels
         params = state.params[0]
         for epoch in range(3):
-            [record] = train_epoch(state, train, test, epoch, cfg, ctx)
+            [record] = train_epoch(state, ctx, epoch)
             ref = _epoch_report_ref(params, train, test)
             assert (record.nc2, record.nc3, record.nc4, record.rho) == (
                 ref["nc2"], ref["nc3"], ref["nc4"], ref["rho"])
@@ -930,16 +935,6 @@ class TestEpochEndOracle:
         for before, after in zip(kept, (train.x, train.y, test.x)):
             assert np.array_equal(before, after)
 
-    def test_needs_the_prepared_sets(self):
-        train, test = gaussian_mixture(balanced_spec())
-        cfg = TrainConfig(epochs=1, batch_size=40, lr=LrSpec(schedule="multistep", milestones=()))
-        state, ctx = prepare_run(cfg, train)
-        with pytest.raises(ValueError, match="sets that prepare_run was given"):
-            train_epoch(state, train, test, 0, cfg, ctx)
-        state, ctx = prepare_run(cfg, train, test)
-        with pytest.raises(ValueError, match="sets that prepare_run was given"):
-            train_epoch(state, _shuffled(train, 0), test, 0, cfg, ctx)
-
 
 class TestEpochEndAllocations:
     def test_no_row_sized_array_after_the_first_epoch(self):
@@ -952,7 +947,7 @@ class TestEpochEndAllocations:
                           method=MethodConfig(name="inverse"),
                           lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()))
         state, ctx = prepare_run(cfg, train, test)
-        train_epoch(state, train, test, 0, cfg, ctx)
+        train_epoch(state, ctx, 0)
 
         def peak_bytes(fn, *args):
             tracemalloc.start()
@@ -972,7 +967,7 @@ class TestEpochEndAllocations:
         # train_epoch's own epoch end works in the same buffers: the test
         # logits, computed last, are left in theirs.
         ctx.logits.fill(np.nan)
-        train_epoch(state, train, test, 1, cfg, ctx)
-        _, z_test, _ = forward_batch(params, test.x)
+        train_epoch(state, ctx, 1)
+        _, z_test = forward(params, test.x)
         assert np.array_equal(ctx.test_logits, z_test)
         assert np.shares_memory(ctx.test_logits, ctx.logits)  # the test rows reuse the training buffers
