@@ -205,6 +205,12 @@ def cmd_nc_eval(args) -> int:
     return 0
 
 
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {value!r}")
+    return value
+
+
 def _parse_float_list(raw: str, flag: str) -> list[float]:
     try:
         values = [float(v.strip()) for v in raw.split(",") if v.strip()]
@@ -212,14 +218,14 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag} must be a comma-separated list of numbers, got {raw!r}") from None
     if not values:
         raise ConfigError(f"{flag} must contain at least one value")
-    return values
+    return [_finite(v, flag) for v in values]
 
 
 def cmd_weights(args) -> int:
     losses = _parse_float_list(args.losses, "--losses")
     if any(l < 0 for l in losses):
         raise ConfigError("losses must be nonnegative")
-    if args.alpha < 0:
+    if _finite(args.alpha, "--alpha") < 0:
         raise ConfigError("--alpha must be >= 0")
     if args.w0 is not None:
         w0 = _parse_float_list(args.w0, "--w0")
@@ -237,6 +243,8 @@ def cmd_weights(args) -> int:
 
 
 def cmd_mlf(args) -> int:
+    _finite(args.a, "--a")
+    _finite(args.z, "--z")
     try:
         value = mittag_leffler(args.a, args.z)
     except ValueError as exc:

@@ -7,13 +7,15 @@ are that dataclass's field names: [train] fills ``TrainConfig``, and
 [dataset] fills ``LongTailSpec``, or ``CsvSource`` with ``kind = csv``;
 its ``classes`` key is ``LongTailSpec.class_count``. A key left out keeps
 its field's default, and so does an empty number, boolean or list; an
-empty string is taken as given. Unknown sections or keys are rejected
-before anything runs, so a typo cannot silently fall back to a default.
+empty string is taken as given. Numbers must be finite. Unknown sections
+(``[DEFAULT]`` too) or keys are rejected before anything runs, so a typo
+cannot silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import Field, dataclass, fields
 
 from .data import LongTailSpec
@@ -54,26 +56,35 @@ def _boolean(raw: str) -> bool:
     return value
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):  # float() reads nan and inf
+        raise ValueError(raw)
+    return value
+
+
 def _number_or_text(raw: str) -> float | str:
     try:
-        return float(raw)
+        float(raw)
     except ValueError:
         return raw  # the dataclass decides which words it takes
+    return _finite(raw)
 
 
 # One converter per field annotation (the modules postpone annotations, so
 # each is the string written in the dataclass), with what a bad value is
-# not. Text converters (no description) cannot fail and take "" as given.
+# not. Text fields take "" as given; ``str`` cannot fail.
 _CONVERTERS = {
     "int": (int, "a valid integer"),
-    "float": (float, "a valid number"),
-    "float | None": (float, "a valid number"),
+    "float": (_finite, "a finite number"),
+    "float | None": (_finite, "a finite number"),
     "bool": (_boolean, "a valid boolean"),
     "tuple[int, ...]": (lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
                         "a comma-separated integer list"),
     "str": (str, None),
-    "float | str": (_number_or_text, None),
+    "float | str": (_number_or_text, "a finite number"),
 }
+_TEXT_TYPES = ("str", "float | str")
 _KEY_OF_FIELD = {"class_count": "classes"}
 _DATASET_KINDS = {"synthetic": LongTailSpec, "csv": CsvSource}
 _SECTIONS = {"dataset": tuple(_DATASET_KINDS.values()), "train": (TrainConfig,), "method": (MethodConfig,),
@@ -86,7 +97,9 @@ def _keys(cls) -> dict[str, Field]:
 
 
 def _read_document(path: str) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section name can be empty, so [DEFAULT] is an ordinary section, and
+    # an unknown one: its keys would otherwise leak into every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -118,7 +131,7 @@ def _build(cls, doc: dict[str, dict[str, str]], section: str, **nested):
     for key, f in _keys(cls).items():
         raw = values.get(key)
         convert, what = _CONVERTERS[f.type]
-        if raw is None or (raw == "" and what is not None):
+        if raw is None or (raw == "" and f.type not in _TEXT_TYPES):
             continue
         try:
             kwargs[f.name] = convert(raw)

@@ -301,6 +301,19 @@ class TestWeights:
     def test_w0_length_mismatch(self, capsys):
         assert main(["weights", "--losses", "1,2", "--w0", "1"]) == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--losses", "nan,1"], "--losses"),
+        (["--losses", "1,inf"], "--losses"),
+        (["--losses", "1,2", "--alpha", "nan"], "--alpha"),
+        (["--losses", "1,2", "--alpha", "inf"], "--alpha"),
+        (["--losses", "1,2", "--w0", "1,nan"], "--w0"),
+        (["--losses", "1,2", "--w0", "1,inf"], "--w0"),
+    ])
+    def test_non_finite_exits_2_naming_the_flag(self, capsys, argv, flag):
+        assert main(["weights"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config error: {flag} must be finite" in captured.err
+
 
 class TestMlf:
     def test_series_branch(self, capsys):
@@ -325,6 +338,13 @@ class TestMlf:
 
     def test_domain_error(self, capsys):
         assert main(["mlf", "--a", "1.5", "--z", "1"]) == 2
+
+    @pytest.mark.parametrize("a, z, flag", [("nan", "1", "--a"), ("inf", "1", "--a"),
+                                            ("0.5", "nan", "--z"), ("0.5", "inf", "--z")])
+    def test_non_finite_exits_2_naming_the_flag(self, capsys, a, z, flag):
+        assert main(["mlf", "--a", a, "--z", z]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config error: {flag} must be finite" in captured.err
 
     @pytest.mark.parametrize("a,z", [(0.3, 3.0), (0.1, 1000.0)])
     def test_cancelled_series_not_reported(self, capsys, a, z):

@@ -66,6 +66,10 @@ OTHER_KEYS = [
     ("lr", "decay", "0.5", lambda c: c.train.lr.decay, 0.5),
 ]
 
+# Every key whose field is a number: float, float | None, or float | str.
+FLOAT_KEYS = [(section, key) for section, key, _, _, want in SYNTHETIC_KEYS + OTHER_KEYS
+              if isinstance(want, float)]
+
 
 def _document(entries) -> str:
     sections: dict[str, list[str]] = {}
@@ -198,6 +202,17 @@ class TestRejected:
 
     def test_unknown_section_is_named(self, tmp_path, capsys):
         assert "unknown config section [optim]" in _rejected(tmp_path, capsys, "[optim]\nlr = 1\n")
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nepochs = 3\n", "[train]\nseed = 2\n[DEFAULT]\n"])
+    def test_default_section_is_rejected(self, tmp_path, capsys, text):
+        # configparser would hide it from sections() and copy its keys into every section.
+        assert "unknown config section [DEFAULT]" in _rejected(tmp_path, capsys, text)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_non_finite_number_names_section_and_key(self, tmp_path, capsys, section, key, raw):
+        err = _rejected(tmp_path, capsys, f"[{section}]\n{key} = {raw}\n")
+        assert f"[{section}] {key} = {raw!r} is not a finite number" in err
 
     @pytest.mark.parametrize("section, key", [("reweight", "banana"), ("dataset", "class_count"),
                                               ("train", "method"), ("train", "reweight_mode"),
