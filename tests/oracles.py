@@ -1,15 +1,24 @@
 """Reference forms that the tests check ``ltlab`` against.
 
-Training computes these quantities in array form, once per batch or epoch
+Training computes the losses in array form, once per batch or epoch
 (``trainer._base_losses`` builds the focal and influence-balanced sample
 losses from the batch's softmax). Here they are written the plain way, one
 sample or one class at a time, so that an identity they satisfy can be
 checked on its own.
+
+``make_nc_fixture`` constructs a feature/classifier snapshot that sits
+exactly at the collapsed end-state: all features at their class means,
+class means on a simplex ETF around the global mean, and classifier rows
+aligned with the centered means. At that configuration every class has
+the same average cross-entropy loss, which the fixture tests exploit.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from ltlab.etf import NcFixture
+from ltlab.etf import SimplexEtf, make_etf
+from ltlab.linalg import pinv
 
 
 def softmax(z):
@@ -78,6 +87,77 @@ def ib_loss(probs, target: int, feature, eps: float) -> float:
     one_hot[target] = 1.0
     influence = float(np.abs(p - one_hot).sum()) * float(np.abs(np.asarray(feature, dtype=np.float64)).sum())
     return float(-np.log(p_t) / (influence + eps))
+
+
+@dataclass(frozen=True)
+class NcFixture:
+    """A snapshot with zero within-class scatter and self-dual classifier.
+
+    ``features[c]`` holds n identical copies of the class-c mean
+    ``global_mean + radius * etf.columns[:, c]``. The classifier row c is
+    ``alignment_scale * radius * etf.columns[:, c]`` with zero bias.
+
+    The requested global mean is projected onto the orthogonal complement
+    of the frame's column span before use; only that component keeps the
+    per-class logit pattern (and hence the per-class losses) exactly
+    symmetric under a zero-bias linear head.
+    """
+
+    etf: SimplexEtf
+    classifier: np.ndarray  # (C, p)
+    features: tuple[np.ndarray, ...]  # per class, (n_per_class, p)
+    alignment_scale: float
+    radius: float
+    global_mean: np.ndarray  # (p,), the projected offset actually used
+
+
+def etf_gram(etf: SimplexEtf) -> np.ndarray:
+    """C x C matrix of pairwise inner products of the frame columns."""
+    return etf.columns.T @ etf.columns
+
+
+def make_nc_fixture(
+    class_count: int,
+    feature_dim: int,
+    n_per_class: int,
+    scale: float,
+    radius: float,
+    global_mean=None,
+    seed: int = 0,
+) -> NcFixture:
+    """Place features and classifier exactly at the collapsed geometry.
+
+    ``scale`` is the classifier/mean alignment factor (rows of the
+    classifier are scale * centered class means), ``radius`` the common
+    norm of the centered class means.
+    """
+    if n_per_class < 1:
+        raise ValueError("n_per_class must be >= 1")
+    if scale <= 0 or radius <= 0:
+        raise ValueError("scale and radius must be positive")
+    etf = make_etf(class_count, feature_dim, seed)
+    m = etf.columns
+    if global_mean is None:
+        mu_g = np.zeros(feature_dim)
+    else:
+        mu_g = np.asarray(global_mean, dtype=np.float64)
+        if mu_g.shape != (feature_dim,):
+            raise ValueError(f"global_mean must have shape ({feature_dim},)")
+        # Keep only the component orthogonal to the class-vector span.
+        mu_g = mu_g - m @ (pinv(m) @ mu_g)
+    feats = []
+    for c in range(class_count):
+        mean_c = mu_g + radius * m[:, c]
+        feats.append(np.tile(mean_c, (n_per_class, 1)))
+    classifier = (scale * radius) * m.T
+    return NcFixture(
+        etf=etf,
+        classifier=classifier,
+        features=tuple(feats),
+        alignment_scale=scale,
+        radius=radius,
+        global_mean=mu_g,
+    )
 
 
 def fixture_class_losses(fixture: NcFixture) -> np.ndarray:

@@ -17,7 +17,6 @@ from ltlab.baselines import ClassCounts, cb_weights, inv_freq_weights
 from ltlab.cli import main
 from ltlab.config import load_experiment_config
 from ltlab.data import gaussian_mixture
-from ltlab.etf import make_nc_fixture
 from ltlab.nc_metrics import FeatureBank, nc1, nc2, nc3
 from ltlab.reweighting import closed_form_weight, loss_imbalance_rho
 from ltlab.scheduler import MileLrConfig, mile_lr_at, mittag_leffler, ml_tail
@@ -30,7 +29,7 @@ from ltlab.trainer import (
     run_experiment,
 )
 
-from oracles import fixture_class_losses, focal_loss, ib_loss, weighted_ce_dlogits
+from oracles import fixture_class_losses, focal_loss, ib_loss, make_nc_fixture, weighted_ce_dlogits
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 SEEDS = (1, 2, 3)

@@ -8,7 +8,8 @@ import pytest
 
 from ltlab.cli import main
 from ltlab.data import load_csv_dataset
-from ltlab.etf import make_nc_fixture
+
+from oracles import make_nc_fixture
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltlab.etf import etf_gram, make_etf, make_nc_fixture
+from ltlab.etf import make_etf
 from ltlab.nc_metrics import FeatureBank, nc1, nc2, nc3, nc4_agreement
 from ltlab.reweighting import loss_imbalance_rho
 
-from oracles import fixture_class_losses
+from oracles import etf_gram, fixture_class_losses, make_nc_fixture
 
 
 def bank_from_fixture(fx):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltlab.etf import make_etf, make_nc_fixture
+from ltlab.etf import make_etf
 from ltlab.nc_metrics import (
     FeatureBank,
     NcReport,
@@ -18,6 +18,8 @@ from ltlab.nc_metrics import (
     nc3,
     nc4_agreement,
 )
+
+from oracles import make_nc_fixture
 
 TOY = FeatureBank(class_ids=(0, 1), features=np.array([[0.0], [2.0], [4.0], [6.0]]), offsets=(0, 2, 4))
 
