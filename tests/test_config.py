@@ -203,7 +203,8 @@ class TestRejected:
     def test_unknown_section_is_named(self, tmp_path, capsys):
         assert "unknown config section [optim]" in _rejected(tmp_path, capsys, "[optim]\nlr = 1\n")
 
-    @pytest.mark.parametrize("text", ["[DEFAULT]\nepochs = 3\n", "[train]\nseed = 2\n[DEFAULT]\n"])
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nepochs = 3\n", "[train]\nseed = 2\n[DEFAULT]\n"],
+                             ids=("with-key", "empty"))
     def test_default_section_is_rejected(self, tmp_path, capsys, text):
         # configparser would hide it from sections() and copy its keys into every section.
         assert "unknown config section [DEFAULT]" in _rejected(tmp_path, capsys, text)
