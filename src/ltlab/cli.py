@@ -235,8 +235,15 @@ def cmd_weights(args) -> int:
             raise ConfigError("prior weights must be positive")
     else:
         w0 = [1.0] * len(losses)
-    l_bar = float(np.mean(losses))
-    w_star = closed_form_weight(losses, l_bar, args.alpha, w0).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        l_bar = float(np.mean(losses))
+        if math.isinf(l_bar):  # the sum overflowed; the mean of the scaled losses cannot
+            top = max(losses)
+            l_bar = top * float(np.mean(np.divide(losses, top)))
+        w_star = closed_form_weight(losses, l_bar, args.alpha, w0).tolist()
+    for c, w in enumerate(w_star):
+        if not math.isfinite(w):
+            raise NumericError(f"the weight of class {c} is {w!r} (loss {losses[c]!r}, l_bar {l_bar!r})")
     weights = {str(c): {"w_star": w, "beta": 1.0, "w_hat": w} for c, w in enumerate(w_star)}
     print(json.dumps({"l_bar": l_bar, "weights": weights}, indent=2))
     return 0

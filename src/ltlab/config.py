@@ -21,7 +21,8 @@ from dataclasses import Field, dataclass, fields
 from .data import LongTailSpec
 from .errors import ConfigError
 from .reweighting import ReweightConfig
-from .trainer import LrSpec, MethodConfig, TrainConfig
+from .scheduler import LrSpec
+from .trainer import MethodConfig, TrainConfig
 
 __all__ = ["CsvSource", "ExperimentConfig", "load_experiment_config"]
 

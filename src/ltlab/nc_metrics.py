@@ -176,10 +176,10 @@ def covariances(bank: FeatureBank, out: np.ndarray | None = None):
     return sigma_w, sigma_b
 
 
-def nc1(bank: FeatureBank, rank_tol: float | None = None, out: np.ndarray | None = None) -> float:
+def nc1(bank: FeatureBank, out: np.ndarray | None = None) -> float:
     """trace(Sigma_W @ pinv(Sigma_B)) / C; ``out`` is as in ``covariances``."""
     sigma_w, sigma_b = covariances(bank, out)
-    scatter = sigma_w @ pinv(sigma_b, rank_tol)
+    scatter = sigma_w @ pinv(sigma_b)
     if not np.isfinite(scatter).all():
         raise ValueError("Sigma_W pinv(Sigma_B) has non-finite entries; metric undefined")
     return float(np.trace(scatter)) / bank.class_count

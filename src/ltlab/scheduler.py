@@ -12,6 +12,10 @@ heavier tail.
 
 A conventional epoch-level multi-step decay is provided as the baseline
 schedule.
+
+``LrSpec`` is the one schedule config, the ``[lr]`` section, and checks
+every value when it is built. ``learning_rates`` resolves it for a run,
+once, into the rate of every iteration.
 """
 
 from __future__ import annotations
@@ -22,16 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
-    "MileLrConfig",
-    "MultiStepConfig",
+    "LrSpec",
     "mittag_leffler",
     "ml_series",
     "ml_series_log_peak",
     "ml_tail",
     "entropy_alpha",
-    "mile_lr_at",
-    "multistep_lr_at",
+    "learning_rates",
 ]
 
 SERIES_TOL = 1e-12
@@ -130,95 +134,78 @@ def entropy_alpha(counts) -> float:
 
 
 @dataclass(frozen=True)
-class MileLrConfig:
-    """Constants of the Mittag-Leffler schedule, in iteration units.
+class LrSpec:
+    """The ``[lr]`` section: which schedule, and its constants in epochs.
 
-    ``lr_switch_epoch`` marks the handoff from the early-stabilization
-    stage to the late power-law stage; it is converted to iterations and
-    offset by the warm-up length.
+    ``mile`` warms up linearly over ``warmup_epochs``, follows E_a(-z)
+    until ``switch_epoch`` (counted from the start of training, the
+    warm-up included) and then the power-law tail; ``tail_param`` is a in
+    (0, 1], or ``"entropy"`` to derive it from the class counts.
+    ``multistep`` multiplies ``eta0`` by ``decay`` at each of the
+    ``milestones``. Every value is checked here, whichever schedule is
+    picked.
     """
 
-    eta0: float
-    total_epochs: int
-    iters_per_epoch: int
+    schedule: str = "multistep"  # "mile" | "multistep"
+    eta0: float = 0.1
     warmup_epochs: int = 0
-    lr_switch_epoch: int = 0
-    tail_param: float = 1.0
+    switch_epoch: int = 0
+    tail_param: float | str = "entropy"
     eps: float = 1e-3
-
-    def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
-        if self.total_epochs < 1 or self.iters_per_epoch < 1:
-            raise ValueError("total_epochs and iters_per_epoch must be >= 1")
-        if self.warmup_epochs < 0 or self.lr_switch_epoch < 0:
-            raise ValueError("epoch counts must be >= 0")
-        if not 0.0 < self.tail_param <= 1.0:
-            raise ValueError("tail_param must lie in (0, 1]")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        if self.t_post < 1:
-            raise ValueError("schedule needs at least one post-warmup iteration")
-
-    @property
-    def t_all(self) -> int:
-        return self.total_epochs * self.iters_per_epoch
-
-    @property
-    def t_warm(self) -> int:
-        return self.warmup_epochs * self.iters_per_epoch
-
-    @property
-    def t_post(self) -> int:
-        return self.t_all - self.t_warm
-
-    @property
-    def t_switch(self) -> int:
-        return max(self.lr_switch_epoch * self.iters_per_epoch - self.t_warm, 0)
-
-
-def mile_lr_at(t: int, config: MileLrConfig) -> float:
-    """Learning rate at global iteration t (0-based)."""
-    if not 0 <= t < config.t_all:
-        raise ValueError(f"iteration {t} outside [0, {config.t_all})")
-    eta0, eps, a = config.eta0, config.eps, config.tail_param
-    if t < config.t_warm:
-        return eta0 * (t + 1) / config.t_warm
-    tau = t - config.t_warm
-    t_s = config.t_switch
-    if tau < t_s:
-        z1 = (1.0 - eps) * tau / max(t_s, 1)
-        return eta0 * mittag_leffler(a, z1)
-    tau2 = tau - t_s
-    t2 = max(config.t_post - t_s, 1)
-    s2 = min(tau2 / t2, 1.0 - eps)
-    z2 = 1.0 + s2 / (1.0 - s2 + eps)
-    a_eff = min(a, STAGE2_ALPHA_CAP)
-    return eta0 / (z2 * math.gamma(1.0 - a_eff))
-
-
-@dataclass(frozen=True)
-class MultiStepConfig:
-    """Epoch-level staircase decay: eta0 * decay^(milestones passed)."""
-
-    eta0: float
-    milestones: tuple[int, ...]
+    milestones: tuple[int, ...] = ()
     decay: float = 0.1
 
     def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
+        if self.schedule not in ("mile", "multistep"):
+            raise ConfigError(f"unknown schedule {self.schedule!r}; valid: mile, multistep")
+        if isinstance(self.tail_param, str):
+            if self.tail_param != "entropy":
+                raise ConfigError(f"tail_param = {self.tail_param!r} must be a number or 'entropy'")
+        elif not 0.0 < self.tail_param <= 1.0:
+            raise ConfigError(f"tail_param must lie in (0, 1], got {self.tail_param}")
+        if not self.eta0 > 0:
+            raise ConfigError(f"eta0 must be positive, got {self.eta0}")
+        for name in ("eps", "decay"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        for name in ("warmup_epochs", "switch_epoch"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         ms = tuple(int(m) for m in self.milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ValueError("milestones must be strictly increasing")
+            raise ConfigError(f"milestones must be strictly increasing, got {', '.join(map(str, ms))}")
         object.__setattr__(self, "milestones", ms)
 
 
-def multistep_lr_at(epoch: int, config: MultiStepConfig) -> float:
-    """Learning rate at the given epoch (milestone epochs count as passed)."""
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
-    passed = bisect_right(config.milestones, epoch)
-    return config.eta0 * config.decay ** passed
+def learning_rates(spec: LrSpec, epochs: int, iters_per_epoch: int, counts=None) -> list[float]:
+    """The learning rate of every iteration of a run, as Python floats:
+    entry t is the rate of global iteration t (0-based), and epoch e runs
+    iterations e * iters_per_epoch up to (e + 1) * iters_per_epoch.
+    ``counts`` (the class counts) is read only for the entropy tail.
+
+    ``multistep`` holds eta0 * decay^(milestones passed) over each epoch,
+    a milestone epoch counting as passed. ``mile`` runs in iteration
+    units: t_warm warm-up iterations, then t_switch iterations of
+    eta0 * E_a(-z) with z rising to 1 - eps, then eta0 / (z Gamma(1 - a))
+    over the rest, z rising from 1 towards 1 / eps, with a capped below 1.
+    """
+    if spec.schedule == "multistep":
+        return [spec.eta0 * spec.decay ** bisect_right(spec.milestones, t // iters_per_epoch)
+                for t in range(epochs * iters_per_epoch)]
+    t_all = epochs * iters_per_epoch
+    t_warm = spec.warmup_epochs * iters_per_epoch
+    t_post = t_all - t_warm
+    if t_post < 1:
+        raise ValueError("the mile schedule needs at least one iteration after its warm-up")
+    t_s = max(spec.switch_epoch * iters_per_epoch - t_warm, 0)
+    a = entropy_alpha(counts) if spec.tail_param == "entropy" else float(spec.tail_param)
+    eta0, eps = spec.eta0, spec.eps
+    n1 = min(t_s, t_post)  # iterations in the early stage
+    rates = [eta0 * (t + 1) / t_warm for t in range(t_warm)]
+    rates += [eta0 * mittag_leffler(a, (1.0 - eps) * tau / max(t_s, 1)) for tau in range(n1)]
+    t2 = max(t_post - t_s, 1)
+    gamma = math.gamma(1.0 - min(a, STAGE2_ALPHA_CAP))
+    for tau2 in range(t_post - n1):
+        s2 = min(tau2 / t2, 1.0 - eps)
+        rates.append(eta0 / ((1.0 + s2 / (1.0 - s2 + eps)) * gamma))
+    return rates

@@ -12,7 +12,9 @@ axis: weights (R, C, p), bias (R, C), hidden weights (R, p, d) and hidden
 bias (R, p), and ``params[r]`` is run r's ``ModelParams``, views of its
 row. The SGD velocity and the gradient share that layout, so a step is a
 few in-place ufuncs over the whole (R, P) buffer; the counters B_c are one
-(R, C) array.
+(R, C) array. ``prepare_run`` resolves the learning-rate schedule once per
+stack into the rate of every iteration (``scheduler.learning_rates``), and
+each batch step reads its rate by the iteration count.
 
 A batch step takes each seed's own shuffled batch (every seed's batches
 have the same sizes), gathers them as (R, B, d) inputs and computes each
@@ -46,18 +48,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baselines, reweighting, scheduler
+from . import baselines, reweighting
 from .baselines import BASE_METHODS, ClassCounts
 from .data import Dataset, batch_iter
 from .errors import ConfigError, NumericError
 from .nc_metrics import FeatureBank, NcReport, make_report
 from .reweighting import ReweightConfig
+from .scheduler import LrSpec, learning_rates
 
 __all__ = [
     "VALID_METHODS",
     "ModelParams",
     "MethodConfig",
-    "LrSpec",
     "TrainConfig",
     "TrainState",
     "EpochRecord",
@@ -181,26 +183,21 @@ class MethodConfig:
     def __post_init__(self):
         if self.name not in VALID_METHODS:
             raise ConfigError(f"unknown method {self.name!r}; valid: {', '.join(VALID_METHODS)}")
-
-
-@dataclass(frozen=True)
-class LrSpec:
-    """Schedule selection; resolved into a concrete config per run."""
-
-    schedule: str = "multistep"  # "mile" | "multistep"
-    eta0: float = 0.1
-    warmup_epochs: int = 0
-    switch_epoch: int = 0
-    tail_param: float | str = "entropy"  # number, or "entropy" to derive from counts
-    eps: float = 1e-3
-    milestones: tuple[int, ...] = ()
-    decay: float = 0.1
-
-    def __post_init__(self):
-        if self.schedule not in ("mile", "multistep"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}; valid: mile, multistep")
-        if isinstance(self.tail_param, str) and self.tail_param != "entropy":
-            raise ConfigError(f"tail_param = {self.tail_param!r} must be a number or 'entropy'")
+        if not 0.0 <= self.cb_beta < 1.0:
+            raise ConfigError(f"cb_beta must be >= 0 and < 1, got {self.cb_beta}")
+        if self.focal_gamma < 0:
+            raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
+        if self.focal_alpha is not None and self.focal_alpha <= 0:
+            raise ConfigError(f"focal_alpha must be positive, got {self.focal_alpha}")
+        if self.ib_alpha_scale <= 0:
+            raise ConfigError(f"ib_alpha_scale must be positive, got {self.ib_alpha_scale}")
+        if self.range_k < 1:
+            raise ConfigError(f"range_k must be >= 1, got {self.range_k}")
+        if self.range_margin <= 0:
+            raise ConfigError(f"range_margin must be positive, got {self.range_margin}")
+        for name in ("range_alpha", "range_beta", "range_lambda"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -223,6 +220,9 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0")
         if self.hidden_dim < 0:
             raise ConfigError("hidden_dim must be >= 0")
+        if self.lr.schedule == "mile" and self.epochs <= self.lr.warmup_epochs:
+            raise ConfigError(f"epochs = {self.epochs} leaves no epoch after the mile schedule's "
+                              f"warmup_epochs = {self.lr.warmup_epochs}")
 
 
 @dataclass
@@ -363,9 +363,7 @@ class RunContext:
     prior: np.ndarray  # (R, C) inverse-solve prior w0 of each run: ones, or the base class weights
     slot_offsets: np.ndarray  # (R, 1) r * C: run r's class c is slot r * C + c of the stack
     inverse_active: bool
-    iters_per_epoch: int
-    mile: scheduler.MileLrConfig | None
-    multistep: scheduler.MultiStepConfig | None
+    lrs: list[float]  # the learning rate of every iteration of the run
     groups: tuple[np.ndarray, np.ndarray, np.ndarray]  # head/med/tail class ids
     # The epoch end: the sets it evaluates, the training rows in stable
     # label order, and its buffers, which the runs use in turn. The test
@@ -423,25 +421,6 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
     if method.name == "inverse" and config.reweight.use_base_prior and class_weights is not None:
         prior = class_weights
 
-    iters_per_epoch = math.ceil(len(train) / config.batch_size)
-    mile = multistep = None
-    if config.lr.schedule == "mile":
-        tail = config.lr.tail_param
-        if tail == "entropy":
-            tail = scheduler.entropy_alpha(counts)
-        mile = scheduler.MileLrConfig(
-            eta0=config.lr.eta0,
-            total_epochs=config.epochs,
-            iters_per_epoch=iters_per_epoch,
-            warmup_epochs=config.lr.warmup_epochs,
-            lr_switch_epoch=config.lr.switch_epoch,
-            tail_param=float(tail),
-            eps=config.lr.eps,
-        )
-    else:
-        multistep = scheduler.MultiStepConfig(
-            eta0=config.lr.eta0, milestones=config.lr.milestones, decay=config.lr.decay)
-
     y = train.y
     if (y[1:] >= y[:-1]).all():
         sorted_x, sorted_y = train.x, y
@@ -467,9 +446,7 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
         prior=np.broadcast_to(prior, (len(seeds), c)),  # one row for every run, not copied
         slot_offsets=c * np.arange(len(seeds))[:, None],
         inverse_active=method.name == "inverse",
-        iters_per_epoch=iters_per_epoch,
-        mile=mile,
-        multistep=multistep,
+        lrs=learning_rates(config.lr, config.epochs, math.ceil(len(train) / config.batch_size), counts),
         groups=_tercile_groups(counts),
         train=train,
         test=test,
@@ -483,12 +460,6 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
         test_logits=None if test is None else logits[:n_test],
     )
     return state, ctx
-
-
-def _lr_at(ctx: RunContext, epoch: int, iteration: int) -> float:
-    if ctx.mile is not None:
-        return scheduler.mile_lr_at(iteration, ctx.mile)
-    return scheduler.multistep_lr_at(epoch, ctx.multistep)
 
 
 def _base_losses(ctx: RunContext, h, z, y):
@@ -616,7 +587,7 @@ def _train_batches(state: TrainState, ctx: RunContext, epoch: int) -> tuple[list
     lr = float("nan")
     epoch_seeds = [seed * 1_000_003 + epoch for seed in ctx.seeds]
     for idx in batch_iter(train, ctx.config.batch_size, epoch_seeds):  # (R, B), row r in seed r's order
-        lr = _lr_at(ctx, epoch, state.iteration)
+        lr = ctx.lrs[state.iteration]
         loss = _batch_update(state, ctx, train.x.take(idx, axis=0), train.y[idx], epoch, lr)
         m = idx.shape[1]
         totals = [total + run_loss * m for total, run_loss in zip(totals, loss.tolist())]

@@ -19,7 +19,7 @@ from ltlab.config import load_experiment_config
 from ltlab.data import gaussian_mixture
 from ltlab.nc_metrics import FeatureBank, nc1, nc2, nc3
 from ltlab.reweighting import closed_form_weight, loss_imbalance_rho
-from ltlab.scheduler import MileLrConfig, mile_lr_at, mittag_leffler, ml_tail
+from ltlab.scheduler import LrSpec, learning_rates, mittag_leffler, ml_tail
 from ltlab.trainer import (
     TrainConfig,
     _ce_from_logits,
@@ -196,11 +196,10 @@ def test_criterion_6_decay_curve_numerics():
     exact_one = all(mittag_leffler(a, 0.0) == 1.0 for a in (0.1, 0.5, 0.9, 1.0))
     tail_match = all(mittag_leffler(a, z) == ml_tail(a, z)
                      for a in (0.3, 0.5, 0.9) for z in (1.0, 2.5, 10.0))
-    cfg = MileLrConfig(eta0=0.1, total_epochs=20, iters_per_epoch=10, warmup_epochs=1,
-                       lr_switch_epoch=15, tail_param=0.5, eps=1e-3)
-    lrs = [mile_lr_at(t, cfg) for t in range(cfg.t_all)]
-    stage1 = lrs[cfg.t_warm:cfg.t_warm + cfg.t_switch]
-    stage2 = lrs[cfg.t_warm + cfg.t_switch:]
+    spec = LrSpec(schedule="mile", eta0=0.1, warmup_epochs=1, switch_epoch=15, tail_param=0.5, eps=1e-3)
+    lrs = learning_rates(spec, 20, 10)  # t_warm = 10, t_switch = 15 * 10 - 10 = 140
+    stage1 = lrs[10:150]
+    stage2 = lrs[150:]
     monotone = (np.all(np.diff(stage1) <= 1e-15) and np.all(np.diff(stage2) <= 1e-15))
     elapsed = time.time() - start
     ok = grid_err <= 1e-6 and exact_one and tail_match and bool(monotone) and elapsed < 1.0

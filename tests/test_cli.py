@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,24 @@ class TestWeights:
             "0": {"w_star": 0.5, "beta": 1.0, "w_hat": 0.5},
             "1": {"w_star": 0.5, "beta": 1.0, "w_hat": 0.5}}}
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    def test_losses_near_the_float_maximum(self, capsys):
+        # Their sum overflows, their mean does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["weights", "--losses", "1e308,1e308"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)  # strict JSON
+        assert payload["l_bar"] == 1e308
+        assert [w["w_hat"] for w in payload["weights"].values()] == [1.0, 1.0]
+
+    def test_non_finite_weight_exits_4_naming_the_class(self, capsys):
+        # l_c^2 overflows, and the closed form reads inf / inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["weights", "--losses", "1e200,3e200", "--alpha", "0.5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric failure: the weight of class 0 is nan" in captured.err
 
     def test_negative_loss_rejected(self, capsys):
         assert main(["weights", "--losses", "1,-2", "--alpha", "0"]) == 2

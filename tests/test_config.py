@@ -10,7 +10,8 @@ from ltlab.config import CsvSource, ExperimentConfig, load_experiment_config
 from ltlab.data import LongTailSpec
 from ltlab.errors import ConfigError
 from ltlab.reweighting import ReweightConfig
-from ltlab.trainer import LrSpec, MethodConfig, TrainConfig
+from ltlab.scheduler import LrSpec
+from ltlab.trainer import MethodConfig, TrainConfig
 
 # (section, key, raw value, field getter, parsed value): every key of every
 # section, each set away from its default.
@@ -195,6 +196,27 @@ class TestRejected:
         ("[reweight]\nmode = bogus\n", "[reweight] unknown mode 'bogus'"),
         ("[reweight]\nbase = inverse\n", "[reweight] base must be a base method, got 'inverse'"),
         ("[lr]\nschedule = cosine\n", "[lr] unknown schedule 'cosine'"),
+        ("[lr]\neta0 = 0\n", "[lr] eta0 must be positive, got 0.0"),
+        ("[lr]\nwarmup_epochs = -1\n", "[lr] warmup_epochs must be >= 0, got -1"),
+        ("[lr]\nswitch_epoch = -1\n", "[lr] switch_epoch must be >= 0, got -1"),
+        ("[lr]\neps = 5\n", "[lr] eps must lie in (0, 1), got 5.0"),
+        ("[lr]\ndecay = 1\n", "[lr] decay must lie in (0, 1), got 1.0"),
+        ("[lr]\ntail_param = 0\n", "[lr] tail_param must lie in (0, 1], got 0.0"),
+        ("[lr]\nmilestones = 5,5\n", "[lr] milestones must be strictly increasing, got 5, 5"),
+        ("[lr]\nschedule = mile\nwarmup_epochs = 40\n",
+         "[train] epochs = 40 leaves no epoch after the mile schedule's warmup_epochs = 40"),
+        ("[train]\nepochs = 2\n[lr]\nschedule = mile\nwarmup_epochs = 3\n",
+         "[train] epochs = 2 leaves no epoch after the mile schedule's warmup_epochs = 3"),
+        ("[method]\nfocal_gamma = -1\n", "[method] focal_gamma must be >= 0, got -1.0"),
+        ("[method]\nfocal_alpha = -1\n", "[method] focal_alpha must be positive, got -1.0"),
+        ("[method]\nrange_lambda = -5\n", "[method] range_lambda must be >= 0, got -5.0"),
+        ("[method]\nrange_k = 0\n", "[method] range_k must be >= 1, got 0"),
+        ("[method]\nrange_margin = 0\n", "[method] range_margin must be positive, got 0.0"),
+        ("[method]\nrange_alpha = -1\n", "[method] range_alpha must be >= 0, got -1.0"),
+        ("[method]\nrange_beta = -1\n", "[method] range_beta must be >= 0, got -1.0"),
+        ("[method]\ncb_beta = 1\n", "[method] cb_beta must be >= 0 and < 1, got 1.0"),
+        ("[method]\ncb_beta = -0.5\n", "[method] cb_beta must be >= 0 and < 1, got -0.5"),
+        ("[method]\nib_alpha_scale = 0\n", "[method] ib_alpha_scale must be positive, got 0.0"),
     ])
     def test_bad_setting_names_section_once(self, tmp_path, capsys, text, named):
         err = _rejected(tmp_path, capsys, text)

@@ -15,8 +15,8 @@ from ltlab.reweighting import (
     inverse_weights,
     loss_imbalance_rho,
 )
+from ltlab.scheduler import LrSpec
 from ltlab.trainer import (
-    LrSpec,
     MethodConfig,
     TrainConfig,
     _batch_update,

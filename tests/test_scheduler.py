@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltlab.baselines import ClassCounts
+from ltlab.errors import ConfigError
 from ltlab.scheduler import (
-    MileLrConfig,
-    MultiStepConfig,
+    LrSpec,
     entropy_alpha,
-    mile_lr_at,
+    learning_rates,
     mittag_leffler,
     ml_series,
     ml_series_log_peak,
     ml_tail,
-    multistep_lr_at,
 )
 
 
@@ -93,94 +92,100 @@ class TestEntropyAlpha:
         assert a == pytest.approx(b, abs=1e-15)
 
 
-def make_config(**kw):
-    defaults = dict(eta0=0.1, total_epochs=10, iters_per_epoch=10,
-                    warmup_epochs=1, lr_switch_epoch=8, tail_param=0.5, eps=1e-3)
-    defaults.update(kw)
-    return MileLrConfig(**defaults)
+def mile_rates(epochs=10, iters_per_epoch=10, counts=None, **kw):
+    """The mile schedule's rates; by default t_all = 100, t_warm = 10 and
+    t_switch = 70, so stage 1 is [10:80] and stage 2 [80:100]."""
+    spec = dict(schedule="mile", eta0=0.1, warmup_epochs=1, switch_epoch=8, tail_param=0.5, eps=1e-3)
+    spec.update(kw)
+    return learning_rates(LrSpec(**spec), epochs, iters_per_epoch, counts)
 
 
 class TestMileLr:
-    def test_derived_iteration_counts(self):
-        cfg = make_config()
-        assert cfg.t_all == 100
-        assert cfg.t_warm == 10
-        assert cfg.t_post == 90
-        assert cfg.t_switch == 70
+    def test_stage_positions(self):
+        lrs = mile_rates()
+        assert len(lrs) == 100
+        assert lrs[9] == pytest.approx(0.1) and lrs[10] == 0.1  # warm-up ends, stage 1 starts at E_a(0)
+        stage1 = [0.1 * mittag_leffler(0.5, (1.0 - 1e-3) * tau / 70) for tau in range(70)]
+        assert lrs[10:80] == stage1
+        assert lrs[80] == pytest.approx(0.1 / math.sqrt(math.pi))  # z = 1 at the switch
+        s2 = 19 / 20  # the last of the 20 stage-2 iterations
+        assert lrs[99] == pytest.approx(0.1 / ((1.0 + s2 / (1.0 - s2 + 1e-3)) * math.sqrt(math.pi)))
+
+    def test_rates_are_python_floats(self):
+        for spec in (dict(), dict(tail_param=1.0), dict(warmup_epochs=0, switch_epoch=0)):
+            assert all(type(lr) is float for lr in mile_rates(**spec))
+        assert all(type(lr) is float for lr in learning_rates(LrSpec(eta0=1, milestones=(2,)), 4, 3))
 
     def test_switch_clamped_at_zero(self):
-        cfg = make_config(warmup_epochs=5, lr_switch_epoch=2)
-        assert cfg.t_switch == 0
+        # A switch inside the warm-up leaves no stage 1: stage 2 starts right after it.
+        lrs = mile_rates(warmup_epochs=5, switch_epoch=2)
+        assert lrs[49] == pytest.approx(0.1)
+        assert lrs[50] == pytest.approx(0.1 / math.sqrt(math.pi))
+        assert lrs[50:] == mile_rates(warmup_epochs=5, switch_epoch=5)[50:]
+
+    def test_switch_past_the_end_is_all_stage_1(self):
+        lrs = mile_rates(switch_epoch=12)
+        assert lrs[10:] == [0.1 * mittag_leffler(0.5, (1.0 - 1e-3) * tau / 110) for tau in range(90)]
 
     def test_warmup_values(self):
-        cfg = make_config()
-        assert mile_lr_at(0, cfg) == pytest.approx(0.01)
-        assert mile_lr_at(9, cfg) == pytest.approx(0.1)
+        lrs = mile_rates()
+        assert lrs[0] == pytest.approx(0.01)
+        assert lrs[9] == pytest.approx(0.1)
 
     def test_warmup_linearity(self):
-        cfg = make_config(warmup_epochs=2)
-        steps = np.diff([mile_lr_at(t, cfg) for t in range(cfg.t_warm)])
-        assert np.abs(steps - cfg.eta0 / cfg.t_warm).max() < 1e-15
+        lrs = mile_rates(warmup_epochs=2)
+        steps = np.diff(lrs[:20])
+        assert np.abs(steps - 0.1 / 20).max() < 1e-15
 
     def test_stage1_start_at_full_rate(self):
-        cfg = make_config()
-        assert mile_lr_at(cfg.t_warm, cfg) == pytest.approx(cfg.eta0)
+        assert mile_rates()[10] == pytest.approx(0.1)
 
     def test_stage2_entry_value(self):
-        cfg = make_config()
-        t = cfg.t_warm + cfg.t_switch
-        assert mile_lr_at(t, cfg) == pytest.approx(0.1 / math.sqrt(math.pi))
+        assert mile_rates()[80] == pytest.approx(0.1 / math.sqrt(math.pi))
 
     def test_stage_monotonicity(self):
         for a in (0.3, 0.5, 0.9):
-            cfg = make_config(tail_param=a)
-            lrs = [mile_lr_at(t, cfg) for t in range(cfg.t_all)]
-            stage1 = lrs[cfg.t_warm:cfg.t_warm + cfg.t_switch]
-            stage2 = lrs[cfg.t_warm + cfg.t_switch:]
-            assert np.all(np.diff(stage1) <= 1e-15)
-            assert np.all(np.diff(stage2) <= 1e-15)
+            lrs = mile_rates(tail_param=a)
+            assert np.all(np.diff(lrs[10:80]) <= 1e-15)
+            assert np.all(np.diff(lrs[80:]) <= 1e-15)
 
     def test_positive_late_lr_at_tail_param_one(self):
-        cfg = make_config(tail_param=1.0)
-        assert mile_lr_at(cfg.t_all - 1, cfg) > 0.0
+        assert mile_rates(tail_param=1.0)[-1] > 0.0
 
-    def test_range_check(self):
-        cfg = make_config()
-        with pytest.raises(ValueError):
-            mile_lr_at(-1, cfg)
-        with pytest.raises(ValueError):
-            mile_lr_at(cfg.t_all, cfg)
+    def test_entropy_tail_reads_the_counts(self):
+        counts = ClassCounts((500, 50, 5))
+        assert mile_rates(counts=counts, tail_param="entropy") == mile_rates(tail_param=entropy_alpha(counts))
 
     def test_config_validation(self):
+        with pytest.raises(ConfigError):
+            mile_rates(eta0=0.0)
+        with pytest.raises(ConfigError):
+            mile_rates(tail_param=0.0)
+        with pytest.raises(ConfigError):
+            mile_rates(eps=1.0)
         with pytest.raises(ValueError):
-            make_config(eta0=0.0)
-        with pytest.raises(ValueError):
-            make_config(tail_param=0.0)
-        with pytest.raises(ValueError):
-            make_config(eps=1.0)
-        with pytest.raises(ValueError):
-            make_config(warmup_epochs=10)  # no post-warmup horizon
+            mile_rates(warmup_epochs=10)  # no post-warmup horizon
 
 
 class TestMultiStep:
     def test_before_first_milestone(self):
-        cfg = MultiStepConfig(eta0=0.4, milestones=(160, 180), decay=0.1)
-        assert multistep_lr_at(0, cfg) == pytest.approx(0.4)
-        assert multistep_lr_at(159, cfg) == pytest.approx(0.4)
+        lrs = learning_rates(LrSpec(eta0=0.4, milestones=(160, 180), decay=0.1), 200, 1)
+        assert lrs[0] == pytest.approx(0.4)
+        assert lrs[159] == pytest.approx(0.4)
 
     def test_decay_counts(self):
-        cfg = MultiStepConfig(eta0=1.0, milestones=(160, 180), decay=0.1)
-        assert multistep_lr_at(170, cfg) == pytest.approx(0.1)
-        assert multistep_lr_at(190, cfg) == pytest.approx(0.01)
+        lrs = learning_rates(LrSpec(eta0=1.0, milestones=(160, 180), decay=0.1), 200, 1)
+        assert lrs[170] == pytest.approx(0.1)
+        assert lrs[190] == pytest.approx(0.01)
 
     def test_milestone_epoch_counts_as_passed(self):
-        cfg = MultiStepConfig(eta0=1.0, milestones=(5,), decay=0.5)
-        assert multistep_lr_at(5, cfg) == pytest.approx(0.5)
+        lrs = learning_rates(LrSpec(eta0=1.0, milestones=(5,), decay=0.5), 8, 3)
+        assert len(lrs) == 24
+        assert lrs[:15] == [1.0] * 15  # epochs 0-4, three iterations each
+        assert lrs[15:] == [0.5] * 9
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiStepConfig(eta0=1.0, milestones=(5, 5), decay=0.5)
-        with pytest.raises(ValueError):
-            MultiStepConfig(eta0=1.0, milestones=(), decay=1.0)
-        with pytest.raises(ValueError):
-            multistep_lr_at(-1, MultiStepConfig(eta0=1.0, milestones=(), decay=0.5))
+        with pytest.raises(ConfigError):
+            LrSpec(eta0=1.0, milestones=(5, 5), decay=0.5)
+        with pytest.raises(ConfigError):
+            LrSpec(eta0=1.0, milestones=(), decay=1.0)

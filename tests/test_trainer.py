@@ -14,9 +14,9 @@ from ltlab.data import Dataset, LongTailSpec, batch_iter, gaussian_mixture
 from ltlab.errors import ConfigError, NumericError
 from ltlab.nc_metrics import etf_gram_target, nc2
 from ltlab.reweighting import ReweightConfig, inverse_weights, loss_imbalance_rho
+from ltlab.scheduler import LrSpec, learning_rates
 from ltlab.trainer import (
     VALID_METHODS,
-    LrSpec,
     MethodConfig,
     ModelParams,
     TrainConfig,
@@ -477,6 +477,10 @@ class TestRunExperiment:
                                     switch_epoch=3, tail_param="entropy"))
         [(records, _, _)] = run_experiment(cfg, train, test)
         assert all(r.lr > 0 for r in records)
+        # Each record's lr is the rate of its epoch's last iteration.
+        ipe = math.ceil(len(train) / cfg.batch_size)
+        lrs = learning_rates(cfg.lr, cfg.epochs, ipe, train.counts)
+        assert [r.lr for r in records] == [lrs[(e + 1) * ipe - 1] for e in range(cfg.epochs)]
 
     def test_every_method_trains(self):
         train, test = gaussian_mixture(balanced_spec(noise=0.5))
