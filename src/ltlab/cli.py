@@ -119,11 +119,7 @@ def cmd_train(args) -> int:
         _write_json(out / params_name, _params_payload(state.params))
         if single:
             h, _ = forward(state.params, train_set.x)
-            with open(out / "features.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow([f"f{i}" for i in range(h.shape[1])] + ["label"])
-                for row, label in zip(h, train_set.y):
-                    writer.writerow([repr(float(v)) for v in row] + [int(label)])
+            save_csv_dataset(replace(train_set, x=h), out / "features.csv")
             np.savetxt(out / "classifier.csv", state.params.weights, delimiter=",")
             np.savetxt(out / "bias.csv", state.params.bias[None, :], delimiter=",")
 

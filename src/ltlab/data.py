@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,65 +141,105 @@ def gaussian_mixture(spec: LongTailSpec):
 
 
 def save_csv_dataset(dataset: Dataset, path, label_column: str = "label") -> None:
-    """Write the dataset as a headered CSV with the label in the last column."""
-    d = dataset.input_dim
+    """Write a headered CSV, ``f0..f{d-1},<label>``: each float is its
+    ``repr``, so it reads back exactly, the integer label is last and lines
+    end in CRLF. Rows are converted one at a time, never the whole matrix."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(d)] + [label_column])
-        for row, label in zip(dataset.x, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        csv.writer(fh).writerow([f"f{i}" for i in range(dataset.input_dim)] + [label_column])
+        for row, label in zip(dataset.x, dataset.y.tolist()):
+            fh.write(",".join(map(repr, row.tolist())))
+            fh.write(f",{label}\r\n")
+
+
+def _number(cell: str):
+    """The cell's value as numpy's C parser reads it (float syntax, ASCII
+    only, no underscores), or None where that parser rejects it."""
+    text = cell.strip()
+    try:
+        return float(text) if text.isascii() and "_" not in text else None
+    except ValueError:
+        return None
+
+
+def _bad_row(path, header: list, label_idx: int, n_rows=None):
+    """The error naming the first offending row of a file the C reader
+    rejected, counting from 1 at the header with blank lines included: the
+    first malformed row, else the first non-finite value or, given
+    ``n_rows``, the first label that leaves a class empty. None if no row
+    is at fault."""
+    value_problem = None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row_no, row in enumerate(reader, start=2):
+            where = f"{path} row {row_no}"
+            if not row:
+                continue
+            if len(row) != len(header):
+                return f"{where}: expected {len(header)} cells, got {len(row)}"
+            values = [_number(cell) for cell in row]
+            if any(v is None for i, v in enumerate(values) if i != label_idx):
+                return f"{where}: non-numeric feature cell"
+            label = values[label_idx]
+            if label is None or not label.is_integer():
+                return f"{where}: non-integer label {row[label_idx]!r}"
+            if label < 0:
+                return f"{where}: negative label {int(label)}"
+            if value_problem is not None:
+                continue
+            if not all(map(math.isfinite, values)):
+                value_problem = f"{where}: non-finite feature value"
+            elif n_rows is not None and label >= n_rows:
+                value_problem = (f"{where}: label {row[label_idx]!r} is not below the "
+                                 f"{n_rows} data rows, so some class has no samples")
+    return value_problem
 
 
 def load_csv_dataset(path, label_column: str = "label", split: str = "train") -> Dataset:
     """Parse a headered CSV of numeric features plus an integer label column.
 
-    Labels must cover 0..C-1 with every class present; malformed cells are
+    numpy's C reader parses every row after the header in one pass. Blank
+    lines are skipped and ``#`` is an ordinary character. Labels must cover
+    0..C-1 with every class present; a malformed cell, row or label is
     rejected with the offending row number.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path)
     except OSError as exc:
         raise DataError(f"cannot open dataset file {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
         if label_column not in header:
             raise DataError(f"{path}: no column named {label_column!r} in header")
         label_idx = header.index(label_column)
-        feat_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feat_idx:
+        if len(header) < 2:
             raise DataError(f"{path}: no feature columns")
-        xs, ys = [], []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path} row {row_no}: expected {len(header)} cells, got {len(row)}")
-            try:
-                xs.append([float(row[i]) for i in feat_idx])
-            except ValueError:
-                raise DataError(f"{path} row {row_no}: non-numeric feature cell") from None
-            try:
-                label = int(row[label_idx])
-            except ValueError:
-                raise DataError(f"{path} row {row_no}: non-integer label {row[label_idx]!r}") from None
-            if label < 0:
-                raise DataError(f"{path} row {row_no}: negative label {label}")
-            ys.append(label)
-    if not ys:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header-only file
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError as exc:
+            raise DataError(_bad_row(path, header, label_idx) or f"{path}: {exc}") from None
+    n = table.shape[0]
+    if n == 0:
         raise DataError(f"{path}: no data rows")
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.int64)
-    if not np.isfinite(x).all():
-        raise DataError(f"{path}: non-finite feature values")
-    class_count = int(y.max()) + 1
-    tally = np.bincount(y, minlength=class_count)
-    missing = [c for c in range(class_count) if tally[c] == 0]
-    if missing:
-        raise DataError(f"{path}: classes {missing} have no samples (labels must cover 0..C-1)")
+    labels = table[:, label_idx] if table.shape[1] == len(header) else None
+    if labels is None or not np.isfinite(table).all() \
+            or not ((labels >= 0) & (labels < n) & (labels == np.floor(labels))).all():
+        raise DataError(_bad_row(path, header, label_idx, n)
+                        or f"{path}: rows do not match the {len(header)}-column header")
+    y = labels.astype(np.int64)
+    x = np.delete(table, label_idx, axis=1)
+    tally = np.bincount(y)
+    missing = np.flatnonzero(tally == 0)
+    if missing.size:
+        more = f" and {missing.size - 10} more" if missing.size > 10 else ""
+        raise DataError(f"{path}: classes {missing[:10].tolist()}{more} have no samples "
+                        "(labels must cover 0..C-1)")
     try:
-        counts = ClassCounts(per_class=tuple(int(n) for n in tally))
+        counts = ClassCounts(per_class=tuple(tally.tolist()))
         return Dataset(x=x, y=y, counts=counts, split=split)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc

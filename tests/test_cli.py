@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from ltlab.cli import main
-from ltlab.data import load_csv_dataset
+from ltlab.data import load_csv_dataset, save_csv_dataset
 
 from oracles import make_nc_fixture
 
@@ -74,6 +75,16 @@ class TestGen:
         first = (out / "train.csv").read_bytes()
         main(["gen", "--config", str(config_path), "--out", str(out)])
         assert (out / "train.csv").read_bytes() == first
+
+    def test_default_config_files_are_pinned(self, tmp_path):
+        out = tmp_path / "data"
+        assert main(["gen", "--config", str(DEFAULT_CONFIG), "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("train.csv", "test.csv")}
+        assert digests == {
+            "train.csv": "0a028683210887c264b5da27bce8da315e0708a16f4d0142bb21a2e3cbdc943c",
+            "test.csv": "d8e4453bf2e8e2e0cc554a3b1287ce011bdf5294ba8a7cda55296b02615122b9",
+        }
 
     def test_csv_config_rejected(self, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -195,6 +206,16 @@ class TestTrain:
         assert {k: repr(report[k]) for k in cols} == {k: last[k] for k in cols}
         assert "rho" not in report
 
+    def test_features_csv_uses_the_dataset_format(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        features = load_csv_dataset(out / "features.csv")
+        rewritten = tmp_path / "rewritten.csv"
+        save_csv_dataset(features, rewritten)
+        # repr round-trips, so only a file in the writer's own format rewrites to the same bytes.
+        assert (out / "features.csv").read_bytes() == rewritten.read_bytes()
+        assert (out / "features.csv").read_bytes().startswith(b"f0,f1,")
+
 
 def write_fixture_dumps(tmp_path, c=4, p=6):
     fx = make_nc_fixture(c, p, n_per_class=3, scale=1.5, radius=1.0, seed=2)
@@ -268,6 +289,20 @@ class TestNcEval:
         assert code == 3
         err = capsys.readouterr().err
         assert "3x5" in err and "4 classes" in err and "6 features" in err
+
+    @pytest.mark.parametrize("label, message", [
+        ("99999999999999999999", "row 13: label '99999999999999999999'"),
+        ("100000", "row 13: label '100000'"),
+        ("1.5", "row 13: non-integer label '1.5'"),
+    ])
+    def test_bad_label_exits_3_naming_the_row(self, tmp_path, capsys, label, message):
+        feat, clf = write_fixture_dumps(tmp_path)
+        lines = feat.read_text().splitlines()
+        lines[12] = lines[12].rsplit(",", 1)[0] + "," + label  # the last of the 12 data rows
+        feat.write_text("\n".join(lines) + "\n")
+        code = main(["nc-eval", "--features", str(feat), "--classifier", str(clf)])
+        assert code == 3
+        assert message in capsys.readouterr().err
 
 
 class TestWeights:

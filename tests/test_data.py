@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,7 +131,7 @@ class TestCsvRoundTrip:
 
     def test_gap_in_classes(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("f0,label\n1.0,0\n2.0,2\n")
+        path.write_text("f0,label\n1.0,0\n2.0,2\n3.0,0\n")
         with pytest.raises(DataError, match="classes \\[1\\]"):
             load_csv_dataset(path)
 
@@ -148,6 +151,167 @@ class TestCsvRoundTrip:
         path.write_text("f0,label\n1.0,0\n2.0,0\n3.0,1\n")
         with pytest.raises(DataError, match="balanced"):
             load_csv_dataset(path, split="test")
+
+
+def load_text(tmp_path, text, **kwargs):
+    """Load ``text`` written verbatim (no newline translation) as a CSV."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    return load_csv_dataset(path, **kwargs)
+
+
+def reject(tmp_path, text, match):
+    with pytest.raises(DataError, match=match) as info:
+        load_text(tmp_path, text)
+    return str(info.value)
+
+
+class TestCsvReaderContract:
+    """What the reader accepts and how it names the row it rejects. Rows
+    count from 1 at the header; blank lines count as rows."""
+
+    def test_label_column_need_not_be_last(self, tmp_path):
+        ds = load_text(tmp_path, "f0,label,f1\n1.5,1,2.5\n3.5,0,4.5\n")
+        assert ds.x.tolist() == [[1.5, 2.5], [3.5, 4.5]]
+        assert ds.y.tolist() == [1, 0]
+        assert ds.x.flags.c_contiguous and ds.x.dtype == np.float64 and ds.y.dtype == np.int64
+
+    def test_quoted_cells(self, tmp_path):
+        ds = load_text(tmp_path, '"f0","label"\n"1.5","0"\n" -2e3 ",1\n')
+        assert ds.x.tolist() == [[1.5], [-2000.0]]
+        assert ds.y.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, tmp_path, eol):
+        ds = load_text(tmp_path, eol.join(["f0,label", "1.5,0", "2.5,1", ""]))
+        assert ds.x.tolist() == [[1.5], [2.5]]
+        assert ds.y.tolist() == [0, 1]
+
+    def test_no_final_line_end(self, tmp_path):
+        assert load_text(tmp_path, "f0,label\n1.5,0\n2.5,1").y.tolist() == [0, 1]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        ds = load_text(tmp_path, "f0,label\n1.5,0\n\n2.5,1\n\n")
+        assert ds.x.tolist() == [[1.5], [2.5]]
+        assert ds.y.tolist() == [0, 1]
+
+    def test_blank_lines_count_as_rows(self, tmp_path):
+        reject(tmp_path, "f0,label\n1.5,0\n\noops,1\n", "row 4: non-numeric feature cell")
+
+    @pytest.mark.parametrize("text, message", [
+        ("f0,f1,label\n1,2,0\n3,1\n", "row 3: expected 3 cells, got 2"),
+        ("f0,f1,label\n1,2,0\n3,4,1,5\n", "row 3: expected 3 cells, got 4"),
+        ("f0,label\n1,0,7\n2,1,7\n", "row 2: expected 2 cells, got 3"),
+        ("f0,label\n1,0\n  \n", "row 3: expected 2 cells, got 1"),
+        ("f0,label\n1,0\n2,1,\n", "row 3: expected 2 cells, got 3"),
+    ])
+    def test_ragged_rows(self, tmp_path, text, message):
+        reject(tmp_path, text, message)
+
+    def test_header_only(self, tmp_path):
+        reject(tmp_path, "f0,label\n", "no data rows")
+        reject(tmp_path, "f0,label\n\n\n", "no data rows")
+
+    def test_empty_file(self, tmp_path):
+        reject(tmp_path, "", "empty file")
+
+    def test_no_feature_columns(self, tmp_path):
+        reject(tmp_path, "label\n0\n", "no feature columns")
+
+    def test_negative_label(self, tmp_path):
+        reject(tmp_path, "f0,label\n1.0,0\n2.0,-1\n", "row 3: negative label -1")
+
+    @pytest.mark.parametrize("label", ["1.5", "nan", "inf", "", "one", "0x1"])
+    def test_non_integer_label(self, tmp_path, label):
+        reject(tmp_path, f"f0,label\n1.0,0\n2.0,{label}\n",
+               re.escape(f"row 3: non-integer label {label!r}"))
+
+    @pytest.mark.parametrize("label", ["1.0", "1e0", "+1", " 1 ", '"1"', "10e-1"])
+    def test_integral_number_labels_are_accepted(self, tmp_path, label):
+        # Labels are read with the feature cells' number syntax: a number
+        # equal to an integer is that integer.
+        assert load_text(tmp_path, f"f0,label\n1.0,0\n2.0,{label}\n").y.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_feature_names_row(self, tmp_path, cell):
+        reject(tmp_path, f"f0,f1,label\n1,2,0\n3,4,1\n5,{cell},1\n",
+               "row 4: non-finite feature value")
+
+    def test_parse_errors_are_named_before_non_finite_values(self, tmp_path):
+        reject(tmp_path, "f0,label\nnan,0\n1.0,x\n", "row 3: non-integer label 'x'")
+
+    def test_label_too_large_for_int64(self, tmp_path):
+        reject(tmp_path, "f0,label\n1.0,0\n2.0,99999999999999999999\n", "row 3: label")
+
+    @pytest.mark.parametrize("label", ["2", "100000"])
+    def test_label_not_below_row_count(self, tmp_path, label):
+        # Two rows cannot cover the classes 0..label, so the row is named before any counting.
+        message = reject(tmp_path, f"f0,label\n1.0,0\n2.0,{label}\n",
+                         f"row 3: label '{label}' is not below the 2 data rows")
+        assert len(message) < 200
+
+    def test_missing_classes_message_is_short(self, tmp_path):
+        rows = ["f0,label"] + [f"{i}.5,0" for i in range(19)] + ["9.5,19"]
+        message = reject(tmp_path, "\n".join(rows) + "\n",
+                         "classes \\[1, 2, 3, 4, 5, 6, 7, 8, 9, 10\\] and 8 more have no samples")
+        assert len(message) < 200
+
+    def test_accepted_text_loads_bit_identically(self, tmp_path):
+        cells = ["1e5", " 2.5 ", "-0.0", "5e-324", "1.7976931348623157e308", ".5", "7.", "+3",
+                 "0.1000000000000000055511151231257827", "\t4E-2"]
+        text = "f0,label\n" + "".join(f"{c},{i % 2}\n" for i, c in enumerate(cells))
+        x = load_text(tmp_path, text).x[:, 0]
+        assert [v.hex() for v in x.tolist()] == [float(c).hex() for c in cells]
+
+    # Decided differences from the csv.reader + float() reader this one replaced.
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\u0661.5"])
+    def test_python_only_number_forms_are_rejected(self, tmp_path, cell):
+        # Underscores and non-ASCII digits are Python literal syntax, not CSV numbers.
+        reject(tmp_path, f"f0,label\n1.0,0\n{cell},1\n", "row 3: non-numeric feature cell")
+
+    @pytest.mark.parametrize("label", ["1_0", "\u0661"])
+    def test_python_only_label_forms_are_rejected(self, tmp_path, label):
+        reject(tmp_path, f"f0,label\n1.0,0\n2.0,{label}\n", "row 3: non-integer label")
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        reject(tmp_path, "f0,label\n1.0,0\n#2.0,1\n", "row 3: non-numeric feature cell")
+        ds = load_text(tmp_path, "f0,#label\n1.0,0\n2.0,1\n", label_column="#label")
+        assert ds.y.tolist() == [0, 1]
+
+    def test_peak_memory_is_near_the_array(self, tmp_path):
+        spec = LongTailSpec(class_count=50, n_max=400, imbalance_factor=100.0, input_dim=64,
+                            class_separation=4.0, seed=7, test_per_class=20)
+        train, _ = gaussian_mixture(spec)
+        path = tmp_path / "wide.csv"
+        save_csv_dataset(train, path)
+        assert train.x.shape == (4419, 64)
+        tracemalloc.start()
+        try:
+            loaded = load_csv_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.x, train.x)
+        assert peak < 3 * loaded.x.nbytes
+
+
+class TestCsvWriter:
+    def test_exact_bytes(self, tmp_path):
+        x = np.array([[0.1, -0.0, 5e-324], [1e300, -2.5e-310, 3.0]])
+        ds = Dataset(x=x, y=np.array([1, 0]), counts=ClassCounts((1, 1)), split="train")
+        path = tmp_path / "d.csv"
+        save_csv_dataset(ds, path)
+        assert path.read_bytes() == (b"f0,f1,f2,label\r\n"
+                                     b"0.1,-0.0,5e-324,1\r\n"
+                                     b"1e+300,-2.5e-310,3.0,0\r\n")
+
+    def test_label_column_name(self, tmp_path):
+        ds = Dataset(x=np.zeros((2, 1)), y=np.array([0, 1]), counts=ClassCounts((1, 1)), split="test")
+        path = tmp_path / "d.csv"
+        save_csv_dataset(ds, path, label_column="y")
+        assert path.read_bytes() == b"f0,y\r\n0.0,0\r\n0.0,1\r\n"
+        assert load_csv_dataset(path, label_column="y", split="test").y.tolist() == [0, 1]
 
 
 class TestBatchIter:
