@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import CsvSource, ExperimentConfig, load_experiment_config
-from .data import gaussian_mixture, load_csv_dataset, save_csv_dataset
+from .data import gaussian_mixture, load_csv_dataset, load_csv_matrix, save_csv_dataset
 from .errors import ConfigError, DataError, NumericError
 from .nc_metrics import FeatureBank, nc1, nc2, nc3, nc4_agreement
 from .reweighting import closed_form_weight, loss_imbalance_rho
@@ -137,18 +137,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_matrix_csv(path: str, what: str) -> np.ndarray:
-    try:
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise DataError(f"cannot open {what} file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"malformed {what} file {path}: {exc}") from exc
-    if not np.isfinite(m).all():
-        raise DataError(f"{what} file {path} contains non-finite values")
-    return m
-
-
 def _load_class_losses(path: str, class_count: int) -> list[float]:
     """The per-class losses of ``nc-eval --losses``: a JSON list of one
     finite, nonnegative number per class."""
@@ -175,17 +163,13 @@ def _load_class_losses(path: str, class_count: int) -> list[float]:
 def cmd_nc_eval(args) -> int:
     bank_data = load_csv_dataset(args.features, args.label_column, split="train")
     bank = FeatureBank.from_labels(bank_data.x, bank_data.y)
-    w = _load_matrix_csv(args.classifier, "classifier")
+    w = load_csv_matrix(args.classifier, "classifier")
     if w.shape != (bank.class_count, bank.feature_dim):
-        raise DataError(
-            f"classifier shape {w.shape[0]}x{w.shape[1]} does not match "
-            f"{bank.class_count} classes x {bank.feature_dim} features")
-    if args.bias is not None:
-        b = _load_matrix_csv(args.bias, "bias").ravel()
-        if b.shape != (bank.class_count,):
-            raise DataError(f"bias length {b.size} does not match {bank.class_count} classes")
-    else:
-        b = np.zeros(bank.class_count)
+        raise DataError(f"classifier shape {w.shape[0]}x{w.shape[1]} does not match "
+                        f"{bank.class_count} classes x {bank.feature_dim} features")
+    b = np.zeros(bank.class_count) if args.bias is None else load_csv_matrix(args.bias, "bias").ravel()
+    if b.shape != (bank.class_count,):
+        raise DataError(f"bias length {b.size} does not match {bank.class_count} classes")
     losses = None if args.losses is None else _load_class_losses(args.losses, bank.class_count)
     logits = bank.features @ w.T
     logits += b
@@ -193,7 +177,7 @@ def cmd_nc_eval(args) -> int:
         "nc1": nc1(bank),
         "nc2": nc2(w),
         "nc3": nc3(w, bank),
-        "nc4": nc4_agreement(logits, bank),
+        "nc4": nc4_agreement(logits.argmax(axis=1), bank),
     }
     if losses is not None:
         report["rho"] = loss_imbalance_rho(losses)

@@ -27,6 +27,7 @@ __all__ = [
     "exp_profile_counts",
     "gaussian_mixture",
     "load_csv_dataset",
+    "load_csv_matrix",
     "save_csv_dataset",
     "batch_iter",
 ]
@@ -164,17 +165,19 @@ def _number(cell: str):
 def _bad_row(path, header: list, label_idx: int, n_rows=None):
     """The error naming the first offending row of a file the C reader
     rejected, counting from 1 at the header with blank lines included: the
-    first malformed row, else the first non-finite value or, given
-    ``n_rows``, the first label that leaves a class empty. None if no row
-    is at fault."""
+    first row that is not UTF-8 text or is malformed, else the first
+    non-finite value or, given ``n_rows``, the first label that leaves a
+    class empty. None if no row is at fault."""
     value_problem = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row_no, row in enumerate(reader, start=2):
             where = f"{path} row {row_no}"
             if not row:
                 continue
+            if any("\ufffd" in cell for cell in row):  # the decoder's mark for bytes it cannot read
+                return f"{where}: not UTF-8 text"
             if len(row) != len(header):
                 return f"{where}: expected {len(header)} cells, got {len(row)}"
             values = [_number(cell) for cell in row]
@@ -200,17 +203,19 @@ def load_csv_dataset(path, label_column: str = "label", split: str = "train") ->
 
     numpy's C reader parses every row after the header in one pass. Blank
     lines are skipped and ``#`` is an ordinary character. Labels must cover
-    0..C-1 with every class present; a malformed cell, row or label is
-    rejected with the offending row number.
+    0..C-1 with every class present; a malformed cell, row or label, or a
+    row that is not UTF-8 text, is rejected with the offending row number.
     """
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8", errors="replace")
     except OSError as exc:
         raise DataError(f"cannot open dataset file {path}: {exc}") from exc
     with fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise DataError(f"{path}: empty file")
+        if any("\ufffd" in cell for cell in header):
+            raise DataError(f"{path} row 1: not UTF-8 text")
         if label_column not in header:
             raise DataError(f"{path}: no column named {label_column!r} in header")
         label_idx = header.index(label_column)
@@ -243,6 +248,28 @@ def load_csv_dataset(path, label_column: str = "label", split: str = "train") ->
         return Dataset(x=x, y=y, counts=counts, split=split)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def load_csv_matrix(path, what: str) -> np.ndarray:
+    """A headerless CSV of finite numbers, ``nc-eval``'s classifier or bias,
+    as a 2-D float64 array: cells are read as in the dataset reader and
+    blank lines are skipped. An error names the bad line, counting from 1."""
+    try:
+        fh = open(path, encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise DataError(f"cannot open {what} file {path}: {exc}") from exc
+    rows = []
+    with fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.rstrip("\n"):
+                row = [_number(cell) for cell in line.rstrip("\n").split(",")]
+                where = f"{what} file {path} line {line_no}"
+                if not all(v is not None and math.isfinite(v) for v in row):
+                    raise DataError(f"{where}: a cell is not a finite number")
+                if rows and len(row) != len(rows[0]):
+                    raise DataError(f"{where}: {len(row)} cells, not {len(rows[0])}")
+                rows.append(row)
+    return np.array(rows, ndmin=2)
 
 
 def batch_iter(dataset: Dataset, batch_size: int, epoch_seed):

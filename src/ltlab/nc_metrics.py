@@ -10,24 +10,25 @@ compute:
 * NC3: the same distance for W M, where M stacks the centered class
   means (classifier/mean self-duality);
 * NC4 agreement: fraction of samples whose classifier prediction (the
-  argmax of the supplied logits) matches the nearest-class-mean
-  prediction;
+  argmax of their logits) matches the nearest-class-mean prediction;
 * rho: the class-wise loss imbalance coefficient of supplied per-class
   average losses.
 
 A ``FeatureBank`` holds one class-sorted (n, p) array and the class
-offsets; its per-class blocks are views. The class means (block sums over
-the counts) are computed once per bank and shared by every metric.
-Sigma_W is one matmul of the centred features. NC4 takes the logits of
-the bank's rows, finds the nearest class mean from Gram-form distances
-and rechecks near ties in the direct form, so it matches the direct
-argmin exactly (the error bound is in ``nc4_agreement``). The centred
-features and the distances can go to a caller's buffers, which is how
-the trainer's epoch end avoids per-epoch (n, p) and (n, C) arrays.
+offsets; its blocks are slices at bounds it caches, and its class means
+(block sums over the counts), computed once, serve every metric. With M
+the C x p centred class means, Sigma_B = M^T M / C, so NC1 is
+||H_c pinv(M)||_F^2 / n for the features H_c centred on their class
+means: one (n, p) @ (p, C) matmul and a dot product. NC4 finds each
+row's nearest class mean from Gram-form distances and rechecks near ties
+in the direct form, so it matches the direct argmin exactly. The centred
+features and one (n, C) work array (NC4's distances, then NC1's
+projections) can be a caller's buffers, as in the trainer's epoch end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,7 +42,6 @@ __all__ = [
     "NcReport",
     "etf_gram_target",
     "class_means",
-    "covariances",
     "nc1",
     "nc2",
     "nc3",
@@ -104,10 +104,16 @@ class FeatureBank:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def _bounds(self) -> tuple[slice, ...]:
+        """The slice of each class's rows, in class order."""
+        edges = self.offsets.tolist()
+        return tuple(map(slice, edges[:-1], edges[1:]))
+
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The per-class (n_c, p) blocks, as views of ``features``."""
-        return tuple(np.split(self.features, self.offsets[1:-1]))
+        return tuple(self.features[rows] for rows in self._bounds)
 
     @cached_property
     def _means(self) -> tuple[np.ndarray, np.ndarray]:
@@ -153,36 +159,28 @@ def class_means(bank: FeatureBank):
     return bank._means
 
 
-def covariances(bank: FeatureBank, out: np.ndarray | None = None):
-    """Within-class scatter Sigma_W (averaged over all samples) and
-    between-class scatter Sigma_B of the centered class means.
-
-    Sigma_W is one matmul of the features centred on their class means.
-    The centred rows go to a fresh array, or to ``out``, an (n, p) float64
-    array. ``out`` may be ``bank.features`` itself, which is then
-    overwritten (after the class means are cached), so pass it only when
-    nothing reads the rows afterwards.
+def nc1(bank: FeatureBank, centred: np.ndarray | None = None,
+        work: np.ndarray | None = None) -> float:
+    """trace(Sigma_W @ pinv(Sigma_B)) / C as ||H_c Q||_F^2 / n. Q = pinv(M)
+    drops singular values below sqrt(p eps) times the largest, the rank rule
+    of pinv(Sigma_B), whose singular values are their squares over C. H_c
+    goes to ``centred`` (n, p) and H_c Q to ``work`` (n, C), float64 arrays,
+    fresh when not given. ``centred`` may be ``bank.features``, which is
+    then overwritten (after the class means are cached).
     """
     means, global_mean = class_means(bank)
-    centred = np.empty_like(bank.features) if out is None else out
-    if centred.shape != bank.features.shape or centred.dtype != np.float64:
-        raise ValueError(f"out must be a {bank.features.shape} float64 array")
-    for block, mu, rows in zip(bank.blocks, means, np.split(centred, bank.offsets[1:-1])):
-        np.subtract(block, mu, out=rows)
-    sigma_w = centred.T @ centred
-    sigma_w /= len(centred)
-    centered_means = means - global_mean
-    sigma_b = centered_means.T @ centered_means / bank.class_count
-    return sigma_w, sigma_b
-
-
-def nc1(bank: FeatureBank, out: np.ndarray | None = None) -> float:
-    """trace(Sigma_W @ pinv(Sigma_B)) / C; ``out`` is as in ``covariances``."""
-    sigma_w, sigma_b = covariances(bank, out)
-    scatter = sigma_w @ pinv(sigma_b)
-    if not np.isfinite(scatter).all():
-        raise ValueError("Sigma_W pinv(Sigma_B) has non-finite entries; metric undefined")
-    return float(np.trace(scatter)) / bank.class_count
+    q = pinv(means - global_mean, rank_tol=math.sqrt(bank.feature_dim * np.finfo(np.float64).eps))
+    x = bank.features
+    h = np.empty_like(x) if centred is None else centred
+    if h.shape != x.shape or h.dtype != np.float64:
+        raise ValueError(f"centred must be a {x.shape} float64 array")
+    for rows, mu in zip(bank._bounds, means):
+        np.subtract(x[rows], mu, out=h[rows])
+    proj = np.matmul(h, q, out=work).reshape(-1)
+    value = float(np.dot(proj, proj)) / len(h)
+    if not math.isfinite(value):
+        raise ValueError("||H_c pinv(M)||^2 is non-finite; metric undefined")
+    return value
 
 
 def _normalized_gram_distance(gram: np.ndarray, class_count: int, what: str) -> float:
@@ -212,87 +210,78 @@ def nc3(classifier, bank: FeatureBank) -> float:
 
 
 def _nearest_means(x: np.ndarray, means: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise first argmin of sum((x_i - mu_k)^2) over k, without the
-    (n, C, p) difference tensor. The Gram-form distances go to ``out`` when
-    it is given, and then become the candidate mask in place, so no other
-    (n, C) array is made. See ``nc4_agreement`` for the recheck."""
-    p = x.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are rechecked
-        x_sq = np.einsum("ij,ij->i", x, x)
+    """Row-wise first argmin of sum((x_i - mu_k)^2) over k, with the Gram-form
+    distances in ``out`` if given; ``nc4_agreement`` proves the recheck."""
+    p, rows = x.shape[1], np.arange(len(x))
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rechecked in full
+        s = np.einsum("ij,ij->i", x, x)
         mu_sq = np.einsum("ij,ij->i", means, means)
-        d2 = np.matmul(x, means.T, out=out)
-        d2 *= -2.0
-        d2 += x_sq[:, None]
-        d2 += mu_sq
+        s += mu_sq.max()
+        g = np.matmul(x, -2.0 * means.T, out=out)
+        g += mu_sq
         u = np.finfo(np.float64).eps / 2
-        gamma = (p + 3) * u / (1 - (p + 3) * u)
-        tol = 8 * gamma * (x_sq + mu_sq.max()) + 8 * p * np.finfo(np.float64).smallest_subnormal
-        nearest = np.argmin(d2, axis=1)
-        finite = np.isfinite(d2.sum(axis=1))  # False for a NaN or an infinity (or an overflow)
-        threshold = d2[np.arange(len(d2)), nearest] + tol
-        np.less_equal(d2, threshold[:, None], out=d2)  # 1.0 marks a candidate
-    for i in np.flatnonzero((d2.sum(axis=1) > 1) | ~finite):
-        # Ascending class ids, so argmin keeps the lowest; a non-finite row checks every class.
-        k = np.flatnonzero(d2[i]) if finite[i] else np.arange(len(means))
+        tol = 8 * (p + 3) * u / (1 - (p + 3) * u) * s + 8 * p * np.finfo(np.float64).smallest_subnormal
+        nearest = np.argmin(g, axis=1)
+        best = g[rows, nearest]
+        threshold = best + tol
+        g[rows, nearest] = np.inf
+        tied = g.min(axis=1) <= threshold  # the runner-up is a candidate too
+        g[rows, nearest] = best
+    safe = s <= np.finfo(np.float64).max / 4  # False for a NaN, an infinity or a possible overflow
+    for i in np.flatnonzero(tied | ~safe):
+        # Ascending class ids, so argmin keeps the lowest.
+        k = np.flatnonzero(g[i] <= threshold[i]) if safe[i] else np.arange(len(means))
         nearest[i] = k[np.argmin(((x[i] - means[k]) ** 2).sum(axis=1))]
     return nearest
 
 
-def nc4_agreement(logits, bank: FeatureBank, out: np.ndarray | None = None) -> float:
-    """Fraction of the bank's rows where the logits' argmax equals the
-    nearest-class-mean argmin.
+def nc4_agreement(predictions, bank: FeatureBank, work: np.ndarray | None = None) -> float:
+    """Fraction of the bank's rows whose predicted class is the one with
+    the nearest class mean.
 
-    ``logits`` is the (n, C) classifier output for the bank's rows, in
-    bank order (``bank.features @ W.T + b``); column k belongs to the
-    bank's k-th class (ascending id), so both sides are compared as class
-    positions, whatever the ids are. Ties resolve to the lowest class on
-    both sides. ``out``, an optional (n, C) float64 array, takes the
-    Gram-form squared distances and is left holding the candidate mask.
+    ``predictions`` are the argmax of the logits of the bank's rows, in
+    bank order (``(bank.features @ W.T + b).argmax(axis=1)``); class k is
+    the bank's k-th class (ascending id), whatever the ids are, and ties
+    go to the lowest class on both sides. ``work``, an optional (n, C)
+    float64 array, is left holding the Gram-form distances
+    g_ik = ||mu_k||^2 - 2 x_i.mu_k, the squared distances less ||x_i||^2.
 
-    The nearest mean equals the argmin of the direct squared distances
-    sum_j (x_j - mu_kj)^2 on every input. Write S_i = ||x_i||^2 +
-    max_k ||mu_k||^2, u = eps/2 and gamma_n = n u / (1 - n u). In any
-    summation order, blocked BLAS and FMA included, every term of the
-    direct form passes at most p + 1 roundings and every term of the Gram
-    form ||x||^2 - 2 x.mu + ||mu||^2 at most p + 2, so each form is within
-    2 gamma_{p+2} S_i of the exact distance. Any class that attains the
-    direct minimum is therefore within 8 gamma_{p+2} S_i of the Gram-form
-    minimum. The candidates are every class within
+    The result equals the direct argmin of D_ik = sum_j (x_ij - mu_kj)^2
+    on every input. Write S_i = ||x_i||^2 + max_k ||mu_k||^2, u = eps/2
+    and gamma_n = n u / (1 - n u); folding the -2 into the means is exact.
+    In any summation order, blocked BLAS and FMA included, each term of
+    g_ik passes at most p + 1 roundings and their magnitudes sum to at
+    most 2 S_i; each term of D_ik passes at most p + 2 and D_ik <= 2 S_i.
+    So both forms are within 2 gamma_{p+2} S_i of their exact values, and
+    as D_ik - g_ik = ||x_i||^2 for every k, a class that attains the
+    direct minimum is within 8 gamma_{p+2} S_i of the Gram-form minimum.
+    The candidates are every class within
 
         tol_i = 8 gamma_{p+3} S_i + 8 p * 2^-1074
 
-    of that minimum: the step from p + 2 to p + 3 covers the rounding of
-    tol_i and of min + tol_i, and the last term covers products that
-    underflow. A row with one candidate has found its nearest mean. A row
-    with more takes the argmin of the direct form over its candidates in
-    ascending class id; a row with a non-finite Gram distance (or whose
-    distances sum past the float range) takes it over every class.
+    of it: the step to p + 3 covers the rounding of tol_i and of
+    min + tol_i (|min| <= 2 S_i), and the last term covers products that
+    underflow. A row whose runner-up lies beyond min + tol_i has found its
+    nearest mean; any other takes the direct argmin over its candidates in
+    ascending class id. With S_i <= max_float / 4 no partial sum of g_i
+    can overflow; a row above that (or with a NaN) checks every class.
     """
-    z = np.asarray(logits)
-    means, _ = class_means(bank)
-    if z.shape != (len(bank.features), len(means)):
-        shape = "x".join(str(n) for n in z.shape)
-        raise ValueError(f"logits are {shape} but the bank has {len(bank.features)} rows "
-                         f"in {len(means)} classes")
-    nearest = _nearest_means(bank.features, means, out)
-    pred = np.argmax(z, axis=1)  # first max = lowest class position
-    return int((pred == nearest).sum()) / len(z)
+    pred, (means, _) = np.asarray(predictions), class_means(bank)
+    if pred.shape != (len(bank.features),) or pred.min() < 0 or pred.max() >= len(means):
+        raise ValueError(f"need {len(bank.features)} predictions in 0..{len(means) - 1}")
+    return int((pred == _nearest_means(bank.features, means, work)).sum()) / len(pred)
 
 
-def make_report(classifier, logits, bank: FeatureBank, per_class_losses, epoch: int, *,
-                distances: np.ndarray | None = None, centred: np.ndarray | None = None) -> NcReport:
-    """Assemble all metrics for one snapshot.
-
-    ``logits`` are the classifier's logits of the bank's rows, in bank
-    order. ``distances`` (n, C) and ``centred`` (n, p) are optional work
-    buffers for NC4's squared distances and NC1's centred features.
-    ``centred`` may be ``bank.features``: NC4 reads the rows and caches
-    the class means before NC1 centres them.
-    """
-    nc4 = nc4_agreement(logits, bank, distances)  # first: NC1 may centre the rows in place
+def make_report(classifier, predictions, bank: FeatureBank, per_class_losses, epoch: int, *,
+                work: np.ndarray | None = None, centred: np.ndarray | None = None) -> NcReport:
+    """Assemble all metrics for one snapshot; ``predictions`` are as in
+    ``nc4_agreement``, and the optional buffers as in ``nc1`` (``work`` first
+    holds NC4's distances). NC4 reads the rows and caches the class means
+    before NC1 may centre them in place."""
+    nc4 = nc4_agreement(predictions, bank, work)  # first: NC1 may centre the rows in place
     return NcReport(
         epoch=epoch,
-        nc1=nc1(bank, out=centred),
+        nc1=nc1(bank, centred, work),
         nc2=nc2(classifier),
         nc3=nc3(classifier, bank),
         nc4_agreement=nc4,

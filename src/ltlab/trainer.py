@@ -35,10 +35,10 @@ training features and logits, and the per-class accuracy from the test
 logits; no softmax is formed there. The epoch end works in stable label
 order (the batches still index the original order) in one set of buffers
 that ``prepare_run`` allocates once per stack and the runs use in turn,
-so after the first epoch it allocates no (n, p) or (n, C) array: the
-forward pass writes the features and logits into theirs, the scratch
-holds the cross entropy's exp and then NC4's squared distances, and NC1
-centres the features in the feature buffer last.
+so after the first epoch it allocates no (n, p) or (n, C) array: one
+argmax of the logits gives the cross entropy's row max and NC4's
+predictions, the exp overwrites the logits, whose buffer then takes NC4's
+distances and NC1's projections, and NC1 last centres the features in place.
 """
 
 from __future__ import annotations
@@ -292,10 +292,10 @@ def forward(params: ModelParams, x: np.ndarray, h_out=None, z_out=None):
     return h, z
 
 
-def _shifted_exp(z: np.ndarray, out=None):
-    """Row max, exp(z - max) (in ``out`` when given) and its row sum: the
-    one exp and row sum that the softmax and the cross entropy share."""
-    zmax = z.max(axis=-1, keepdims=True)
+def _shifted_exp(z: np.ndarray, out=None, zmax=None):
+    """Row max (unless given), exp(z - max) (in ``out`` when given) and its
+    row sum: the one exp and row sum that the softmax and the cross entropy share."""
+    zmax = z.max(axis=-1, keepdims=True) if zmax is None else zmax
     e = np.subtract(z, zmax, out=out)
     np.exp(e, out=e)
     return zmax, e, e.sum(axis=-1, keepdims=True)
@@ -307,9 +307,12 @@ def _ce(z_target, zmax, s) -> np.ndarray:
     return zmax[..., 0] + np.log(s[..., 0]) - z_target
 
 
-def _ce_from_logits(z: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    zmax, _, s = _shifted_exp(z, out)
-    return _ce(z[np.arange(len(y)), y], zmax, s)
+def _ce_from_logits(z: np.ndarray, y: np.ndarray, out=None, argmax=None) -> np.ndarray:
+    """Per-sample cross entropy, its exp in ``out`` (may be ``z``); ``argmax`` locates the row max."""
+    rows = np.arange(len(y))
+    z_target = z[rows, y]
+    zmax, _, s = _shifted_exp(z, out, None if argmax is None else z[rows, argmax, None])
+    return _ce(z_target, zmax, s)
 
 
 def backward(params: ModelParams, x, h, dz, grads: ModelParams, dh_extra=None) -> None:
@@ -375,8 +378,7 @@ class RunContext:
     sorted_y: np.ndarray  # (n,) non-decreasing
     offsets: np.ndarray  # (C + 1,) class k holds sorted rows offsets[k]:offsets[k + 1]
     features: np.ndarray  # (n, p) the hidden features, then NC1's centred features
-    logits: np.ndarray  # (n, C)
-    scratch: np.ndarray  # (n, C) the cross entropy's exp, then NC4's squared distances
+    logits: np.ndarray  # (n, C) the logits, their exp, then NC4's and NC1's work
     test_features: np.ndarray | None  # (n_test, p), unused by the linear model
     test_logits: np.ndarray | None  # (n_test, C)
 
@@ -455,7 +457,6 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
         offsets=np.concatenate(([0], np.cumsum(counts.per_class))),
         features=features[:n],
         logits=logits[:n],
-        scratch=np.empty((n, c)),
         test_features=None if test is None else features[:n_test],
         test_logits=None if test is None else logits[:n_test],
     )
@@ -568,13 +569,12 @@ def _epoch_report(params: ModelParams, ctx: RunContext, epoch: int) -> NcReport:
     """The collapse metrics and rho of one run's training set, computed in
     stable label order in the stack's buffers (see the module docstring).
     A metric that cannot be computed raises ValueError."""
-    counts = ctx.counts
     h, z = forward(params, ctx.sorted_x, ctx.features, ctx.logits)
-    ce = _ce_from_logits(z, ctx.sorted_y, ctx.scratch)
-    per_class = np.bincount(ctx.sorted_y, weights=ce, minlength=len(counts)) / counts.per_class
-    bank = FeatureBank(class_ids=tuple(range(len(counts))), features=h, offsets=ctx.offsets)
-    return make_report(params.weights, z, bank, per_class, epoch,
-                       distances=ctx.scratch, centred=ctx.features)
+    pred = z.argmax(axis=1)
+    ce = _ce_from_logits(z, ctx.sorted_y, out=z, argmax=pred)
+    per_class = np.bincount(ctx.sorted_y, weights=ce) / ctx.counts.per_class  # every class has rows
+    bank = FeatureBank(class_ids=tuple(range(len(ctx.counts))), features=h, offsets=ctx.offsets)
+    return make_report(params.weights, pred, bank, per_class, epoch, work=z, centred=ctx.features)
 
 
 def _train_batches(state: TrainState, ctx: RunContext, epoch: int) -> tuple[list[float], float]:

@@ -11,14 +11,20 @@ exactly at the collapsed end-state: all features at their class means,
 class means on a simplex ETF around the global mean, and classifier rows
 aligned with the centered means. At that configuration every class has
 the same average cross-entropy loss, which the fixture tests exploit.
+
+``covariances`` gives NC1's p x p scatter matrices one class block at a
+time, and ``nc1_exact`` gives NC1 itself in exact rational arithmetic, the
+reference that ``nc_metrics.nc1`` is checked against to 1e-12.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from ltlab.etf import SimplexEtf, make_etf
 from ltlab.linalg import pinv
+from ltlab.nc_metrics import FeatureBank
 
 
 def softmax(z):
@@ -174,3 +180,89 @@ def fixture_class_losses(fixture: NcFixture) -> np.ndarray:
         lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
         losses[c] = float(np.mean(lse - z[:, c]))
     return losses
+
+
+def covariances(bank: FeatureBank):
+    """Within-class scatter Sigma_W (averaged over all samples) and
+    between-class scatter Sigma_B of the centered class means, summed one
+    class block at a time: the p x p terms of NC1's definition."""
+    means = np.stack([block.mean(axis=0) for block in bank.blocks])
+    sigma_w = np.zeros((bank.feature_dim, bank.feature_dim))
+    for block, mu in zip(bank.blocks, means):
+        centered = block - mu
+        sigma_w += centered.T @ centered
+    centered_means = means - means.mean(axis=0)
+    return sigma_w / len(bank.features), centered_means.T @ centered_means / bank.class_count
+
+
+def _row_basis(rows):
+    """Linearly independent rows spanning the same space as ``rows``
+    (lists of Fractions), by exact Gaussian elimination."""
+    basis, pivots = [], []
+    for row in rows:
+        v = list(row)
+        for b, j in zip(basis, pivots):
+            if v[j]:
+                f = v[j] / b[j]
+                v = [a - f * c for a, c in zip(v, b)]
+        lead = next((j for j, a in enumerate(v) if a), None)
+        if lead is not None:
+            basis.append(v)
+            pivots.append(lead)
+    return basis
+
+
+def _trace_of_solve(a, w) -> Fraction:
+    """trace(a^-1 w) for a nonsingular square ``a``, by exact Gauss-Jordan."""
+    r = len(a)
+    aug = [list(a[i]) + list(w[i]) for i in range(r)]
+    for col in range(r):
+        pivot = next(i for i in range(col, r) if aug[i][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        head = aug[col]
+        for i in range(r):
+            if i != col and aug[i][col]:
+                f = aug[i][col] / head[col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], head)]
+    return sum(aug[i][r + i] / aug[i][i] for i in range(r))
+
+
+def nc1_exact(bank: FeatureBank) -> Fraction:
+    """NC1 = trace(Sigma_W Sigma_B^+) / C of the bank's features, in exact
+    rational arithmetic (every float is a rational number).
+
+    Sigma_B = M^T M / C for the centred class means M. Its pseudo-inverse
+    is Sigma_B^+ = B (B^T Sigma_B B)^-1 B^T for any basis B of its range,
+    the row space of M (of full rank, it is the inverse), so
+    trace(Sigma_W Sigma_B^+) = trace((B^T Sigma_B B)^-1 B^T Sigma_W B).
+    NC1 does not change when every feature is scaled by one factor, so the
+    features are first scaled to integers by their largest denominator (a
+    power of two), and each class's scatter is a sum of integer products.
+    """
+    ratios = [v.as_integer_ratio() for v in bank.features.ravel().tolist()]
+    scale = max(d for _, d in ratios)
+    flat = [num * (scale // d) for num, d in ratios]
+    p, n, c = bank.feature_dim, len(bank.features), bank.class_count
+    offsets = bank.offsets.tolist()
+    means, sigma_w = [], [[Fraction(0)] * p for _ in range(p)]
+    for start, stop in zip(offsets[:-1], offsets[1:]):
+        rows = [flat[i * p:(i + 1) * p] for i in range(start, stop)]
+        n_c = stop - start
+        sums = [sum(col) for col in zip(*rows)]
+        means.append([Fraction(s, n_c) for s in sums])
+        scaled = [[n_c * a - s for a, s in zip(row, sums)] for row in rows]  # n_c (h - mu), integers
+        for i in range(p):
+            for j in range(p):
+                sigma_w[i][j] += Fraction(sum(e[i] * e[j] for e in scaled), n * n_c * n_c)
+    global_mean = [sum(col, Fraction(0)) / c for col in zip(*means)]
+    m = [[a - g for a, g in zip(mu, global_mean)] for mu in means]
+    basis = _row_basis(m)
+    r = len(basis)
+    proj = [[sum((a * b for a, b in zip(row, v)), Fraction(0)) for v in basis] for row in m]  # M B
+    between = [[sum((row[i] * row[j] for row in proj), Fraction(0)) / c for j in range(r)]
+               for i in range(r)]
+    w_basis = [[sum((sigma_w[i][j] * v[j] for j in range(p)), Fraction(0)) for v in basis]
+               for i in range(p)]  # Sigma_W B, (p, r)
+    within = [[sum((u[i] * w_basis[i][j] for i in range(p)), Fraction(0)) for j in range(r)]
+              for u in basis]  # B^T Sigma_W B
+    return _trace_of_solve(between, within) / c

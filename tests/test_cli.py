@@ -411,6 +411,45 @@ class TestMlf:
         assert "series_value" not in payload and "tail_value" not in payload
 
 
+class TestNcEvalMatrixFiles:
+    """The classifier and bias files: a bad line is named from 1, and ``#``
+    is an ordinary character, as in the dataset reader."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2,3,4,5,6\n0,x,1,1,1,1\n", "line 2: a cell is not a finite number"),
+        ("1,2,3,4,5,6\n#3,4,1,1,1,1\n", "line 2: a cell is not a finite number"),
+        ("1,2,3,4,5,6\n\n1,2,3\n", "line 3: 3 cells, not 6"),
+        ("1,2,3,4,5,6\n1,2,3,4,5,inf\n", "line 2: a cell is not a finite number"),
+        ("1,2,3,4,5,6\n1,2,3,\xff,5,6\n", "line 2: a cell is not a finite number"),
+    ], ids=("letter", "hash", "ragged", "inf", "not_utf8"))
+    def test_bad_line_exits_3_naming_it(self, tmp_path, capsys, text, message):
+        feat, _ = write_fixture_dumps(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(text.encode("latin-1"))
+        for flags in (["--classifier", str(bad)], ["--classifier", str(tmp_path / "classifier.csv"),
+                                                   "--bias", str(bad)]):
+            assert main(["nc-eval", "--features", str(feat)] + flags) == 3
+            err = capsys.readouterr().err
+            assert f"{'bias' if '--bias' in flags else 'classifier'} file {bad} {message}" in err
+
+    def test_blank_lines_and_line_ends(self, tmp_path, capsys):
+        feat, clf = write_fixture_dumps(tmp_path)
+        assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf)]) == 0
+        want = capsys.readouterr().out
+        rows = clf.read_text().splitlines()
+        clf.write_bytes(("\r\n".join(rows[:2]) + "\r\n\n" + "\n".join(rows[2:])).encode())
+        assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf)]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_non_utf8_features_exit_3_naming_the_row(self, tmp_path, capsys):
+        feat, clf = write_fixture_dumps(tmp_path)
+        lines = feat.read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b",", b"\xff,", 1)
+        feat.write_bytes(b"\n".join(lines))
+        assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf)]) == 3
+        assert f"{feat} row 5: not UTF-8 text" in capsys.readouterr().err
+
+
 class TestCsvTrainingPath:
     def test_train_from_generated_csv(self, config_path, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -436,3 +475,16 @@ milestones =
         assert main(["train", "--config", str(csv_cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert math.isfinite(summary["bal_acc_mean"])
+
+    def test_non_utf8_dataset_exits_3_naming_the_row(self, config_path, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        main(["gen", "--config", str(config_path), "--out", str(data_dir)])
+        train = data_dir / "train.csv"
+        rows = train.read_bytes().split(b"\r\n")
+        rows[1] += b"\xff"  # the label cell of the first data row
+        train.write_bytes(b"\r\n".join(rows))
+        csv_cfg = tmp_path / "csv.ini"
+        csv_cfg.write_text(f"[dataset]\nkind = csv\ntrain_path = {train}\n"
+                           f"test_path = {data_dir / 'test.csv'}\n")
+        assert main(["train", "--config", str(csv_cfg), "--out", str(tmp_path / "run")]) == 3
+        assert f"{train} row 2: not UTF-8 text" in capsys.readouterr().err

@@ -274,6 +274,18 @@ class TestCsvReaderContract:
     def test_python_only_label_forms_are_rejected(self, tmp_path, label):
         reject(tmp_path, f"f0,label\n1.0,0\n2.0,{label}\n", "row 3: non-integer label")
 
+    @pytest.mark.parametrize("data, row", [
+        (b"f0,\xfflabel\n1.0,0\n2.0,1\n", 1),  # the header
+        (b"f0,label\n1.0,0\n2.\xff,1\n", 3),  # a feature cell
+        (b"f0,label\n1.0,0\n2.0,\xc3\n", 3),  # a label cell, cut inside a multi-byte character
+        (b"f0,label\n" + b"1.0,0\n" * 3000 + b"\xff\n2.0,1\n", 3002),  # past the first read
+    ], ids=("header", "feature", "label", "far"))
+    def test_bytes_that_are_not_utf8_name_the_row(self, tmp_path, data, row):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"row {row}: not UTF-8 text"):
+            load_csv_dataset(path)
+
     def test_hash_is_not_a_comment(self, tmp_path):
         reject(tmp_path, "f0,label\n1.0,0\n#2.0,1\n", "row 3: non-numeric feature cell")
         ds = load_text(tmp_path, "f0,#label\n1.0,0\n2.0,1\n", label_column="#label")

@@ -109,7 +109,7 @@ class TestNcFixture:
         assert nc1(bank) <= 1e-9
         assert nc2(fx.classifier) <= 1e-9
         assert nc3(fx.classifier, bank) <= 1e-9
-        assert nc4_agreement(bank.features @ fx.classifier.T, bank) == 1.0
+        assert nc4_agreement((bank.features @ fx.classifier.T).argmax(axis=1), bank) == 1.0
 
     def test_global_mean_projected_out(self):
         rng = np.random.default_rng(3)

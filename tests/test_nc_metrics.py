@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from ltlab.nc_metrics import (
     FeatureBank,
     NcReport,
     class_means,
-    covariances,
     etf_gram_target,
     make_report,
     nc1,
@@ -19,7 +20,8 @@ from ltlab.nc_metrics import (
     nc4_agreement,
 )
 
-from oracles import make_nc_fixture
+from ltlab.linalg import pinv
+from oracles import covariances, make_nc_fixture, nc1_exact
 
 TOY = FeatureBank(class_ids=(0, 1), features=np.array([[0.0], [2.0], [4.0], [6.0]]), offsets=(0, 2, 4))
 
@@ -42,11 +44,11 @@ def _nc4_loop(classifier, bias, bank):
     return agree / total
 
 
-def _nc4(classifier, bias, bank, out=None):
-    """nc4_agreement on the logits of the classifier and bias."""
+def _nc4(classifier, bias, bank, work=None):
+    """nc4_agreement on the predictions of the classifier and bias."""
     logits = bank.features @ np.asarray(classifier, dtype=np.float64).T
     logits += bias
-    return nc4_agreement(logits, bank, out)
+    return nc4_agreement(logits.argmax(axis=1), bank, work)
 
 
 def _mask_bank(x, y):
@@ -150,48 +152,9 @@ class TestClassMeans:
         assert np.abs(global_mean - global_p).max() < 1e-12
 
 
-def _covariances_loop(bank):
-    """Reference covariances: one centred matmul per class block."""
-    means = np.stack([block.mean(axis=0) for block in bank.blocks])
-    sigma_w = np.zeros((bank.feature_dim, bank.feature_dim))
-    for block, mu in zip(bank.blocks, means):
-        centered = block - mu
-        sigma_w += centered.T @ centered
-    centered_means = means - means.mean(axis=0)
-    return sigma_w / len(bank.features), centered_means.T @ centered_means / bank.class_count
-
-
-class TestCovariances:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**31), sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8),
-           p=st.integers(1, 12), offset=st.sampled_from([0.0, 3.0, 1e4]))
-    def test_matches_block_loop(self, seed, sizes, p, offset):
-        rng = np.random.default_rng(seed)
-        y = np.repeat(np.arange(len(sizes)), sizes)
-        x = offset + rng.standard_normal((len(y), p))
-        bank = FeatureBank.from_labels(x, y)
-        want_w, want_b = _covariances_loop(bank)
-        sigma_w, sigma_b = covariances(bank)
-        assert np.array_equal(sigma_b, want_b)
-        scale = np.abs(want_w).max()
-        assert np.abs(sigma_w - want_w).max() <= 1e-12 * scale
-        assert np.array_equal(sigma_w, sigma_w.T)
-
-    def test_out_buffer_and_in_place(self):
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal((30, 4))
-        y = rng.integers(0, 3, size=30)
-        fresh = covariances(FeatureBank.from_labels(x, y))
-        bank = FeatureBank.from_labels(x, y)
-        out = np.full_like(bank.features, np.nan)
-        for buffer in (out, bank.features):  # a separate buffer, then the bank's own rows
-            got = covariances(bank, out=buffer)
-            assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
-        # The bank's rows are now centred; its cached means are not.
-        assert np.abs(np.stack([b.mean(axis=0) for b in bank.blocks])).max() < 1e-12
-        assert np.array_equal(class_means(bank)[0], class_means(FeatureBank.from_labels(x, y))[0])
-        with pytest.raises(ValueError, match="float64"):
-            covariances(bank, out=np.zeros((30, 3)))
+class TestCovariancesOracle:
+    """The p x p scatter matrices of NC1's definition, kept as a test
+    oracle: ``nc1`` never forms them."""
 
     def test_collapsed_features(self):
         fx = make_nc_fixture(3, 5, n_per_class=4, scale=1.0, radius=1.0, seed=0)
@@ -210,6 +173,16 @@ class TestCovariances:
         assert sigma_b == pytest.approx(np.array([[4.0]]))
 
 
+def _separated_bank(seed, sizes, p, dead=(), offset=0.0):
+    """Classes of ``sizes`` rows around well-separated means, with the
+    ``dead`` feature columns zero."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat(np.arange(len(sizes)), sizes)
+    x = offset + rng.standard_normal((len(y), p)) + 3 * rng.standard_normal((len(sizes), p))[y]
+    x[:, list(dead)] = 0.0
+    return FeatureBank.from_labels(x, y)
+
+
 class TestNc1:
     def test_fixture_zero(self):
         fx = make_nc_fixture(4, 7, n_per_class=3, scale=2.0, radius=1.5, seed=1)
@@ -217,6 +190,7 @@ class TestNc1:
 
     def test_1d_toy_value(self):
         assert nc1(TOY) == pytest.approx(0.125)
+        assert nc1_exact(TOY) == Fraction(1, 8)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
@@ -225,6 +199,51 @@ class TestNc1:
         base = nc1(FeatureBank.from_labels(x, y))
         scaled = nc1(FeatureBank.from_labels(7.3 * x, y))
         assert scaled == pytest.approx(base, rel=1e-9)
+
+    @pytest.mark.parametrize("sizes, p, dead, offset", [
+        ((9, 5, 7, 3, 6, 4, 8), 3, (), 0.0),  # C - 1 >= p: Sigma_B has full rank
+        ((12, 1, 4, 1, 2, 9, 3), 6, (), 5.0),  # full rank, with singleton classes
+        ((10, 6, 8), 5, (), 0.0),  # C - 1 < p: rank C - 1
+        ((7, 3, 9, 2, 5), 6, (1, 4), 0.0),  # dead feature columns: rank p - 2
+        ((4, 11, 6, 1), 4, (0, 1, 2), 1.0),  # rank 1
+    ])
+    def test_matches_exact_oracle(self, sizes, p, dead, offset):
+        bank = _separated_bank(len(sizes) * p, sizes, p, dead, offset)
+        exact = nc1_exact(bank)
+        assert exact > 0
+        assert abs(Fraction(nc1(bank)) - exact) <= Fraction(1, 10**12) * exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), sizes=st.lists(st.integers(1, 30), min_size=2, max_size=8),
+           p=st.integers(1, 12), offset=st.sampled_from([0.0, 3.0, 1e4]))
+    def test_matches_the_scatter_definition(self, seed, sizes, p, offset):
+        # The p x p composition loses digits that the class-mean form keeps,
+        # so the definition is checked here at a looser tolerance.
+        bank = _separated_bank(seed, sizes, p, offset=offset)
+        sigma_w, sigma_b = covariances(bank)
+        want = np.trace(sigma_w @ pinv(sigma_b)) / bank.class_count
+        assert nc1(bank) == pytest.approx(want, rel=1e-8)
+
+    def test_buffers_and_in_place(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((30, 4))
+        y = rng.integers(0, 3, size=30)
+        fresh = nc1(FeatureBank.from_labels(x, y))
+        bank = FeatureBank.from_labels(x, y)
+        centred = np.full_like(bank.features, np.nan)
+        work = np.full((30, 3), np.nan)
+        assert nc1(bank, centred, work) == fresh
+        assert nc1(bank, bank.features, work) == fresh  # the bank's own rows
+        # The bank's rows are now centred; its cached means are not.
+        assert np.array_equal(bank.features, centred)
+        assert np.abs(np.stack([b.mean(axis=0) for b in bank.blocks])).max() < 1e-12
+        assert np.array_equal(class_means(bank)[0], class_means(FeatureBank.from_labels(x, y))[0])
+        # The work buffer holds the centred rows times pinv(M), M the centred means.
+        means, global_mean = class_means(bank)
+        q = pinv(means - global_mean, rank_tol=np.sqrt(4 * np.finfo(np.float64).eps))
+        assert np.array_equal(work, centred @ q)
+        with pytest.raises(ValueError, match="float64"):
+            nc1(bank, centred=np.zeros((30, 3)))
 
 
 class TestNc2:
@@ -307,10 +326,11 @@ class TestNc4Agreement:
         assert _nc4(np.array([[1.0], [-1.0]]), np.zeros(2), bank) == 0.0
         # One row per class the bank holds: a classifier with a row for a
         # class the bank lacks cannot be matched to it by position.
-        with pytest.raises(ValueError, match="logits are 4x3 but the bank has 4 rows in 2 classes"):
+        with pytest.raises(ValueError, match=re.escape("need 4 predictions in 0..1")):
             _nc4(np.array([[-1.0], [0.0], [1.0]]), np.zeros(3), bank)
-        with pytest.raises(ValueError, match="logits are 3x2 but the bank has 4 rows"):
-            nc4_agreement(np.zeros((3, 2)), bank)
+        for bad in (np.zeros(3, dtype=int), np.zeros((4, 2), dtype=int), np.array([0, 0, -1, 1])):
+            with pytest.raises(ValueError, match=re.escape("need 4 predictions in 0..1")):
+                nc4_agreement(bad, bank)
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**31), sizes=st.lists(st.integers(1, 12), min_size=1, max_size=7),
@@ -408,11 +428,11 @@ class TestNc4Agreement:
         rng = np.random.default_rng(14)
         y = np.concatenate([np.zeros(n // 2, dtype=int), rng.integers(1, c, size=n - n // 2)])
         bank = FeatureBank.from_labels(rng.standard_normal((n, p)), y)
-        logits = bank.features @ rng.standard_normal((c, p)).T
+        predictions = (bank.features @ rng.standard_normal((c, p)).T).argmax(axis=1)
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            nc4_agreement(logits, bank)
+            nc4_agreement(predictions, bank)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -424,13 +444,15 @@ class TestNc4Agreement:
         y = np.repeat(np.arange(5), [9, 1, 4, 7, 2])
         bank = FeatureBank.from_labels(rng.standard_normal((len(y), 3)), y)
         w, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
-        out = np.full((len(y), 5), np.nan)
-        assert _nc4(w, b, bank, out) == _nc4(w, b, bank) == _nc4_loop(w, b, bank)
-        # The buffer ends as the candidate mask, which holds each row's nearest mean.
+        work = np.full((len(y), 5), np.nan)
+        assert _nc4(w, b, bank, work) == _nc4(w, b, bank) == _nc4_loop(w, b, bank)
+        # The buffer ends holding the Gram-form distances ||mu_k||^2 - 2 x.mu_k,
+        # the squared distances less ||x||^2, whose row argmin is the nearest mean.
+        x = bank.features
         means, _ = class_means(bank)
-        nearest = np.argmin(((bank.features[:, None] - means) ** 2).sum(axis=2), axis=1)
-        assert np.isin(out, (0.0, 1.0)).all()
-        assert (out[np.arange(len(y)), nearest] == 1.0).all()
+        direct = ((x[:, None] - means) ** 2).sum(axis=2)
+        assert np.allclose(work + (x * x).sum(axis=1)[:, None], direct, rtol=0, atol=1e-12)
+        assert np.array_equal(work.argmin(axis=1), direct.argmin(axis=1))
 
 
 class TestDeterminismAndReport:
@@ -462,7 +484,8 @@ class TestDeterminismAndReport:
     def test_report_fields(self):
         fx = make_nc_fixture(3, 5, n_per_class=2, scale=1.0, radius=1.0, seed=12)
         bank = fixture_bank(fx)
-        report = make_report(fx.classifier, bank.features @ fx.classifier.T, bank, [1.0, 1.0, 1.0], epoch=7)
+        predictions = (bank.features @ fx.classifier.T).argmax(axis=1)
+        report = make_report(fx.classifier, predictions, bank, [1.0, 1.0, 1.0], epoch=7)
         assert report.epoch == 7
         assert report.rho == 0.0
         assert report.nc4_agreement == 1.0

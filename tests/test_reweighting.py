@@ -206,6 +206,28 @@ class TestClosedFormWeight:
             for got in (_closed_form(l_c, l_bar, alpha, w0), closed_form_weight(l_c, l_bar, alpha, w0)):
                 assert np.array_equal(got, expected, equal_nan=True)
 
+    @settings(max_examples=200, deadline=None)
+    @given(l_c=st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100)), min_size=1, max_size=12),
+           l_bar=st.floats(1e-100, 1e100), w0=st.floats(0.01, 3.0),
+           k=st.integers(-300, 300), s=st.floats(1e-100, 1e100))
+    def test_alpha_zero_weights_are_scale_invariant(self, l_c, l_bar, w0, k, s):
+        # Without an anchor the weights solve w * l_c = l_bar, so scaling every
+        # loss by one factor leaves them: exactly for a power of two, and to a
+        # few roundings otherwise.
+        l_c = np.array(l_c)
+        base = closed_form_weight(l_c, l_bar, 0.0, w0)
+        exact = closed_form_weight(l_c * 2.0 ** k, l_bar * 2.0 ** k, 0.0, w0)
+        assert exact.tobytes() == base.tobytes()
+        near = closed_form_weight(l_c * s, l_bar * s, 0.0, w0)
+        assert np.all(np.abs(near - base) <= 1e-15 * base)
+        # The per-batch solve inherits it: the class means and L_bar scale with the losses.
+        slots = np.arange(len(l_c))
+        sizes, counts = np.ones((1, len(l_c)), dtype=np.int64), np.ones((1, len(l_c)), dtype=np.int64)
+        config = ReweightConfig(alpha=0.0, mode="batch")
+        solve = inverse_weights(l_c, slots, sizes, counts, np.full((1, len(l_c)), w0), config)
+        scaled = inverse_weights(l_c * 2.0 ** k, slots, sizes, counts, np.full((1, len(l_c)), w0), config)
+        assert scaled.tobytes() == solve.tobytes()
+
     def test_nan_alpha_takes_the_corner_form(self):
         # NaN > 0 is false, so the corner form reads it as unanchored: l_bar / l_c.
         assert closed_form_weight(2.0, 1.0, np.nan) == 0.5

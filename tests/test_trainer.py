@@ -8,11 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ltlab import baselines, linalg
+from ltlab import baselines
 from ltlab.baselines import range_loss_grad
 from ltlab.data import Dataset, LongTailSpec, batch_iter, gaussian_mixture
 from ltlab.errors import ConfigError, NumericError
-from ltlab.nc_metrics import etf_gram_target, nc2
+from ltlab.nc_metrics import FeatureBank, etf_gram_target, nc2
 from ltlab.reweighting import ReweightConfig, inverse_weights, loss_imbalance_rho
 from ltlab.scheduler import LrSpec, learning_rates
 from ltlab.trainer import (
@@ -33,7 +33,7 @@ from ltlab.trainer import (
     train_epoch,
 )
 
-from oracles import focal_loss, softmax, weighted_ce_dlogits
+from oracles import focal_loss, nc1_exact, softmax, weighted_ce_dlogits
 
 
 def small_linear_params(seed=0, c=3, d=4):
@@ -121,6 +121,18 @@ class TestCeLoss:
         l1 = _ce_from_logits(z1, np.array([2]))
         l2 = _ce_from_logits(z2, np.array([2]))
         assert l1[0] == pytest.approx(l2[0], rel=1e-15)
+
+    def test_given_argmax_and_in_place_exp_change_no_bit(self):
+        # The epoch end passes the logits' argmax for the row max and lets
+        # the exp overwrite the logits; ties in the max are common here.
+        rng = np.random.default_rng(5)
+        z = np.round(3 * rng.standard_normal((60, 6)))
+        y = rng.integers(0, 6, size=60)
+        want = _ce_from_logits(z.copy(), y)
+        work = z.copy()
+        got = _ce_from_logits(work, y, out=work, argmax=z.argmax(axis=1))
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(work, z)  # the buffer holds the exp now
 
 
 class TestBackward:
@@ -858,9 +870,9 @@ class TestEpochEndFiniteness:
 
 
 # --- The epoch end before the class-sorted buffers, kept as the oracle. ---
-# Every epoch re-sorted the features into copied per-class blocks, looped
-# over them for Sigma_W, recomputed the logits of the concatenated blocks
-# for NC4, and took the per-class CE in the original row order.
+# Every epoch re-sorted the features into copied per-class blocks,
+# recomputed the logits of the concatenated blocks for NC4, and took the
+# per-class CE in the original row order. NC1 is the exact rational value.
 
 def _epoch_report_ref(params, train, test):
     h, z, _ = _forward_batch_ref(params, train.x)
@@ -869,14 +881,7 @@ def _epoch_report_ref(params, train, test):
     blocks = np.split(h[order], starts[1:])
     c = len(blocks)
     means = np.stack([block.mean(axis=0) for block in blocks])
-    global_mean = means.mean(axis=0)
-    sigma_w = np.zeros((h.shape[1], h.shape[1]))
-    for block, mu in zip(blocks, means):
-        centered = block - mu
-        sigma_w += centered.T @ centered
-    sigma_w /= len(h)
-    centered_means = means - global_mean
-    sigma_b = centered_means.T @ centered_means / c
+    centered_means = means - means.mean(axis=0)
     w, b = params.weights, params.bias
     gram = w @ centered_means.T
     x = np.concatenate(blocks)
@@ -887,7 +892,7 @@ def _epoch_report_ref(params, train, test):
     _, z_test, _ = _forward_batch_ref(params, test.x)
     hits = np.bincount(test.y, weights=z_test.argmax(axis=1) == test.y, minlength=c)
     return dict(
-        nc1=float(np.trace(sigma_w @ linalg.pinv(sigma_b))) / c,
+        nc1=float(nc1_exact(FeatureBank.from_labels(h, train.y))),
         nc2=nc2(w),
         nc3=float(np.linalg.norm(gram / np.linalg.norm(gram) - etf_gram_target(c))),
         nc4=int((pred == nearest).sum()) / len(x),
@@ -902,8 +907,8 @@ def _shuffled(dataset, seed):
 
 
 class TestEpochEndOracle:
-    """The class-sorted epoch end equals the old composition: nc1 within
-    1e-12 relative, everything else bit for bit."""
+    """The class-sorted epoch end equals the old composition bit for bit,
+    and nc1 is within 1e-12 relative of its exact value."""
 
     @pytest.mark.parametrize("shuffle", (False, True), ids=("sorted", "shuffled"))
     @pytest.mark.parametrize("hidden", (0, 6))
