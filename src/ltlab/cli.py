@@ -29,8 +29,8 @@ from . import __version__
 from .config import CsvSource, ExperimentConfig, load_experiment_config
 from .data import gaussian_mixture, load_csv_dataset, load_csv_matrix, save_csv_dataset
 from .errors import ConfigError, DataError, NumericError
-from .nc_metrics import FeatureBank, nc1, nc2, nc3, nc4_agreement
-from .reweighting import closed_form_weight, loss_imbalance_rho
+from .nc_metrics import FeatureBank, make_report
+from .reweighting import closed_form_weight
 from .scheduler import ml_series, ml_series_log_peak, ml_tail, mittag_leffler
 from .trainer import EpochRecord, forward, run_experiment
 
@@ -173,15 +173,7 @@ def cmd_nc_eval(args) -> int:
     losses = None if args.losses is None else _load_class_losses(args.losses, bank.class_count)
     logits = bank.features @ w.T
     logits += b
-    report = {
-        "nc1": nc1(bank),
-        "nc2": nc2(w),
-        "nc3": nc3(w, bank),
-        "nc4": nc4_agreement(logits.argmax(axis=1), bank),
-    }
-    if losses is not None:
-        report["rho"] = loss_imbalance_rho(losses)
-    print(json.dumps(report, indent=2))
+    print(json.dumps(make_report(w, logits.argmax(axis=1), bank, losses), indent=2))
     return 0
 
 

@@ -24,6 +24,8 @@ row's nearest class mean from Gram-form distances and rechecks near ties
 in the direct form, so it matches the direct argmin exactly. The centred
 features and one (n, C) work array (NC4's distances, then NC1's
 projections) can be a caller's buffers, as in the trainer's epoch end.
+``make_report`` assembles the metrics under the names that the trainer's
+``EpochRecord`` and ``ltlab nc-eval`` use.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .reweighting import loss_imbalance_rho
 
 __all__ = [
     "FeatureBank",
-    "NcReport",
     "etf_gram_target",
     "class_means",
     "nc1",
@@ -55,29 +56,22 @@ class FeatureBank:
     """p-dimensional feature vectors grouped by class.
 
     ``features`` is one (n, p) float64 array whose rows are sorted by
-    class: class ``class_ids[k]`` holds rows ``offsets[k]:offsets[k + 1]``,
+    class: class k holds rows ``offsets[k]:offsets[k + 1]``, for k = 0..C-1,
     and ``blocks`` gives those rows as views. The bank keeps the array it
     is given, without a copy. The class means are computed on first use
     and cached on the instance, so the rows must not change while the bank
     is in use.
     """
 
-    class_ids: tuple[int, ...]
     features: np.ndarray  # (n, p), class-sorted
     offsets: np.ndarray  # (C + 1,) block boundaries, from 0 to n
 
     def __post_init__(self):
-        if not self.class_ids:
-            raise ValueError("need at least one class")
-        if any(b >= a for a, b in zip(self.class_ids[1:], self.class_ids)):
-            raise ValueError("class ids must be strictly increasing")
         if self.features.ndim != 2 or self.features.dtype != np.float64:
             raise ValueError("features must be an (n, p) float64 array")
         offsets = np.asarray(self.offsets, dtype=np.int64)
-        if offsets.shape != (len(self.class_ids) + 1,) or offsets[0] != 0 \
-                or offsets[-1] != len(self.features):
-            raise ValueError(f"need {len(self.class_ids) + 1} offsets from 0 to "
-                             f"{len(self.features)} for {len(self.class_ids)} classes")
+        if offsets.ndim != 1 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != len(self.features):
+            raise ValueError(f"need C + 1 offsets from 0 to {len(self.features)} for C >= 1 classes")
         if (offsets[1:] <= offsets[:-1]).any():
             raise ValueError("each class needs a non-empty feature block")
         object.__setattr__(self, "offsets", offsets)
@@ -85,20 +79,19 @@ class FeatureBank:
     @classmethod
     def from_labels(cls, features, labels) -> "FeatureBank":
         """A bank over one class-sorted copy of ``features``; rows of each
-        class keep their order (a stable sort by label)."""
+        class keep their order (a stable sort by label), and the k-th
+        smallest label is class k."""
         x = np.asarray(features)
         y = np.asarray(labels)
         if y.shape != x.shape[:1]:
             raise ValueError(f"{y.size} labels for {x.shape[0]} feature rows")
         order = np.argsort(y, kind="stable")
-        ids, starts = np.unique(y[order], return_index=True)
-        return cls(class_ids=tuple(int(c) for c in ids),
-                   features=x[order].astype(np.float64, copy=False),
-                   offsets=np.append(starts, len(y)))
+        _, starts = np.unique(y[order], return_index=True)
+        return cls(features=x[order].astype(np.float64, copy=False), offsets=np.append(starts, len(y)))
 
     @property
     def class_count(self) -> int:
-        return len(self.class_ids)
+        return len(self.offsets) - 1
 
     @property
     def feature_dim(self) -> int:
@@ -125,23 +118,6 @@ class FeatureBank:
         global_mean = means.mean(axis=0)
         means.flags.writeable = global_mean.flags.writeable = False
         return means, global_mean
-
-
-@dataclass(frozen=True)
-class NcReport:
-    """One epoch's collapse metrics."""
-
-    epoch: int
-    nc1: float
-    nc2: float
-    nc3: float
-    nc4_agreement: float
-    rho: float
-
-    def __post_init__(self):
-        vals = (self.nc1, self.nc2, self.nc3, self.nc4_agreement, self.rho)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("metric values must be finite")
 
 
 def etf_gram_target(class_count: int) -> np.ndarray:
@@ -229,7 +205,7 @@ def _nearest_means(x: np.ndarray, means: np.ndarray, out: np.ndarray | None = No
         g[rows, nearest] = best
     safe = s <= np.finfo(np.float64).max / 4  # False for a NaN, an infinity or a possible overflow
     for i in np.flatnonzero(tied | ~safe):
-        # Ascending class ids, so argmin keeps the lowest.
+        # Ascending classes, so argmin keeps the lowest.
         k = np.flatnonzero(g[i] <= threshold[i]) if safe[i] else np.arange(len(means))
         nearest[i] = k[np.argmin(((x[i] - means[k]) ** 2).sum(axis=1))]
     return nearest
@@ -241,9 +217,8 @@ def nc4_agreement(predictions, bank: FeatureBank, work: np.ndarray | None = None
 
     ``predictions`` are the argmax of the logits of the bank's rows, in
     bank order (``(bank.features @ W.T + b).argmax(axis=1)``); class k is
-    the bank's k-th class (ascending id), whatever the ids are, and ties
-    go to the lowest class on both sides. ``work``, an optional (n, C)
-    float64 array, is left holding the Gram-form distances
+    the bank's k-th block, and ties go to the lowest class on both sides.
+    ``work``, an optional (n, C) float64 array, is left holding the Gram-form distances
     g_ik = ||mu_k||^2 - 2 x_i.mu_k, the squared distances less ||x_i||^2.
 
     The result equals the direct argmin of D_ik = sum_j (x_ij - mu_kj)^2
@@ -263,7 +238,7 @@ def nc4_agreement(predictions, bank: FeatureBank, work: np.ndarray | None = None
     min + tol_i (|min| <= 2 S_i), and the last term covers products that
     underflow. A row whose runner-up lies beyond min + tol_i has found its
     nearest mean; any other takes the direct argmin over its candidates in
-    ascending class id. With S_i <= max_float / 4 no partial sum of g_i
+    ascending class order. With S_i <= max_float / 4 no partial sum of g_i
     can overflow; a row above that (or with a NaN) checks every class.
     """
     pred, (means, _) = np.asarray(predictions), class_means(bank)
@@ -272,18 +247,16 @@ def nc4_agreement(predictions, bank: FeatureBank, work: np.ndarray | None = None
     return int((pred == _nearest_means(bank.features, means, work)).sum()) / len(pred)
 
 
-def make_report(classifier, predictions, bank: FeatureBank, per_class_losses, epoch: int, *,
-                work: np.ndarray | None = None, centred: np.ndarray | None = None) -> NcReport:
-    """Assemble all metrics for one snapshot; ``predictions`` are as in
+def make_report(classifier, predictions, bank: FeatureBank, per_class_losses=None, *,
+                work: np.ndarray | None = None, centred: np.ndarray | None = None) -> dict[str, float]:
+    """All metrics of one snapshot: nc1, nc2, nc3, nc4 and, when per-class
+    losses are given, rho, in that order. ``predictions`` are as in
     ``nc4_agreement``, and the optional buffers as in ``nc1`` (``work`` first
-    holds NC4's distances). NC4 reads the rows and caches the class means
-    before NC1 may centre them in place."""
+    holds NC4's distances). Raises ValueError unless every value is finite."""
     nc4 = nc4_agreement(predictions, bank, work)  # first: NC1 may centre the rows in place
-    return NcReport(
-        epoch=epoch,
-        nc1=nc1(bank, centred, work),
-        nc2=nc2(classifier),
-        nc3=nc3(classifier, bank),
-        nc4_agreement=nc4,
-        rho=loss_imbalance_rho(per_class_losses),
-    )
+    report = {"nc1": nc1(bank, centred, work), "nc2": nc2(classifier), "nc3": nc3(classifier, bank), "nc4": nc4}
+    if per_class_losses is not None:
+        report["rho"] = loss_imbalance_rho(per_class_losses)
+    if not all(map(math.isfinite, report.values())):
+        raise ValueError("metric values must be finite")
+    return report

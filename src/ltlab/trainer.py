@@ -44,15 +44,15 @@ distances and NC1's projections, and NC1 last centres the features in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import baselines, reweighting
 from .baselines import BASE_METHODS, ClassCounts
 from .data import Dataset, batch_iter
-from .errors import ConfigError, NumericError
-from .nc_metrics import FeatureBank, NcReport, make_report
+from .errors import ConfigError, DataError, NumericError
+from .nc_metrics import FeatureBank, make_report
 from .reweighting import ReweightConfig
 from .scheduler import LrSpec, learning_rates
 
@@ -244,7 +244,8 @@ class TrainState:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """Per-epoch log row; field order matches the metrics CSV."""
+    """Per-epoch log row; field order matches the metrics CSV. The fields
+    from rho on are ``make_report``'s."""
 
     epoch: int
     train_loss: float
@@ -406,11 +407,16 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
     alone), each initialized from its own seed.
 
     ``train_epoch`` needs ``test``, the set whose per-class accuracy each
-    epoch reports; a run that only takes batch steps can leave it out.
+    epoch reports, and with it at least 3 training classes, one for each of
+    the head, med and tail groups; a run that only takes batch steps can
+    leave ``test`` out.
     """
     seeds = (config.seed,) if seeds is None else tuple(seeds)
     if not seeds:
         raise ValueError("a stack needs at least one seed")
+    if test is not None and train.class_count < 3:
+        raise DataError(f"the training set has {train.class_count} classes; the head, med and "
+                        "tail accuracies need at least 3")
     method = config.method
     base_name = config.reweight.base if method.name == "inverse" else method.name
     counts = train.counts
@@ -565,7 +571,7 @@ def _per_class_accuracy(params: ModelParams, dataset: Dataset, h_out, z_out) -> 
     return hits / dataset.counts.per_class
 
 
-def _epoch_report(params: ModelParams, ctx: RunContext, epoch: int) -> NcReport:
+def _epoch_report(params: ModelParams, ctx: RunContext) -> dict[str, float]:
     """The collapse metrics and rho of one run's training set, computed in
     stable label order in the stack's buffers (see the module docstring).
     A metric that cannot be computed raises ValueError."""
@@ -573,8 +579,8 @@ def _epoch_report(params: ModelParams, ctx: RunContext, epoch: int) -> NcReport:
     pred = z.argmax(axis=1)
     ce = _ce_from_logits(z, ctx.sorted_y, out=z, argmax=pred)
     per_class = np.bincount(ctx.sorted_y, weights=ce) / ctx.counts.per_class  # every class has rows
-    bank = FeatureBank(class_ids=tuple(range(len(ctx.counts))), features=h, offsets=ctx.offsets)
-    return make_report(params.weights, pred, bank, per_class, epoch, work=z, centred=ctx.features)
+    bank = FeatureBank(features=h, offsets=ctx.offsets)
+    return make_report(params.weights, pred, bank, per_class, work=z, centred=ctx.features)
 
 
 def _train_batches(state: TrainState, ctx: RunContext, epoch: int) -> tuple[list[float], float]:
@@ -610,7 +616,7 @@ def train_epoch(state: TrainState, ctx: RunContext, epoch: int) -> list[EpochRec
     for r, seed in enumerate(ctx.seeds):
         params = state.params[r]
         try:
-            report = _epoch_report(params, ctx, epoch)
+            report = _epoch_report(params, ctx)
         except ValueError as exc:
             raise NumericError(f"seed {seed}: metric computation failed after epoch {epoch}: "
                                f"{exc}") from exc
@@ -623,11 +629,7 @@ def train_epoch(state: TrainState, ctx: RunContext, epoch: int) -> list[EpochRec
             acc_med=float(per_class_acc[med].mean()),
             acc_tail=float(per_class_acc[tail].mean()),
             lr=last_lr,
-            rho=report.rho,
-            nc1=report.nc1,
-            nc2=report.nc2,
-            nc3=report.nc3,
-            nc4=report.nc4_agreement,
+            **report,
         ))
     return records
 
@@ -647,19 +649,11 @@ def run_experiment(config: TrainConfig, train: Dataset, test: Dataset, seeds=Non
     results = []
     for r, seed in enumerate(ctx.seeds):
         records = [runs[r] for runs in epochs]
-        last = records[-1]
-        summary = {
-            "method": config.method.name,
-            "seed": seed,
-            "bal_acc": last.bal_acc,
-            "rho_final": last.rho,
-            "nc1": last.nc1,
-            "nc2": last.nc2,
-            "nc3": last.nc3,
-            "nc4": last.nc4,
-            "acc_head": last.acc_head,
-            "acc_med": last.acc_med,
-            "acc_tail": last.acc_tail,
-        }
+        # The last record's accuracy, collapse metrics (rho as rho_final), then group accuracies.
+        last = asdict(records[-1])
+        summary = {"method": config.method.name, "seed": seed, "bal_acc": last["bal_acc"],
+                   "rho_final": last["rho"]}
+        summary.update((k, v) for k, v in last.items() if k.startswith("nc"))
+        summary.update((k, v) for k, v in last.items() if k.startswith("acc_"))
         results.append((records, summary, state.run(r)))
     return results

@@ -15,8 +15,13 @@ the same average cross-entropy loss, which the fixture tests exploit.
 ``covariances`` gives NC1's p x p scatter matrices one class block at a
 time, and ``nc1_exact`` gives NC1 itself in exact rational arithmetic, the
 reference that ``nc_metrics.nc1`` is checked against to 1e-12.
+
+``ml_quadrature`` gives the Mittag-Leffler decay value E_a(-z) by
+Gauss-Legendre quadrature of its spectral integral, independent of the
+series and the asymptotic tail in ``scheduler``.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -266,3 +271,21 @@ def nc1_exact(bank: FeatureBank) -> Fraction:
     within = [[sum((u[i] * w_basis[i][j] for i in range(p)), Fraction(0)) for j in range(r)]
               for u in basis]  # B^T Sigma_W B
     return _trace_of_solve(between, within) / c
+
+
+_LEGENDRE = np.polynomial.legendre.leggauss(400)
+
+
+def ml_quadrature(a: float, z: float) -> float:
+    """E_a(-z) for 0 < a < 1 and z >= 0 from its spectral form,
+
+        E_a(-z) = sin(a pi) / (a pi) * int_0^inf exp(-(v z)^(1/a)) / (v^2 + 2 v cos(a pi) + 1) dv,
+
+    with 400 Gauss-Legendre nodes on v in [0, 1] and on [1, inf) mapped by
+    v = 1/u, where the integrand becomes exp(-(z/u)^(1/a)) / (1 + 2 u cos(a pi) + u^2).
+    """
+    nodes, weights = _LEGENDRE
+    u, c = (nodes + 1.0) / 2.0, math.cos(a * math.pi)
+    head = np.exp(-(u * z) ** (1.0 / a)) / (u * u + 2.0 * u * c + 1.0)
+    tail = np.exp(-(z / u) ** (1.0 / a)) / (1.0 + 2.0 * u * c + u * u)
+    return math.sin(a * math.pi) / (a * math.pi) * float(weights @ (head + tail)) / 2.0

@@ -190,6 +190,15 @@ class TestTrain:
         assert "--seed 4 is given more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_two_classes_exit_3_before_training(self, tmp_path, capsys):
+        # Two classes leave the tail tercile empty, so acc_tail has no classes to average.
+        cfg = tmp_path / "two.ini"
+        cfg.write_text(BASE_CONFIG.replace("classes = 4", "classes = 2"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "the training set has 2 classes" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_trained_dumps_feed_nc_eval(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
         main(["train", "--config", str(config_path), "--out", str(out)])
@@ -249,6 +258,18 @@ class TestNcEval:
                      "--losses", str(losses)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["rho"] == pytest.approx(0.5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_rho_prints_no_json(self, tmp_path, capsys):
+        # Finite losses whose spread overflows: rho is inf, which JSON cannot hold.
+        feat, clf = write_fixture_dumps(tmp_path)
+        losses = tmp_path / "losses.json"
+        losses.write_text("[1e300, 1e-300, 1.0, 1.0]")
+        assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf),
+                     "--losses", str(losses)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "metric values must be finite" in captured.err
 
     @pytest.mark.parametrize("text, message", [
         ('{"0": 1.0, "1": 3.0, "2": 1.0, "3": 3.0}', "list of 4 losses, one per class; found {\"0\": 1.0"),
@@ -475,6 +496,19 @@ milestones =
         assert main(["train", "--config", str(csv_cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert math.isfinite(summary["bal_acc_mean"])
+
+    def test_two_class_csv_exits_3_before_training(self, tmp_path, capsys):
+        two = tmp_path / "two.ini"
+        two.write_text(BASE_CONFIG.replace("classes = 4", "classes = 2"))
+        data_dir = tmp_path / "data"
+        main(["gen", "--config", str(two), "--out", str(data_dir)])
+        csv_cfg = tmp_path / "csv.ini"
+        csv_cfg.write_text(f"[dataset]\nkind = csv\ntrain_path = {data_dir / 'train.csv'}\n"
+                           f"test_path = {data_dir / 'test.csv'}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(csv_cfg), "--out", str(out)]) == 3
+        assert "the training set has 2 classes" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_non_utf8_dataset_exits_3_naming_the_row(self, config_path, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ltlab.etf import make_etf
 from ltlab.nc_metrics import (
     FeatureBank,
-    NcReport,
     class_means,
     etf_gram_target,
     make_report,
@@ -23,7 +22,7 @@ from ltlab.nc_metrics import (
 from ltlab.linalg import pinv
 from oracles import covariances, make_nc_fixture, nc1_exact
 
-TOY = FeatureBank(class_ids=(0, 1), features=np.array([[0.0], [2.0], [4.0], [6.0]]), offsets=(0, 2, 4))
+TOY = FeatureBank(features=np.array([[0.0], [2.0], [4.0], [6.0]]), offsets=(0, 2, 4))
 
 
 def _nc4_loop(classifier, bias, bank):
@@ -52,11 +51,10 @@ def _nc4(classifier, bias, bank, work=None):
 
 
 def _mask_bank(x, y):
-    """Reference FeatureBank.from_labels: one boolean mask per class id."""
+    """Reference FeatureBank.from_labels blocks: one boolean mask per label, ascending."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    ids = tuple(int(c) for c in np.unique(y))
-    return ids, tuple(x[y == c] for c in ids)
+    return tuple(x[y == c] for c in np.unique(y))
 
 
 def fixture_bank(fx):
@@ -69,7 +67,6 @@ class TestFeatureBank:
     def test_from_labels(self):
         x = np.array([[1.0], [2.0], [3.0]])
         bank = FeatureBank.from_labels(x, [1, 0, 1])
-        assert bank.class_ids == (0, 1)
         assert np.array_equal(bank.blocks[1], [[1.0], [3.0]])
         assert np.array_equal(bank.features, [[2.0], [1.0], [3.0]])
         assert bank.offsets.tolist() == [0, 1, 3]
@@ -82,8 +79,7 @@ class TestFeatureBank:
         x = rng.standard_normal((n, p))
         y = rng.choice(label_pool, size=n)
         bank = FeatureBank.from_labels(x, y)
-        ids, blocks = _mask_bank(x, y)
-        assert bank.class_ids == ids
+        blocks = _mask_bank(x, y)
         assert len(bank.blocks) == len(blocks)
         for got, want in zip(bank.blocks, blocks):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -98,23 +94,19 @@ class TestFeatureBank:
         with pytest.raises(ValueError):
             FeatureBank.from_labels(np.zeros((0, 2)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="non-empty"):
-            FeatureBank(class_ids=(0, 1), features=np.zeros((2, 2)), offsets=(0, 0, 2))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            FeatureBank(class_ids=(1, 0), features=np.zeros((2, 2)), offsets=(0, 1, 2))
-        with pytest.raises(ValueError, match="3 offsets from 0 to 2"):
-            FeatureBank(class_ids=(0, 1), features=np.zeros((2, 2)), offsets=(0, 1, 3))
-        with pytest.raises(ValueError, match="3 offsets"):
-            FeatureBank(class_ids=(0, 1), features=np.zeros((2, 2)), offsets=(0, 2))
+            FeatureBank(features=np.zeros((2, 2)), offsets=(0, 0, 2))
+        with pytest.raises(ValueError, match="offsets from 0 to 2"):
+            FeatureBank(features=np.zeros((2, 2)), offsets=(0, 1, 3))
         with pytest.raises(ValueError, match="float64"):
-            FeatureBank(class_ids=(0,), features=np.zeros(2), offsets=(0, 2))
+            FeatureBank(features=np.zeros(2), offsets=(0, 2))
         with pytest.raises(ValueError, match="float64"):
-            FeatureBank(class_ids=(0,), features=np.zeros((2, 2), dtype=np.float32), offsets=(0, 2))
-        with pytest.raises(ValueError, match="at least one class"):
-            FeatureBank(class_ids=(), features=np.zeros((0, 2)), offsets=(0,))
+            FeatureBank(features=np.zeros((2, 2), dtype=np.float32), offsets=(0, 2))
+        with pytest.raises(ValueError, match="offsets from 0 to 0 for C >= 1 classes"):
+            FeatureBank(features=np.zeros((0, 2)), offsets=(0,))
 
     def test_keeps_the_given_array(self):
         x = np.arange(8.0).reshape(4, 2)
-        bank = FeatureBank(class_ids=(0, 3), features=x, offsets=np.array([0, 1, 4]))
+        bank = FeatureBank(features=x, offsets=np.array([0, 1, 4]))
         assert bank.features is x
         assert [b.shape[0] for b in bank.blocks] == [1, 3]
         assert all(np.shares_memory(b, x) for b in bank.blocks)
@@ -376,7 +368,7 @@ class TestNc4Agreement:
         mus = np.array([[3.0, 4.0], [-4.0, 3.0], [0.0, -5.0]])
         blocks = [np.vstack([np.zeros(2), 2 * mu]) if k == label else mu + np.array([[1.0, 0.0], [-1.0, 0.0]])
                   for k, mu in enumerate(mus)]
-        bank = FeatureBank(class_ids=(0, 1, 2), features=np.concatenate(blocks), offsets=(0, 2, 4, 6))
+        bank = FeatureBank(features=np.concatenate(blocks), offsets=(0, 2, 4, 6))
         assert np.array_equal(class_means(bank)[0], mus)
         # A zero classifier predicts class 0. Mean 0 is nearest to the
         # origin and to class 0's other rows: 2 of 6 rows when the origin is
@@ -485,14 +477,20 @@ class TestDeterminismAndReport:
         fx = make_nc_fixture(3, 5, n_per_class=2, scale=1.0, radius=1.0, seed=12)
         bank = fixture_bank(fx)
         predictions = (bank.features @ fx.classifier.T).argmax(axis=1)
-        report = make_report(fx.classifier, predictions, bank, [1.0, 1.0, 1.0], epoch=7)
-        assert report.epoch == 7
-        assert report.rho == 0.0
-        assert report.nc4_agreement == 1.0
+        report = make_report(fx.classifier, predictions, bank, [1.0, 1.0, 1.0])
+        assert list(report) == ["nc1", "nc2", "nc3", "nc4", "rho"]
+        assert report["rho"] == 0.0
+        assert report["nc4"] == 1.0
+        assert list(make_report(fx.classifier, predictions, bank)) == ["nc1", "nc2", "nc3", "nc4"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_report_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            NcReport(epoch=0, nc1=np.nan, nc2=0, nc3=0, nc4_agreement=1, rho=0)
+        # Finite losses whose spread overflows: rho is inf.
+        fx = make_nc_fixture(3, 5, n_per_class=2, scale=1.0, radius=1.0, seed=12)
+        bank = fixture_bank(fx)
+        predictions = (bank.features @ fx.classifier.T).argmax(axis=1)
+        with pytest.raises(ValueError, match="metric values must be finite"):
+            make_report(fx.classifier, predictions, bank, [1e300, 1e-300, 1.0])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_scatter_or_gram_is_rejected(self):

@@ -17,6 +17,8 @@ from ltlab.scheduler import (
     ml_tail,
 )
 
+from oracles import ml_quadrature
+
 
 class TestMittagLeffler:
     def test_value_at_zero(self):
@@ -70,6 +72,24 @@ class TestMittagLeffler:
     def test_series_bounded(self, a, z):
         val = mittag_leffler(a, z)
         assert 0.0 < val <= 1.0
+
+
+class TestMittagLefflerQuadrature:
+    def test_quadrature_matches_the_closed_form_at_one_half(self):
+        # E_1/2(-z) = exp(z^2) erfc(z).
+        for z in (0.0, 0.5, 2.0):
+            assert ml_quadrature(0.5, z) == pytest.approx(math.exp(z * z) * math.erfc(z), rel=1e-14)
+
+    @pytest.mark.parametrize("a", [0.2, 0.35, 0.5, 0.65, 0.8, 0.9])
+    def test_series_branch(self, a):
+        for z in np.linspace(0.0, 0.99, 12).tolist():
+            assert abs(mittag_leffler(a, z) - ml_quadrature(a, z)) <= 1e-11
+
+    @pytest.mark.parametrize("a", [0.2, 0.3, 0.5, 0.7, 0.8, 0.9])
+    def test_tail_error_falls_with_z(self, a):
+        # The tail drops the O(1/z^2) terms of the asymptotic expansion.
+        err = [abs(mittag_leffler(a, z) - ml_quadrature(a, z)) for z in (5.0, 20.0, 100.0)]
+        assert err[0] >= 10 * err[1] and err[1] >= 10 * err[2]
 
 
 class TestEntropyAlpha:
