@@ -10,14 +10,12 @@ regularizer, computed with its gradient by ``range_loss_grad``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "BASE_METHODS",
-    "ClassCounts",
     "inv_freq_weights",
     "inv_sqrt_weights",
     "cb_weights",
@@ -34,41 +32,17 @@ BASE_METHODS = ("ce", "inv_freq", "inv_sqrt", "cb", "focal", "ib", "range")
 RANGE_DIST_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class ClassCounts:
-    """Per-class sample counts n_c (each >= 1) with their total N."""
-
-    per_class: tuple[int, ...]
-    total: int = field(init=False)
-
-    def __post_init__(self):
-        counts = tuple(int(n) for n in self.per_class)
-        if not counts:
-            raise ValueError("need at least one class")
-        if any(n < 1 for n in counts):
-            raise ValueError("every class count must be >= 1")
-        object.__setattr__(self, "per_class", counts)
-        object.__setattr__(self, "total", sum(counts))
-
-    def __len__(self) -> int:
-        return len(self.per_class)
+def inv_freq_weights(counts) -> np.ndarray:
+    """w_c = 1 / n_c, for the per-class sizes n_c."""
+    return 1.0 / np.asarray(counts, dtype=np.float64)
 
 
-def _counts_array(counts: ClassCounts) -> np.ndarray:
-    return np.asarray(counts.per_class, dtype=np.float64)
-
-
-def inv_freq_weights(counts: ClassCounts) -> np.ndarray:
-    """w_c = 1 / n_c."""
-    return 1.0 / _counts_array(counts)
-
-
-def inv_sqrt_weights(counts: ClassCounts) -> np.ndarray:
+def inv_sqrt_weights(counts) -> np.ndarray:
     """w_c = 1 / sqrt(n_c)."""
-    return 1.0 / np.sqrt(_counts_array(counts))
+    return 1.0 / np.sqrt(np.asarray(counts, dtype=np.float64))
 
 
-def cb_weights(counts: ClassCounts, beta: float) -> np.ndarray:
+def cb_weights(counts, beta: float) -> np.ndarray:
     """Class-balanced weights w_c = (1 - beta) / (1 - beta^n_c).
 
     beta = 0 gives all ones; beta -> 1 approaches inverse frequency up to
@@ -78,15 +52,14 @@ def cb_weights(counts: ClassCounts, beta: float) -> np.ndarray:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     if beta == 0.0:
         return np.ones(len(counts))
-    n = _counts_array(counts)
-    return (1.0 - beta) / (1.0 - beta ** n)
+    return (1.0 - beta) / (1.0 - beta ** np.asarray(counts, dtype=np.float64))
 
 
-def ib_class_coefficients(counts: ClassCounts, alpha_scale: float) -> np.ndarray:
+def ib_class_coefficients(counts, alpha_scale: float) -> np.ndarray:
     """Per-class coefficients proportional to 1/n_c, summing to alpha_scale."""
     if alpha_scale <= 0:
         raise ValueError("alpha_scale must be positive")
-    inv = 1.0 / _counts_array(counts)
+    inv = 1.0 / np.asarray(counts, dtype=np.float64)
     return alpha_scale * inv / inv.sum()
 
 

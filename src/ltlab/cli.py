@@ -85,7 +85,7 @@ def cmd_gen(args) -> int:
     save_csv_dataset(test, out / "test.csv")
     manifest = {
         "C": cfg.dataset.class_count,
-        "counts": list(train.counts.per_class),
+        "counts": train.counts.tolist(),
         "IF": cfg.dataset.imbalance_factor,
         "seed": cfg.dataset.seed,
         "sigma": cfg.dataset.noise_sigma,
@@ -162,6 +162,9 @@ def _load_class_losses(path: str, class_count: int) -> list[float]:
 
 def cmd_nc_eval(args) -> int:
     bank_data = load_csv_dataset(args.features, args.label_column, split="train")
+    if bank_data.class_count < 2:
+        raise DataError(f"{args.features}: the collapse metrics need at least 2 classes, "
+                        f"found {bank_data.class_count}")
     bank = FeatureBank.from_labels(bank_data.x, bank_data.y)
     w = load_csv_matrix(args.classifier, "classifier")
     if w.shape != (bank.class_count, bank.feature_dim):
@@ -173,7 +176,11 @@ def cmd_nc_eval(args) -> int:
     losses = None if args.losses is None else _load_class_losses(args.losses, bank.class_count)
     logits = bank.features @ w.T
     logits += b
-    print(json.dumps(make_report(w, logits.argmax(axis=1), bank, losses), indent=2))
+    try:
+        report = make_report(w, logits.argmax(axis=1), bank, losses)
+    except ValueError as exc:
+        raise NumericError(f"metric computation failed: {exc}") from exc
+    print(json.dumps(report, indent=2))
     return 0
 
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import ClassCounts
 from .errors import DataError
 from .etf import make_etf
 
@@ -61,23 +60,31 @@ class LongTailSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with integer labels and per-class counts."""
+    """Feature matrix with integer labels covering 0..C-1, and the
+    per-class counts n_c derived from the labels."""
 
     x: np.ndarray  # (n, d)
     y: np.ndarray  # (n,) int
-    counts: ClassCounts
     split: str  # "train" | "test"
+    counts: np.ndarray = field(init=False)  # (C,) int64, read-only: np.bincount(y)
 
     def __post_init__(self):
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
         if self.x.ndim != 2 or self.y.ndim != 1 or self.x.shape[0] != self.y.shape[0]:
             raise ValueError("x must be (n, d) aligned with 1-D labels y")
-        tallied = np.bincount(self.y, minlength=len(self.counts))
-        if tuple(int(n) for n in tallied) != self.counts.per_class:
-            raise DataError("per-class counts inconsistent with labels")
-        if self.split == "test" and len(set(self.counts.per_class)) != 1:
+        if not self.y.size:
+            raise DataError("no samples")
+        counts = np.bincount(self.y)
+        missing = np.flatnonzero(counts == 0)
+        if missing.size:
+            more = f" and {missing.size - 10} more" if missing.size > 10 else ""
+            raise DataError(f"classes {missing[:10].tolist()}{more} have no samples "
+                            "(labels must cover 0..C-1)")
+        if self.split == "test" and (counts != counts[0]).any():
             raise DataError("test split must be class-balanced")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
         return int(self.y.shape[0])
@@ -91,7 +98,7 @@ class Dataset:
         return int(self.x.shape[1])
 
 
-def exp_profile_counts(class_count: int, n_max: int, imbalance_factor: float) -> ClassCounts:
+def exp_profile_counts(class_count: int, n_max: int, imbalance_factor: float) -> tuple[int, ...]:
     """n_c = max(1, round(n_max * IF^(-(c-1)/(C-1)))) for c = 1..C."""
     if class_count < 2:
         raise ValueError("class_count must be >= 2")
@@ -99,11 +106,8 @@ def exp_profile_counts(class_count: int, n_max: int, imbalance_factor: float) ->
         raise ValueError("n_max must be >= 1")
     if imbalance_factor < 1:
         raise ValueError("imbalance_factor must be >= 1")
-    counts = []
-    for c in range(class_count):
-        raw = n_max * imbalance_factor ** (-c / (class_count - 1))
-        counts.append(max(1, math.floor(raw + 0.5)))
-    return ClassCounts(per_class=tuple(counts))
+    return tuple(max(1, math.floor(n_max * imbalance_factor ** (-c / (class_count - 1)) + 0.5))
+                 for c in range(class_count))
 
 
 def _class_centers(spec: LongTailSpec) -> np.ndarray:
@@ -111,7 +115,7 @@ def _class_centers(spec: LongTailSpec) -> np.ndarray:
     seeded random unit vectors."""
     c, d = spec.class_count, spec.input_dim
     if d >= c:
-        directions = make_etf(c, d, seed=spec.seed).columns.T
+        directions = make_etf(c, d, seed=spec.seed).T
     else:
         rng = np.random.default_rng(spec.seed)
         directions = rng.standard_normal((c, d))
@@ -133,11 +137,8 @@ def gaussian_mixture(spec: LongTailSpec):
             ys.append(np.full(n, c, dtype=np.int64))
         return np.concatenate(xs), np.concatenate(ys)
 
-    x_tr, y_tr = draw(counts.per_class)
-    x_te, y_te = draw([spec.test_per_class] * spec.class_count)
-    train = Dataset(x=x_tr, y=y_tr, counts=counts, split="train")
-    test_counts = ClassCounts(per_class=(spec.test_per_class,) * spec.class_count)
-    test = Dataset(x=x_te, y=y_te, counts=test_counts, split="test")
+    train = Dataset(*draw(counts), split="train")
+    test = Dataset(*draw([spec.test_per_class] * spec.class_count), split="test")
     return train, test
 
 
@@ -235,17 +236,8 @@ def load_csv_dataset(path, label_column: str = "label", split: str = "train") ->
             or not ((labels >= 0) & (labels < n) & (labels == np.floor(labels))).all():
         raise DataError(_bad_row(path, header, label_idx, n)
                         or f"{path}: rows do not match the {len(header)}-column header")
-    y = labels.astype(np.int64)
-    x = np.delete(table, label_idx, axis=1)
-    tally = np.bincount(y)
-    missing = np.flatnonzero(tally == 0)
-    if missing.size:
-        more = f" and {missing.size - 10} more" if missing.size > 10 else ""
-        raise DataError(f"{path}: classes {missing[:10].tolist()}{more} have no samples "
-                        "(labels must cover 0..C-1)")
     try:
-        counts = ClassCounts(per_class=tuple(tally.tolist()))
-        return Dataset(x=x, y=y, counts=counts, split=split)
+        return Dataset(x=np.delete(table, label_idx, axis=1), y=labels.astype(np.int64), split=split)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

@@ -9,25 +9,15 @@ on one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SimplexEtf", "make_etf"]
+__all__ = ["make_etf"]
 
 
-@dataclass(frozen=True)
-class SimplexEtf:
-    """C unit-norm class vectors in R^p with pairwise cosines -1/(C-1)."""
-
-    class_count: int
-    feature_dim: int
-    columns: np.ndarray  # (p, C), one class vector per column
-    rotation_seed: int
-
-
-def make_etf(class_count: int, feature_dim: int, seed: int = 0) -> SimplexEtf:
-    """Build a simplex ETF with a seeded random orthonormal rotation.
+def make_etf(class_count: int, feature_dim: int, seed: int = 0) -> np.ndarray:
+    """The (p, C) simplex ETF: C unit-norm class vectors in R^p, one per
+    column, with pairwise cosines -1/(C-1), under a seeded random
+    orthonormal rotation.
 
     Requires feature_dim >= class_count >= 2. The rotation comes from the
     QR factorization of a seeded Gaussian matrix, with the sign convention
@@ -45,5 +35,4 @@ def make_etf(class_count: int, feature_dim: int, seed: int = 0) -> SimplexEtf:
     signs[signs == 0] = 1.0
     q = q * signs
     centering = np.eye(c) - np.full((c, c), 1.0 / c)
-    cols = np.sqrt(c / (c - 1.0)) * (q @ centering)
-    return SimplexEtf(class_count=c, feature_dim=p, columns=cols, rotation_seed=seed)
+    return np.sqrt(c / (c - 1.0)) * (q @ centering)

@@ -116,13 +116,12 @@ def mittag_leffler(a: float, z: float) -> float:
 
 
 def entropy_alpha(counts) -> float:
-    """Tail parameter from the normalized entropy of class counts.
+    """Tail parameter from the normalized entropy of the per-class sizes.
 
     a = 0.25 + 0.75 * H_norm with H_norm = entropy(n_c / N) / log(C).
     Zero counts contribute nothing (0 * log 0 := 0). Needs C >= 2.
     """
-    per_class = getattr(counts, "per_class", counts)
-    n = np.asarray(per_class, dtype=np.float64)
+    n = np.asarray(counts, dtype=np.float64)
     if n.size < 2:
         raise ValueError("entropy_alpha needs at least two classes")
     if (n < 0).any() or n.sum() <= 0:

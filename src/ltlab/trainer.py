@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import baselines, reweighting
-from .baselines import BASE_METHODS, ClassCounts
+from .baselines import BASE_METHODS
 from .data import Dataset, batch_iter
 from .errors import ConfigError, DataError, NumericError
 from .nc_metrics import FeatureBank, make_report
@@ -360,7 +360,6 @@ class RunContext:
 
     config: TrainConfig
     seeds: tuple[int, ...]  # run r trains with seed seeds[r]
-    counts: ClassCounts
     base_method: str
     class_weights: np.ndarray | None  # static per-class multipliers
     ib_lambda: np.ndarray | None
@@ -384,13 +383,13 @@ class RunContext:
     test_logits: np.ndarray | None  # (n_test, C)
 
 
-def _tercile_groups(counts: ClassCounts):
-    """Class ids split into head/med/tail terciles by descending count."""
-    order = sorted(range(len(counts)), key=lambda c: (-counts.per_class[c], c))
-    return tuple(np.array(g, dtype=np.int64) for g in np.array_split(order, 3))
+def _tercile_groups(counts: np.ndarray):
+    """Class ids split into head/med/tail terciles by descending count,
+    ties in class order."""
+    return tuple(np.array_split(np.argsort(-counts, kind="stable"), 3))
 
 
-def _static_class_weights(method: MethodConfig, name: str, counts: ClassCounts) -> np.ndarray | None:
+def _static_class_weights(method: MethodConfig, name: str, counts: np.ndarray) -> np.ndarray | None:
     if name == "inv_freq":
         return baselines.inv_freq_weights(counts)
     if name == "inv_sqrt":
@@ -447,7 +446,6 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
     ctx = RunContext(
         config=config,
         seeds=seeds,
-        counts=counts,
         base_method=base_name,
         class_weights=class_weights,
         ib_lambda=ib_lambda,
@@ -460,7 +458,7 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
         test=test,
         sorted_x=np.asarray(sorted_x, dtype=np.float64),
         sorted_y=sorted_y,
-        offsets=np.concatenate(([0], np.cumsum(counts.per_class))),
+        offsets=np.concatenate(([0], np.cumsum(counts))),
         features=features[:n],
         logits=logits[:n],
         test_features=None if test is None else features[:n_test],
@@ -568,7 +566,7 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
 def _per_class_accuracy(params: ModelParams, dataset: Dataset, h_out, z_out) -> np.ndarray:
     _, z = forward(params, dataset.x, h_out, z_out)
     hits = np.bincount(dataset.y, weights=z.argmax(axis=1) == dataset.y, minlength=dataset.class_count)
-    return hits / dataset.counts.per_class
+    return hits / dataset.counts
 
 
 def _epoch_report(params: ModelParams, ctx: RunContext) -> dict[str, float]:
@@ -578,7 +576,7 @@ def _epoch_report(params: ModelParams, ctx: RunContext) -> dict[str, float]:
     h, z = forward(params, ctx.sorted_x, ctx.features, ctx.logits)
     pred = z.argmax(axis=1)
     ce = _ce_from_logits(z, ctx.sorted_y, out=z, argmax=pred)
-    per_class = np.bincount(ctx.sorted_y, weights=ce) / ctx.counts.per_class  # every class has rows
+    per_class = np.bincount(ctx.sorted_y, weights=ce) / ctx.train.counts  # every class has rows
     bank = FeatureBank(features=h, offsets=ctx.offsets)
     return make_report(params.weights, pred, bank, per_class, work=z, centred=ctx.features)
 

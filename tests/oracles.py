@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ltlab.etf import SimplexEtf, make_etf
+from ltlab.etf import make_etf
 from ltlab.linalg import pinv
 from ltlab.nc_metrics import FeatureBank
 
@@ -105,8 +105,8 @@ class NcFixture:
     """A snapshot with zero within-class scatter and self-dual classifier.
 
     ``features[c]`` holds n identical copies of the class-c mean
-    ``global_mean + radius * etf.columns[:, c]``. The classifier row c is
-    ``alignment_scale * radius * etf.columns[:, c]`` with zero bias.
+    ``global_mean + radius * etf[:, c]``. The classifier row c is
+    ``alignment_scale * radius * etf[:, c]`` with zero bias.
 
     The requested global mean is projected onto the orthogonal complement
     of the frame's column span before use; only that component keeps the
@@ -114,7 +114,7 @@ class NcFixture:
     symmetric under a zero-bias linear head.
     """
 
-    etf: SimplexEtf
+    etf: np.ndarray  # (p, C), the frame from make_etf
     classifier: np.ndarray  # (C, p)
     features: tuple[np.ndarray, ...]  # per class, (n_per_class, p)
     alignment_scale: float
@@ -122,9 +122,9 @@ class NcFixture:
     global_mean: np.ndarray  # (p,), the projected offset actually used
 
 
-def etf_gram(etf: SimplexEtf) -> np.ndarray:
+def etf_gram(etf: np.ndarray) -> np.ndarray:
     """C x C matrix of pairwise inner products of the frame columns."""
-    return etf.columns.T @ etf.columns
+    return etf.T @ etf
 
 
 def make_nc_fixture(
@@ -146,8 +146,7 @@ def make_nc_fixture(
         raise ValueError("n_per_class must be >= 1")
     if scale <= 0 or radius <= 0:
         raise ValueError("scale and radius must be positive")
-    etf = make_etf(class_count, feature_dim, seed)
-    m = etf.columns
+    m = make_etf(class_count, feature_dim, seed)
     if global_mean is None:
         mu_g = np.zeros(feature_dim)
     else:
@@ -162,7 +161,7 @@ def make_nc_fixture(
         feats.append(np.tile(mean_c, (n_per_class, 1)))
     classifier = (scale * radius) * m.T
     return NcFixture(
-        etf=etf,
+        etf=m,
         classifier=classifier,
         features=tuple(feats),
         alignment_scale=scale,
@@ -178,7 +177,7 @@ def fixture_class_losses(fixture: NcFixture) -> np.ndarray:
     standard softmax cross entropy computed via log-sum-exp.
     """
     w = fixture.classifier
-    losses = np.empty(fixture.etf.class_count)
+    losses = np.empty(len(fixture.features))
     for c, block in enumerate(fixture.features):
         z = block @ w.T  # (n, C)
         zmax = z.max(axis=1, keepdims=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ltlab.baselines import ClassCounts, cb_weights, inv_freq_weights
+from ltlab.baselines import cb_weights, inv_freq_weights
 from ltlab.cli import main
 from ltlab.config import load_experiment_config
 from ltlab.data import gaussian_mixture
@@ -252,7 +252,7 @@ def test_criterion_7_gradient_check():
 
 def test_criterion_8_baseline_sanity():
     start = time.time()
-    counts = ClassCounts((500, 120, 37, 9, 1))
+    counts = (500, 120, 37, 9, 1)
     cb0 = cb_weights(counts, 0.0)
     cb0_exact = bool(np.all(cb0 == 1.0))
 

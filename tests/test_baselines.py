@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ltlab.baselines import (
     RANGE_DIST_FLOOR,
-    ClassCounts,
     _pair_indices,
     cb_weights,
     ib_class_coefficients,
@@ -19,57 +18,44 @@ from ltlab.baselines import (
 from oracles import focal_loss, ib_loss
 
 
-class TestClassCounts:
-    def test_total(self):
-        counts = ClassCounts(per_class=(10, 5, 1))
-        assert counts.total == 16
-        assert len(counts) == 3
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            ClassCounts(per_class=(3, 0))
-        with pytest.raises(ValueError):
-            ClassCounts(per_class=())
-
-
 class TestFrequencyWeights:
     def test_inv_freq(self):
-        assert np.allclose(inv_freq_weights(ClassCounts((10, 5))), [0.1, 0.2])
-        assert np.allclose(inv_freq_weights(ClassCounts((1,))), [1.0])
-        assert np.allclose(inv_freq_weights(ClassCounts((2, 4, 8))), [0.5, 0.25, 0.125])
+        assert np.allclose(inv_freq_weights((10, 5)), [0.1, 0.2])
+        assert np.allclose(inv_freq_weights((1,)), [1.0])
+        assert np.allclose(inv_freq_weights((2, 4, 8)), [0.5, 0.25, 0.125])
 
     def test_inv_sqrt(self):
-        assert np.allclose(inv_sqrt_weights(ClassCounts((4, 16))), [0.5, 0.25])
-        assert np.allclose(inv_sqrt_weights(ClassCounts((1, 1))), [1.0, 1.0])
+        assert np.allclose(inv_sqrt_weights((4, 16)), [0.5, 0.25])
+        assert np.allclose(inv_sqrt_weights((1, 1)), [1.0, 1.0])
 
     def test_inv_sqrt_monotone(self):
-        w = inv_sqrt_weights(ClassCounts((1, 3, 9, 100)))
+        w = inv_sqrt_weights((1, 3, 9, 100))
         assert np.all(np.diff(w) < 0)
 
 
 class TestCbWeights:
     def test_beta_zero_is_uniform(self):
-        assert np.array_equal(cb_weights(ClassCounts((3, 50, 7)), 0.0), np.ones(3))
+        assert np.array_equal(cb_weights((3, 50, 7), 0.0), np.ones(3))
 
     def test_single_sample_class(self):
         for beta in (0.1, 0.5, 0.9999):
-            assert cb_weights(ClassCounts((1,)), beta)[0] == pytest.approx(1.0)
+            assert cb_weights((1,), beta)[0] == pytest.approx(1.0)
 
     def test_hand_value(self):
-        w = cb_weights(ClassCounts((100,)), 0.99)
+        w = cb_weights((100,), 0.99)
         assert w[0] == pytest.approx(0.01 / (1 - 0.99 ** 100), rel=1e-12)
         assert w[0] == pytest.approx(0.0157746, rel=1e-4)
 
     def test_beta_range(self):
         with pytest.raises(ValueError):
-            cb_weights(ClassCounts((2, 3)), 1.0)
+            cb_weights((2, 3), 1.0)
         with pytest.raises(ValueError):
-            cb_weights(ClassCounts((2, 3)), -0.1)
+            cb_weights((2, 3), -0.1)
 
     def test_limit_matches_inverse_frequency(self):
-        counts = ClassCounts((5, 17, 301, 4000))
+        counts = (5, 17, 301, 4000)
         w = cb_weights(counts, 1.0 - 1e-8)
-        ratio = w * np.asarray(counts.per_class)
+        ratio = w * np.asarray(counts)
         assert np.abs(ratio / ratio[0] - 1.0).max() < 1e-4
 
 
@@ -142,15 +128,15 @@ class TestIbLoss:
 
 class TestIbClassCoefficients:
     def test_symmetry(self):
-        assert np.allclose(ib_class_coefficients(ClassCounts((1, 1)), 1.0), [0.5, 0.5])
+        assert np.allclose(ib_class_coefficients((1, 1), 1.0), [0.5, 0.5])
 
     def test_hand_example(self):
-        assert np.allclose(ib_class_coefficients(ClassCounts((1, 3)), 1.0), [0.75, 0.25])
+        assert np.allclose(ib_class_coefficients((1, 3), 1.0), [0.75, 0.25])
 
     def test_sum_equals_scale(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            counts = ClassCounts(tuple(int(n) for n in rng.integers(1, 500, size=6)))
+            counts = rng.integers(1, 500, size=6)
             scale = float(rng.uniform(0.1, 10))
             assert ib_class_coefficients(counts, scale).sum() == pytest.approx(scale)
 

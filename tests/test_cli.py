@@ -55,11 +55,11 @@ class TestGen:
         assert main(["gen", "--config", str(config_path), "--out", str(out)]) == 0
         train = load_csv_dataset(out / "train.csv")
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["counts"] == list(train.counts.per_class)
+        assert manifest["counts"] == train.counts.tolist()
         assert manifest["C"] == 4
         assert manifest["IF"] == 10.0
         test = load_csv_dataset(out / "test.csv", split="test")
-        assert test.counts.per_class == (10,) * 4
+        assert test.counts.tolist() == [10] * 4
 
     def test_balanced_manifest_when_if_one(self, tmp_path):
         cfg = tmp_path / "c.ini"
@@ -80,10 +80,11 @@ class TestGen:
         out = tmp_path / "data"
         assert main(["gen", "--config", str(DEFAULT_CONFIG), "--out", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("train.csv", "test.csv")}
+                   for name in ("train.csv", "test.csv", "manifest.json")}
         assert digests == {
             "train.csv": "0a028683210887c264b5da27bce8da315e0708a16f4d0142bb21a2e3cbdc943c",
             "test.csv": "d8e4453bf2e8e2e0cc554a3b1287ce011bdf5294ba8a7cda55296b02615122b9",
+            "manifest.json": "a42697721a7fb9e4d46fa644438124d746607d9272f91b981db785379d283da6",
         }
 
     def test_csv_config_rejected(self, tmp_path):
@@ -266,10 +267,21 @@ class TestNcEval:
         losses = tmp_path / "losses.json"
         losses.write_text("[1e300, 1e-300, 1.0, 1.0]")
         assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf),
-                     "--losses", str(losses)]) == 2
+                     "--losses", str(losses)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("numeric failure: ")
         assert "metric values must be finite" in captured.err
+
+    def test_one_class_exits_3_naming_file_and_count(self, tmp_path, capsys):
+        feat = tmp_path / "features.csv"
+        feat.write_text("f0,f1,label\n1.0,2.0,0\n3.0,4.0,0\n")
+        clf = tmp_path / "classifier.csv"
+        clf.write_text("1.0,0.0\n")
+        assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: {feat}: the collapse metrics need at least 2 classes, found 1\n"
 
     @pytest.mark.parametrize("text, message", [
         ('{"0": 1.0, "1": 3.0, "2": 1.0, "3": 3.0}', "list of 4 losses, one per class; found {\"0\": 1.0"),

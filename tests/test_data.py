@@ -1,12 +1,12 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltlab.baselines import ClassCounts
 from ltlab.data import (
     Dataset,
     LongTailSpec,
@@ -21,17 +21,17 @@ from ltlab.errors import DataError
 
 class TestExpProfileCounts:
     def test_balanced_when_if_one(self):
-        assert exp_profile_counts(5, 100, 1.0).per_class == (100,) * 5
+        assert exp_profile_counts(5, 100, 1.0) == (100,) * 5
 
     def test_two_classes(self):
-        assert exp_profile_counts(2, 100, 100.0).per_class == (100, 1)
+        assert exp_profile_counts(2, 100, 100.0) == (100, 1)
 
     def test_three_classes(self):
-        assert exp_profile_counts(3, 100, 100.0).per_class == (100, 10, 1)
+        assert exp_profile_counts(3, 100, 100.0) == (100, 10, 1)
 
     def test_head_exact_and_non_increasing(self):
         for imb in (1.0, 10.0, 50.0, 100.0, 200.0):
-            counts = exp_profile_counts(10, 500, imb).per_class
+            counts = exp_profile_counts(10, 500, imb)
             assert counts[0] == 500
             assert all(a >= b for a, b in zip(counts, counts[1:]))
             assert counts[-1] >= 1
@@ -67,9 +67,9 @@ class TestGaussianMixture:
     def test_counts_follow_profile(self):
         spec = LongTailSpec(class_count=10, n_max=500, imbalance_factor=100.0, seed=2)
         train, test = gaussian_mixture(spec)
-        assert train.counts.per_class == exp_profile_counts(10, 500, 100.0).per_class
-        assert len(train) == sum(train.counts.per_class)
-        assert test.counts.per_class == (100,) * 10
+        assert train.counts.tolist() == list(exp_profile_counts(10, 500, 100.0))
+        assert len(train) == train.counts.sum()
+        assert test.counts.tolist() == [100] * 10
 
     def test_low_dim_random_centers(self):
         spec = LongTailSpec(class_count=6, n_max=20, input_dim=3, seed=4)
@@ -78,15 +78,30 @@ class TestGaussianMixture:
 
 
 class TestDatasetValidation:
-    def test_count_consistency_enforced(self):
-        with pytest.raises(DataError):
-            Dataset(x=np.zeros((2, 1)), y=np.array([0, 0]),
-                    counts=ClassCounts((1, 1)), split="train")
+    @pytest.mark.parametrize("labels, split, message", [
+        ([0, 2], "train", r"^classes \[1\] have no samples \(labels must cover 0\.\.C-1\)$"),
+        ([], "train", "^no samples$"),
+        ([0, 0, 1], "test", "^test split must be class-balanced$"),
+    ])
+    def test_rejected_labels(self, labels, split, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(x=np.zeros((len(labels), 1)), y=np.array(labels, dtype=np.int64), split=split)
 
     def test_test_split_balance_enforced(self):
         with pytest.raises(DataError):
-            Dataset(x=np.zeros((3, 1)), y=np.array([0, 0, 1]),
-                    counts=ClassCounts((2, 1)), split="test")
+            Dataset(x=np.zeros((3, 1)), y=np.array([0, 0, 1]), split="test")
+
+    def test_counts_derived_from_labels(self):
+        ds = Dataset(x=np.zeros((4, 2)), y=np.array([2, 0, 2, 1]), split="train")
+        assert ds.counts.dtype == np.int64 and ds.counts.tolist() == [1, 1, 2]
+        assert ds.class_count == 3
+        with pytest.raises(ValueError, match="read-only"):
+            ds.counts[0] = 5
+        with pytest.raises(TypeError):
+            Dataset(x=ds.x, y=ds.y, counts=ds.counts, split="train")
+        # The features.csv dump: new features, the same labels and counts.
+        dumped = replace(ds, x=np.ones((4, 3)))
+        assert np.array_equal(dumped.counts, ds.counts) and not dumped.counts.flags.writeable
 
 
 class TestCsvRoundTrip:
@@ -98,14 +113,14 @@ class TestCsvRoundTrip:
         loaded = load_csv_dataset(path)
         assert np.array_equal(loaded.x, train.x)
         assert np.array_equal(loaded.y, train.y)
-        assert loaded.counts.per_class == train.counts.per_class
+        assert np.array_equal(loaded.counts, train.counts)
 
     def test_small_wellformed_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,0\n")
         ds = load_csv_dataset(path)
         assert len(ds) == 3
-        assert ds.counts.per_class == (2, 1)
+        assert ds.counts.tolist() == [2, 1]
 
     def test_text_cell_names_row(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -143,8 +158,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "d.csv"
         path.write_text("\n".join(rows) + "\n")
         ds = load_csv_dataset(path)
-        tally = tuple(int((labels == c).sum()) for c in range(3))
-        assert ds.counts.per_class == tally
+        tally = [int((labels == c).sum()) for c in range(3)]
+        assert ds.counts.tolist() == tally
 
     def test_unbalanced_test_split_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -311,7 +326,7 @@ class TestCsvReaderContract:
 class TestCsvWriter:
     def test_exact_bytes(self, tmp_path):
         x = np.array([[0.1, -0.0, 5e-324], [1e300, -2.5e-310, 3.0]])
-        ds = Dataset(x=x, y=np.array([1, 0]), counts=ClassCounts((1, 1)), split="train")
+        ds = Dataset(x=x, y=np.array([1, 0]), split="train")
         path = tmp_path / "d.csv"
         save_csv_dataset(ds, path)
         assert path.read_bytes() == (b"f0,f1,f2,label\r\n"
@@ -319,7 +334,7 @@ class TestCsvWriter:
                                      b"1e+300,-2.5e-310,3.0,0\r\n")
 
     def test_label_column_name(self, tmp_path):
-        ds = Dataset(x=np.zeros((2, 1)), y=np.array([0, 1]), counts=ClassCounts((1, 1)), split="test")
+        ds = Dataset(x=np.zeros((2, 1)), y=np.array([0, 1]), split="test")
         path = tmp_path / "d.csv"
         save_csv_dataset(ds, path, label_column="y")
         assert path.read_bytes() == b"f0,y\r\n0.0,0\r\n0.0,1\r\n"
@@ -330,9 +345,8 @@ class TestBatchIter:
     def make_dataset(self, n):
         x = np.arange(n, dtype=float)[:, None]
         y = np.zeros(n, dtype=np.int64)
-        y[-1] = 1  # two classes so counts validate
-        counts = ClassCounts((n - 1, 1))
-        return Dataset(x=x, y=y, counts=counts, split="train")
+        y[-1] = 1  # two classes, both present
+        return Dataset(x=x, y=y, split="train")
 
     def test_single_batch_when_large(self):
         ds = self.make_dataset(10)

@@ -12,7 +12,7 @@ from oracles import etf_gram, fixture_class_losses, make_nc_fixture
 
 def bank_from_fixture(fx):
     x = np.concatenate(fx.features)
-    y = np.repeat(np.arange(fx.etf.class_count), [b.shape[0] for b in fx.features])
+    y = np.repeat(np.arange(len(fx.features)), [b.shape[0] for b in fx.features])
     return FeatureBank.from_labels(x, y)
 
 
@@ -23,8 +23,7 @@ class TestMakeEtf:
         assert np.abs(off + 0.5).max() < 1e-9
 
     def test_c2_antipodal(self):
-        e = make_etf(2, 2, seed=1)
-        cols = e.columns
+        cols = make_etf(2, 2, seed=1)
         cos = cols[:, 0] @ cols[:, 1]
         assert cos == pytest.approx(-1.0, abs=1e-9)
 
@@ -41,15 +40,15 @@ class TestMakeEtf:
             make_etf(1, 4, seed=0)
 
     def test_deterministic_in_seed(self):
-        a = make_etf(4, 9, seed=13).columns
-        b = make_etf(4, 9, seed=13).columns
+        a = make_etf(4, 9, seed=13)
+        b = make_etf(4, 9, seed=13)
         assert np.array_equal(a, b)
 
     @settings(max_examples=30, deadline=None)
     @given(c=st.integers(2, 12), extra=st.integers(0, 20), seed=st.integers(0, 2**31))
     def test_frame_invariants(self, c, extra, seed):
         e = make_etf(c, c + extra, seed=seed)
-        norms = np.linalg.norm(e.columns, axis=0)
+        norms = np.linalg.norm(e, axis=0)
         assert np.abs(norms - norms[0]).max() / norms[0] < 1e-9
         g = etf_gram(e)
         normalized = g / norms[0] ** 2
@@ -69,8 +68,7 @@ class TestEtfGram:
         assert ratio == pytest.approx(-1.0 / 3.0, abs=1e-9)
 
     def test_perturbed_column_breaks_ratios(self):
-        e = make_etf(4, 6, seed=4)
-        cols = e.columns.copy()
+        cols = make_etf(4, 6, seed=4)
         cols[:, 0] = cols[:, 0] + 0.3 * cols[:, 1]
         g = cols.T @ cols
         ratios = g[0, 1:] / g[0, 0]
@@ -117,7 +115,7 @@ class TestNcFixture:
         fx = make_nc_fixture(4, 10, n_per_class=2, scale=1.0, radius=1.0,
                              global_mean=g, seed=5)
         # stored offset is orthogonal to every class vector
-        assert np.abs(fx.etf.columns.T @ fx.global_mean).max() < 1e-9
+        assert np.abs(fx.etf.T @ fx.global_mean).max() < 1e-9
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -59,7 +59,7 @@ def _mask_bank(x, y):
 
 def fixture_bank(fx):
     x = np.concatenate(fx.features)
-    y = np.repeat(np.arange(fx.etf.class_count), [b.shape[0] for b in fx.features])
+    y = np.repeat(np.arange(len(fx.features)), [b.shape[0] for b in fx.features])
     return FeatureBank.from_labels(x, y)
 
 
@@ -240,8 +240,7 @@ class TestNc1:
 
 class TestNc2:
     def test_etf_rows_give_zero(self):
-        e = make_etf(5, 9, seed=3)
-        w = 2.7 * e.columns.T
+        w = 2.7 * make_etf(5, 9, seed=3).T
         assert nc2(w) <= 1e-9
 
     def test_orthonormal_rows_closed_form(self):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ltlab.baselines import ClassCounts
 from ltlab.cli import main
 from ltlab.data import Dataset
 from ltlab.reweighting import (
@@ -83,8 +82,7 @@ def _inverse_run(labels, class_count, **train_kwargs):
     """A prepared inverse run on a tiny dataset holding ``labels``; lr 0 keeps the params."""
     labels = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(0)
-    data = Dataset(x=rng.normal(size=(len(labels), 3)), y=labels,
-                   counts=ClassCounts(tuple(np.bincount(labels, minlength=class_count))), split="train")
+    data = Dataset(x=rng.normal(size=(len(labels), 3)), y=labels, split="train")
     cfg = TrainConfig(epochs=1, batch_size=len(labels), method=MethodConfig(name="inverse"),
                       lr=LrSpec(schedule="multistep", eta0=0.1, milestones=()), **train_kwargs)
     state, ctx = prepare_run(cfg, data)

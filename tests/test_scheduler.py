@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltlab.baselines import ClassCounts
 from ltlab.errors import ConfigError
 from ltlab.scheduler import (
     LrSpec,
@@ -94,7 +93,7 @@ class TestMittagLefflerQuadrature:
 
 class TestEntropyAlpha:
     def test_balanced_counts(self):
-        assert entropy_alpha(ClassCounts((25, 25, 25, 25))) == pytest.approx(1.0)
+        assert entropy_alpha((25, 25, 25, 25)) == pytest.approx(1.0)
 
     def test_degenerate_distribution(self):
         assert entropy_alpha([100, 0, 0]) == pytest.approx(0.25)
@@ -173,7 +172,7 @@ class TestMileLr:
         assert mile_rates(tail_param=1.0)[-1] > 0.0
 
     def test_entropy_tail_reads_the_counts(self):
-        counts = ClassCounts((500, 50, 5))
+        counts = (500, 50, 5)
         assert mile_rates(counts=counts, tail_param="entropy") == mile_rates(tail_param=entropy_alpha(counts))
 
     def test_config_validation(self):

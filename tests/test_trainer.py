@@ -26,6 +26,7 @@ from ltlab.trainer import (
     _ce_from_logits,
     _epoch_report,
     _per_class_accuracy,
+    _tercile_groups,
     backward,
     forward,
     init_params,
@@ -425,6 +426,10 @@ class TestTrainEpoch:
         train_epoch(state, ctx, 0)
         assert state.batch_counts.sum() > 0
 
+    def test_terciles_by_descending_count_ties_in_class_order(self):
+        groups = _tercile_groups(np.array([5, 9, 9, 1, 5, 5, 2]))
+        assert [g.tolist() for g in groups] == [[1, 2, 0], [4, 5], [6, 3]]
+
     @pytest.mark.parametrize("method", VALID_METHODS)
     @settings(max_examples=5, deadline=None)
     @given(perm=st.permutations(range(4)))
@@ -796,14 +801,14 @@ def _stop_gradient_coef(params, ctx, x, y, counts_after):
     if ctx.base_method == "focal":
         coef = np.full(len(y), method.focal_alpha)
     elif ctx.base_method == "inv_freq":
-        coef = baselines.inv_freq_weights(ctx.counts)[y]
+        coef = baselines.inv_freq_weights(ctx.train.counts)[y]
     elif ctx.base_method == "inv_sqrt":
-        coef = baselines.inv_sqrt_weights(ctx.counts)[y]
+        coef = baselines.inv_sqrt_weights(ctx.train.counts)[y]
     elif ctx.base_method == "cb":
-        coef = baselines.cb_weights(ctx.counts, method.cb_beta)[y]
+        coef = baselines.cb_weights(ctx.train.counts, method.cb_beta)[y]
     elif ctx.base_method == "ib":
         influence = np.abs(probs - np.eye(probs.shape[1])[y]).sum(axis=1) * np.abs(h).sum(axis=1)
-        coef = baselines.ib_class_coefficients(ctx.counts, method.ib_alpha_scale)[y] / (
+        coef = baselines.ib_class_coefficients(ctx.train.counts, method.ib_alpha_scale)[y] / (
             influence + method.ib_eps)
     if method.name == "inverse":
         losses = coef * _differentiable_loss(params, ctx, x, y)
@@ -887,7 +892,7 @@ def _epoch_report_ref(params, train, test):
     pred = np.argmax(x @ w.T + b, axis=1)
     nearest = np.argmin(((x[:, None, :] - means[None]) ** 2).sum(axis=2), axis=1)
     ce = _ce_from_logits(z, train.y)
-    per_class = np.bincount(train.y, weights=ce, minlength=c) / train.counts.per_class
+    per_class = np.bincount(train.y, weights=ce, minlength=c) / train.counts
     _, z_test, _ = _forward_batch_ref(params, test.x)
     hits = np.bincount(test.y, weights=z_test.argmax(axis=1) == test.y, minlength=c)
     return dict(
@@ -896,13 +901,13 @@ def _epoch_report_ref(params, train, test):
         nc3=float(np.linalg.norm(gram / np.linalg.norm(gram) - etf_gram_target(c))),
         nc4=int((pred == nearest).sum()) / len(x),
         rho=loss_imbalance_rho(per_class),
-        per_class_acc=hits / test.counts.per_class,
+        per_class_acc=hits / test.counts,
     )
 
 
 def _shuffled(dataset, seed):
     perm = np.random.default_rng(seed).permutation(len(dataset))
-    return Dataset(x=dataset.x[perm], y=dataset.y[perm], counts=dataset.counts, split=dataset.split)
+    return Dataset(x=dataset.x[perm], y=dataset.y[perm], split=dataset.split)
 
 
 class TestEpochEndOracle:
@@ -917,7 +922,7 @@ class TestEpochEndOracle:
         spec = LongTailSpec(class_count=7, n_max=40, imbalance_factor=40.0 if singletons else 8.0,
                             input_dim=5, class_separation=2.0, seed=9, test_per_class=6)
         train, test = gaussian_mixture(spec)
-        assert (min(train.counts.per_class) == 1) == singletons
+        assert (train.counts.min() == 1) == singletons
         if shuffle:
             train, test = _shuffled(train, 1), _shuffled(test, 2)
         kept = train.x.copy(), train.y.copy(), test.x.copy()
