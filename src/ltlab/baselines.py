@@ -90,32 +90,23 @@ def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta:
 
     Equal distances keep the row-major (i, j) pair order when a class's k
     largest are chosen, and the first of equal centre distances wins the
-    inter term. Pairs at the distance floor get no gradient. Labels are
-    nonnegative integer class ids.
+    inter term. Pairs at the distance floor get no gradient. Nothing is
+    checked: ``features`` is (n, p) float64, ``labels`` (n,) class ids >= 0,
+    and ``MethodConfig`` checks k, margin, alpha and beta at load.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be >= 0")
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("features must be (n, p) aligned with labels")
     # Dense class ids in label order, as np.unique's inverse gives them, without its sort.
-    tally = np.bincount(y)
+    tally = np.bincount(labels)
     present = tally > 0
-    cls = (np.cumsum(present) - 1)[y]
+    cls = (np.cumsum(present) - 1)[labels]
     sizes = tally[present]
     n_cls = len(sizes)
-    grad = np.zeros_like(x)
+    grad = np.zeros_like(features)
 
-    ii, jj = _pair_indices(len(y))
+    ii, jj = _pair_indices(len(labels))
     same = cls[ii] == cls[jj]
     ii, jj = ii[same], jj[same]
     pair_cls = cls[ii]
-    delta = x[ii] - x[jj]
+    delta = features[ii] - features[jj]
     dists = np.maximum(np.linalg.norm(delta, axis=1), RANGE_DIST_FLOOR)
 
     # Class-major, then descending distance; the stable sort keeps the
@@ -138,12 +129,12 @@ def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta:
     step = coeff[:, None] * (delta[top] / d[:, None])
     # Interleave each pair's +/- rows so every row accumulates in pair order.
     rows = np.column_stack((ii[top], jj[top])).ravel()
-    np.add.at(grad, rows, np.stack((step, -step), axis=1).reshape(-1, x.shape[1]))
+    np.add.at(grad, rows, np.stack((step, -step), axis=1).reshape(-1, features.shape[1]))
 
     inter = 0.0
     if n_cls >= 2:
-        centers = np.zeros((n_cls, x.shape[1]))
-        np.add.at(centers, cls, x)
+        centers = np.zeros((n_cls, features.shape[1]))
+        np.add.at(centers, cls, features)
         centers /= sizes[:, None]
         ca, cb = _pair_indices(n_cls)
         gaps = centers[ca] - centers[cb]

@@ -32,7 +32,7 @@ from .errors import ConfigError, DataError, NumericError
 from .nc_metrics import FeatureBank, make_report
 from .reweighting import closed_form_weight
 from .scheduler import ml_series, ml_series_log_peak, ml_tail, mittag_leffler
-from .trainer import EpochRecord, forward, run_experiment
+from .trainer import EpochRecord, ModelParams, forward, run_experiment
 
 METRIC_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
@@ -104,6 +104,8 @@ def cmd_train(args) -> int:
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:
         raise ConfigError(f"--seed {repeated} is given more than once; each seed writes its own files")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seed must be >= 0, got {min(seeds)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_set, test_set = _load_datasets(cfg)
@@ -174,8 +176,7 @@ def cmd_nc_eval(args) -> int:
     if b.shape != (bank.class_count,):
         raise DataError(f"bias length {b.size} does not match {bank.class_count} classes")
     losses = None if args.losses is None else _load_class_losses(args.losses, bank.class_count)
-    logits = bank.features @ w.T
-    logits += b
+    _, logits = forward(ModelParams(w, b), bank.features)
     try:
         report = make_report(w, logits.argmax(axis=1), bank, losses)
     except ValueError as exc:

@@ -56,6 +56,8 @@ class LongTailSpec:
             raise ValueError("input_dim must be >= 1")
         if self.class_separation <= 0 or self.noise_sigma < 0:
             raise ValueError("class_separation must be > 0 and noise_sigma >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -264,20 +266,15 @@ def load_csv_matrix(path, what: str) -> np.ndarray:
     return np.array(rows, ndmin=2)
 
 
-def batch_iter(dataset: Dataset, batch_size: int, epoch_seed):
-    """Seeded shuffle of all indices, yielded in consecutive batches.
-
-    The final partial batch is kept; together the batches cover every
-    index exactly once. ``epoch_seed`` may also be a sequence of R seeds,
-    for runs trained in lockstep: each batch is then (R, B), row r being
-    the batch that seed r alone would give.
+def batch_iter(dataset: Dataset, batch_size: int, epoch_seeds):
+    """One seeded shuffle of all indices per seed of the sequence
+    ``epoch_seeds``, yielded in consecutive (R, B) batches: row r is seed
+    r's, for R runs in lockstep (one seed is the stack of one). The final
+    partial batch is kept, so each row's batches cover every index once.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n = len(dataset)
-    if np.ndim(epoch_seed) == 0:
-        perm = np.random.default_rng(epoch_seed).permutation(n)
-    else:
-        perm = np.stack([np.random.default_rng(seed).permutation(n) for seed in epoch_seed])
+    perm = np.stack([np.random.default_rng(seed).permutation(n) for seed in epoch_seeds])
     for start in range(0, n, batch_size):
-        yield perm[..., start:start + batch_size]
+        yield perm[:, start:start + batch_size]

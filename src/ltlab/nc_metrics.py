@@ -78,16 +78,17 @@ class FeatureBank:
 
     @classmethod
     def from_labels(cls, features, labels) -> "FeatureBank":
-        """A bank over one class-sorted copy of ``features``; rows of each
-        class keep their order (a stable sort by label), and the k-th
-        smallest label is class k."""
-        x = np.asarray(features)
-        y = np.asarray(labels)
+        """A bank over ``features`` in class order, a stable sort by label
+        (the k-th smallest label is class k): float64 ``features`` itself
+        when the labels are already in order, else one sorted copy."""
+        x, y = np.asarray(features), np.asarray(labels)
         if y.shape != x.shape[:1]:
             raise ValueError(f"{y.size} labels for {x.shape[0]} feature rows")
-        order = np.argsort(y, kind="stable")
-        _, starts = np.unique(y[order], return_index=True)
-        return cls(features=x[order].astype(np.float64, copy=False), offsets=np.append(starts, len(y)))
+        if (y[1:] < y[:-1]).any():
+            order = np.argsort(y, kind="stable")
+            x, y = x[order], y[order]
+        _, starts = np.unique(y, return_index=True)
+        return cls(features=x.astype(np.float64, copy=False), offsets=np.append(starts, len(y)))
 
     @property
     def class_count(self) -> int:

@@ -80,7 +80,8 @@ def loss_imbalance_rho(class_losses) -> float:
     """Population standard deviation of per-class losses over their mean.
 
     Zero iff all class losses are equal. By convention returns 0 when the
-    mean is 0 (all losses zero is the perfectly balanced case).
+    mean is 0 (all losses zero is the perfectly balanced case). A mean or
+    spread that overflows gives inf or nan, without numpy's warning.
     """
     losses = np.asarray(class_losses, dtype=np.float64)
     if losses.size == 0:
@@ -89,10 +90,11 @@ def loss_imbalance_rho(class_losses) -> float:
         raise ValueError("class losses must be finite")
     if (losses < 0).any():
         raise ValueError("class losses must be nonnegative")
-    mean = float(losses.mean())
-    if mean == 0.0:
-        return 0.0
-    return float(losses.std() / mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(losses.mean())
+        if mean == 0.0:
+            return 0.0
+        return float(losses.std() / mean)
 
 
 # Below this, l_c**2 and alpha*w0 can underflow; the closed form then

@@ -5,40 +5,28 @@ ReLU hidden layer. Gradients are analytic, optimization is SGD with
 momentum and weight decay, and every run is deterministic in its seed.
 
 The R seeds of one ``TrainConfig`` train in lockstep as one stack; one
-seed is the stack with R = 1, through the same code. The parameters of
-run r are row r of one C-contiguous (R, P) float64 buffer (``ModelParams``,
-biases last in each row), so each tensor is a view with a leading run
-axis: weights (R, C, p), bias (R, C), hidden weights (R, p, d) and hidden
-bias (R, p), and ``params[r]`` is run r's ``ModelParams``, views of its
-row. The SGD velocity and the gradient share that layout, so a step is a
-few in-place ufuncs over the whole (R, P) buffer; the counters B_c are one
-(R, C) array. ``prepare_run`` resolves the learning-rate schedule once per
-stack into the rate of every iteration (``scheduler.learning_rates``), and
-each batch step reads its rate by the iteration count.
+seed is the stack with R = 1, through the same code. The parameters, the
+SGD velocity and the gradient of run r are row r of one (R, P) buffer
+each (``ModelParams``), so a step is a few in-place ufuncs over the whole
+buffer; the counters B_c are one (R, C) array. ``prepare_run`` resolves
+the learning-rate schedule once per stack into the rate of every
+iteration (``scheduler.learning_rates``).
 
-A batch step takes each seed's own shuffled batch (every seed's batches
-have the same sizes), gathers them as (R, B, d) inputs and computes each
-intermediate once for the whole stack: the features (the ReLU in place
-over the hidden pre-activation) and the logits, as batched matmuls; one
-exp and one row sum for both the softmax and the cross entropy; the base
-loss's dlogits rows, built in place; from the reweighting switch epoch
-on, the closed-form class weights times the macro batch-frequency
-factors (whose counters accumulate from epoch 0), solved for all R * C
-class slots at once; and a backward pass that takes the ReLU mask from
-those features and writes into the gradient buffer. Only the range loss
-runs per run. The step returns each run's loss. ``forward`` and
-``backward`` are those kernels, public, and take one run's parameters as
-well as a stack's.
+A batch step gathers each seed's own shuffled batch (every seed's batches
+have the same sizes) as (R, B, d) inputs and computes each intermediate
+once for the whole stack: the features (the ReLU in place) and logits as
+batched matmuls, one exp and row sum for the softmax and the cross
+entropy, the dlogits rows in place, the inverse weights of all R * C
+class slots at once, and a backward pass into the gradient buffer. Only
+the range loss runs per run. ``forward`` and ``backward`` are those
+kernels, public, for one run or a stack.
 
 Each epoch ends, run by run, with the collapse metrics and rho from the
 training features and logits, and the per-class accuracy from the test
-logits; no softmax is formed there. The epoch end works in stable label
-order (the batches still index the original order) in one set of buffers
-that ``prepare_run`` allocates once per stack and the runs use in turn,
-so after the first epoch it allocates no (n, p) or (n, C) array: one
-argmax of the logits gives the cross entropy's row max and NC4's
-predictions, the exp overwrites the logits, whose buffer then takes NC4's
-distances and NC1's projections, and NC1 last centres the features in place.
+logits. It reads the training rows in ``FeatureBank.from_labels``' class
+order, the one that ``nc-eval`` uses (the batches index the original
+order), in buffers that ``prepare_run`` allocates once per stack and the
+runs use in turn (see ``_epoch_report``).
 """
 
 from __future__ import annotations
@@ -220,6 +208,8 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0")
         if self.hidden_dim < 0:
             raise ConfigError("hidden_dim must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.lr.schedule == "mile" and self.epochs <= self.lr.warmup_epochs:
             raise ConfigError(f"epochs = {self.epochs} leaves no epoch after the mile schedule's "
                               f"warmup_epochs = {self.lr.warmup_epochs}")
@@ -428,12 +418,7 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
     if method.name == "inverse" and config.reweight.use_base_prior and class_weights is not None:
         prior = class_weights
 
-    y = train.y
-    if (y[1:] >= y[:-1]).all():
-        sorted_x, sorted_y = train.x, y
-    else:
-        order = np.argsort(y, kind="stable")  # rows of each class keep their order
-        sorted_x, sorted_y = train.x[order], y[order]
+    bank = FeatureBank.from_labels(train.x, train.y)  # the class order that nc-eval uses too
     n, c = len(train), train.class_count
     n_test = 0 if test is None else len(test)
     features = np.empty((max(n, n_test), config.hidden_dim or train.input_dim))
@@ -456,9 +441,9 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
         groups=_tercile_groups(counts),
         train=train,
         test=test,
-        sorted_x=np.asarray(sorted_x, dtype=np.float64),
-        sorted_y=sorted_y,
-        offsets=np.concatenate(([0], np.cumsum(counts))),
+        sorted_x=bank.features,
+        sorted_y=np.repeat(np.arange(c), counts),
+        offsets=bank.offsets,
         features=features[:n],
         logits=logits[:n],
         test_features=None if test is None else features[:n_test],
@@ -570,9 +555,12 @@ def _per_class_accuracy(params: ModelParams, dataset: Dataset, h_out, z_out) -> 
 
 
 def _epoch_report(params: ModelParams, ctx: RunContext) -> dict[str, float]:
-    """The collapse metrics and rho of one run's training set, computed in
-    stable label order in the stack's buffers (see the module docstring).
-    A metric that cannot be computed raises ValueError."""
+    """The collapse metrics and rho of one run's training set, in class
+    order, with no (n, p) or (n, C) array allocated: one argmax of the
+    logits gives the cross entropy's row max and NC4's predictions, the exp
+    overwrites the logits, whose buffer then takes NC4's distances and
+    NC1's projections, and NC1 last centres the features in place. A
+    metric that cannot be computed raises ValueError."""
     h, z = forward(params, ctx.sorted_x, ctx.features, ctx.logits)
     pred = z.argmax(axis=1)
     ce = _ce_from_logits(z, ctx.sorted_y, out=z, argmax=pred)

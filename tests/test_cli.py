@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,19 @@ class TestTrain:
         assert "--seed 4 is given more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, flags, named", [
+        (("seed = 3", "seed = -3"), [], "[dataset] seed must be >= 0, got -3"),
+        (("seed = 1", "seed = -1"), [], "[train] seed must be >= 0, got -1"),
+        (None, ["--seed", "2", "--seed", "-5"], "--seed must be >= 0, got -5"),
+    ], ids=("dataset", "train", "flag"))
+    def test_negative_seed_exits_2_naming_it_before_output(self, tmp_path, capsys, edit, flags, named):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(BASE_CONFIG.replace(*edit) if edit else BASE_CONFIG)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)] + flags) == 2
+        assert capsys.readouterr().err == f"config error: {named}\n"
+        assert not out.exists()
+
     def test_two_classes_exit_3_before_training(self, tmp_path, capsys):
         # Two classes leave the tail tercile empty, so acc_tail has no classes to average.
         cfg = tmp_path / "two.ini"
@@ -200,9 +214,21 @@ class TestTrain:
         assert "the training set has 2 classes" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    def test_trained_dumps_feed_nc_eval(self, config_path, tmp_path, capsys):
+    @pytest.mark.parametrize("shuffled_csv", (False, True), ids=("default", "shuffled-csv"))
+    def test_trained_dumps_feed_nc_eval(self, tmp_path, capsys, shuffled_csv):
+        # The trainer's epoch end and nc-eval must put the rows in the same class order.
+        config = DEFAULT_CONFIG
+        if shuffled_csv:
+            assert main(["gen", "--config", str(DEFAULT_CONFIG), "--out", str(tmp_path / "data")]) == 0
+            train = load_csv_dataset(tmp_path / "data" / "train.csv")
+            perm = np.random.default_rng(5).permutation(len(train))
+            save_csv_dataset(replace(train, x=train.x[perm], y=train.y[perm]), tmp_path / "shuffled.csv")
+            rest = DEFAULT_CONFIG.read_text().split("[train]", 1)[1]  # [dataset] comes first
+            config = tmp_path / "csv.ini"
+            config.write_text(f"[dataset]\nkind = csv\ntrain_path = {tmp_path / 'shuffled.csv'}\n"
+                              f"test_path = {tmp_path / 'data' / 'test.csv'}\n\n[train]{rest}")
         out = tmp_path / "run"
-        main(["train", "--config", str(config_path), "--out", str(out)])
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 0
         capsys.readouterr()
         code = main(["nc-eval", "--features", str(out / "features.csv"),
                      "--classifier", str(out / "classifier.csv"),
@@ -260,7 +286,7 @@ class TestNcEval:
         report = json.loads(capsys.readouterr().out)
         assert report["rho"] == pytest.approx(0.5)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning reaches stderr either
     def test_overflowing_rho_prints_no_json(self, tmp_path, capsys):
         # Finite losses whose spread overflows: rho is inf, which JSON cannot hold.
         feat, clf = write_fixture_dumps(tmp_path)

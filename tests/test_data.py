@@ -350,9 +350,9 @@ class TestBatchIter:
 
     def test_single_batch_when_large(self):
         ds = self.make_dataset(10)
-        batches = list(batch_iter(ds, batch_size=32, epoch_seed=0))
-        assert len(batches) == 1
-        assert sorted(batches[0].tolist()) == list(range(10))
+        batches = list(batch_iter(ds, batch_size=32, epoch_seeds=[0]))
+        assert len(batches) == 1 and batches[0].shape == (1, 10)  # one seed is the stack of one
+        assert sorted(batches[0][0].tolist()) == list(range(10))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 200), batch_size=st.integers(1, 64), seed=st.integers(0, 1000))
@@ -360,16 +360,16 @@ class TestBatchIter:
         if n < 2:
             return
         ds = self.make_dataset(n)
-        batches = list(batch_iter(ds, batch_size, seed))
+        batches = [b[0] for b in batch_iter(ds, batch_size, [seed])]
         flat = np.concatenate(batches)
         assert sorted(flat.tolist()) == list(range(n))
         assert all(len(b) == batch_size for b in batches[:-1])
 
     def test_deterministic_given_seed(self):
         ds = self.make_dataset(50)
-        a = [b.tolist() for b in batch_iter(ds, 8, epoch_seed=123)]
-        b = [b.tolist() for b in batch_iter(ds, 8, epoch_seed=123)]
-        c = [b.tolist() for b in batch_iter(ds, 8, epoch_seed=124)]
+        a = [b[0].tolist() for b in batch_iter(ds, 8, epoch_seeds=[123])]
+        b = [b[0].tolist() for b in batch_iter(ds, 8, epoch_seeds=[123])]
+        c = [b[0].tolist() for b in batch_iter(ds, 8, epoch_seeds=[124])]
         assert a == b
         assert a != c
 
@@ -377,7 +377,7 @@ class TestBatchIter:
         ds = self.make_dataset(50)
         stacked = list(batch_iter(ds, 16, [3, 8, 3]))
         for r, seed in enumerate([3, 8, 3]):
-            alone = list(batch_iter(ds, 16, seed))
+            alone = [b[0] for b in batch_iter(ds, 16, [seed])]
             assert len(stacked) == len(alone) == 4
             for batch, own in zip(stacked, alone):
                 assert batch.shape == (3, len(own))
@@ -385,4 +385,4 @@ class TestBatchIter:
 
     def test_batch_size_validation(self):
         with pytest.raises(ValueError):
-            list(batch_iter(self.make_dataset(5), 0, 0))
+            list(batch_iter(self.make_dataset(5), 0, [0]))

@@ -84,7 +84,9 @@ class TestFeatureBank:
         for got, want in zip(bank.blocks, blocks):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert np.shares_memory(got, bank.features)
-        assert not np.shares_memory(bank.features, x)  # one copy, in class order
+        in_order = (np.diff(y) >= 0).all()
+        # x itself for labels in order, else one copy in class order
+        assert (bank.features is x) == in_order and np.shares_memory(bank.features, x) == in_order
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError, match="2 labels for 3 feature rows"):

@@ -767,7 +767,7 @@ class TestBatchStepOracle:
         steps = 0
         for epoch in range(cfg.epochs):
             lr = 0.1 if epoch < 2 else 0.01
-            for idx in batch_iter(train, cfg.batch_size, 100 + epoch):
+            for [idx] in batch_iter(train, cfg.batch_size, [100 + epoch]):
                 x, y = train.x[idx], train.y[idx]
                 [loss] = _batch_update(state, ctx, x[None], y[None], epoch, lr)
                 assert loss == _batch_update_ref(ref, ctx, x, y, epoch, lr)
