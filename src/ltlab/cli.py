@@ -9,8 +9,8 @@ Subcommands:
 * ``mlf``      evaluate the Mittag-Leffler decay value E_a(-z)
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure. All outputs are deterministic in their inputs; nothing written
-contains timestamps.
+failure; any other error is a bug, shown as a traceback. All outputs are
+deterministic in their inputs; nothing written contains timestamps.
 """
 
 from __future__ import annotations
@@ -74,12 +74,29 @@ def _params_payload(params) -> dict:
     return payload
 
 
+def _check_out(path: str) -> Path:
+    """``--out``, rejected before any work unless it is a directory or its
+    nearest existing ancestor is one."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {path}: {existing} exists and is not a directory")
+    return out
+
+
+def _make_out(out: Path) -> Path:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out {out}: {exc}") from exc
+    return out
+
+
 def cmd_gen(args) -> int:
     cfg = load_experiment_config(args.config)
     if isinstance(cfg.dataset, CsvSource):
         raise ConfigError("gen requires a synthetic [dataset] section")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(_check_out(args.out))
     train, test = gaussian_mixture(cfg.dataset)
     save_csv_dataset(train, out / "train.csv")
     save_csv_dataset(test, out / "test.csv")
@@ -106,12 +123,12 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--seed {repeated} is given more than once; each seed writes its own files")
     if min(seeds) < 0:
         raise ConfigError(f"--seed must be >= 0, got {min(seeds)}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _check_out(args.out)
     train_set, test_set = _load_datasets(cfg)
 
-    # Every seed trains before any file is written, so a failed run writes no per-seed files.
+    # Every seed trains before --out is made, so a failed run leaves no files and no directory.
     results = run_experiment(train_cfg, train_set, test_set, seeds)
+    _make_out(out)
     summaries = [summary for _, summary, _ in results]
     single = len(seeds) == 1
     for seed, (records, _, state) in zip(seeds, results):
@@ -147,7 +164,7 @@ def _load_class_losses(path: str, class_count: int) -> list[float]:
             losses = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot open losses file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"malformed losses file {path}: {exc}") from exc
     if not isinstance(losses, list) or len(losses) != class_count:
         found = f"{len(losses)} entries" if isinstance(losses, list) else json.dumps(losses)[:60]
@@ -305,9 +322,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

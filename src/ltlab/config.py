@@ -104,7 +104,7 @@ def _read_document(path: str) -> dict[str, dict[str, str]]:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc

@@ -15,8 +15,8 @@ compute:
   average losses.
 
 A ``FeatureBank`` holds one class-sorted (n, p) array and the class
-offsets; its blocks are slices at bounds it caches, and its class means
-(block sums over the counts), computed once, serve every metric. With M
+offsets; its blocks are slices at bounds it caches. A report computes
+the class means once (``class_means``) and passes them to each metric. With M
 the C x p centred class means, Sigma_B = M^T M / C, so NC1 is
 ||H_c pinv(M)||_F^2 / n for the features H_c centred on their class
 means: one (n, p) @ (p, C) matmul and a dot product. NC4 finds each
@@ -58,9 +58,7 @@ class FeatureBank:
     ``features`` is one (n, p) float64 array whose rows are sorted by
     class: class k holds rows ``offsets[k]:offsets[k + 1]``, for k = 0..C-1,
     and ``blocks`` gives those rows as views. The bank keeps the array it
-    is given, without a copy. The class means are computed on first use
-    and cached on the instance, so the rows must not change while the bank
-    is in use.
+    is given, without a copy.
     """
 
     features: np.ndarray  # (n, p), class-sorted
@@ -109,17 +107,6 @@ class FeatureBank:
         """The per-class (n_c, p) blocks, as views of ``features``."""
         return tuple(self.features[rows] for rows in self._bounds)
 
-    @cached_property
-    def _means(self) -> tuple[np.ndarray, np.ndarray]:
-        # Block sums over the counts: the same sums and division as block.mean(axis=0).
-        means = np.empty((self.class_count, self.feature_dim))
-        for block, row in zip(self.blocks, means):
-            block.sum(axis=0, out=row)
-        means /= np.diff(self.offsets)[:, None]
-        global_mean = means.mean(axis=0)
-        means.flags.writeable = global_mean.flags.writeable = False
-        return means, global_mean
-
 
 def etf_gram_target(class_count: int) -> np.ndarray:
     """(I - ones/C) / sqrt(C - 1), the normalized simplex-ETF Gram."""
@@ -129,23 +116,25 @@ def etf_gram_target(class_count: int) -> np.ndarray:
     return (np.eye(c) - np.full((c, c), 1.0 / c)) / np.sqrt(c - 1.0)
 
 
-def class_means(bank: FeatureBank):
-    """Per-class feature means and their unweighted average (global mean).
+def class_means(bank: FeatureBank) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, p) class means and their unweighted average, the global mean:
+    block sums over the counts, the same sums and division as ``block.mean(axis=0)``."""
+    means = np.empty((bank.class_count, bank.feature_dim))
+    for block, row in zip(bank.blocks, means):
+        block.sum(axis=0, out=row)
+    means /= np.diff(bank.offsets)[:, None]
+    return means, means.mean(axis=0)
 
-    Computed once per bank; the returned arrays are the read-only cache."""
-    return bank._means
 
-
-def nc1(bank: FeatureBank, centred: np.ndarray | None = None,
-        work: np.ndarray | None = None) -> float:
+def nc1(bank: FeatureBank, means: np.ndarray, global_mean: np.ndarray,
+        centred: np.ndarray | None = None, work: np.ndarray | None = None) -> float:
     """trace(Sigma_W @ pinv(Sigma_B)) / C as ||H_c Q||_F^2 / n. Q = pinv(M)
     drops singular values below sqrt(p eps) times the largest, the rank rule
     of pinv(Sigma_B), whose singular values are their squares over C. H_c
     goes to ``centred`` (n, p) and H_c Q to ``work`` (n, C), float64 arrays,
-    fresh when not given. ``centred`` may be ``bank.features``, which is
-    then overwritten (after the class means are cached).
+    fresh when not given. ``means`` and ``global_mean`` are ``class_means(bank)``;
+    ``centred`` may be ``bank.features``, which is then overwritten.
     """
-    means, global_mean = class_means(bank)
     q = pinv(means - global_mean, rank_tol=math.sqrt(bank.feature_dim * np.finfo(np.float64).eps))
     x = bank.features
     h = np.empty_like(x) if centred is None else centred
@@ -175,15 +164,14 @@ def nc2(classifier) -> float:
     return _normalized_gram_distance(w @ w.T, w.shape[0], "W W^T")
 
 
-def nc3(classifier, bank: FeatureBank) -> float:
+def nc3(classifier, means: np.ndarray, global_mean: np.ndarray) -> float:
     """Distance of the normalized W M from the simplex-ETF Gram, where M
-    stacks the centered class means column-wise."""
+    stacks the centered class means (``class_means``) column-wise."""
     w = np.asarray(classifier, dtype=np.float64)
-    means, global_mean = class_means(bank)
     m_dot = (means - global_mean).T  # (p, C)
     if w.shape[1] != m_dot.shape[0]:
         raise ValueError(f"classifier dim {w.shape[1]} != feature dim {m_dot.shape[0]}")
-    return _normalized_gram_distance(w @ m_dot, bank.class_count, "W M")
+    return _normalized_gram_distance(w @ m_dot, len(means), "W M")
 
 
 def _nearest_means(x: np.ndarray, means: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -212,9 +200,10 @@ def _nearest_means(x: np.ndarray, means: np.ndarray, out: np.ndarray | None = No
     return nearest
 
 
-def nc4_agreement(predictions, bank: FeatureBank, work: np.ndarray | None = None) -> float:
+def nc4_agreement(predictions, bank: FeatureBank, means: np.ndarray,
+                  work: np.ndarray | None = None) -> float:
     """Fraction of the bank's rows whose predicted class is the one with
-    the nearest class mean.
+    the nearest class mean, of the (C, p) ``means`` (``class_means(bank)[0]``).
 
     ``predictions`` are the argmax of the logits of the bank's rows, in
     bank order (``(bank.features @ W.T + b).argmax(axis=1)``); class k is
@@ -242,7 +231,7 @@ def nc4_agreement(predictions, bank: FeatureBank, work: np.ndarray | None = None
     ascending class order. With S_i <= max_float / 4 no partial sum of g_i
     can overflow; a row above that (or with a NaN) checks every class.
     """
-    pred, (means, _) = np.asarray(predictions), class_means(bank)
+    pred = np.asarray(predictions)
     if pred.shape != (len(bank.features),) or pred.min() < 0 or pred.max() >= len(means):
         raise ValueError(f"need {len(bank.features)} predictions in 0..{len(means) - 1}")
     return int((pred == _nearest_means(bank.features, means, work)).sum()) / len(pred)
@@ -254,8 +243,10 @@ def make_report(classifier, predictions, bank: FeatureBank, per_class_losses=Non
     losses are given, rho, in that order. ``predictions`` are as in
     ``nc4_agreement``, and the optional buffers as in ``nc1`` (``work`` first
     holds NC4's distances). Raises ValueError unless every value is finite."""
-    nc4 = nc4_agreement(predictions, bank, work)  # first: NC1 may centre the rows in place
-    report = {"nc1": nc1(bank, centred, work), "nc2": nc2(classifier), "nc3": nc3(classifier, bank), "nc4": nc4}
+    means, global_mean = class_means(bank)
+    nc4 = nc4_agreement(predictions, bank, means, work)  # first: NC1 may centre the rows in place
+    report = {"nc1": nc1(bank, means, global_mean, centred, work), "nc2": nc2(classifier),
+              "nc3": nc3(classifier, means, global_mean), "nc4": nc4}
     if per_class_losses is not None:
         report["rho"] = loss_imbalance_rho(per_class_losses)
     if not all(map(math.isfinite, report.values())):

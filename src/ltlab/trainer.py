@@ -25,8 +25,8 @@ Each epoch ends, run by run, with the collapse metrics and rho from the
 training features and logits, and the per-class accuracy from the test
 logits. It reads the training rows in ``FeatureBank.from_labels``' class
 order, the one that ``nc-eval`` uses (the batches index the original
-order), in buffers that ``prepare_run`` allocates once per stack and the
-runs use in turn (see ``_epoch_report``).
+order), in a bank and buffers that ``prepare_run`` makes once per stack
+and the runs use in turn (see ``_epoch_report``).
 """
 
 from __future__ import annotations
@@ -177,6 +177,8 @@ class MethodConfig:
             raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
         if self.focal_alpha is not None and self.focal_alpha <= 0:
             raise ConfigError(f"focal_alpha must be positive, got {self.focal_alpha}")
+        if self.ib_eps <= 0:
+            raise ConfigError(f"ib_eps must be positive, got {self.ib_eps}")
         if self.ib_alpha_scale <= 0:
             raise ConfigError(f"ib_alpha_scale must be positive, got {self.ib_alpha_scale}")
         if self.range_k < 1:
@@ -204,6 +206,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be >= 0 and < 1, got {self.momentum}")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
         if self.hidden_dim < 0:
@@ -359,14 +363,14 @@ class RunContext:
     lrs: list[float]  # the learning rate of every iteration of the run
     groups: tuple[np.ndarray, np.ndarray, np.ndarray]  # head/med/tail class ids
     # The epoch end: the sets it evaluates, the training rows in stable
-    # label order, and its buffers, which the runs use in turn. The test
-    # buffers are the first rows of the training ones, which the training
-    # set's report is done with by the time the test accuracy runs.
+    # label order, and its bank and buffers, which the runs use in turn.
+    # The test buffers are the first rows of the training ones, which the
+    # training set's report is done with by the time the test accuracy runs.
     train: Dataset
     test: Dataset | None
     sorted_x: np.ndarray  # (n, d) train.x itself when the labels are already in order
     sorted_y: np.ndarray  # (n,) non-decreasing
-    offsets: np.ndarray  # (C + 1,) class k holds sorted rows offsets[k]:offsets[k + 1]
+    bank: FeatureBank  # over sorted_x for the linear model, else over ``features``
     features: np.ndarray  # (n, p) the hidden features, then NC1's centred features
     logits: np.ndarray  # (n, C) the logits, their exp, then NC4's and NC1's work
     test_features: np.ndarray | None  # (n_test, p), unused by the linear model
@@ -418,7 +422,7 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
     if method.name == "inverse" and config.reweight.use_base_prior and class_weights is not None:
         prior = class_weights
 
-    bank = FeatureBank.from_labels(train.x, train.y)  # the class order that nc-eval uses too
+    sorted_train = FeatureBank.from_labels(train.x, train.y)  # the class order that nc-eval uses too
     n, c = len(train), train.class_count
     n_test = 0 if test is None else len(test)
     features = np.empty((max(n, n_test), config.hidden_dim or train.input_dim))
@@ -441,9 +445,9 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
         groups=_tercile_groups(counts),
         train=train,
         test=test,
-        sorted_x=bank.features,
+        sorted_x=sorted_train.features,
         sorted_y=np.repeat(np.arange(c), counts),
-        offsets=bank.offsets,
+        bank=FeatureBank(features[:n], sorted_train.offsets) if config.hidden_dim else sorted_train,
         features=features[:n],
         logits=logits[:n],
         test_features=None if test is None else features[:n_test],
@@ -556,17 +560,16 @@ def _per_class_accuracy(params: ModelParams, dataset: Dataset, h_out, z_out) -> 
 
 def _epoch_report(params: ModelParams, ctx: RunContext) -> dict[str, float]:
     """The collapse metrics and rho of one run's training set, in class
-    order, with no (n, p) or (n, C) array allocated: one argmax of the
-    logits gives the cross entropy's row max and NC4's predictions, the exp
-    overwrites the logits, whose buffer then takes NC4's distances and
-    NC1's projections, and NC1 last centres the features in place. A
-    metric that cannot be computed raises ValueError."""
-    h, z = forward(params, ctx.sorted_x, ctx.features, ctx.logits)
+    order, over the stack's one bank, with no (n, p) or (n, C) array
+    allocated: one argmax of the logits gives the cross entropy's row max
+    and NC4's predictions, the exp overwrites the logits, whose buffer then
+    takes NC4's distances and NC1's projections, and NC1 last centres the
+    features in place. A metric that cannot be computed raises ValueError."""
+    _, z = forward(params, ctx.sorted_x, ctx.features, ctx.logits)
     pred = z.argmax(axis=1)
     ce = _ce_from_logits(z, ctx.sorted_y, out=z, argmax=pred)
     per_class = np.bincount(ctx.sorted_y, weights=ce) / ctx.train.counts  # every class has rows
-    bank = FeatureBank(features=h, offsets=ctx.offsets)
-    return make_report(params.weights, pred, bank, per_class, work=z, centred=ctx.features)
+    return make_report(params.weights, pred, ctx.bank, per_class, work=z, centred=ctx.features)
 
 
 def _train_batches(state: TrainState, ctx: RunContext, epoch: int) -> tuple[list[float], float]:

@@ -17,7 +17,7 @@ from ltlab.baselines import cb_weights, inv_freq_weights
 from ltlab.cli import main
 from ltlab.config import load_experiment_config
 from ltlab.data import gaussian_mixture
-from ltlab.nc_metrics import FeatureBank, nc1, nc2, nc3
+from ltlab.nc_metrics import FeatureBank, class_means, nc1, nc2, nc3
 from ltlab.reweighting import closed_form_weight, loss_imbalance_rho
 from ltlab.scheduler import LrSpec, learning_rates, mittag_leffler, ml_tail
 from ltlab.trainer import (
@@ -105,9 +105,10 @@ def test_criterion_2_collapsed_fixture_properties():
         x = np.concatenate(fx.features)
         y = np.repeat(np.arange(c), [b.shape[0] for b in fx.features])
         bank = FeatureBank.from_labels(x, y)
-        worst["nc1"] = max(worst["nc1"], nc1(bank))
+        means, global_mean = class_means(bank)
+        worst["nc1"] = max(worst["nc1"], nc1(bank, means, global_mean))
         worst["nc2"] = max(worst["nc2"], nc2(fx.classifier))
-        worst["nc3"] = max(worst["nc3"], nc3(fx.classifier, bank))
+        worst["nc3"] = max(worst["nc3"], nc3(fx.classifier, means, global_mean))
     elapsed = time.time() - start
     ok = (worst["spread"] <= 1e-12 and worst["rho"] <= 1e-12
           and worst["nc1"] <= 1e-9 and worst["nc2"] <= 1e-9 and worst["nc3"] <= 1e-9

@@ -183,7 +183,7 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "2", "--seed", "3"]) == 4
         # Both seeds overflow at iteration 11; the first in seed order is named.
         assert "seed 2: non-finite loss at epoch 0, iteration 11" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_repeated_seed_exits_2_naming_it(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -212,7 +212,15 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
         assert "the training set has 2 classes" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_unexpected_value_error_is_a_traceback(self, config_path, tmp_path, monkeypatch):
+        # Only ConfigError, DataError and NumericError have exit codes; any other error is a bug.
+        def broken(*args):
+            raise ValueError("a bug")
+        monkeypatch.setattr("ltlab.cli.run_experiment", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["train", "--config", str(config_path), "--out", str(tmp_path / "run")])
 
     @pytest.mark.parametrize("shuffled_csv", (False, True), ids=("default", "shuffled-csv"))
     def test_trained_dumps_feed_nc_eval(self, tmp_path, capsys, shuffled_csv):
@@ -251,6 +259,28 @@ class TestTrain:
         # repr round-trips, so only a file in the writer's own format rewrites to the same bytes.
         assert (out / "features.csv").read_bytes() == rewritten.read_bytes()
         assert (out / "features.csv").read_bytes().startswith(b"f0,f1,")
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    @pytest.mark.parametrize("below", [False, True], ids=("file", "below-a-file"))
+    def test_a_file_exits_2_naming_out(self, config_path, tmp_path, capsys, command, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "run" if below else taken
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: --out {out}: {taken} exists and is not a directory\n"
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_one_that_cannot_be_made_exits_2_naming_out(self, config_path, tmp_path, capsys,
+                                                         monkeypatch, command):
+        def refused(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+        monkeypatch.setattr(Path, "mkdir", refused)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot create --out {out}: ")
 
 
 def write_fixture_dumps(tmp_path, c=4, p=6):
@@ -321,11 +351,12 @@ class TestNcEval:
         ("[1.0, 2.0, 2.0, Infinity]", "entry 3 is inf, not a finite"),
         ("[1.0, 2.0, 2.0, 1" + "0" * 400 + "]", "entry 3 is 1000"),
         ("[1.0, 2.0,", "malformed losses file"),
+        ("[1.0, 3.0\xff, 1.0, 3.0]", "malformed losses file"),
     ])
     def test_bad_losses_exit_3_naming_file_and_problem(self, tmp_path, capsys, text, message):
         feat, clf = write_fixture_dumps(tmp_path)
         losses = tmp_path / "losses.json"
-        losses.write_text(text)
+        losses.write_bytes(text.encode("latin-1"))  # one byte per character: "\xff" is not UTF-8
         code = main(["nc-eval", "--features", str(feat), "--classifier", str(clf),
                      "--losses", str(losses)])
         captured = capsys.readouterr()
@@ -546,7 +577,7 @@ milestones =
         out = tmp_path / "run"
         assert main(["train", "--config", str(csv_cfg), "--out", str(out)]) == 3
         assert "the training set has 2 classes" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_non_utf8_dataset_exits_3_naming_the_row(self, config_path, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -4,6 +4,8 @@ rejects a bad document (exit 2, naming the section and key)."""
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltlab.cli import main
 from ltlab.config import CsvSource, ExperimentConfig, load_experiment_config
@@ -217,6 +219,10 @@ class TestRejected:
         ("[method]\ncb_beta = 1\n", "[method] cb_beta must be >= 0 and < 1, got 1.0"),
         ("[method]\ncb_beta = -0.5\n", "[method] cb_beta must be >= 0 and < 1, got -0.5"),
         ("[method]\nib_alpha_scale = 0\n", "[method] ib_alpha_scale must be positive, got 0.0"),
+        ("[train]\nmomentum = -1\n", "[train] momentum must be >= 0 and < 1, got -1.0"),
+        ("[train]\nmomentum = 1\n", "[train] momentum must be >= 0 and < 1, got 1.0"),
+        ("[method]\nib_eps = 0\n", "[method] ib_eps must be positive, got 0.0"),
+        ("[method]\nib_eps = -1\n", "[method] ib_eps must be positive, got -1.0"),
     ])
     def test_bad_setting_names_section_once(self, tmp_path, capsys, text, named):
         err = _rejected(tmp_path, capsys, text)
@@ -257,3 +263,35 @@ class TestRejected:
         assert "malformed config file" in _rejected(tmp_path, capsys, "epochs = 3\n")
         with pytest.raises(ConfigError):
             _load(tmp_path, "[train]\nepochs = 1\nepochs = 2\n")
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys, command):
+        path, out = tmp_path / "bad.ini", tmp_path / "out"
+        path.write_bytes(b"[train]\nepochs = 2\xff\n")
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {path}: 'utf-8' codec")
+        assert not out.exists()
+
+
+# A fuzzed value: any text, a number, or bytes that are not UTF-8.
+FUZZED_VALUES = st.one_of(
+    st.text().map(str.encode),
+    st.integers().map(lambda v: str(v).encode()),
+    st.floats().map(lambda v: repr(v).encode()),
+    st.binary().map(lambda b: b + b"\xff"),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(entry=st.sampled_from(SYNTHETIC_KEYS + CSV_KEYS + OTHER_KEYS), raw=FUZZED_VALUES)
+def test_any_value_of_any_key_loads_or_is_a_config_error(tmp_path_factory, entry, raw):
+    section, key, *_ = entry
+    base = {"kind": b"csv", "train_path": b"a.csv", "test_path": b"b.csv"} if entry in CSV_KEYS else {}
+    lines = [k.encode() + b" = " + v for k, v in dict(base, **{key: raw}).items()]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.ini"
+    path.write_bytes(b"\n".join([f"[{section}]".encode()] + lines) + b"\n")
+    try:
+        load_experiment_config(str(path))
+    except ConfigError:
+        pass

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltlab.etf import make_etf
-from ltlab.nc_metrics import FeatureBank, nc1, nc2, nc3, nc4_agreement
+from ltlab.nc_metrics import FeatureBank, class_means, nc1, nc2, nc3, nc4_agreement
 from ltlab.reweighting import loss_imbalance_rho
 
 from oracles import etf_gram, fixture_class_losses, make_nc_fixture
@@ -104,10 +104,11 @@ class TestNcFixture:
         fx = make_nc_fixture(4, 12, n_per_class=3, scale=1.5, radius=1.2,
                              global_mean=rng.standard_normal(12), seed=21)
         bank = bank_from_fixture(fx)
-        assert nc1(bank) <= 1e-9
+        means, global_mean = class_means(bank)
+        assert nc1(bank, means, global_mean) <= 1e-9
         assert nc2(fx.classifier) <= 1e-9
-        assert nc3(fx.classifier, bank) <= 1e-9
-        assert nc4_agreement((bank.features @ fx.classifier.T).argmax(axis=1), bank) == 1.0
+        assert nc3(fx.classifier, means, global_mean) <= 1e-9
+        assert nc4_agreement((bank.features @ fx.classifier.T).argmax(axis=1), bank, means) == 1.0
 
     def test_global_mean_projected_out(self):
         rng = np.random.default_rng(3)

@@ -43,11 +43,19 @@ def _nc4_loop(classifier, bias, bank):
     return agree / total
 
 
+def _nc1(bank):
+    return nc1(bank, *class_means(bank))
+
+
+def _nc3(classifier, bank):
+    return nc3(classifier, *class_means(bank))
+
+
 def _nc4(classifier, bias, bank, work=None):
     """nc4_agreement on the predictions of the classifier and bias."""
     logits = bank.features @ np.asarray(classifier, dtype=np.float64).T
     logits += bias
-    return nc4_agreement(logits.argmax(axis=1), bank, work)
+    return nc4_agreement(logits.argmax(axis=1), bank, class_means(bank)[0], work)
 
 
 def _mask_bank(x, y):
@@ -127,14 +135,6 @@ class TestClassMeans:
         _, global_mean = class_means(bank)
         assert np.abs(global_mean).max() == 0.0
 
-    def test_computed_once_and_read_only(self):
-        bank = FeatureBank.from_labels(np.arange(12.0).reshape(6, 2), [0, 1, 2, 0, 1, 2])
-        means, global_mean = class_means(bank)
-        again = class_means(bank)
-        assert again[0] is means and again[1] is global_mean
-        with pytest.raises(ValueError):
-            means[0, 0] = 1.0
-
     def test_permutation_oracle(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((40, 6))
@@ -180,18 +180,18 @@ def _separated_bank(seed, sizes, p, dead=(), offset=0.0):
 class TestNc1:
     def test_fixture_zero(self):
         fx = make_nc_fixture(4, 7, n_per_class=3, scale=2.0, radius=1.5, seed=1)
-        assert nc1(fixture_bank(fx)) <= 1e-9
+        assert _nc1(fixture_bank(fx)) <= 1e-9
 
     def test_1d_toy_value(self):
-        assert nc1(TOY) == pytest.approx(0.125)
+        assert _nc1(TOY) == pytest.approx(0.125)
         assert nc1_exact(TOY) == Fraction(1, 8)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((60, 5))
         y = rng.integers(0, 3, size=60)
-        base = nc1(FeatureBank.from_labels(x, y))
-        scaled = nc1(FeatureBank.from_labels(7.3 * x, y))
+        base = _nc1(FeatureBank.from_labels(x, y))
+        scaled = _nc1(FeatureBank.from_labels(7.3 * x, y))
         assert scaled == pytest.approx(base, rel=1e-9)
 
     @pytest.mark.parametrize("sizes, p, dead, offset", [
@@ -205,7 +205,7 @@ class TestNc1:
         bank = _separated_bank(len(sizes) * p, sizes, p, dead, offset)
         exact = nc1_exact(bank)
         assert exact > 0
-        assert abs(Fraction(nc1(bank)) - exact) <= Fraction(1, 10**12) * exact
+        assert abs(Fraction(_nc1(bank)) - exact) <= Fraction(1, 10**12) * exact
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), sizes=st.lists(st.integers(1, 30), min_size=2, max_size=8),
@@ -216,28 +216,27 @@ class TestNc1:
         bank = _separated_bank(seed, sizes, p, offset=offset)
         sigma_w, sigma_b = covariances(bank)
         want = np.trace(sigma_w @ pinv(sigma_b)) / bank.class_count
-        assert nc1(bank) == pytest.approx(want, rel=1e-8)
+        assert _nc1(bank) == pytest.approx(want, rel=1e-8)
 
     def test_buffers_and_in_place(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((30, 4))
         y = rng.integers(0, 3, size=30)
-        fresh = nc1(FeatureBank.from_labels(x, y))
+        fresh = _nc1(FeatureBank.from_labels(x, y))
         bank = FeatureBank.from_labels(x, y)
+        means, global_mean = class_means(bank)
         centred = np.full_like(bank.features, np.nan)
         work = np.full((30, 3), np.nan)
-        assert nc1(bank, centred, work) == fresh
-        assert nc1(bank, bank.features, work) == fresh  # the bank's own rows
-        # The bank's rows are now centred; its cached means are not.
+        assert nc1(bank, means, global_mean, centred, work) == fresh
+        assert nc1(bank, means, global_mean, bank.features, work) == fresh  # the bank's own rows
+        # The bank's rows are now centred.
         assert np.array_equal(bank.features, centred)
         assert np.abs(np.stack([b.mean(axis=0) for b in bank.blocks])).max() < 1e-12
-        assert np.array_equal(class_means(bank)[0], class_means(FeatureBank.from_labels(x, y))[0])
         # The work buffer holds the centred rows times pinv(M), M the centred means.
-        means, global_mean = class_means(bank)
         q = pinv(means - global_mean, rank_tol=np.sqrt(4 * np.finfo(np.float64).eps))
         assert np.array_equal(work, centred @ q)
         with pytest.raises(ValueError, match="float64"):
-            nc1(bank, centred=np.zeros((30, 3)))
+            nc1(bank, means, global_mean, centred=np.zeros((30, 3)))
 
 
 class TestNc2:
@@ -264,7 +263,7 @@ class TestNc2:
 class TestNc3:
     def test_fixture_self_duality(self):
         fx = make_nc_fixture(5, 11, n_per_class=2, scale=1.3, radius=0.9, seed=5)
-        assert nc3(fx.classifier, fixture_bank(fx)) <= 1e-9
+        assert _nc3(fx.classifier, fixture_bank(fx)) <= 1e-9
 
     def test_random_inputs_bounded(self):
         rng = np.random.default_rng(6)
@@ -272,7 +271,7 @@ class TestNc3:
             x = rng.standard_normal((30, 4))
             y = rng.integers(0, 3, size=30)
             w = rng.standard_normal((3, 4))
-            val = nc3(w, FeatureBank.from_labels(x, y))
+            val = _nc3(w, FeatureBank.from_labels(x, y))
             assert 0.0 < val <= 2.0
 
     def test_separate_scaling_invariance(self):
@@ -280,13 +279,13 @@ class TestNc3:
         x = rng.standard_normal((30, 4))
         y = rng.integers(0, 3, size=30)
         w = rng.standard_normal((3, 4))
-        a = nc3(w, FeatureBank.from_labels(x, y))
-        b = nc3(5.0 * w, FeatureBank.from_labels(0.25 * x, y))
+        a = _nc3(w, FeatureBank.from_labels(x, y))
+        b = _nc3(5.0 * w, FeatureBank.from_labels(0.25 * x, y))
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            nc3(np.ones((2, 3)), TOY)
+            _nc3(np.ones((2, 3)), TOY)
 
 
 class TestNc4Agreement:
@@ -323,7 +322,7 @@ class TestNc4Agreement:
             _nc4(np.array([[-1.0], [0.0], [1.0]]), np.zeros(3), bank)
         for bad in (np.zeros(3, dtype=int), np.zeros((4, 2), dtype=int), np.array([0, 0, -1, 1])):
             with pytest.raises(ValueError, match=re.escape("need 4 predictions in 0..1")):
-                nc4_agreement(bad, bank)
+                nc4_agreement(bad, bank, class_means(bank)[0])
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**31), sizes=st.lists(st.integers(1, 12), min_size=1, max_size=7),
@@ -422,10 +421,11 @@ class TestNc4Agreement:
         y = np.concatenate([np.zeros(n // 2, dtype=int), rng.integers(1, c, size=n - n // 2)])
         bank = FeatureBank.from_labels(rng.standard_normal((n, p)), y)
         predictions = (bank.features @ rng.standard_normal((c, p)).T).argmax(axis=1)
+        means, _ = class_means(bank)
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            nc4_agreement(predictions, bank)
+            nc4_agreement(predictions, bank, means)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -457,8 +457,8 @@ class TestDeterminismAndReport:
         bank1 = FeatureBank.from_labels(x, y)
         perm = rng.permutation(50)
         bank2 = FeatureBank.from_labels(x[perm], y[perm])
-        assert nc1(bank1) == pytest.approx(nc1(bank2), abs=1e-10)
-        assert nc3(w, bank1) == pytest.approx(nc3(w, bank2), abs=1e-10)
+        assert _nc1(bank1) == pytest.approx(_nc1(bank2), abs=1e-10)
+        assert _nc3(w, bank1) == pytest.approx(_nc3(w, bank2), abs=1e-10)
         assert _nc4(w, np.zeros(5), bank1) == _nc4(w, np.zeros(5), bank2)
 
     def test_noise_increases_nc1(self):
@@ -470,7 +470,7 @@ class TestDeterminismAndReport:
             vals = []
             for seed in range(20):
                 noise = np.random.default_rng(seed).standard_normal(x0.shape) * sigma
-                vals.append(nc1(FeatureBank.from_labels(x0 + noise, y)))
+                vals.append(_nc1(FeatureBank.from_labels(x0 + noise, y)))
             medians.append(np.median(vals))
         assert medians[0] <= medians[1] <= medians[2]
 
@@ -502,6 +502,6 @@ class TestDeterminismAndReport:
         bank = FeatureBank.from_labels(np.array([[1e200], [-1e200], [1.0], [1.0]]), np.array([0, 0, 1, 1]))
         far = FeatureBank.from_labels(np.array([[1e200], [-1e200]]), np.array([0, 1]))
         w = np.array([[1e200], [1.0]])
-        for metric in (lambda: nc1(bank), lambda: nc2(w), lambda: nc3(w, far)):
+        for metric in (lambda: _nc1(bank), lambda: nc2(w), lambda: _nc3(w, far)):
             with pytest.raises(ValueError, match="non-finite"):
                 metric()
