@@ -100,16 +100,10 @@ class Dataset:
         return int(self.x.shape[1])
 
 
-def exp_profile_counts(class_count: int, n_max: int, imbalance_factor: float) -> tuple[int, ...]:
-    """n_c = max(1, round(n_max * IF^(-(c-1)/(C-1)))) for c = 1..C."""
-    if class_count < 2:
-        raise ValueError("class_count must be >= 2")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if imbalance_factor < 1:
-        raise ValueError("imbalance_factor must be >= 1")
-    return tuple(max(1, math.floor(n_max * imbalance_factor ** (-c / (class_count - 1)) + 0.5))
-                 for c in range(class_count))
+def exp_profile_counts(spec: LongTailSpec) -> tuple[int, ...]:
+    """n_c = max(1, round(n_max * IF^(-(c-1)/(C-1)))) for c = 1..C, from a checked spec."""
+    c_last, imb = spec.class_count - 1, spec.imbalance_factor
+    return tuple(max(1, math.floor(spec.n_max * imb ** (-c / c_last) + 0.5)) for c in range(c_last + 1))
 
 
 def _class_centers(spec: LongTailSpec) -> np.ndarray:
@@ -128,7 +122,7 @@ def _class_centers(spec: LongTailSpec) -> np.ndarray:
 def gaussian_mixture(spec: LongTailSpec):
     """Build (train, test) datasets; fully deterministic given spec.seed."""
     centers = _class_centers(spec)
-    counts = exp_profile_counts(spec.class_count, spec.n_max, spec.imbalance_factor)
+    counts = exp_profile_counts(spec)
     rng = np.random.default_rng(spec.seed)
 
     def draw(per_class):

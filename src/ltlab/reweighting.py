@@ -50,9 +50,10 @@ class ReweightConfig:
     ``gamma`` the macro-compensation exponent, and ``switch_epoch`` the
     first epoch at which reweighting is applied. ``mode`` picks the
     factors: "both" (w_star * beta), "batch" (w_star) or "macro" (beta).
-    ``base`` is the base loss that the weights multiply, and with
-    ``use_base_prior`` the prior w0 is that base's class weights, when it
-    has them, instead of ones.
+    ``base`` is the base loss that the weights multiply. The prior w0 is
+    ones, except that with ``use_base_prior`` it is the base's count-based
+    class weights for ``inv_freq``, ``inv_sqrt`` and ``cb``; IB's
+    coefficients and focal's alpha never become the prior.
     """
 
     alpha: float = 0.0
@@ -109,7 +110,7 @@ def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
     argument is a scalar. l_c == 0 returns the prior w0: the exact
     minimizer for alpha > 0, and the continuous-in-alpha limit of the 0/0
     corner alpha == 0. As with float division, a weight beyond the float
-    range is inf.
+    range is inf, and only such a weight: an overflowed product is redone.
     """
     l_c, l_bar, alpha, w0 = (np.asarray(v, dtype=np.float64) for v in (l_c, l_bar, alpha, w0))
     if (l_c < 0).any() or (l_bar < 0).any():
@@ -118,7 +119,19 @@ def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
         raise ValueError("alpha must be >= 0")
     if (w0 <= 0).any():
         raise ValueError("prior weight must be positive")
-    w = _closed_form(l_c, l_bar, alpha, w0)
+    # With k = max(l_c, sqrt(alpha)), a product overflows only where k >= 1/2 (to a weight of inf,
+    # NaN or, via l_c^2, 0). There each product is scaled exactly by 4^-(e+2), 2^(e-1) <= k < 2^e:
+    # the denominator lies in [1/64, 1/8), so the numerator overflows only if the weight does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.asarray(_closed_form(l_c, l_bar, alpha, w0))
+        k = np.maximum(l_c, np.sqrt(alpha))
+        finite = np.isfinite(k) & np.isfinite(l_bar) & np.isfinite(w0)
+        redo = ~(np.isfinite(w) & (w > 0)) & (alpha > 0) & (k >= 0.5) & finite  # alpha = 0: one division
+        l_c, l_bar, alpha, w0, k = (np.broadcast_to(v, w.shape)[redo] for v in (l_c, l_bar, alpha, w0, k))
+        s = np.ldexp(1.0, -np.frexp(k)[1] - 2)
+        num = sum(np.where(np.isfinite(x * y), x * y * s * s, (x * s) * (y * s))
+                  for x, y in ((l_bar, l_c), (alpha, w0)))
+        w[redo] = num / ((l_c * s) ** 2 + alpha * s * s)
     return float(w) if w.ndim == 0 else w
 
 

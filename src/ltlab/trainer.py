@@ -355,11 +355,9 @@ class RunContext:
     config: TrainConfig
     seeds: tuple[int, ...]  # run r trains with seed seeds[r]
     base_method: str
-    class_weights: np.ndarray | None  # static per-class multipliers
-    ib_lambda: np.ndarray | None
-    prior: np.ndarray  # (R, C) inverse-solve prior w0 of each run: ones, or the base class weights
+    class_weights: np.ndarray  # (C,) the base loss's per-class multipliers (IB's before its influence)
+    prior: np.ndarray  # (R, C) inverse-solve prior w0 of each run: ones, or count-based class weights
     slot_offsets: np.ndarray  # (R, 1) r * C: run r's class c is slot r * C + c of the stack
-    inverse_active: bool
     lrs: list[float]  # the learning rate of every iteration of the run
     groups: tuple[np.ndarray, np.ndarray, np.ndarray]  # head/med/tail class ids
     # The epoch end: the sets it evaluates, the training rows in stable
@@ -383,14 +381,19 @@ def _tercile_groups(counts: np.ndarray):
     return tuple(np.array_split(np.argsort(-counts, kind="stable"), 3))
 
 
-def _static_class_weights(method: MethodConfig, name: str, counts: np.ndarray) -> np.ndarray | None:
+def _class_weights(method: MethodConfig, name: str, counts: np.ndarray) -> np.ndarray:
+    """The (C,) class weights that base loss ``name`` multiplies each sample's
+    loss by: count-based, IB's coefficients, focal alpha in every slot, or ones."""
     if name == "inv_freq":
         return baselines.inv_freq_weights(counts)
     if name == "inv_sqrt":
         return baselines.inv_sqrt_weights(counts)
     if name == "cb":
         return baselines.cb_weights(counts, method.cb_beta)
-    return None
+    if name == "ib":
+        return baselines.ib_class_coefficients(counts, method.ib_alpha_scale)
+    alpha = (method.focal_alpha or 1.0) if name == "focal" else 1.0  # focal_alpha is None or > 0
+    return np.full(len(counts), alpha)
 
 
 def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None,
@@ -413,14 +416,10 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
     method = config.method
     base_name = config.reweight.base if method.name == "inverse" else method.name
     counts = train.counts
-    class_weights = _static_class_weights(method, base_name, counts)
-    ib_lambda = None
-    if base_name == "ib":
-        ib_lambda = baselines.ib_class_coefficients(counts, method.ib_alpha_scale)
-
-    prior = np.ones(train.class_count)
-    if method.name == "inverse" and config.reweight.use_base_prior and class_weights is not None:
-        prior = class_weights
+    class_weights = _class_weights(method, base_name, counts)
+    # With use_base_prior, w0 is the base's class weights where they are count-based; else ones.
+    count_based = base_name in ("inv_freq", "inv_sqrt", "cb")
+    prior = class_weights if config.reweight.use_base_prior and count_based else np.ones(len(counts))
 
     sorted_train = FeatureBank.from_labels(train.x, train.y)  # the class order that nc-eval uses too
     n, c = len(train), train.class_count
@@ -437,10 +436,8 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
         seeds=seeds,
         base_method=base_name,
         class_weights=class_weights,
-        ib_lambda=ib_lambda,
         prior=np.broadcast_to(prior, (len(seeds), c)),  # one row for every run, not copied
         slot_offsets=c * np.arange(len(seeds))[:, None],
-        inverse_active=method.name == "inverse",
         lrs=learning_rates(config.lr, config.epochs, math.ceil(len(train) / config.batch_size), counts),
         groups=_tercile_groups(counts),
         train=train,
@@ -461,9 +458,9 @@ def _base_losses(ctx: RunContext, h, z, y):
     of a stack's batches: ``z`` (R, B, C) and ``y`` (R, B) give (R, B),
     (R, B) and (R, B, C).
 
-    The weights are the method's static multipliers (or the IB
-    attenuation, or focal alpha); they scale the losses and the rows at
-    composition time and get no gradient. The softmax and the cross
+    The weights are the base's class weights, gathered per sample, which
+    IB divides by each sample's influence; they scale the losses and the
+    rows at composition time and get no gradient. The softmax and the cross
     entropy share one exp and one row sum, and the softmax and then the
     dlogits rows are built in the logits' buffer: ``z`` is overwritten.
     """
@@ -476,6 +473,7 @@ def _base_losses(ctx: RunContext, h, z, y):
     zmax, probs, s = _shifted_exp(z, out=z)
     probs /= s
     flat = probs.reshape(-1)
+    weights = ctx.class_weights[y]
     if ctx.base_method == "focal":
         p_t = np.clip(flat[target], 1e-300, 1.0)
         one_m = 1.0 - p_t
@@ -489,18 +487,12 @@ def _base_losses(ctx: RunContext, h, z, y):
                            * one_m[pos] ** (method.focal_gamma - 1.0))
         probs *= -gcoef[..., None]
         flat[target] += gcoef
-        weights = np.full(y.shape, 1.0 if method.focal_alpha is None else method.focal_alpha)
         return ell, weights, probs
     ell = _ce(z_target, zmax, s)
-    if ctx.class_weights is not None:
-        weights = ctx.class_weights[y]
-    elif ctx.base_method == "ib":
+    if ctx.base_method == "ib":
         # Influence factor |p - onehot|_1 |h|_1 = 2(1 - p_t) |h|_1, used as
         # a per-sample attenuation treated as constant by the gradient.
-        influence = 2.0 * (1.0 - flat[target]) * np.abs(h).sum(axis=-1)
-        weights = ctx.ib_lambda[y] / (influence + method.ib_eps)
-    else:
-        weights = np.ones(y.shape)
+        weights /= 2.0 * (1.0 - flat[target]) * np.abs(h).sum(axis=-1) + method.ib_eps
     flat[target] -= 1.0
     return ell, weights, probs
 
@@ -514,7 +506,7 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
     ell, weights, dz = _base_losses(ctx, h, z, y)
 
     coef = weights
-    if ctx.inverse_active:
+    if config.method.name == "inverse":
         # One bincount over the class slots sizes every run's classes.
         counts = state.batch_counts
         slots = y + ctx.slot_offsets

@@ -431,14 +431,26 @@ class TestWeights:
         assert payload["l_bar"] == 1e308
         assert [w["w_hat"] for w in payload["weights"].values()] == [1.0, 1.0]
 
-    def test_non_finite_weight_exits_4_naming_the_class(self, capsys):
-        # l_c^2 overflows, and the closed form reads inf / inf.
+    @pytest.mark.parametrize("argv, expected", [
+        (["--losses", "1e200,3e200", "--alpha", "0.5"], [2.0, 2.0 / 3.0]),
+        (["--losses", "1e308,1e308", "--alpha", "1e308"], [1.0, 1.0]),
+    ])
+    def test_overflowing_products_give_the_finite_weights(self, capsys, argv, expected):
+        # l_bar*l_c and l_c^2 overflow, while the weights themselves are finite.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["weights", "--losses", "1e200,3e200", "--alpha", "0.5"]) == 4
+            assert main(["weights"] + argv) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)  # strict JSON
+        assert [w["w_star"] for w in payload["weights"].values()] == expected
+
+    def test_non_finite_weight_exits_4_naming_the_class(self, capsys):
+        # l_bar / l_c = 1e600 is beyond the float range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["weights", "--losses", "2e300,1e-300"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "numeric failure: the weight of class 0 is nan" in captured.err
+        assert "numeric failure: the weight of class 1 is inf" in captured.err
 
     def test_negative_loss_rejected(self, capsys):
         assert main(["weights", "--losses", "1,-2", "--alpha", "0"]) == 2

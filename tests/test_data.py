@@ -19,28 +19,34 @@ from ltlab.data import (
 from ltlab.errors import DataError
 
 
+def _counts(class_count, n_max, imbalance_factor):
+    return exp_profile_counts(LongTailSpec(class_count=class_count, n_max=n_max,
+                                           imbalance_factor=imbalance_factor))
+
+
 class TestExpProfileCounts:
     def test_balanced_when_if_one(self):
-        assert exp_profile_counts(5, 100, 1.0) == (100,) * 5
+        assert _counts(5, 100, 1.0) == (100,) * 5
 
     def test_two_classes(self):
-        assert exp_profile_counts(2, 100, 100.0) == (100, 1)
+        assert _counts(2, 100, 100.0) == (100, 1)
 
     def test_three_classes(self):
-        assert exp_profile_counts(3, 100, 100.0) == (100, 10, 1)
+        assert _counts(3, 100, 100.0) == (100, 10, 1)
 
     def test_head_exact_and_non_increasing(self):
         for imb in (1.0, 10.0, 50.0, 100.0, 200.0):
-            counts = exp_profile_counts(10, 500, imb)
+            counts = _counts(10, 500, imb)
             assert counts[0] == 500
             assert all(a >= b for a, b in zip(counts, counts[1:]))
             assert counts[-1] >= 1
 
     def test_validation(self):
+        # The spec checks the profile's arguments as it is built.
         with pytest.raises(ValueError):
-            exp_profile_counts(1, 100, 10.0)
+            LongTailSpec(class_count=1, n_max=100, imbalance_factor=10.0)
         with pytest.raises(ValueError):
-            exp_profile_counts(3, 100, 0.5)
+            LongTailSpec(class_count=3, n_max=100, imbalance_factor=0.5)
 
 
 class TestGaussianMixture:
@@ -67,7 +73,7 @@ class TestGaussianMixture:
     def test_counts_follow_profile(self):
         spec = LongTailSpec(class_count=10, n_max=500, imbalance_factor=100.0, seed=2)
         train, test = gaussian_mixture(spec)
-        assert train.counts.tolist() == list(exp_profile_counts(10, 500, 100.0))
+        assert train.counts.tolist() == list(exp_profile_counts(spec))
         assert len(train) == train.counts.sum()
         assert test.counts.tolist() == [100] * 10
 

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +48,17 @@ def _closed_form_where(l_c, l_bar, alpha, w0):
         num = np.where(anchored, l_bar * l_s + alpha_s * w0, l_bar)
         den = np.where(anchored, l_c * l_s + alpha_s, l_c)
         return np.where(zero, w0, num / np.where(zero, 1.0, den))
+
+
+def _closed_form_exact(l_c, l_bar, alpha, w0):
+    """The closed form in exact rationals, rounded once: inf beyond the float range."""
+    l_c, l_bar, alpha, w0 = (Fraction(v) for v in (l_c, l_bar, alpha, w0))
+    if l_c == 0:
+        return float(w0)
+    try:
+        return float((l_bar * l_c + alpha * w0) / (l_c * l_c + alpha))
+    except OverflowError:
+        return math.inf
 
 
 def _solve_loop(losses, labels, batch_counts, prior, alpha, gamma, mode):
@@ -192,17 +205,49 @@ class TestClosedFormWeight:
            scalar_alpha=st.booleans())
     @example(rows=[(1.0, 1.0, 2.0 ** -500, 1.0), (2.0 ** -600, 1.0, 2.0 ** -500, 1.0)], scalar_alpha=True)
     @example(rows=[(1e200, 1e200, 0.5, 1.0), (1e-200, 1e200, 0.5, 1.0)], scalar_alpha=False)
+    # l_c^2 overflows, and alpha * w0 survives only if scaled after it is rounded.
+    @example(rows=[(5.4644852907705735e178, 5.263353313982096e-50, 3.054936363499605e-151,
+                    9.442622931450393e264)], scalar_alpha=False)
     def test_matches_where_composition_bit_for_bit(self, rows, scalar_alpha):
         # The kernel takes the corners only for a zero loss or alpha < 2^-500;
         # with a scalar alpha (the per-batch solve) or an array, on all inputs
-        # it equals the composition that takes them every time.
+        # it equals the composition that takes them every time. The validating
+        # wrapper equals both wherever they are finite and positive; the rest
+        # it redoes without the products' overflow, or keeps.
         l_c, l_bar, alpha, w0 = (np.array(col) for col in zip(*rows))
         if scalar_alpha:
             alpha = float(alpha[0])
         with np.errstate(invalid="ignore"):  # inf / inf reads NaN in both forms
             expected = _closed_form_where(l_c, l_bar, alpha, w0)
-            for got in (_closed_form(l_c, l_bar, alpha, w0), closed_form_weight(l_c, l_bar, alpha, w0)):
-                assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(_closed_form(l_c, l_bar, alpha, w0), expected, equal_nan=True)
+        got = closed_form_weight(l_c, l_bar, alpha, w0)
+        kept = np.isfinite(expected) & (expected > 0)
+        assert np.array_equal(got[kept], expected[kept])
+        exact = [_closed_form_exact(*row) for row in zip(*np.broadcast_arrays(l_c, l_bar, alpha, w0))]
+        redone = np.isclose(got, exact, rtol=1e-15, atol=1e-300)
+        assert (redone | (got == expected))[~kept].all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(1e150, 1e308), st.floats(1e150, 1e308),
+                                   st.one_of(st.floats(1e-3, 1e3), st.floats(1e290, 1e308)),
+                                   st.floats(1e-3, 1e3)), min_size=1, max_size=8))
+    @example(rows=[(1e200, 2e200, 0.5, 1.0), (3e200, 2e200, 0.5, 1.0)])
+    @example(rows=[(1e308, 1e308, 1e308, 1.0)])
+    def test_overflowing_products_match_exact_rationals(self, rows):
+        # l_bar*l_c, l_c^2 and alpha*w0 overflow here, or nearly; every weight
+        # lies between l_bar / l_c and w0, finite, and within a few roundings
+        # of the exact one.
+        got = closed_form_weight(*(np.array(col) for col in zip(*rows)))
+        exact = np.array([_closed_form_exact(*row) for row in rows])
+        assert np.isfinite(got).all()
+        assert np.allclose(got, exact, rtol=1e-15, atol=0.0)
+
+    def test_weights_near_the_float_maximum(self):
+        assert closed_form_weight(1e200, 2e200, 0.5) == 2.0
+        assert closed_form_weight(3e200, 2e200, 0.5) == 2.0 / 3.0
+        # l_c^2 overflows alone, which would read 0.
+        assert closed_form_weight(1e300, 1.0, 1e300) == pytest.approx(2e-300, rel=1e-15, abs=0.0)
+        assert closed_form_weight(1e-300, 1e300, 0.0) == math.inf  # the weight itself overflows
 
     @settings(max_examples=200, deadline=None)
     @given(l_c=st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100)), min_size=1, max_size=12),
@@ -419,7 +464,7 @@ class TestReweightConfig:
             ReweightConfig(switch_epoch=-1)
 
     def test_default_prior(self):
-        # ones unless use_base_prior is set and the base has class weights
+        # ones unless use_base_prior is set and the base's class weights are count-based
         for kwargs in ({}, {"use_base_prior": True}, {"base": "cb"}):
             _, _, ctx = _inverse_run([0, 1, 1, 2, 2, 2], 3, reweight=ReweightConfig(**kwargs))
             assert ctx.prior.tolist() == [[1.0, 1.0, 1.0]]

@@ -578,22 +578,32 @@ def _focal_from_probs_ref(probs, y, gamma):
     return losses, dz
 
 
+def _class_weights_ref(ctx):
+    """The base's (C,) class weights from their ``baselines`` definitions:
+    count-based, IB's coefficients, focal alpha, or ones."""
+    method, counts = ctx.config.method, ctx.train.counts
+    return {
+        "inv_freq": baselines.inv_freq_weights(counts),
+        "inv_sqrt": baselines.inv_sqrt_weights(counts),
+        "cb": baselines.cb_weights(counts, method.cb_beta),
+        "ib": baselines.ib_class_coefficients(counts, method.ib_alpha_scale),
+        "focal": np.full(len(counts), 1.0 if method.focal_alpha is None else method.focal_alpha),
+    }.get(ctx.base_method, np.ones(len(counts)))
+
+
 def _base_losses_ref(ctx, h, z, probs, y):
     method = ctx.config.method
+    weights = _class_weights_ref(ctx)[y]
     if ctx.base_method == "focal":
         ell, dz = _focal_from_probs_ref(probs, y, method.focal_gamma)
-        return ell, np.full(len(y), 1.0 if method.focal_alpha is None else method.focal_alpha), dz
+        return ell, weights, dz
     ell = _ce_from_logits_ref(z, y)
     dz = probs.copy()
     dz[np.arange(len(y)), y] -= 1.0
-    if ctx.class_weights is not None:
-        weights = ctx.class_weights[y]
-    elif ctx.base_method == "ib":
+    if ctx.base_method == "ib":
         p_t = probs[np.arange(len(y)), y]
         influence = 2.0 * (1.0 - p_t) * np.abs(h).sum(axis=1)
-        weights = ctx.ib_lambda[y] / (influence + method.ib_eps)
-    else:
-        weights = np.ones(len(y))
+        weights = weights / (influence + method.ib_eps)
     return ell, weights, dz
 
 
@@ -646,7 +656,7 @@ def _batch_update_ref(ref, ctx, x, y, epoch, lr):
     h, z, probs = _forward_batch_ref(ref.params, x)
     ell, weights, dz_rows = _base_losses_ref(ctx, h, z, probs, y)
     coef = weights
-    if ctx.inverse_active:
+    if config.method.name == "inverse":
         ref.batch_counts += np.bincount(y, minlength=len(ref.batch_counts)) > 0
         if epoch >= config.reweight.switch_epoch:
             w_hat = _inverse_weights_ref(weights * ell, y, ref.batch_counts, ctx.prior[0],
@@ -747,6 +757,27 @@ class TestLockstep:
             train_epoch(state, ctx, 0)
 
 
+class TestClassWeights:
+    """Every base's class weights, and the inverse solve's prior from them."""
+
+    @pytest.mark.parametrize("base", baselines.BASE_METHODS)
+    def test_class_weights_and_base_prior(self, base):
+        train, _ = _long_tail_data()
+        c = train.class_count
+        for cfg in (_config(base, 0), _config("inverse", 0, base=base, prior=True)):
+            _, ctx = prepare_run(cfg, train)
+            assert ctx.base_method == base
+            assert np.array_equal(ctx.class_weights, _class_weights_ref(ctx))
+        if base == "focal":
+            assert ctx.class_weights.tolist() == [0.25] * c  # focal_alpha, set
+        # With use_base_prior, w0 is the count-based weights, and ones for
+        # every other base: IB's coefficients and focal alpha are no prior.
+        count_based = base in ("inv_freq", "inv_sqrt", "cb")
+        assert np.array_equal(ctx.prior, [ctx.class_weights if count_based else np.ones(c)])
+        _, ctx = prepare_run(_config("inverse", 0, base=base, prior=False), train)
+        assert np.array_equal(ctx.prior, np.ones((1, c)))
+
+
 class TestBatchStepOracle:
     """The one-pass batch step equals the old composition bit for bit."""
 
@@ -797,19 +828,10 @@ def _stop_gradient_coef(params, ctx, x, y, counts_after):
     method = ctx.config.method
     h, z = forward(params, x)
     probs = softmax(z)
-    coef = np.ones(len(y))
-    if ctx.base_method == "focal":
-        coef = np.full(len(y), method.focal_alpha)
-    elif ctx.base_method == "inv_freq":
-        coef = baselines.inv_freq_weights(ctx.train.counts)[y]
-    elif ctx.base_method == "inv_sqrt":
-        coef = baselines.inv_sqrt_weights(ctx.train.counts)[y]
-    elif ctx.base_method == "cb":
-        coef = baselines.cb_weights(ctx.train.counts, method.cb_beta)[y]
-    elif ctx.base_method == "ib":
+    coef = _class_weights_ref(ctx)[y]
+    if ctx.base_method == "ib":
         influence = np.abs(probs - np.eye(probs.shape[1])[y]).sum(axis=1) * np.abs(h).sum(axis=1)
-        coef = baselines.ib_class_coefficients(ctx.train.counts, method.ib_alpha_scale)[y] / (
-            influence + method.ib_eps)
+        coef = coef / (influence + method.ib_eps)
     if method.name == "inverse":
         losses = coef * _differentiable_loss(params, ctx, x, y)
         sizes = np.bincount(y, minlength=len(counts_after))
