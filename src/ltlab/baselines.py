@@ -94,31 +94,27 @@ def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta:
     checked: ``features`` is (n, p) float64, ``labels`` (n,) class ids >= 0,
     and ``MethodConfig`` checks k, margin, alpha and beta at load.
     """
-    # Dense class ids in label order, as np.unique's inverse gives them, without its sort.
-    tally = np.bincount(labels)
-    present = tally > 0
-    cls = (np.cumsum(present) - 1)[labels]
-    sizes = tally[present]
-    n_cls = len(sizes)
-    grad = np.zeros_like(features)
+    n, p = features.shape
+    sizes = np.bincount(labels)  # by label; an absent label has size 0
+    cols = np.arange(p)
 
-    ii, jj = _pair_indices(len(labels))
-    same = cls[ii] == cls[jj]
+    ii, jj = _pair_indices(n)
+    same = labels[ii] == labels[jj]
     ii, jj = ii[same], jj[same]
-    pair_cls = cls[ii]
+    pair_cls = labels[ii]
     delta = features[ii] - features[jj]
     dists = np.maximum(np.linalg.norm(delta, axis=1), RANGE_DIST_FLOOR)
 
     # Class-major, then descending distance; the stable sort keeps the
     # pair order among ties. Each class keeps its first k pairs.
     order = np.lexsort((-dists, pair_cls))
-    pair_counts = np.bincount(pair_cls, minlength=n_cls)
+    pair_counts = np.bincount(pair_cls, minlength=len(sizes))
     rank = np.arange(len(order)) - (np.cumsum(pair_counts) - pair_counts)[pair_cls[order]]
     top = order[rank < k]
     top_cls = pair_cls[top]
     d = dists[top]
     k_used = np.minimum(pair_counts, k)
-    inv_sum = np.bincount(top_cls, weights=1.0 / d, minlength=n_cls)
+    inv_sum = np.bincount(top_cls, weights=1.0 / d, minlength=len(sizes))
     with_pairs = pair_counts > 0
     intra = float((k_used[with_pairs] / inv_sum[with_pairs]).sum())
 
@@ -127,16 +123,18 @@ def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta:
     top, top_cls, d = top[live], top_cls[live], d[live]
     coeff = alpha * (k_used[top_cls] / inv_sum[top_cls] ** 2) / d ** 2
     step = coeff[:, None] * (delta[top] / d[:, None])
-    # Interleave each pair's +/- rows so every row accumulates in pair order.
-    rows = np.column_stack((ii[top], jj[top])).ravel()
-    np.add.at(grad, rows, np.stack((step, -step), axis=1).reshape(-1, features.shape[1]))
+    # Each pair's +/- rows interleaved, so every cell sums its terms in pair
+    # order from 0.0. No pairs give an int64 bincount, hence the cast.
+    rows = np.column_stack((ii[top], jj[top]))
+    grad = np.bincount((rows[..., None] * p + cols).ravel(), np.stack((step, -step), axis=1).ravel(),
+                       n * p).reshape(n, p).astype(np.float64, copy=False)
 
     inter = 0.0
-    if n_cls >= 2:
-        centers = np.zeros((n_cls, features.shape[1]))
-        np.add.at(centers, cls, features)
-        centers /= sizes[:, None]
-        ca, cb = _pair_indices(n_cls)
+    present = np.flatnonzero(sizes)
+    if len(present) >= 2:
+        sums = np.bincount((labels[:, None] * p + cols).ravel(), features.ravel()).reshape(-1, p)
+        centers = sums[present] / sizes[present, None]
+        ca, cb = _pair_indices(len(present))
         gaps = centers[ca] - centers[cb]
         center_dists = np.linalg.norm(gaps, axis=1)
         best = int(np.argmin(center_dists))
@@ -144,8 +142,8 @@ def range_loss_grad(features, labels, k: int, margin: float, alpha: float, beta:
         inter = max(margin - d_center, 0.0)
         if inter > 0 and d_center > 0:
             direction = gaps[best] / d_center
-            a, b = ca[best], cb[best]
-            grad[cls == a] += -beta * direction / sizes[a]
-            grad[cls == b] += beta * direction / sizes[b]
+            a, b = present[ca[best]], present[cb[best]]
+            grad[labels == a] += -beta * direction / sizes[a]
+            grad[labels == b] += beta * direction / sizes[b]
 
     return float(alpha * intra + beta * inter), grad

@@ -19,7 +19,7 @@ offsets; its blocks are slices at bounds it caches. A report computes
 the class means once (``class_means``) and passes them to each metric. With M
 the C x p centred class means, Sigma_B = M^T M / C, so NC1 is
 ||H_c pinv(M)||_F^2 / n for the features H_c centred on their class
-means: one (n, p) @ (p, C) matmul and a dot product. NC4 finds each
+means: one (n, p) @ (p, C) matmul and a sum of squares. NC4 finds each
 row's nearest class mean from Gram-form distances and rechecks near ties
 in the direct form, so it matches the direct argmin exactly. The centred
 features and one (n, C) work array (NC4's distances, then NC1's
@@ -142,8 +142,9 @@ def nc1(bank: FeatureBank, means: np.ndarray, global_mean: np.ndarray,
         raise ValueError(f"centred must be a {x.shape} float64 array")
     for rows, mu in zip(bank._bounds, means):
         np.subtract(x[rows], mu, out=h[rows])
-    proj = np.matmul(h, q, out=work).reshape(-1)
-    value = float(np.dot(proj, proj)) / len(h)
+    proj = np.matmul(h, q, out=work)
+    # einsum's own loop, not a BLAS dot, whose threads change the order of the sum.
+    value = float(np.einsum("ij,ij->", proj, proj)) / len(h)
     if not math.isfinite(value):
         raise ValueError("||H_c pinv(M)||^2 is non-finite; metric undefined")
     return value

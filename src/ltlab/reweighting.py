@@ -110,7 +110,8 @@ def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
     argument is a scalar. l_c == 0 returns the prior w0: the exact
     minimizer for alpha > 0, and the continuous-in-alpha limit of the 0/0
     corner alpha == 0. As with float division, a weight beyond the float
-    range is inf, and only such a weight: an overflowed product is redone.
+    range is inf and one below it 0, and only such a weight: an entry
+    that a product's over- or underflow turns into inf, NaN or 0 is redone.
     """
     l_c, l_bar, alpha, w0 = (np.asarray(v, dtype=np.float64) for v in (l_c, l_bar, alpha, w0))
     if (l_c < 0).any() or (l_bar < 0).any():
@@ -119,20 +120,32 @@ def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
         raise ValueError("alpha must be >= 0")
     if (w0 <= 0).any():
         raise ValueError("prior weight must be positive")
-    # With k = max(l_c, sqrt(alpha)), a product overflows only where k >= 1/2 (to a weight of inf,
-    # NaN or, via l_c^2, 0). There each product is scaled exactly by 4^-(e+2), 2^(e-1) <= k < 2^e:
-    # the denominator lies in [1/64, 1/8), so the numerator overflows only if the weight does.
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.asarray(_closed_form(l_c, l_bar, alpha, w0))
-        k = np.maximum(l_c, np.sqrt(alpha))
-        finite = np.isfinite(k) & np.isfinite(l_bar) & np.isfinite(w0)
-        redo = ~(np.isfinite(w) & (w > 0)) & (alpha > 0) & (k >= 0.5) & finite  # alpha = 0: one division
-        l_c, l_bar, alpha, w0, k = (np.broadcast_to(v, w.shape)[redo] for v in (l_c, l_bar, alpha, w0, k))
-        s = np.ldexp(1.0, -np.frexp(k)[1] - 2)
-        num = sum(np.where(np.isfinite(x * y), x * y * s * s, (x * s) * (y * s))
-                  for x, y in ((l_bar, l_c), (alpha, w0)))
-        w[redo] = num / ((l_c * s) ** 2 + alpha * s * s)
+    finite = np.isfinite(l_c) & np.isfinite(l_bar) & np.isfinite(alpha) & np.isfinite(w0)
+    redo = ~(np.isfinite(w) & (w > 0)) & (alpha > 0) & finite  # alpha = 0: one division
+    w[redo] = _rescued(*(np.broadcast_to(v, w.shape)[redo] for v in (l_c, l_bar, alpha, w0)))
     return float(w) if w.ndim == 0 else w
+
+
+def _rescued(l_c, l_bar, alpha, w0):
+    """The closed form for positive l_c and alpha with no product over- or
+    underflowing: each product is its factors' frexp mantissas' product
+    times a power of two, each sum is taken at its larger term's exponent,
+    and only the quotient is scaled back. Where the plain form stays in the
+    normal range, the two round alike."""
+    (m_c, e_c), (m_bar, e_bar), (m_a, e_a), (m_0, e_0) = map(np.frexp, (l_c, l_bar, alpha, w0))
+    num, e_num = _sum_at_larger(m_bar * m_c, e_bar + e_c, m_a * m_0, e_a + e_0)
+    den, e_den = _sum_at_larger(m_c * m_c, 2 * e_c, m_a, e_a)
+    with np.errstate(over="ignore"):  # a weight beyond the float range is inf
+        return np.ldexp(num / den, e_num - e_den)
+
+
+def _sum_at_larger(x, e_x, y, e_y):
+    """(s, e) with s * 2^e = x * 2^e_x + y * 2^e_y, for y > 0 and x >= 0; a
+    zero x has no exponent."""
+    e = np.where(x > 0, np.maximum(e_x, e_y), e_y)
+    return np.ldexp(x, e_x - e) + np.ldexp(y, e_y - e), e
 
 
 def _closed_form(l_c, l_bar, alpha, w0):

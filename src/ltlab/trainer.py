@@ -524,14 +524,12 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
     dh_extra = None
     if ctx.base_method == "range":
         method = config.method
+        values, grads = zip(*(baselines.range_loss_grad(h_r, y_r, method.range_k, method.range_margin,
+                                                        method.range_alpha, method.range_beta)
+                              for h_r, y_r in zip(h, y)))
+        loss += method.range_lambda * np.array(values)
         if params.hidden_weights is not None:
-            dh_extra = np.empty_like(h)
-        for r in range(len(loss)):
-            range_val, range_grad = baselines.range_loss_grad(
-                h[r], y[r], method.range_k, method.range_margin, method.range_alpha, method.range_beta)
-            loss[r] += method.range_lambda * range_val
-            if dh_extra is not None:
-                np.multiply(range_grad, method.range_lambda, out=dh_extra[r])
+            dh_extra = method.range_lambda * np.stack(grads)
 
     if not all(map(math.isfinite, loss.tolist())):
         seed = ctx.seeds[int(np.argmin(np.isfinite(loss)))]

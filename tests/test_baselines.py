@@ -323,6 +323,7 @@ class TestRangeLossMatchesLoop:
         x, y = batch
         want_value, want_grad = _range_loss_grad_loop(x, y, k, margin, alpha, beta)
         value, grad = range_loss_grad(x, y, k, margin, alpha, beta)
+        assert grad.dtype == np.float64 and grad.shape == x.shape  # also with no same-class pair
         assert value == pytest.approx(want_value, rel=1e-12)
         if not _centres_resolved(x, y):
             # The hinge direction is the sign of rounding noise here: numpy's

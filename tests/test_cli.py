@@ -2,6 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -162,6 +165,20 @@ class TestTrain:
         main(["train", "--config", str(config_path), "--out", str(out2)])
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS reads its thread count when numpy loads: one process per count.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+            subprocess.run([sys.executable, "-m", "ltlab.cli", "train", "--config", str(DEFAULT_CONFIG),
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "metrics.csv" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     # The run diverges on purpose; numpy warns about the inf and nan it produces.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -12,6 +12,7 @@ from ltlab.data import Dataset
 from ltlab.reweighting import (
     ReweightConfig,
     _closed_form,
+    _rescued,
     closed_form_weight,
     inverse_weights,
     loss_imbalance_rho,
@@ -270,6 +271,27 @@ class TestClosedFormWeight:
         solve = inverse_weights(l_c, slots, sizes, counts, np.full((1, len(l_c)), w0), config)
         scaled = inverse_weights(l_c * 2.0 ** k, slots, sizes, counts, np.full((1, len(l_c)), w0), config)
         assert scaled.tobytes() == solve.tobytes()
+
+    def test_underflowing_prior_term_gives_the_positive_weight(self):
+        # alpha * w0 underflows and max(l_c, sqrt(alpha)) < 1/2: the plain form reads 0.
+        assert closed_form_weight(1.5069039997331095e-135, 5.20332114337114e-310,
+                                  7.134795094119794e-95, 1.5422903982074907e-277) == 1.5422903982074907e-277
+
+    def test_no_zero_for_a_weight_that_a_float_holds(self):
+        # Log-uniform arguments over the whole float range: a weight is 0 only
+        # below the float range and inf only beyond it.
+        rng = np.random.default_rng(2026)
+        args = 10.0 ** rng.uniform(-320, 308, size=(4, 10_000))
+        got = closed_form_weight(*args)
+        exact = np.array([_closed_form_exact(*row) for row in args.T])
+        assert not ((got == 0) & (exact > 0)).any()
+        assert np.array_equal(np.isinf(got), np.isinf(exact))
+
+    def test_rescue_rounds_as_the_plain_form_in_the_normal_range(self):
+        rng = np.random.default_rng(5)
+        l_c, l_bar, w0 = rng.uniform(0.01, 5.0, size=(3, 20_000))
+        alpha = rng.choice([1e-3, 0.1, 0.5, 2.0], size=20_000)
+        assert _rescued(l_c, l_bar, alpha, w0).tobytes() == _closed_form(l_c, l_bar, alpha, w0).tobytes()
 
     def test_nan_alpha_takes_the_corner_form(self):
         # NaN > 0 is false, so the corner form reads it as unanchored: l_bar / l_c.
