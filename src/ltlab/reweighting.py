@@ -19,8 +19,9 @@ from ``np.bincount``, L_bar over the present classes, the vectorized
 closed form and beta, all as array operations; one run is the stack of
 one. The trainer builds its inputs, so the solve checks none, and no
 batch pays for validation. ``closed_form_weight`` validates its arguments
-(it serves ``ltlab weights``) and shares the closed-form kernel with the
-solve.
+(it serves ``ltlab weights``), takes the corners from the solve's kernel
+and every anchored weight from the exponent-split form ``_rescued``, which
+no product's over- or underflow can spoil.
 """
 
 from __future__ import annotations
@@ -65,11 +66,11 @@ class ReweightConfig:
 
     def __post_init__(self):
         if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+            raise ConfigError("alpha must be >= 0")
         if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+            raise ConfigError("gamma must be >= 0")
         if self.switch_epoch < 0:
-            raise ValueError("switch_epoch must be >= 0")
+            raise ConfigError("switch_epoch must be >= 0")
         if self.mode not in REWEIGHT_MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; valid: {', '.join(REWEIGHT_MODES)}")
         if self.base not in BASE_METHODS:
@@ -98,11 +99,6 @@ def loss_imbalance_rho(class_losses) -> float:
         return float(losses.std() / mean)
 
 
-# Below this, l_c**2 and alpha*w0 can underflow; the closed form then
-# scales l_c and alpha by 2**500 (see _closed_form).
-_TINY = 2.0 ** -500
-
-
 def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
     """Unique minimizer of (w*l_c - l_bar)^2 + alpha*(w - w0)^2.
 
@@ -110,8 +106,8 @@ def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
     argument is a scalar. l_c == 0 returns the prior w0: the exact
     minimizer for alpha > 0, and the continuous-in-alpha limit of the 0/0
     corner alpha == 0. As with float division, a weight beyond the float
-    range is inf and one below it 0, and only such a weight: an entry
-    that a product's over- or underflow turns into inf, NaN or 0 is redone.
+    range is inf and one below it 0; every weight that a normal float
+    holds is within 2 ulp of the exact one.
     """
     l_c, l_bar, alpha, w0 = (np.asarray(v, dtype=np.float64) for v in (l_c, l_bar, alpha, w0))
     if (l_c < 0).any() or (l_bar < 0).any():
@@ -123,17 +119,17 @@ def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.asarray(_closed_form(l_c, l_bar, alpha, w0))
     finite = np.isfinite(l_c) & np.isfinite(l_bar) & np.isfinite(alpha) & np.isfinite(w0)
-    redo = ~(np.isfinite(w) & (w > 0)) & (alpha > 0) & finite  # alpha = 0: one division
-    w[redo] = _rescued(*(np.broadcast_to(v, w.shape)[redo] for v in (l_c, l_bar, alpha, w0)))
+    anchored = (alpha > 0) & (l_c > 0) & finite
+    w[anchored] = _rescued(*(np.broadcast_to(v, w.shape)[anchored] for v in (l_c, l_bar, alpha, w0)))
     return float(w) if w.ndim == 0 else w
 
 
 def _rescued(l_c, l_bar, alpha, w0):
-    """The closed form for positive l_c and alpha with no product over- or
-    underflowing: each product is its factors' frexp mantissas' product
-    times a power of two, each sum is taken at its larger term's exponent,
-    and only the quotient is scaled back. Where the plain form stays in the
-    normal range, the two round alike."""
+    """The closed form for finite arguments with positive l_c and alpha,
+    with no product over- or underflowing: each product is its factors'
+    frexp mantissas' product times a power of two, each sum is taken at its
+    larger term's exponent, and only the quotient is scaled back. Where the
+    plain form stays in the normal range, the two round alike."""
     (m_c, e_c), (m_bar, e_bar), (m_a, e_a), (m_0, e_0) = map(np.frexp, (l_c, l_bar, alpha, w0))
     num, e_num = _sum_at_larger(m_bar * m_c, e_bar + e_c, m_a * m_0, e_a + e_0)
     den, e_den = _sum_at_larger(m_c * m_c, 2 * e_c, m_a, e_a)
@@ -152,25 +148,23 @@ def _closed_form(l_c, l_bar, alpha, w0):
     """The closed form on validated input: ``l_c`` an array, ``alpha`` a
     float or an array.
 
-    With every l_c > 0 and alpha >= 2^-500 it is the one expression
-    (l_bar*l_c + alpha*w0) / (l_c^2 + alpha); only otherwise are the
-    corners taken.
+    With every l_c > 0 and alpha > 0 it is the one expression
+    (l_bar*l_c + alpha*w0) / (l_c^2 + alpha); otherwise it takes the exact
+    corners only: w0 where l_c = 0, and l_bar / l_c where alpha is 0 or NaN.
+    Its products are not guarded against over- or underflow, which takes
+    arguments near an end of the float range (l_c and alpha both below
+    2^-500, say, where alpha*w0 can read 0). The training solve does not
+    come near; ``closed_form_weight`` takes every anchored weight from
+    ``_rescued``.
     """
     # A NaN alpha fails this test and takes the corner form, which reads it as unanchored.
-    plain_alpha = (alpha >= _TINY).all() if isinstance(alpha, np.ndarray) else alpha >= _TINY
+    plain_alpha = (alpha > 0).all() if isinstance(alpha, np.ndarray) else alpha > 0
     with np.errstate(over="ignore"):
         if plain_alpha and l_c.all():
             return (l_bar * l_c + alpha * w0) / (l_c * l_c + alpha)
-        anchored = alpha > 0
-        # When l_c and alpha are both tiny, l_c^2 and alpha*w0 underflow and the
-        # weight would read 0. Scaling both by 2^500 keeps them below 1, so it
-        # is exact, adds no overflow and leaves every other input's rounding alone.
-        scale = np.where(np.maximum(l_c, alpha) < _TINY, 2.0 ** 500, 1.0)
-        l_s, alpha_s = l_c * scale, alpha * scale
-        zero = l_c == 0
-        # Unanchored: (l_bar * l_c) / l_c^2 in a form that cannot underflow to 0.
-        num = np.where(anchored, l_bar * l_s + alpha_s * w0, l_bar)
-        den = np.where(anchored, l_c * l_s + alpha_s, l_c)
+        anchored, zero = alpha > 0, l_c == 0
+        num = np.where(anchored, l_bar * l_c + alpha * w0, l_bar)
+        den = np.where(anchored, l_c * l_c + alpha, l_c)
         return np.where(zero, w0, num / np.where(zero, 1.0, den))
 
 

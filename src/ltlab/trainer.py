@@ -1,32 +1,13 @@
-"""Desk-scale training loop.
+"""Desk-scale training loop: a linear softmax classifier, optionally after
+one ReLU hidden layer, trained by SGD with momentum and weight decay, each
+run deterministic in its seed. The R seeds of one ``TrainConfig`` train in
+lockstep as one stack, and one seed is the stack of one (see the README).
 
-The model is a linear softmax classifier, optionally preceded by one
-ReLU hidden layer. Gradients are analytic, optimization is SGD with
-momentum and weight decay, and every run is deterministic in its seed.
-
-The R seeds of one ``TrainConfig`` train in lockstep as one stack; one
-seed is the stack with R = 1, through the same code. The parameters, the
-SGD velocity and the gradient of run r are row r of one (R, P) buffer
-each (``ModelParams``), so a step is a few in-place ufuncs over the whole
-buffer; the counters B_c are one (R, C) array. ``prepare_run`` resolves
-the learning-rate schedule once per stack into the rate of every
-iteration (``scheduler.learning_rates``).
-
-A batch step gathers each seed's own shuffled batch (every seed's batches
-have the same sizes) as (R, B, d) inputs and computes each intermediate
-once for the whole stack: the features (the ReLU in place) and logits as
-batched matmuls, one exp and row sum for the softmax and the cross
-entropy, the dlogits rows in place, the inverse weights of all R * C
-class slots at once, and a backward pass into the gradient buffer. Only
-the range loss runs per run. ``forward`` and ``backward`` are those
-kernels, public, for one run or a stack.
-
-Each epoch ends, run by run, with the collapse metrics and rho from the
-training features and logits, and the per-class accuracy from the test
-logits. It reads the training rows in ``FeatureBank.from_labels``' class
-order, the one that ``nc-eval`` uses (the batches index the original
-order), in a bank and buffers that ``prepare_run`` makes once per stack
-and the runs use in turn (see ``_epoch_report``).
+The batches index the training rows in their original order, but each
+epoch end reads them in ``FeatureBank.from_labels``' class order: it is
+the order that ``nc-eval`` reads a run's dumps in, so the metrics sum
+alike and ``nc-eval`` reproduces them to the bit, and it makes each class
+one contiguous block of the bank.
 """
 
 from __future__ import annotations

@@ -460,6 +460,15 @@ class TestWeights:
         payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)  # strict JSON
         assert [w["w_star"] for w in payload["weights"].values()] == expected
 
+    def test_underflowing_products_give_the_weight_to_2_ulp(self, capsys):
+        # l_c^2 and alpha*w0 underflow, and the plain form reads class 0's
+        # weight 69% too large.
+        assert main(["weights", "--losses", "6.1681232e-316,2.534098825357965e-159",
+                     "--alpha", "1.248474529988845e-308",
+                     "--w0", "9.11331918708407e-168,9.11331918708407e-168"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["weights"]["0"]["w_star"] == 7.171224822319144e-167
+
     def test_non_finite_weight_exits_4_naming_the_class(self, capsys):
         # l_bar / l_c = 1e600 is beyond the float range.
         with warnings.catch_warnings():

@@ -195,6 +195,8 @@ class TestRejected:
         ("[train]\nweight_decay = -1\n", "[train] weight_decay must be >= 0"),
         ("[method]\nname = bogus\n", "[method] unknown method 'bogus'"),
         ("[reweight]\nalpha = -1\n", "[reweight] alpha must be >= 0"),
+        ("[reweight]\ngamma = -1\n", "[reweight] gamma must be >= 0"),
+        ("[reweight]\nswitch_epoch = -1\n", "[reweight] switch_epoch must be >= 0"),
         ("[reweight]\nmode = bogus\n", "[reweight] unknown mode 'bogus'"),
         ("[reweight]\nbase = inverse\n", "[reweight] base must be a base method, got 'inverse'"),
         ("[lr]\nschedule = cosine\n", "[lr] unknown schedule 'cosine'"),
@@ -227,6 +229,12 @@ class TestRejected:
     def test_bad_setting_names_section_once(self, tmp_path, capsys, text, named):
         err = _rejected(tmp_path, capsys, text)
         assert named in err and err.count("[") == 1
+
+    @pytest.mark.parametrize("kwargs", [{"alpha": -1.0}, {"gamma": -1.0}, {"switch_epoch": -1},
+                                        {"mode": "bogus"}, {"base": "inverse"}])
+    def test_reweight_config_raises_config_error(self, kwargs):
+        with pytest.raises(ConfigError):
+            ReweightConfig(**kwargs)
 
     def test_unknown_section_is_named(self, tmp_path, capsys):
         assert "unknown config section [optim]" in _rejected(tmp_path, capsys, "[optim]\nlr = 1\n")

@@ -41,13 +41,10 @@ def _closed_form_where(l_c, l_bar, alpha, w0):
     """The closed form as one np.where composition, every corner on every
     call: the reference for the kernel's one-expression common case."""
     l_c, l_bar, alpha, w0 = (np.asarray(v, dtype=np.float64) for v in (l_c, l_bar, alpha, w0))
-    anchored = alpha > 0
-    scale = np.where(np.maximum(l_c, alpha) < 2.0 ** -500, 2.0 ** 500, 1.0)
-    l_s, alpha_s = l_c * scale, alpha * scale
-    zero = l_c == 0
+    anchored, zero = alpha > 0, l_c == 0
     with np.errstate(over="ignore"):
-        num = np.where(anchored, l_bar * l_s + alpha_s * w0, l_bar)
-        den = np.where(anchored, l_c * l_s + alpha_s, l_c)
+        num = np.where(anchored, l_bar * l_c + alpha * w0, l_bar)
+        den = np.where(anchored, l_c * l_c + alpha, l_c)
         return np.where(zero, w0, num / np.where(zero, 1.0, den))
 
 
@@ -60,6 +57,14 @@ def _closed_form_exact(l_c, l_bar, alpha, w0):
         return float((l_bar * l_c + alpha * w0) / (l_c * l_c + alpha))
     except OverflowError:
         return math.inf
+
+
+def _assert_within_2_ulp(got, exact):
+    """``got`` within 2 ulp of ``exact`` wherever a normal float holds it;
+    returns where it does."""
+    normal = np.isfinite(exact) & (exact >= np.finfo(np.float64).tiny)
+    assert np.all(np.abs(got[normal] - exact[normal]) <= 2 * np.spacing(exact[normal]))
+    return normal
 
 
 def _solve_loop(losses, labels, batch_counts, prior, alpha, gamma, mode):
@@ -209,12 +214,14 @@ class TestClosedFormWeight:
     # l_c^2 overflows, and alpha * w0 survives only if scaled after it is rounded.
     @example(rows=[(5.4644852907705735e178, 5.263353313982096e-50, 3.054936363499605e-151,
                     9.442622931450393e264)], scalar_alpha=False)
+    # alpha * w0 underflows: the kernel reads 0, the weight is w0.
+    @example(rows=[(5e-324, 0.0, 1.5274681817498023e-151, 6.327621485547622e-225)], scalar_alpha=False)
     def test_matches_where_composition_bit_for_bit(self, rows, scalar_alpha):
-        # The kernel takes the corners only for a zero loss or alpha < 2^-500;
-        # with a scalar alpha (the per-batch solve) or an array, on all inputs
-        # it equals the composition that takes them every time. The validating
-        # wrapper equals both wherever they are finite and positive; the rest
-        # it redoes without the products' overflow, or keeps.
+        # The kernel takes the corners only for a zero loss or alpha = 0; with
+        # a scalar alpha (the per-batch solve) or an array, on all inputs it
+        # equals the composition that takes them every time. The validating
+        # wrapper is within 2 ulp of the exact weight wherever a normal float
+        # holds it.
         l_c, l_bar, alpha, w0 = (np.array(col) for col in zip(*rows))
         if scalar_alpha:
             alpha = float(alpha[0])
@@ -222,11 +229,8 @@ class TestClosedFormWeight:
             expected = _closed_form_where(l_c, l_bar, alpha, w0)
             assert np.array_equal(_closed_form(l_c, l_bar, alpha, w0), expected, equal_nan=True)
         got = closed_form_weight(l_c, l_bar, alpha, w0)
-        kept = np.isfinite(expected) & (expected > 0)
-        assert np.array_equal(got[kept], expected[kept])
-        exact = [_closed_form_exact(*row) for row in zip(*np.broadcast_arrays(l_c, l_bar, alpha, w0))]
-        redone = np.isclose(got, exact, rtol=1e-15, atol=1e-300)
-        assert (redone | (got == expected))[~kept].all()
+        exact = np.array([_closed_form_exact(*row) for row in zip(*np.broadcast_arrays(l_c, l_bar, alpha, w0))])
+        _assert_within_2_ulp(got, exact)
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(st.floats(1e150, 1e308), st.floats(1e150, 1e308),
@@ -286,6 +290,15 @@ class TestClosedFormWeight:
         exact = np.array([_closed_form_exact(*row) for row in args.T])
         assert not ((got == 0) & (exact > 0)).any()
         assert np.array_equal(np.isinf(got), np.isinf(exact))
+
+    def test_normal_weights_are_within_2_ulp_of_exact(self):
+        # Log-uniform arguments over the whole float range: the products of
+        # the plain form over- and underflow here, the weights do not.
+        rng = np.random.default_rng(0)
+        args = 10.0 ** rng.uniform(-320, 308, size=(4, 20_000))
+        got = closed_form_weight(*args)
+        exact = np.array([_closed_form_exact(*row) for row in args.T])
+        assert _assert_within_2_ulp(got, exact).sum() > 10_000
 
     def test_rescue_rounds_as_the_plain_form_in_the_normal_range(self):
         rng = np.random.default_rng(5)

@@ -627,12 +627,10 @@ def _inverse_weights_ref(losses, labels, batch_counts, prior, config, mode):
     if mode != "macro":
         l_c = np.bincount(labels, weights=losses, minlength=len(n))[present] / n[present]
         l_bar, alpha, w0 = l_c.mean(), config.alpha, prior[present]
-        scale = np.where(np.maximum(l_c, alpha) < 2.0 ** -500, 2.0 ** 500, 1.0)
-        l_s, alpha_s = l_c * scale, alpha * scale
         zero = l_c == 0
         with np.errstate(over="ignore"):
-            num = np.where(alpha > 0, l_bar * l_s + alpha_s * w0, l_bar)
-            den = np.where(alpha > 0, l_c * l_s + alpha_s, l_c)
+            num = np.where(alpha > 0, l_bar * l_c + alpha * w0, l_bar)
+            den = np.where(alpha > 0, l_c * l_c + alpha, l_c)
             w_hat[present] = np.where(zero, w0, num / np.where(zero, 1.0, den))
     if mode != "batch":
         beta = batch_counts[present].astype(np.float64) ** -config.gamma
