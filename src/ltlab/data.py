@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .etf import make_etf
 
 __all__ = [
@@ -47,17 +47,17 @@ class LongTailSpec:
 
     def __post_init__(self):
         if self.class_count < 2:
-            raise ValueError("class_count must be >= 2")
+            raise ConfigError("class_count must be >= 2")
         if self.n_max < 1 or self.test_per_class < 1:
-            raise ValueError("sample counts must be >= 1")
+            raise ConfigError("sample counts must be >= 1")
         if self.imbalance_factor < 1:
-            raise ValueError("imbalance_factor must be >= 1")
+            raise ConfigError("imbalance_factor must be >= 1")
         if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+            raise ConfigError("input_dim must be >= 1")
         if self.class_separation <= 0 or self.noise_sigma < 0:
-            raise ValueError("class_separation must be > 0 and noise_sigma >= 0")
+            raise ConfigError("class_separation must be > 0 and noise_sigma >= 0")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,15 @@ unit mean over the classes present in the batch, and the effective weight
 is w_hat_c = beta_c * w_c.
 
 ``inverse_weights`` solves the batches of R lockstep runs at once, over
-R * C class slots, each run with its own L_bar and beta mean: class means
-from ``np.bincount``, L_bar over the present classes, the vectorized
-closed form and beta, all as array operations; one run is the stack of
-one. The trainer builds its inputs, so the solve checks none, and no
-batch pays for validation. ``closed_form_weight`` validates its arguments
-(it serves ``ltlab weights``), takes the corners from the solve's kernel
-and every anchored weight from the exponent-split form ``_rescued``, which
-no product's over- or underflow can spoil.
+the (R, C) class slots, with no loop over runs: class means from one
+``np.bincount``, each run's L_bar and beta mean from one row reduction
+over its C slots (absent classes add exact zeros), and the closed form and
+beta over every slot; one run is the stack of one. The trainer builds its
+inputs, so the solve checks none, and no batch pays for validation.
+``closed_form_weight`` validates its arguments (it serves ``ltlab
+weights``), takes the corners from the solve's kernel and every anchored
+weight from the exponent-split form ``_rescued``, which no product's over-
+or underflow can spoil.
 """
 
 from __future__ import annotations
@@ -176,34 +177,22 @@ def inverse_weights(losses, slots, n, batch_counts, prior, config: ReweightConfi
     ``batch_counts`` (the counters B_c, already incremented for these
     batches) and ``prior`` (w0) are (R, C), and so is the result.
     ``config.mode`` picks the factors. Each run's L_bar and beta mean are
-    over its own present classes, and absent classes get weight 1. The
-    arguments are not checked: the losses must be nonnegative, and a
+    one reduction of its row over the present classes, with the absent ones
+    as exact zeros; a row's sum never reads another row, so a run's weights
+    do not depend on the runs it is stacked with. Absent classes get weight
+    1. The arguments are not checked: the losses must be nonnegative, and a
     present class needs B_c >= 1 and, unless the mode is "macro", a
     positive prior."""
     present = n > 0
-    sizes = present.sum(axis=1).tolist()  # each run's number of present classes
-    w = 1.0  # the present slots' weights, run by run
+    size = present.sum(axis=1, keepdims=True)  # each run's number of present classes
+    w = 1.0
     if config.mode != "macro":
-        sums = np.bincount(slots.ravel(), weights=losses.ravel(), minlength=n.size)
-        mean = sums[present.ravel()] / n[present]
-        w = _closed_form(mean, _run_means(mean, sizes), config.alpha, prior[present])
+        sums = np.bincount(slots.ravel(), weights=losses.ravel(), minlength=n.size).reshape(n.shape)
+        mean = sums / np.maximum(n, 1)  # an absent class's is an exact zero
+        l_bar = np.add.reduce(mean, axis=1, keepdims=True) / size
+        # An absent class stands in L_bar, which keeps the one-expression closed form.
+        w = _closed_form(np.where(present, mean, l_bar), l_bar, config.alpha, prior)
     if config.mode != "batch":
-        beta = batch_counts[present].astype(np.float64) ** -config.gamma
-        w = w * (beta / _run_means(beta, sizes))
-    w_hat = np.ones(n.shape)
-    w_hat[present] = w
-    return w_hat
-
-
-def _run_means(values, sizes):
-    """Each run's mean over its present slots, repeated over them:
-    ``values`` holds the present slots run by run, ``sizes[r]`` of run r.
-    A run's block sums as it would alone, so its weights do not depend on
-    the runs it is stacked with."""
-    means, start = np.empty_like(values), 0
-    for size in sizes:
-        end = start + size
-        # np.add.reduce(x) / len(x) is np.mean(x), the same sum and division, without its overhead.
-        means[start:end] = np.add.reduce(values[start:end]) / size
-        start = end
-    return means
+        beta = np.where(present, np.maximum(batch_counts, 1.0) ** -config.gamma, 0.0)
+        w = w * (beta / (np.add.reduce(beta, axis=1, keepdims=True) / size))
+    return np.where(present, w, 1.0)

@@ -564,7 +564,12 @@ def _train_batches(state: TrainState, ctx: RunContext, epoch: int) -> tuple[list
 def train_epoch(state: TrainState, ctx: RunContext, epoch: int) -> list[EpochRecord]:
     """One pass of every run of the stack over the sets that ``prepare_run``
     was given: each run's batches in its own seeded order, then its
-    epoch-end evaluation. Returns the runs' records in seed order."""
+    epoch-end evaluation. Returns the runs' records in seed order. A stack
+    that has run every epoch of its learning-rate schedule raises
+    ValueError."""
+    if state.iteration >= len(ctx.lrs):
+        raise ValueError(f"the learning-rate schedule covers {ctx.config.epochs} epoch(s), "
+                         f"and the stack has run them all")
     train_losses, last_lr = _train_batches(state, ctx, epoch)
     if not np.isfinite(state.params.flat).all():
         r = int(np.argmin(np.isfinite(state.params.flat).all(axis=1)))

@@ -16,7 +16,7 @@ from ltlab.data import (
     load_csv_dataset,
     save_csv_dataset,
 )
-from ltlab.errors import DataError
+from ltlab.errors import ConfigError, DataError
 
 
 def _counts(class_count, n_max, imbalance_factor):
@@ -47,6 +47,15 @@ class TestExpProfileCounts:
             LongTailSpec(class_count=1, n_max=100, imbalance_factor=10.0)
         with pytest.raises(ValueError):
             LongTailSpec(class_count=3, n_max=100, imbalance_factor=0.5)
+
+    # A bad spec is a configuration error, as a bad training config is.
+    @pytest.mark.parametrize("bad", [
+        dict(class_count=1), dict(n_max=0), dict(test_per_class=0), dict(imbalance_factor=0.5),
+        dict(input_dim=0), dict(class_separation=0.0), dict(noise_sigma=-1.0), dict(seed=-1),
+    ])
+    def test_bad_values_raise_config_error(self, bad):
+        with pytest.raises(ConfigError):
+            LongTailSpec(**bad)
 
 
 class TestGaussianMixture:

@@ -402,6 +402,17 @@ class TestTrainEpoch:
         _, z = forward(state.params[0], train.x)
         assert np.array_equal(z.argmax(axis=1), train.y)
 
+    def test_epoch_past_the_schedule_is_refused(self):
+        train, test = gaussian_mixture(balanced_spec())
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=1, method=MethodConfig(name="ce"),
+                          lr=LrSpec(schedule="multistep", eta0=0.1, milestones=(), decay=0.1))
+        state, ctx = prepare_run(cfg, train, test)
+        train_epoch(state, ctx, 0)
+        params = state.params.flat.copy()
+        with pytest.raises(ValueError, match=r"covers 1 epoch\(s\)"):
+            train_epoch(state, ctx, 1)
+        assert state.params.flat.tobytes() == params.tobytes()  # refused before any step
+
     def test_deterministic_replay(self):
         spec = LongTailSpec(class_count=5, n_max=60, imbalance_factor=20.0, input_dim=6,
                             seed=11, test_per_class=8)
@@ -677,8 +688,8 @@ def _batch_update_ref(ref, ctx, x, y, epoch, lr):
     return loss
 
 
-def _long_tail_data(seed=21):
-    spec = LongTailSpec(class_count=5, n_max=30, imbalance_factor=10.0, input_dim=6,
+def _long_tail_data(seed=21, class_count=5):
+    spec = LongTailSpec(class_count=class_count, n_max=30, imbalance_factor=10.0, input_dim=6,
                         class_separation=1.5, seed=seed, test_per_class=4)
     return gaussian_mixture(spec)
 
@@ -722,7 +733,21 @@ class TestLockstep:
     @pytest.mark.parametrize("arm", ORACLE_ARMS, ids=_arm_id)
     def test_stack_equals_single_runs(self, arm, hidden, use_bias):
         train, test = _long_tail_data()
-        cfg = _config(hidden=hidden, use_bias=use_bias, **arm)
+        self._check_stack(_config(hidden=hidden, use_bias=use_bias, **arm), train, test)
+
+    # Twelve classes: each run's L_bar and beta mean sum a row longer than
+    # numpy's 8-element pairwise block, and the rows' batches hold different
+    # classes, so the absent slots' zeros sit at different places in each row.
+    @pytest.mark.parametrize("mode", ("both", "batch", "macro"))
+    def test_stack_equals_single_runs_past_eight_classes(self, mode):
+        train, test = _long_tail_data(class_count=12)
+        states = self._check_stack(_config("inverse", 5, mode=mode), train, test)
+        assert len({state.batch_counts.tobytes() for state in states}) == len(states)
+
+    @staticmethod
+    def _check_stack(cfg, train, test):
+        """Trains ``cfg`` as a stack of three seeds and as each seed alone,
+        asserts they agree bit for bit, and returns the stack's run states."""
         seeds = (9, 2, 5)  # in no particular order: each row keeps its seed
         stacked = run_experiment(cfg, train, test, seeds)
         assert [summary["seed"] for _, summary, _ in stacked] == list(seeds)
@@ -733,6 +758,7 @@ class TestLockstep:
             assert state.params.flat.tobytes() == alone.params.flat.tobytes()
             assert state.velocity.flat.tobytes() == alone.velocity.flat.tobytes()
             assert np.array_equal(state.batch_counts, alone.batch_counts)
+        return [state for _, _, state in stacked]
 
     def test_one_seed_is_the_config_seed(self):
         train, test = _long_tail_data()
