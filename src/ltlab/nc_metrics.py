@@ -19,11 +19,12 @@ offsets; its blocks are slices at bounds it caches. A report computes
 the class means once (``class_means``) and passes them to each metric. With M
 the C x p centred class means, Sigma_B = M^T M / C, so NC1 is
 ||H_c pinv(M)||_F^2 / n for the features H_c centred on their class
-means: one (n, p) @ (p, C) matmul and a sum of squares. NC4 finds each
-row's nearest class mean from Gram-form distances and rechecks near ties
-in the direct form, so it matches the direct argmin exactly. The centred
-features and one (n, C) work array (NC4's distances, then NC1's
-projections) can be a caller's buffers, as in the trainer's epoch end.
+means: one (n, p) @ (p, C) matmul and a sum of squares. NC4 settles
+each row that one class-major Gram pass leaves with one candidate mean
+and rechecks the rest in the direct form, so it matches the direct
+argmin exactly. The centred features and one (n, C) work array (NC4's
+scratch, then NC1's projections) can be a caller's buffers, as in the
+trainer's epoch end.
 ``make_report`` assembles the metrics under the names that the trainer's
 ``EpochRecord`` and ``ltlab nc-eval`` use.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -108,12 +109,16 @@ class FeatureBank:
         return tuple(self.features[rows] for rows in self._bounds)
 
 
+@cache
 def etf_gram_target(class_count: int) -> np.ndarray:
-    """(I - ones/C) / sqrt(C - 1), the normalized simplex-ETF Gram."""
+    """(I - ones/C) / sqrt(C - 1), the normalized simplex-ETF Gram: one
+    read-only array per class count, built on its first call."""
     c = class_count
     if c < 2:
         raise ValueError("need at least 2 classes")
-    return (np.eye(c) - np.full((c, c), 1.0 / c)) / np.sqrt(c - 1.0)
+    gram = (np.eye(c) - np.full((c, c), 1.0 / c)) / np.sqrt(c - 1.0)
+    gram.flags.writeable = False
+    return gram
 
 
 def class_means(bank: FeatureBank) -> tuple[np.ndarray, np.ndarray]:
@@ -175,32 +180,6 @@ def nc3(classifier, means: np.ndarray, global_mean: np.ndarray) -> float:
     return _normalized_gram_distance(w @ m_dot, len(means), "W M")
 
 
-def _nearest_means(x: np.ndarray, means: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise first argmin of sum((x_i - mu_k)^2) over k, with the Gram-form
-    distances in ``out`` if given; ``nc4_agreement`` proves the recheck."""
-    p, rows = x.shape[1], np.arange(len(x))
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rechecked in full
-        s = np.einsum("ij,ij->i", x, x)
-        mu_sq = np.einsum("ij,ij->i", means, means)
-        s += mu_sq.max()
-        g = np.matmul(x, -2.0 * means.T, out=out)
-        g += mu_sq
-        u = np.finfo(np.float64).eps / 2
-        tol = 8 * (p + 3) * u / (1 - (p + 3) * u) * s + 8 * p * np.finfo(np.float64).smallest_subnormal
-        nearest = np.argmin(g, axis=1)
-        best = g[rows, nearest]
-        threshold = best + tol
-        g[rows, nearest] = np.inf
-        tied = g.min(axis=1) <= threshold  # the runner-up is a candidate too
-        g[rows, nearest] = best
-    safe = s <= np.finfo(np.float64).max / 4  # False for a NaN, an infinity or a possible overflow
-    for i in np.flatnonzero(tied | ~safe):
-        # Ascending classes, so argmin keeps the lowest.
-        k = np.flatnonzero(g[i] <= threshold[i]) if safe[i] else np.arange(len(means))
-        nearest[i] = k[np.argmin(((x[i] - means[k]) ** 2).sum(axis=1))]
-    return nearest
-
-
 def nc4_agreement(predictions, bank: FeatureBank, means: np.ndarray,
                   work: np.ndarray | None = None) -> float:
     """Fraction of the bank's rows whose predicted class is the one with
@@ -209,17 +188,18 @@ def nc4_agreement(predictions, bank: FeatureBank, means: np.ndarray,
     ``predictions`` are the argmax of the logits of the bank's rows, in
     bank order (``(bank.features @ W.T + b).argmax(axis=1)``); class k is
     the bank's k-th block, and ties go to the lowest class on both sides.
-    ``work``, an optional (n, C) float64 array, is left holding the Gram-form distances
-    g_ik = ||mu_k||^2 - 2 x_i.mu_k, the squared distances less ||x_i||^2.
+    ``work``, an optional (n, C) float64 array, is scratch: it takes the
+    Gram-form distances g_ki = ||mu_k||^2 - 2 x_i.mu_k, the squared
+    distances less ||x_i||^2, class-major as a (C, n) matrix.
 
     The result equals the direct argmin of D_ik = sum_j (x_ij - mu_kj)^2
     on every input. Write S_i = ||x_i||^2 + max_k ||mu_k||^2, u = eps/2
     and gamma_n = n u / (1 - n u); folding the -2 into the means is exact.
     In any summation order, blocked BLAS and FMA included, each term of
-    g_ik passes at most p + 1 roundings and their magnitudes sum to at
+    g_ki passes at most p + 1 roundings and their magnitudes sum to at
     most 2 S_i; each term of D_ik passes at most p + 2 and D_ik <= 2 S_i.
     So both forms are within 2 gamma_{p+2} S_i of their exact values, and
-    as D_ik - g_ik = ||x_i||^2 for every k, a class that attains the
+    as D_ik - g_ki = ||x_i||^2 for every k, a class that attains the
     direct minimum is within 8 gamma_{p+2} S_i of the Gram-form minimum.
     The candidates are every class within
 
@@ -227,23 +207,40 @@ def nc4_agreement(predictions, bank: FeatureBank, means: np.ndarray,
 
     of it: the step to p + 3 covers the rounding of tol_i and of
     min + tol_i (|min| <= 2 S_i), and the last term covers products that
-    underflow. A row whose runner-up lies beyond min + tol_i has found its
-    nearest mean; any other takes the direct argmin over its candidates in
-    ascending class order. With S_i <= max_float / 4 no partial sum of g_i
-    can overflow; a row above that (or with a NaN) checks every class.
+    underflow. A row with one candidate has found its nearest mean, so it
+    agrees iff that candidate is its prediction; any other takes the direct
+    argmin over its candidates in ascending class order. With
+    S_i <= max_float / 4 no partial sum of g_i can overflow; a row above
+    that (or with a NaN, which has no candidate) checks every class.
     """
-    pred = np.asarray(predictions)
-    if pred.shape != (len(bank.features),) or pred.min() < 0 or pred.max() >= len(means):
-        raise ValueError(f"need {len(bank.features)} predictions in 0..{len(means) - 1}")
-    return int((pred == _nearest_means(bank.features, means, work)).sum()) / len(pred)
+    pred, x = np.asarray(predictions), bank.features
+    (n, p), c = x.shape, len(means)
+    if pred.shape != (n,) or pred.min() < 0 or pred.max() >= c:
+        raise ValueError(f"need {n} predictions in 0..{c - 1}")
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rechecked in full
+        s = np.einsum("ij,ij->i", x, x)
+        mu_sq = np.einsum("ij,ij->i", means, means)
+        s += mu_sq.max()
+        g = np.matmul(-2.0 * means, x.T, out=None if work is None else work.reshape(c, n))
+        g += mu_sq[:, None]
+        u = np.finfo(np.float64).eps / 2
+        tol = 8 * (p + 3) * u / (1 - (p + 3) * u) * s + 8 * p * np.finfo(np.float64).smallest_subnormal
+        candidate = g <= g.min(axis=0) + tol
+    safe = s <= np.finfo(np.float64).max / 4  # False for a NaN, an infinity or a possible overflow
+    agree = candidate[pred, np.arange(n)]
+    for i in np.flatnonzero((np.count_nonzero(candidate, axis=0) != 1) | ~safe):
+        # Ascending classes, so argmin keeps the lowest.
+        k = np.flatnonzero(candidate[:, i]) if safe[i] else np.arange(c)
+        agree[i] = k[np.argmin(((x[i] - means[k]) ** 2).sum(axis=1))] == pred[i]
+    return int(agree.sum()) / n
 
 
 def make_report(classifier, predictions, bank: FeatureBank, per_class_losses=None, *,
                 work: np.ndarray | None = None, centred: np.ndarray | None = None) -> dict[str, float]:
     """All metrics of one snapshot: nc1, nc2, nc3, nc4 and, when per-class
     losses are given, rho, in that order. ``predictions`` are as in
-    ``nc4_agreement``, and the optional buffers as in ``nc1`` (``work`` first
-    holds NC4's distances). Raises ValueError unless every value is finite."""
+    ``nc4_agreement``, and the optional buffers as in ``nc1`` (``work`` is
+    NC4's scratch first). Raises ValueError unless every value is finite."""
     means, global_mean = class_means(bank)
     nc4 = nc4_agreement(predictions, bank, means, work)  # first: NC1 may centre the rows in place
     report = {"nc1": nc1(bank, means, global_mean, centred, work), "nc2": nc2(classifier),

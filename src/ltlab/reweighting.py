@@ -94,10 +94,12 @@ def loss_imbalance_rho(class_losses) -> float:
     if (losses < 0).any():
         raise ValueError("class losses must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(losses.mean())
+        # np.std's own sums and divisions, on the one mean.
+        mean = np.add.reduce(losses) / losses.size
         if mean == 0.0:
             return 0.0
-        return float(losses.std() / mean)
+        d = losses - mean
+        return float(np.sqrt(np.add.reduce(d * d) / losses.size) / mean)
 
 
 def closed_form_weight(l_c, l_bar, alpha, w0=1.0):

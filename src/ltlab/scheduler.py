@@ -171,6 +171,8 @@ class LrSpec:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         ms = tuple(int(m) for m in self.milestones)
+        if any(m < 0 for m in ms):
+            raise ConfigError(f"milestones must be >= 0, got {', '.join(map(str, ms))}")
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError(f"milestones must be strictly increasing, got {', '.join(map(str, ms))}")
         object.__setattr__(self, "milestones", ms)

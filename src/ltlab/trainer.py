@@ -351,7 +351,7 @@ class RunContext:
     sorted_y: np.ndarray  # (n,) non-decreasing
     bank: FeatureBank  # over sorted_x for the linear model, else over ``features``
     features: np.ndarray  # (n, p) the hidden features, then NC1's centred features
-    logits: np.ndarray  # (n, C) the logits, their exp, then NC4's and NC1's work
+    logits: np.ndarray  # (n, C) the logits, their exp, NC4's scratch, then NC1's work
     test_features: np.ndarray | None  # (n_test, p), unused by the linear model
     test_logits: np.ndarray | None  # (n_test, C)
 
@@ -534,7 +534,7 @@ def _epoch_report(params: ModelParams, ctx: RunContext) -> dict[str, float]:
     order, over the stack's one bank, with no (n, p) or (n, C) array
     allocated: one argmax of the logits gives the cross entropy's row max
     and NC4's predictions, the exp overwrites the logits, whose buffer then
-    takes NC4's distances and NC1's projections, and NC1 last centres the
+    is NC4's scratch and takes NC1's projections, and NC1 last centres the
     features in place. A metric that cannot be computed raises ValueError."""
     _, z = forward(params, ctx.sorted_x, ctx.features, ctx.logits)
     pred = z.argmax(axis=1)
@@ -565,11 +565,14 @@ def train_epoch(state: TrainState, ctx: RunContext, epoch: int) -> list[EpochRec
     """One pass of every run of the stack over the sets that ``prepare_run``
     was given: each run's batches in its own seeded order, then its
     epoch-end evaluation. Returns the runs' records in seed order. A stack
-    that has run every epoch of its learning-rate schedule raises
-    ValueError."""
+    that has run every epoch of its learning-rate schedule, or that
+    ``prepare_run`` was given no test set for, raises ValueError before
+    any batch step."""
     if state.iteration >= len(ctx.lrs):
         raise ValueError(f"the learning-rate schedule covers {ctx.config.epochs} epoch(s), "
                          f"and the stack has run them all")
+    if ctx.test is None:
+        raise ValueError("the stack has no test set to evaluate each epoch on; pass one to prepare_run")
     train_losses, last_lr = _train_batches(state, ctx, epoch)
     if not np.isfinite(state.params.flat).all():
         r = int(np.argmin(np.isfinite(state.params.flat).all(axis=1)))

@@ -207,6 +207,7 @@ class TestRejected:
         ("[lr]\ndecay = 1\n", "[lr] decay must lie in (0, 1), got 1.0"),
         ("[lr]\ntail_param = 0\n", "[lr] tail_param must lie in (0, 1], got 0.0"),
         ("[lr]\nmilestones = 5,5\n", "[lr] milestones must be strictly increasing, got 5, 5"),
+        ("[lr]\nmilestones = -5,3\n", "[lr] milestones must be >= 0, got -5, 3"),
         ("[lr]\nschedule = mile\nwarmup_epochs = 40\n",
          "[train] epochs = 40 leaves no epoch after the mile schedule's warmup_epochs = 40"),
         ("[train]\nepochs = 2\n[lr]\nschedule = mile\nwarmup_epochs = 3\n",

@@ -259,6 +259,14 @@ class TestNc2:
         with pytest.raises(ValueError, match="zero matrix"):
             nc2(np.zeros((3, 5)))
 
+    def test_etf_gram_target_is_one_read_only_array(self):
+        c = 6
+        target = etf_gram_target(c)
+        assert target is etf_gram_target(c)
+        assert np.array_equal(target, (np.eye(c) - np.full((c, c), 1.0 / c)) / np.sqrt(c - 1.0))
+        with pytest.raises(ValueError, match="read-only"):
+            target[0, 0] = 0.0
+
 
 class TestNc3:
     def test_fixture_self_duality(self):
@@ -432,20 +440,52 @@ class TestNc4Agreement:
         assert bank.class_count == c
         assert peak - base < 3 * (n * p + n * c) * 8
 
+    @pytest.mark.parametrize("case", ["integer", "duplicate_mean", "huge_row", "nan_row"])
+    def test_stress_equals_loop_oracle(self, case):
+        # Seeded inputs where rows have several candidate means or none:
+        # exact ties, two classes with one mean, a row whose squares
+        # overflow, and a NaN row, each with and without ``work``.
+        rng = np.random.default_rng(sum(map(ord, case)))
+        for _ in range(40):
+            c, p = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            y = np.repeat(np.arange(c), rng.integers(1, 9, size=c))
+            x = rng.standard_normal((len(y), p)) + rng.standard_normal((c, p))[y]
+            i = rng.integers(len(y))
+            if case == "integer":
+                x = np.round(2 * x)  # small integers: exact ties between classes
+            elif case == "duplicate_mean":  # one more class, a copy of class 0
+                x, y = np.concatenate([x, x[y == 0]]), np.concatenate([y, np.full((y == 0).sum(), c)])
+            elif case == "huge_row":
+                x[i] = x[i] / np.abs(x[i]).max() * 1e308  # largest entry 1e308
+            else:
+                x[i] = np.nan
+            bank = FeatureBank.from_labels(x, y)
+            k = bank.class_count
+            for w, b in ((rng.standard_normal((k, p)), rng.standard_normal(k)), (np.zeros((k, p)), np.zeros(k))):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = _nc4_loop(w, b, bank)
+                    assert _nc4(w, b, bank) == expected
+                    assert _nc4(w, b, bank, np.full((len(y), k), np.nan)) == expected
+
     def test_distance_buffer(self):
+        # ``work`` is scratch: the result is the same with it as without,
+        # and with it the call allocates no (n, C) float array.
+        n, p, c = 4000, 16, 50
         rng = np.random.default_rng(17)
-        y = np.repeat(np.arange(5), [9, 1, 4, 7, 2])
-        bank = FeatureBank.from_labels(rng.standard_normal((len(y), 3)), y)
-        w, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
-        work = np.full((len(y), 5), np.nan)
+        bank = FeatureBank.from_labels(rng.standard_normal((n, p)), rng.integers(0, c, size=n))
+        w, b = rng.standard_normal((c, p)), rng.standard_normal(c)
+        work = np.full((n, c), np.nan)
         assert _nc4(w, b, bank, work) == _nc4(w, b, bank) == _nc4_loop(w, b, bank)
-        # The buffer ends holding the Gram-form distances ||mu_k||^2 - 2 x.mu_k,
-        # the squared distances less ||x||^2, whose row argmin is the nearest mean.
-        x = bank.features
+        predictions = (bank.features @ w.T + b).argmax(axis=1)
         means, _ = class_means(bank)
-        direct = ((x[:, None] - means) ** 2).sum(axis=2)
-        assert np.allclose(work + (x * x).sum(axis=1)[:, None], direct, rtol=0, atol=1e-12)
-        assert np.array_equal(work.argmin(axis=1), direct.argmin(axis=1))
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            nc4_agreement(predictions, bank, means, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < n * c * 8
 
 
 class TestDeterminismAndReport:

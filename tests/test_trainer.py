@@ -413,6 +413,17 @@ class TestTrainEpoch:
             train_epoch(state, ctx, 1)
         assert state.params.flat.tobytes() == params.tobytes()  # refused before any step
 
+    def test_epoch_without_a_test_set_is_refused(self):
+        train, _ = gaussian_mixture(balanced_spec())
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=1, method=MethodConfig(name="ce"),
+                          lr=LrSpec(schedule="multistep", eta0=0.1, milestones=(), decay=0.1))
+        state, ctx = prepare_run(cfg, train)
+        params = state.params.flat.copy()
+        with pytest.raises(ValueError, match="no test set"):
+            train_epoch(state, ctx, 0)
+        assert state.iteration == 0  # refused before any step
+        assert state.params.flat.tobytes() == params.tobytes()
+
     def test_deterministic_replay(self):
         spec = LongTailSpec(class_count=5, n_max=60, imbalance_factor=20.0, input_dim=6,
                             seed=11, test_per_class=8)
