@@ -531,7 +531,7 @@ def _per_class_accuracy(params: ModelParams, dataset: Dataset, h_out, z_out) -> 
 
 def _epoch_report(params: ModelParams, ctx: RunContext) -> dict[str, float]:
     """The collapse metrics and rho of one run's training set, in class
-    order, over the stack's one bank, with no (n, p) or (n, C) array
+    order, over the stack's one bank, with no (n, p) or (n, C) float array
     allocated: one argmax of the logits gives the cross entropy's row max
     and NC4's predictions, the exp overwrites the logits, whose buffer then
     is NC4's scratch and takes NC1's projections, and NC1 last centres the
