@@ -50,8 +50,6 @@ def cb_weights(counts, beta: float) -> np.ndarray:
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    if beta == 0.0:
-        return np.ones(len(counts))
     return (1.0 - beta) / (1.0 - beta ** np.asarray(counts, dtype=np.float64))
 
 

@@ -189,11 +189,11 @@ def cmd_nc_eval(args) -> int:
     if w.shape != (bank.class_count, bank.feature_dim):
         raise DataError(f"classifier shape {w.shape[0]}x{w.shape[1]} does not match "
                         f"{bank.class_count} classes x {bank.feature_dim} features")
-    b = np.zeros(bank.class_count) if args.bias is None else load_csv_matrix(args.bias, "bias").ravel()
-    if b.shape != (bank.class_count,):
-        raise DataError(f"bias length {b.size} does not match {bank.class_count} classes")
+    b = np.zeros((1, bank.class_count)) if args.bias is None else load_csv_matrix(args.bias, "bias")
+    if b.shape != (1, bank.class_count):
+        raise DataError(f"bias shape {b.shape[0]}x{b.shape[1]} is not one row of {bank.class_count} values")
     losses = None if args.losses is None else _load_class_losses(args.losses, bank.class_count)
-    _, logits = forward(ModelParams(w, b), bank.features)
+    _, logits = forward(ModelParams(w, b[0]), bank.features)
     try:
         report = make_report(w, logits.argmax(axis=1), bank, losses)
     except ValueError as exc:

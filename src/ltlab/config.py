@@ -46,12 +46,8 @@ class ExperimentConfig:
     train: TrainConfig
 
 
-_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
-             "false": False, "no": False, "0": False, "off": False}
-
-
 def _boolean(raw: str) -> bool:
-    value = _BOOLEANS.get(raw.strip().lower())
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
     if value is None:
         raise ValueError(raw)
     return value

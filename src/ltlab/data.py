@@ -240,23 +240,24 @@ def load_csv_dataset(path, label_column: str = "label", split: str = "train") ->
 
 def load_csv_matrix(path, what: str) -> np.ndarray:
     """A headerless CSV of finite numbers, ``nc-eval``'s classifier or bias,
-    as a 2-D float64 array: cells are read as in the dataset reader and
-    blank lines are skipped. An error names the bad line, counting from 1."""
+    as a 2-D float64 array: rows split by ``csv.reader`` (blank ones skipped),
+    cells read as in the dataset reader. An error names the bad line, from 1."""
+    rows = []
     try:
-        fh = open(path, encoding="utf-8", errors="replace")
+        with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+            for line_no, cells in enumerate(csv.reader(fh), start=1):
+                if cells:
+                    row = [_number(cell) for cell in cells]
+                    where = f"{what} file {path} line {line_no}"
+                    if not all(v is not None and math.isfinite(v) for v in row):
+                        raise DataError(f"{where}: a cell is not a finite number")
+                    if rows and len(row) != len(rows[0]):
+                        raise DataError(f"{where}: {len(row)} cells, not {len(rows[0])}")
+                    rows.append(row)
     except OSError as exc:
         raise DataError(f"cannot open {what} file {path}: {exc}") from exc
-    rows = []
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.rstrip("\n"):
-                row = [_number(cell) for cell in line.rstrip("\n").split(",")]
-                where = f"{what} file {path} line {line_no}"
-                if not all(v is not None and math.isfinite(v) for v in row):
-                    raise DataError(f"{where}: a cell is not a finite number")
-                if rows and len(row) != len(rows[0]):
-                    raise DataError(f"{where}: {len(row)} cells, not {len(rows[0])}")
-                rows.append(row)
+    except csv.Error as exc:  # such as a cell beyond csv's field size limit
+        raise DataError(f"{what} file {path}: {exc}") from None
     return np.array(rows, ndmin=2)
 
 

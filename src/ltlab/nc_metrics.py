@@ -235,6 +235,7 @@ def nc4_agreement(predictions, bank: FeatureBank, means: np.ndarray,
     return int(agree.sum()) / n
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite value raises ValueError
 def make_report(classifier, predictions, bank: FeatureBank, per_class_losses=None, *,
                 work: np.ndarray | None = None, centred: np.ndarray | None = None) -> dict[str, float]:
     """All metrics of one snapshot: nc1, nc2, nc3, nc4 and, when per-class

@@ -155,10 +155,10 @@ def _closed_form(l_c, l_bar, alpha, w0):
     (l_bar*l_c + alpha*w0) / (l_c^2 + alpha); otherwise it takes the exact
     corners only: w0 where l_c = 0, and l_bar / l_c where alpha is 0 or NaN.
     Its products are not guarded against over- or underflow, which takes
-    arguments near an end of the float range (l_c and alpha both below
-    2^-500, say, where alpha*w0 can read 0). The training solve does not
-    come near; ``closed_form_weight`` takes every anchored weight from
-    ``_rescued``.
+    arguments near an end of the float range: l_c and alpha both below
+    2^-500, where alpha*w0 can read 0, or a diverging run's finite l_c, whose
+    l_c^2 overflows into a NaN weight that training reports as a non-finite
+    loss. ``closed_form_weight`` takes its anchored weights from ``_rescued``.
     """
     # A NaN alpha fails this test and takes the corner form, which reads it as unanchored.
     plain_alpha = (alpha > 0).all() if isinstance(alpha, np.ndarray) else alpha > 0

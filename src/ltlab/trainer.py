@@ -125,13 +125,6 @@ class ModelParams:
         """A zero buffer of the same layout (velocity, gradient)."""
         return self._with_buffer(np.zeros_like(self.flat))
 
-    def copy(self) -> "ModelParams":
-        return self._with_buffer(self.flat.copy())
-
-    @property
-    def class_count(self) -> int:
-        return self.weights.shape[-2]
-
 
 @dataclass(frozen=True)
 class MethodConfig:
@@ -561,6 +554,7 @@ def _train_batches(state: TrainState, ctx: RunContext, epoch: int) -> tuple[list
     return [total / seen for total in totals], lr
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite value raises NumericError
 def train_epoch(state: TrainState, ctx: RunContext, epoch: int) -> list[EpochRecord]:
     """One pass of every run of the stack over the sets that ``prepare_run``
     was given: each run's batches in its own seeded order, then its

@@ -180,8 +180,9 @@ class TestTrain:
         assert "metrics.csv" in outputs[0]
         assert outputs[0] == outputs[1]
 
-    # The run diverges on purpose; numpy warns about the inf and nan it produces.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # The run diverges on purpose. At iteration 11 every per-sample loss is
+    # finite (at most 8.55e163), but l_c^2 overflows in the inverse solve and
+    # 7 class slots get NaN weights: that is the non-finite loss reported.
     def test_divergence_exits_4_naming_epoch_and_iteration(self, tmp_path, capsys):
         text = DEFAULT_CONFIG.read_text()
         cfg = tmp_path / "diverge.ini"
@@ -189,8 +190,7 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
         assert "non-finite loss at epoch 0, iteration 11" in capsys.readouterr().err
 
-    # The runs diverge on purpose; numpy warns about the inf and nan they produce.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # The runs diverge on purpose, as in the test above.
     def test_divergence_in_a_stack_names_the_seed_and_writes_no_seed_files(self, tmp_path, capsys):
         text = DEFAULT_CONFIG.read_text()
         cfg = tmp_path / "diverge.ini"
@@ -345,6 +345,19 @@ class TestNcEval:
         assert captured.out == ""
         assert captured.err.startswith("numeric failure: ")
         assert "metric values must be finite" in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning reaches stderr either
+    def test_overflowing_classifier_prints_only_the_message(self, tmp_path, capsys):
+        # A finite classifier whose Gram matrix W W^T overflows: nc2 is not finite.
+        feat, clf = write_fixture_dumps(tmp_path)
+        w = np.loadtxt(clf, delimiter=",")
+        w[0, 0] = 1e200
+        np.savetxt(clf, w, delimiter=",")
+        assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numeric failure: metric computation failed: W W^T has non-finite entries; metric undefined\n")
 
     def test_one_class_exits_3_naming_file_and_count(self, tmp_path, capsys):
         feat = tmp_path / "features.csv"
@@ -541,7 +554,8 @@ class TestMlf:
 
 class TestNcEvalMatrixFiles:
     """The classifier and bias files: a bad line is named from 1, and ``#``
-    is an ordinary character, as in the dataset reader."""
+    is an ordinary character and cells may be quoted, as in the dataset
+    reader. The bias is one row."""
 
     @pytest.mark.parametrize("text, message", [
         ("1,2,3,4,5,6\n0,x,1,1,1,1\n", "line 2: a cell is not a finite number"),
@@ -568,6 +582,38 @@ class TestNcEvalMatrixFiles:
         clf.write_bytes(("\r\n".join(rows[:2]) + "\r\n\n" + "\n".join(rows[2:])).encode())
         assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf)]) == 0
         assert capsys.readouterr().out == want
+
+    def test_quoted_cells_read_as_unquoted(self, tmp_path, capsys):
+        feat, clf = write_fixture_dumps(tmp_path)
+        bias = tmp_path / "bias.csv"
+        bias.write_text("100.0,0.0,-1.5,0.25\n")  # class 0 wins every row, so nc4 reads the bias
+        argv = ["nc-eval", "--features", str(feat), "--classifier", str(clf), "--bias", str(bias)]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        assert json.loads(want)["nc4"] == 0.25
+        for path in (clf, bias):
+            path.write_text("".join(",".join(f'"{cell}"' for cell in line.split(",")) + "\n"
+                                    for line in path.read_text().splitlines()))
+        assert clf.read_text().startswith('"')
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("text, shape", [("1,2\n3,4\n", "2x2"), ("1\n2\n3\n4\n", "4x1"), ("", "1x0")])
+    def test_bias_other_than_one_row_exits_3_naming_its_shape(self, tmp_path, capsys, text, shape):
+        feat, clf = write_fixture_dumps(tmp_path)
+        bias = tmp_path / "bias.csv"
+        bias.write_text(text)
+        assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf), "--bias", str(bias)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: bias shape {shape} is not one row of 4 values\n"
+
+    def test_cell_beyond_the_csv_field_limit_exits_3(self, tmp_path, capsys):
+        feat, _ = write_fixture_dumps(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1" * 200_000 + "\n")
+        assert main(["nc-eval", "--features", str(feat), "--classifier", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: classifier file {bad}: ")
 
     def test_non_utf8_features_exit_3_naming_the_row(self, tmp_path, capsys):
         feat, clf = write_fixture_dumps(tmp_path)

@@ -221,7 +221,7 @@ class TestBackward:
     def test_gradients_step_through_sgd_step(self, hidden):
         rng = np.random.default_rng(7)
         params = init_params(4, 6, hidden, seed=8)
-        before = params.copy()
+        before = copy.copy(params)
         x = rng.standard_normal((8, 6))
         grads = kernel_grads(params, x, rng.integers(0, 4, 8), np.ones(8))
         sgd_step(params, ModelParams(**grads), lr=0.1, momentum=0.0, weight_decay=0.0,
@@ -274,7 +274,7 @@ class TestSgdStep:
         params = init_params(3, 4, 5, seed=0)
         params.bias[:] = [0.1, -0.2, 0.3]
         params.hidden_bias[:] = np.linspace(-1.0, 1.0, 5)
-        before = params.copy()
+        before = copy.copy(params)
         vel = params.zeros_like()
         grads = params.zeros_like()
         grads.flat[:] = 1.0
@@ -320,11 +320,11 @@ class TestModelParams:
         assert params.weights[0, 0] == 1.0
         assert params.hidden_weights is None and params.hidden_bias is None
         assert params.bias_start == 6
-        for other in (params.copy(), params.zeros_like()):
+        for other in (copy.copy(params), params.zeros_like()):
             assert not np.shares_memory(other.flat, params.flat)
             assert other.bias_start == params.bias_start
             assert {k: v.shape for k, v in other.tensors().items()} == {"weights": (2, 3), "bias": (2,)}
-        assert np.array_equal(params.copy().flat, params.flat)
+        assert np.array_equal(copy.copy(params).flat, params.flat)
         assert not params.zeros_like().flat.any()
         with pytest.raises(ValueError):
             ModelParams(weights=w, bias=np.zeros(2), hidden_weights=np.ones((3, 1)))
@@ -344,7 +344,7 @@ class TestModelParams:
         runs = [init_params(3, 4, hidden_dim, seed) for seed in (1, 2)]
         stack = ModelParams.stack(runs)
         assert stack.flat.shape == (2, runs[0].flat.size) and stack.flat.flags.c_contiguous
-        assert stack.bias_start == runs[0].bias_start and stack.class_count == 3
+        assert stack.bias_start == runs[0].bias_start and stack.weights.shape[-2] == 3
         for r, run in enumerate(runs):
             row = stack[r]
             assert np.shares_memory(row.flat, stack.flat[r])
@@ -356,7 +356,7 @@ class TestModelParams:
         assert not np.shares_memory(stack.flat, runs[0].flat)  # the stack holds copies
         stack.weights[1] += 1.0  # a write through the stacked view reaches the row's
         assert np.array_equal(stack[1].weights, runs[1].weights + 1.0)
-        copies = (stack.copy(), stack.zeros_like(), copy.deepcopy(stack), pickle.loads(pickle.dumps(stack)))
+        copies = (copy.copy(stack), stack.zeros_like(), copy.deepcopy(stack), pickle.loads(pickle.dumps(stack)))
         for other in copies:
             assert other.flat.shape == stack.flat.shape and not np.shares_memory(other.flat, stack.flat)
             assert {k: v.shape for k, v in other.tensors().items()} == {
@@ -781,8 +781,6 @@ class TestLockstep:
         with pytest.raises(ValueError, match="at least one seed"):
             run_experiment(cfg, train, test, [])
 
-    # The run diverges on purpose; numpy warns about the inf and nan it produces.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_seed(self):
         train, test = _long_tail_data()
         cfg = _config("ce", 5)
@@ -907,7 +905,7 @@ class TestBatchStepFiniteDifference:
                 value += cfg.method.range_lambda * range_loss_grad(h, y, *range_args)[0]
             return value
 
-        before = run.params.copy()
+        before = copy.copy(run.params)
         [applied] = _batch_update(state, ctx, x[None], y[None], 0, 0.0)  # lr 0 leaves the parameters alone
         assert np.array_equal(run.params.flat, before.flat)
         assert applied == pytest.approx(loss(), rel=1e-12)
