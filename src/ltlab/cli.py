@@ -179,6 +179,7 @@ def _load_class_losses(path: str, class_count: int) -> list[float]:
     return [float(v) for v in losses]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite value raises NumericError
 def cmd_nc_eval(args) -> int:
     bank_data = load_csv_dataset(args.features, args.label_column, split="train")
     if bank_data.class_count < 2:
@@ -194,6 +195,8 @@ def cmd_nc_eval(args) -> int:
         raise DataError(f"bias shape {b.shape[0]}x{b.shape[1]} is not one row of {bank.class_count} values")
     losses = None if args.losses is None else _load_class_losses(args.losses, bank.class_count)
     _, logits = forward(ModelParams(w, b[0]), bank.features)
+    if not np.isfinite(logits).all():
+        raise NumericError("non-finite logits: the features times the classifier, plus the bias, overflow")
     try:
         report = make_report(w, logits.argmax(axis=1), bank, losses)
     except ValueError as exc:

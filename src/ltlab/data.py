@@ -159,6 +159,15 @@ def _number(cell: str):
         return None
 
 
+def _csv_rows(fh, what: str, path):
+    """``csv.reader``'s rows of ``fh``; a ``csv.Error``, such as a cell
+    beyond the csv module's field size limit, is a DataError naming the file."""
+    try:
+        yield from csv.reader(fh)
+    except csv.Error as exc:
+        raise DataError(f"{what} file {path}: {exc}") from None
+
+
 def _bad_row(path, header: list, label_idx: int, n_rows=None):
     """The error naming the first offending row of a file the C reader
     rejected, counting from 1 at the header with blank lines included: the
@@ -167,7 +176,7 @@ def _bad_row(path, header: list, label_idx: int, n_rows=None):
     class empty. None if no row is at fault."""
     value_problem = None
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, "dataset", path)
         next(reader)
         for row_no, row in enumerate(reader, start=2):
             where = f"{path} row {row_no}"
@@ -208,7 +217,7 @@ def load_csv_dataset(path, label_column: str = "label", split: str = "train") ->
     except OSError as exc:
         raise DataError(f"cannot open dataset file {path}: {exc}") from exc
     with fh:
-        header = next(csv.reader(fh), None)
+        header = next(_csv_rows(fh, "dataset", path), None)
         if header is None:
             raise DataError(f"{path}: empty file")
         if any("\ufffd" in cell for cell in header):
@@ -245,7 +254,7 @@ def load_csv_matrix(path, what: str) -> np.ndarray:
     rows = []
     try:
         with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-            for line_no, cells in enumerate(csv.reader(fh), start=1):
+            for line_no, cells in enumerate(_csv_rows(fh, what, path), start=1):
                 if cells:
                     row = [_number(cell) for cell in cells]
                     where = f"{what} file {path} line {line_no}"
@@ -256,8 +265,6 @@ def load_csv_matrix(path, what: str) -> np.ndarray:
                     rows.append(row)
     except OSError as exc:
         raise DataError(f"cannot open {what} file {path}: {exc}") from exc
-    except csv.Error as exc:  # such as a cell beyond csv's field size limit
-        raise DataError(f"{what} file {path}: {exc}") from None
     return np.array(rows, ndmin=2)
 
 

@@ -212,8 +212,8 @@ class TrainState:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """Per-epoch log row; field order matches the metrics CSV. The fields
-    from rho on are ``make_report``'s."""
+    """Per-epoch log row in the metrics CSV's column order: every field but
+    epoch, train_loss and lr is ``_epoch_report``'s, rho on ``make_report``'s."""
 
     epoch: int
     train_loss: float
@@ -334,19 +334,16 @@ class RunContext:
     slot_offsets: np.ndarray  # (R, 1) r * C: run r's class c is slot r * C + c of the stack
     lrs: list[float]  # the learning rate of every iteration of the run
     groups: tuple[np.ndarray, np.ndarray, np.ndarray]  # head/med/tail class ids
-    # The epoch end: the sets it evaluates, the training rows in stable
-    # label order, and its bank and buffers, which the runs use in turn.
-    # The test buffers are the first rows of the training ones, which the
-    # training set's report is done with by the time the test accuracy runs.
+    # The epoch end: the sets it evaluates, the training rows in stable label
+    # order, and its bank and buffers, which the runs use in turn: the training
+    # set takes their first n rows, and then the test set their first n_test.
     train: Dataset
     test: Dataset | None
     sorted_x: np.ndarray  # (n, d) train.x itself when the labels are already in order
     sorted_y: np.ndarray  # (n,) non-decreasing
-    bank: FeatureBank  # over sorted_x for the linear model, else over ``features``
-    features: np.ndarray  # (n, p) the hidden features, then NC1's centred features
-    logits: np.ndarray  # (n, C) the logits, their exp, NC4's scratch, then NC1's work
-    test_features: np.ndarray | None  # (n_test, p), unused by the linear model
-    test_logits: np.ndarray | None  # (n_test, C)
+    bank: FeatureBank  # over sorted_x for the linear model, else over ``features[:n]``
+    features: np.ndarray  # (max(n, n_test), p) the hidden features, then NC1's centred features
+    logits: np.ndarray  # (max(n, n_test), C) the logits, their exp, NC4's scratch, then NC1's work
 
 
 def _tercile_groups(counts: np.ndarray):
@@ -419,10 +416,8 @@ def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None
         sorted_x=sorted_train.features,
         sorted_y=np.repeat(np.arange(c), counts),
         bank=FeatureBank(features[:n], sorted_train.offsets) if config.hidden_dim else sorted_train,
-        features=features[:n],
-        logits=logits[:n],
-        test_features=None if test is None else features[:n_test],
-        test_logits=None if test is None else logits[:n_test],
+        features=features,
+        logits=logits,
     )
     return state, ctx
 
@@ -516,24 +511,27 @@ def _batch_update(state: TrainState, ctx: RunContext, x, y, epoch: int, lr: floa
     return loss
 
 
-def _per_class_accuracy(params: ModelParams, dataset: Dataset, h_out, z_out) -> np.ndarray:
-    _, z = forward(params, dataset.x, h_out, z_out)
-    hits = np.bincount(dataset.y, weights=z.argmax(axis=1) == dataset.y, minlength=dataset.class_count)
-    return hits / dataset.counts
-
-
 def _epoch_report(params: ModelParams, ctx: RunContext) -> dict[str, float]:
-    """The collapse metrics and rho of one run's training set, in class
-    order, over the stack's one bank, with no (n, p) or (n, C) float array
-    allocated: one argmax of the logits gives the cross entropy's row max
-    and NC4's predictions, the exp overwrites the logits, whose buffer then
-    is NC4's scratch and takes NC1's projections, and NC1 last centres the
-    features in place. A metric that cannot be computed raises ValueError."""
-    _, z = forward(params, ctx.sorted_x, ctx.features, ctx.logits)
+    """Every ``EpochRecord`` field of one run but epoch, train_loss and lr:
+    the training set's collapse metrics and rho, in class order over the
+    stack's one bank, then the test set's accuracies. No (n, p) or (n, C)
+    float array is allocated: one argmax of the logits gives the cross
+    entropy's row max and NC4's predictions, the exp overwrites the logits,
+    whose buffer then is NC4's scratch and takes NC1's projections, NC1 last
+    centres the features in place, and the test rows reuse both buffers'
+    first rows. A metric that cannot be computed raises ValueError."""
+    n = len(ctx.train)
+    _, z = forward(params, ctx.sorted_x, ctx.features[:n], ctx.logits[:n])
     pred = z.argmax(axis=1)
     ce = _ce_from_logits(z, ctx.sorted_y, out=z, argmax=pred)
     per_class = np.bincount(ctx.sorted_y, weights=ce) / ctx.train.counts  # every class has rows
-    return make_report(params.weights, pred, ctx.bank, per_class, work=z, centred=ctx.features)
+    report = make_report(params.weights, pred, ctx.bank, per_class, work=z, centred=ctx.features[:n])
+    test, m = ctx.test, len(ctx.test)
+    _, z = forward(params, test.x, ctx.features[:m], ctx.logits[:m])
+    acc = np.bincount(test.y, weights=z.argmax(axis=1) == test.y, minlength=test.class_count) / test.counts
+    head, med, tail = ctx.groups
+    return dict(report, bal_acc=float(acc.mean()), acc_head=float(acc[head].mean()),
+                acc_med=float(acc[med].mean()), acc_tail=float(acc[tail].mean()))
 
 
 def _train_batches(state: TrainState, ctx: RunContext, epoch: int) -> tuple[list[float], float]:
@@ -573,26 +571,14 @@ def train_epoch(state: TrainState, ctx: RunContext, epoch: int) -> list[EpochRec
         name = next(k for k, v in state.params[r].tensors().items() if not np.isfinite(v).all())
         raise NumericError(f"seed {ctx.seeds[r]}: non-finite {name} after epoch {epoch}")
 
-    head, med, tail = ctx.groups
     records = []
     for r, seed in enumerate(ctx.seeds):
-        params = state.params[r]
         try:
-            report = _epoch_report(params, ctx)
+            report = _epoch_report(state.params[r], ctx)
         except ValueError as exc:
             raise NumericError(f"seed {seed}: metric computation failed after epoch {epoch}: "
                                f"{exc}") from exc
-        per_class_acc = _per_class_accuracy(params, ctx.test, ctx.test_features, ctx.test_logits)
-        records.append(EpochRecord(
-            epoch=epoch,
-            train_loss=train_losses[r],
-            bal_acc=float(per_class_acc.mean()),
-            acc_head=float(per_class_acc[head].mean()),
-            acc_med=float(per_class_acc[med].mean()),
-            acc_tail=float(per_class_acc[tail].mean()),
-            lr=last_lr,
-            **report,
-        ))
+        records.append(EpochRecord(epoch=epoch, train_loss=train_losses[r], lr=last_lr, **report))
     return records
 
 

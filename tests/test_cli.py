@@ -359,6 +359,22 @@ class TestNcEval:
         assert captured.err == (
             "numeric failure: metric computation failed: W W^T has non-finite entries; metric undefined\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning reaches stderr either
+    def test_overflowing_logits_exit_4_naming_them(self, tmp_path, capsys):
+        # A classifier cell of 1e308 times a feature cell of 4 overflows a logit.
+        feat, clf = write_fixture_dumps(tmp_path)
+        lines = feat.read_text().split("\n")
+        lines[1] = "4.0" + lines[1][lines[1].index(","):]
+        feat.write_text("\n".join(lines))
+        w = np.loadtxt(clf, delimiter=",")
+        w[0, 0] = 1e308
+        np.savetxt(clf, w, delimiter=",")
+        assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numeric failure: non-finite logits: the features times the "
+                                "classifier, plus the bias, overflow\n")
+
     def test_one_class_exits_3_naming_file_and_count(self, tmp_path, capsys):
         feat = tmp_path / "features.csv"
         feat.write_text("f0,f1,label\n1.0,2.0,0\n3.0,4.0,0\n")

@@ -316,6 +316,14 @@ class TestCsvReaderContract:
         with pytest.raises(DataError, match=f"row {row}: not UTF-8 text"):
             load_csv_dataset(path)
 
+    @pytest.mark.parametrize("text", [
+        "f0,label\n1.0,0\n" + "1" * 200_000 + ",1\n",  # a feature cell, read by numpy as inf
+        "f" * 200_000 + ",label\n1.0,0\n2.0,1\n",  # a header cell
+    ], ids=("feature", "header"))
+    def test_cell_beyond_the_csv_field_limit_names_the_file(self, tmp_path, text):
+        path = re.escape(str(tmp_path / "d.csv"))
+        reject(tmp_path, text, f"^dataset file {path}: field larger than field limit")
+
     def test_hash_is_not_a_comment(self, tmp_path):
         reject(tmp_path, "f0,label\n1.0,0\n#2.0,1\n", "row 3: non-numeric feature cell")
         ds = load_text(tmp_path, "f0,#label\n1.0,0\n2.0,1\n", label_column="#label")

@@ -524,7 +524,6 @@ class TestDeterminismAndReport:
         assert report["nc4"] == 1.0
         assert list(make_report(fx.classifier, predictions, bank)) == ["nc1", "nc2", "nc3", "nc4"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_report_rejects_non_finite(self):
         # Finite losses whose spread overflows: rho is inf.
         fx = make_nc_fixture(3, 5, n_per_class=2, scale=1.0, radius=1.0, seed=12)

@@ -352,6 +352,16 @@ class TestInverseWeights:
         beta = _solve([-1.0, 2.0], [0, 1], [1, 4], prior=[0.0, -1.0], gamma=1.0, mode="macro")
         assert beta.tolist() == pytest.approx([1.6, 0.4])
 
+    def test_equalizes_the_weighted_class_losses(self):
+        # Per batch the solve minimizes (w_c L_c - L_bar)^2 + alpha (w_c - w0_c)^2.
+        # At L_c = 0.5 and 1.5 (L_bar = 1), alpha = 0.5 and w0 = 1 the weights
+        # are 4/3 and 8/11: the class with the higher loss gets the lower weight.
+        w = _solve([0.5, 1.5], [0, 1], [1, 1], alpha=0.5, mode="batch")
+        exact = np.array([_closed_form_exact(l_c, 1.0, 0.5, 1.0) for l_c in (0.5, 1.5)])
+        assert exact.tolist() == [4 / 3, 8 / 11]
+        assert _assert_within_2_ulp(w, exact).all()
+        assert w[1] < 1.0 < w[0]
+
     @staticmethod
     def _check(losses, labels, counts, prior, alpha, gamma, mode):
         w_hat = _one_run(losses, labels, counts, prior, ReweightConfig(alpha=alpha, gamma=gamma, mode=mode))
