@@ -224,7 +224,7 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 def cmd_weights(args) -> int:
     losses = _parse_float_list(args.losses, "--losses")
     if any(l < 0 for l in losses):
-        raise ConfigError("losses must be nonnegative")
+        raise ConfigError("--losses must be nonnegative")
     if _finite(args.alpha, "--alpha") < 0:
         raise ConfigError("--alpha must be >= 0")
     if args.w0 is not None:
@@ -232,7 +232,7 @@ def cmd_weights(args) -> int:
         if len(w0) != len(losses):
             raise ConfigError(f"--w0 has {len(w0)} entries for {len(losses)} losses")
         if any(w <= 0 for w in w0):
-            raise ConfigError("prior weights must be positive")
+            raise ConfigError("--w0 must be positive")
     else:
         w0 = [1.0] * len(losses)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -7,9 +7,10 @@ are that dataclass's field names: [train] fills ``TrainConfig``, and
 [dataset] fills ``LongTailSpec``, or ``CsvSource`` with ``kind = csv``;
 its ``classes`` key is ``LongTailSpec.class_count``. A key left out keeps
 its field's default, and so does an empty number, boolean or list; an
-empty string is taken as given. Numbers must be finite. Unknown sections
-(``[DEFAULT]`` too) or keys are rejected before anything runs, so a typo
-cannot silently fall back to a default.
+empty string is taken as given. Numbers must be finite, and integers
+within numpy's int64 range. Unknown sections (``[DEFAULT]`` too) or keys
+are rejected before anything runs, so a typo cannot silently fall back
+to a default.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _int64(raw: str) -> int:
+    value = int(raw)
+    if not -2**63 <= value < 2**63:  # numpy's int64, which every count and size becomes
+        raise ValueError(raw)
+    return value
+
+
 def _number_or_text(raw: str) -> float | str:
     try:
         float(raw)
@@ -72,11 +80,10 @@ def _number_or_text(raw: str) -> float | str:
 # each is the string written in the dataclass), with what a bad value is
 # not. Text fields take "" as given; ``str`` cannot fail.
 _CONVERTERS = {
-    "int": (int, "a valid integer"),
+    "int": (_int64, "an integer in the int64 range"),
     "float": (_finite, "a finite number"),
-    "float | None": (_finite, "a finite number"),
     "bool": (_boolean, "a valid boolean"),
-    "tuple[int, ...]": (lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
+    "tuple[int, ...]": (lambda raw: tuple(_int64(v) for v in raw.split(",") if v.strip()),
                         "a comma-separated integer list"),
     "str": (str, None),
     "float | str": (_number_or_text, "a finite number"),

@@ -133,7 +133,7 @@ class MethodConfig:
     name: str = "ce"
     cb_beta: float = 0.9999
     focal_gamma: float = 2.0
-    focal_alpha: float | None = None
+    focal_alpha: float = 1.0
     ib_eps: float = 1e-3
     ib_alpha_scale: float = 1.0
     range_k: int = 2
@@ -149,7 +149,7 @@ class MethodConfig:
             raise ConfigError(f"cb_beta must be >= 0 and < 1, got {self.cb_beta}")
         if self.focal_gamma < 0:
             raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
-        if self.focal_alpha is not None and self.focal_alpha <= 0:
+        if self.focal_alpha <= 0:
             raise ConfigError(f"focal_alpha must be positive, got {self.focal_alpha}")
         if self.ib_eps <= 0:
             raise ConfigError(f"ib_eps must be positive, got {self.ib_eps}")
@@ -363,8 +363,7 @@ def _class_weights(method: MethodConfig, name: str, counts: np.ndarray) -> np.nd
         return baselines.cb_weights(counts, method.cb_beta)
     if name == "ib":
         return baselines.ib_class_coefficients(counts, method.ib_alpha_scale)
-    alpha = (method.focal_alpha or 1.0) if name == "focal" else 1.0  # focal_alpha is None or > 0
-    return np.full(len(counts), alpha)
+    return np.full(len(counts), method.focal_alpha if name == "focal" else 1.0)
 
 
 def prepare_run(config: TrainConfig, train: Dataset, test: Dataset | None = None,
