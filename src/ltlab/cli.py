@@ -98,8 +98,6 @@ def cmd_gen(args) -> int:
         raise ConfigError("gen requires a synthetic [dataset] section")
     out = _make_out(_check_out(args.out))
     train, test = gaussian_mixture(cfg.dataset)
-    save_csv_dataset(train, out / "train.csv")
-    save_csv_dataset(test, out / "test.csv")
     manifest = {
         "C": cfg.dataset.class_count,
         "counts": train.counts.tolist(),
@@ -107,7 +105,12 @@ def cmd_gen(args) -> int:
         "seed": cfg.dataset.seed,
         "sigma": cfg.dataset.noise_sigma,
     }
-    _write_json(out / "manifest.json", manifest)
+    try:
+        save_csv_dataset(train, out / "train.csv")
+        save_csv_dataset(test, out / "test.csv")
+        _write_json(out / "manifest.json", manifest)
+    except OSError as exc:  # the files written before the failed one stay
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
     print(f"wrote {out / 'train.csv'}, {out / 'test.csv'}, {out / 'manifest.json'}")
     return 0
 
@@ -130,18 +133,6 @@ def cmd_train(args) -> int:
     results = run_experiment(train_cfg, train_set, test_set, seeds)
     _make_out(out)
     summaries = [summary for _, summary, _ in results]
-    single = len(seeds) == 1
-    for seed, (records, _, state) in zip(seeds, results):
-        metrics_name = "metrics.csv" if single else f"metrics_seed{seed}.csv"
-        params_name = "params.json" if single else f"params_seed{seed}.json"
-        _write_metrics_csv(out / metrics_name, records)
-        _write_json(out / params_name, _params_payload(state.params))
-        if single:
-            h, _ = forward(state.params, train_set.x)
-            save_csv_dataset(replace(train_set, x=h), out / "features.csv")
-            np.savetxt(out / "classifier.csv", state.params.weights, delimiter=",")
-            np.savetxt(out / "bias.csv", state.params.bias[None, :], delimiter=",")
-
     bal_acc = [s["bal_acc"] for s in summaries]
     agg = {
         "method": train_cfg.method.name,
@@ -151,7 +142,21 @@ def cmd_train(args) -> int:
     }
     agg.update((k, float(np.mean([s[k] for s in summaries])))
                for k in summaries[0] if k not in ("method", "seed", "bal_acc"))
-    _write_json(out / "summary.json", agg)
+    single = len(seeds) == 1
+    try:
+        for seed, (records, _, state) in zip(seeds, results):
+            metrics_name = "metrics.csv" if single else f"metrics_seed{seed}.csv"
+            params_name = "params.json" if single else f"params_seed{seed}.json"
+            _write_metrics_csv(out / metrics_name, records)
+            _write_json(out / params_name, _params_payload(state.params))
+            if single:
+                h, _ = forward(state.params, train_set.x)
+                save_csv_dataset(replace(train_set, x=h), out / "features.csv")
+                np.savetxt(out / "classifier.csv", state.params.weights, delimiter=",")
+                np.savetxt(out / "bias.csv", state.params.bias[None, :], delimiter=",")
+        _write_json(out / "summary.json", agg)
+    except OSError as exc:  # the files written before the failed one stay
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
     print(json.dumps(agg, indent=2))
     return 0
 

@@ -109,7 +109,13 @@ def _read_document(path: str) -> dict[str, dict[str, str]]:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except configparser.MissingSectionHeaderError as exc:  # configparser's messages span lines
+        raise ConfigError(f"malformed config file {path}: "
+                          f"line {exc.lineno} comes before any [section]") from exc
+    except configparser.ParsingError as exc:
+        raise ConfigError(f"malformed config file {path}: "
+                          f"line {exc.errors[0][0]} is not a key = value line") from exc
+    except configparser.Error as exc:  # a repeated section or key, already one line
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     doc: dict[str, dict[str, str]] = {}
     for section in parser.sections():

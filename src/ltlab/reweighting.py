@@ -83,8 +83,9 @@ def loss_imbalance_rho(class_losses) -> float:
     """Population standard deviation of per-class losses over their mean.
 
     Zero iff all class losses are equal. By convention returns 0 when the
-    mean is 0 (all losses zero is the perfectly balanced case). A mean or
-    spread that overflows gives inf or nan, without numpy's warning.
+    mean is 0 (all losses zero is the perfectly balanced case). Finite for
+    every finite, nonnegative input: rho is scale-invariant, and is taken on
+    the losses scaled exactly, by a power of two, to a largest in [0.5, 1).
     """
     losses = np.asarray(class_losses, dtype=np.float64)
     if losses.size == 0:
@@ -93,13 +94,13 @@ def loss_imbalance_rho(class_losses) -> float:
         raise ValueError("class losses must be finite")
     if (losses < 0).any():
         raise ValueError("class losses must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        # np.std's own sums and divisions, on the one mean.
-        mean = np.add.reduce(losses) / losses.size
-        if mean == 0.0:
-            return 0.0
-        d = losses - mean
-        return float(np.sqrt(np.add.reduce(d * d) / losses.size) / mean)
+    losses = np.ldexp(losses, -np.frexp(losses.max())[1])
+    # np.std's own sums and divisions, on the one mean.
+    mean = np.add.reduce(losses) / losses.size
+    if mean == 0.0:
+        return 0.0
+    d = losses - mean
+    return float(np.sqrt(np.add.reduce(d * d) / losses.size) / mean)
 
 
 def closed_form_weight(l_c, l_bar, alpha, w0=1.0):

@@ -142,8 +142,8 @@ class TestTrain:
 
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["train", "--config", str(config_path), "--out", str(out1)])
-        main(["train", "--config", str(config_path), "--out", str(out2)])
+        assert main(["train", "--config", str(config_path), "--out", str(out1)]) == 0
+        assert main(["train", "--config", str(config_path), "--out", str(out2)]) == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
@@ -229,6 +229,16 @@ class TestOutputDirectory:
         assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: cannot create --out {out}: ")
 
+    @pytest.mark.parametrize("command, name", [("gen", "train.csv"), ("train", "metrics.csv")])
+    def test_a_write_that_fails_exits_2_naming_the_file(self, config_path, tmp_path, capsys, command, name):
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)  # a directory where the file goes
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write --out {out}: ")
+        assert captured.err.endswith(f"'{out / name}'\n")
+
 
 def write_fixture_dumps(tmp_path, c=4, p=6):
     fx = make_nc_fixture(c, p, n_per_class=3, scale=1.5, radius=1.0, seed=2)
@@ -253,6 +263,16 @@ class TestNcEval:
         assert report["nc2"] <= 1e-9
         assert report["nc3"] <= 1e-9
         assert report["nc4"] == 1.0
+
+    def test_rho_at_any_scale(self, tmp_path, capsys):
+        # Finite losses whose spread overflows a plain mean and std: rho is sqrt(3).
+        feat, clf = write_fixture_dumps(tmp_path)
+        losses = tmp_path / "losses.json"
+        losses.write_text("[1e300, 1e-300, 1.0, 1.0]")
+        assert main(["nc-eval", "--features", str(feat), "--classifier", str(clf),
+                     "--losses", str(losses)]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)  # strict JSON
+        assert report["rho"] == 1.7320508075688772
 
     def test_losses_add_rho(self, tmp_path, capsys):
         feat, clf = write_fixture_dumps(tmp_path)
@@ -303,6 +323,9 @@ class TestWeights:
     @pytest.mark.parametrize("argv, expected", [
         (["--losses", "1e200,3e200", "--alpha", "0.5"], [2.0, 2.0 / 3.0]),
         (["--losses", "1e308,1e308", "--alpha", "1e308"], [1.0, 1.0]),
+        # Here they underflow (1e-340 and 1e-350), to a positive weight, exactly 1e-190 + 1e-200.
+        (["--losses", "1e-170,1e-170", "--alpha", "1e-150", "--w0", "1e-200,1e-200"],
+         [1.0000000001e-190, 1.0000000001e-190]),
     ])
     def test_overflowing_products_give_the_finite_weights(self, capsys, argv, expected):
         # l_bar*l_c and l_c^2 overflow, while the weights themselves are finite.
@@ -386,36 +409,28 @@ class TestNcEvalMatrixFiles:
 class TestCsvTrainingPath:
     def test_train_from_generated_csv(self, config_path, tmp_path, capsys):
         data_dir = tmp_path / "data"
-        main(["gen", "--config", str(config_path), "--out", str(data_dir)])
+        assert main(["gen", "--config", str(config_path), "--out", str(data_dir)]) == 0
         csv_cfg = tmp_path / "csv.ini"
-        csv_cfg.write_text(f"""
-[dataset]
-kind = csv
-train_path = {data_dir / 'train.csv'}
-test_path = {data_dir / 'test.csv'}
-
-[train]
-epochs = 1
-batch_size = 32
-seed = 1
-
-[lr]
-schedule = multistep
-eta0 = 0.1
-milestones =
-""")
+        rest = BASE_CONFIG.split("[train]", 1)[1]  # [dataset] comes first
+        csv_cfg.write_text(f"[dataset]\nkind = csv\ntrain_path = {data_dir / 'train.csv'}\n"
+                           f"test_path = {data_dir / 'test.csv'}\n\n[train]{rest}")
         out = tmp_path / "run"
-        assert main(["train", "--config", str(csv_cfg), "--out", str(out)]) == 0
+        assert main(["train", "--config", str(csv_cfg), "--out", str(out), "--method", "inverse"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert math.isfinite(summary["bal_acc_mean"])
+        # The run learns: the loss falls (1.343 -> 0.838) and bal_acc (0.625) beats chance, 1/C.
+        with open(out / "metrics.csv", newline="") as fh:
+            first, last = csv.DictReader(fh)
+        assert float(last["train_loss"]) < float(first["train_loss"])
+        assert float(last["bal_acc"]) > 1 / 4
 
 
 # Bad inputs: main must exit with the row's code, print nothing on stdout,
 # and print on stderr one message that starts with the code's prefix and then
 # the row's fragment (a fragment that ends in a newline is the whole
-# message); a gen or train row must leave no --out. In argv and fragments
-# {t} is the test's directory, where the setup writes its files one byte per
-# character, so "\xff" is a byte that is not UTF-8. No row may warn.
+# message); a gen or train row must leave no --out. In argv, fragments and
+# config texts {t} is the test's directory, where the setup writes its files
+# one byte per character, so "\xff" is a byte that is not UTF-8. No row may warn.
 PREFIXES = {2: "config error: ", 3: "data error: ", 4: "numeric failure: "}
 GEN = "gen --config {t}/c.ini --out {t}/out"
 TRAIN = "train --config {t}/c.ini --out {t}/out"
@@ -444,7 +459,7 @@ def config(*edits, text=BASE_CONFIG):
         edited = text
         for old, new in edits:
             edited = edited.replace(old, new)
-        _write(t / "c.ini", edited)
+        _write(t / "c.ini", edited.replace("{t}", str(t)))
     return setup
 
 
@@ -491,7 +506,9 @@ BAD_INPUTS = [
           "cannot read config file {t}/c.ini: 'utf-8' codec") for argv in (GEN, TRAIN)),
     bad("train-config-missing", None, TRAIN, 2, "cannot read config file {t}/c.ini: "),
     bad("train-config-malformed", config(text="epochs = 3\n"), TRAIN, 2,
-        "malformed config file {t}/c.ini: File contains no section headers."),
+        "malformed config file {t}/c.ini: line 1 comes before any [section]\n"),
+    bad("train-config-line-without-equals", config(text="[train]\nepochs = 2\nfoo\nbar\n"), TRAIN, 2,
+        "malformed config file {t}/c.ini: line 3 is not a key = value line\n"),
     bad("train-unknown-key", config(text=BASE_CONFIG + "\n[reweight]\nbanana = 1\n"), TRAIN, 2,
         "unknown keys in [reweight]: banana\n"),
     bad("train-unknown-method", config(), TRAIN + " --method bogus", 2,
@@ -505,6 +522,9 @@ BAD_INPUTS = [
     bad("train-negative-seed-flag", config(), TRAIN + " --seed 2 --seed -5", 2, "--seed must be >= 0, got -5\n"),
     # Two classes leave the tail tercile empty, so acc_tail has no classes to average.
     bad("train-two-classes", config(("classes = 4", "classes = 2")), TRAIN, 3, "the training set has 2 classes"),
+    bad("train-csv-missing", config(text="[dataset]\nkind = csv\ntrain_path = {t}/absent.csv\n"
+                                         "test_path = {t}/absent.csv\n"),
+        TRAIN, 3, "cannot open dataset file {t}/absent.csv: "),
     bad("train-csv-two-classes", csv_dataset(("classes = 4", "classes = 2")), TRAIN, 3,
         "the training set has 2 classes"),
     bad("train-csv-not-utf8", csv_dataset(train_edit=cell(1, -1, "0\xff")), TRAIN, 3,
@@ -520,9 +540,6 @@ BAD_INPUTS = [
     bad("train-stack-diverges", DIVERGE, TRAIN + " --seed 2 --seed 3", 4,
         "seed 2: non-finite loss at epoch 0, iteration 11\n"),
 
-    # Finite losses whose spread overflows: rho is inf, which JSON cannot hold.
-    bad("nc-eval-rho-overflows", dumps(losses="[1e300, 1e-300, 1.0, 1.0]"), NC + LOSSES, 4,
-        "metric computation failed: metric values must be finite\n"),
     # A finite classifier whose Gram matrix W W^T overflows: nc2 is not finite.
     bad("nc-eval-gram-overflows", dumps(classifier=cell(0, 0, "1e200")), NC, 4,
         "metric computation failed: W W^T has non-finite entries; metric undefined\n"),

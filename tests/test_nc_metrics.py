@@ -525,12 +525,14 @@ class TestDeterminismAndReport:
         assert list(make_report(fx.classifier, predictions, bank)) == ["nc1", "nc2", "nc3", "nc4"]
 
     def test_report_rejects_non_finite(self):
-        # Finite losses whose spread overflows: rho is inf.
+        # A finite classifier whose Gram matrix W W^T overflows: nc2 is not finite.
         fx = make_nc_fixture(3, 5, n_per_class=2, scale=1.0, radius=1.0, seed=12)
         bank = fixture_bank(fx)
         predictions = (bank.features @ fx.classifier.T).argmax(axis=1)
-        with pytest.raises(ValueError, match="metric values must be finite"):
-            make_report(fx.classifier, predictions, bank, [1e300, 1e-300, 1.0])
+        w = fx.classifier.copy()
+        w[0, 0] = 1e200
+        with pytest.raises(ValueError, match="W W\\^T has non-finite entries"):
+            make_report(w, predictions, bank, [1.0, 1.0, 1.0])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_scatter_or_gram_is_rejected(self):

@@ -136,8 +136,10 @@ class TestLossImbalanceRho:
     @settings(max_examples=50, deadline=None)
     @given(
         losses=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=30),
-        k=st.floats(1e-6, 1e6),
+        k=st.floats(1e-300, 1e300),
     )
+    @example(losses=[1.0, 3.0], k=1e-300)  # the squares underflow
+    @example(losses=[1.0, 3.0], k=1e300)  # the squares overflow
     def test_scale_invariance(self, losses, k):
         base = loss_imbalance_rho(losses)
         scaled = loss_imbalance_rho([k * l for l in losses])

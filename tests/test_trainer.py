@@ -608,7 +608,7 @@ def _class_weights_ref(ctx):
         "inv_sqrt": baselines.inv_sqrt_weights(counts),
         "cb": baselines.cb_weights(counts, method.cb_beta),
         "ib": baselines.ib_class_coefficients(counts, method.ib_alpha_scale),
-        "focal": np.full(len(counts), 1.0 if method.focal_alpha is None else method.focal_alpha),
+        "focal": np.full(len(counts), method.focal_alpha),
     }.get(ctx.base_method, np.ones(len(counts)))
 
 
