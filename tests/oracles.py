@@ -6,11 +6,16 @@ losses from the batch's softmax). Here they are written the plain way, one
 sample or one class at a time, so that an identity they satisfy can be
 checked on its own.
 
+``central_difference`` is the finite-difference reference for every
+gradient, and ``closed_form_where`` the closed-form weight with every
+corner taken by ``np.where``.
+
 ``make_nc_fixture`` constructs a feature/classifier snapshot that sits
 exactly at the collapsed end-state: all features at their class means,
 class means on a simplex ETF around the global mean, and classifier rows
 aligned with the centered means. At that configuration every class has
-the same average cross-entropy loss, which the fixture tests exploit.
+the same average cross-entropy loss, which the fixture tests exploit;
+``fixture_bank`` gives its features as a ``FeatureBank``.
 
 ``covariances`` gives NC1's p x p scatter matrices one class block at a
 time, and ``nc1_exact`` gives NC1 itself in exact rational arithmetic, the
@@ -46,6 +51,33 @@ def weighted_ce_dlogits(z, y, w):
     dz[np.arange(m), y] -= 1.0
     dz *= (w / m)[:, None]
     return dz
+
+
+def central_difference(arr, loss, h):
+    """(loss() at a + h - loss() at a - h) / 2h for every entry a of
+    ``arr``, which is perturbed in place and restored bit for bit."""
+    fd = np.zeros_like(arr)
+    for i in np.ndindex(arr.shape):
+        orig = arr[i]
+        arr[i] = orig + h
+        up = loss()
+        arr[i] = orig - h
+        down = loss()
+        arr[i] = orig
+        fd[i] = (up - down) / (2 * h)
+    return fd
+
+
+def closed_form_where(l_c, l_bar, alpha, w0):
+    """The closed-form weight (l_bar l_c + alpha w0) / (l_c^2 + alpha) as
+    one np.where composition, every corner on every call: l_bar / l_c at
+    alpha = 0, and w0 at l_c = 0."""
+    l_c, l_bar, alpha, w0 = (np.asarray(v, dtype=np.float64) for v in (l_c, l_bar, alpha, w0))
+    anchored, zero = alpha > 0, l_c == 0
+    with np.errstate(over="ignore"):
+        num = np.where(anchored, l_bar * l_c + alpha * w0, l_bar)
+        den = np.where(anchored, l_c * l_c + alpha, l_c)
+        return np.where(zero, w0, num / np.where(zero, 1.0, den))
 
 
 def _check_probs(probs) -> np.ndarray:
@@ -168,6 +200,12 @@ def make_nc_fixture(
         radius=radius,
         global_mean=mu_g,
     )
+
+
+def fixture_bank(fixture: NcFixture) -> FeatureBank:
+    """The fixture's features as a bank: class c's rows are block c."""
+    sizes = [len(block) for block in fixture.features]
+    return FeatureBank.from_labels(np.concatenate(fixture.features), np.repeat(np.arange(len(sizes)), sizes))
 
 
 def fixture_class_losses(fixture: NcFixture) -> np.ndarray:

@@ -17,7 +17,7 @@ from ltlab.baselines import cb_weights, inv_freq_weights
 from ltlab.cli import main
 from ltlab.config import load_experiment_config
 from ltlab.data import gaussian_mixture
-from ltlab.nc_metrics import FeatureBank, class_means, nc1, nc2, nc3
+from ltlab.nc_metrics import class_means, nc1, nc2, nc3
 from ltlab.reweighting import closed_form_weight, loss_imbalance_rho
 from ltlab.scheduler import LrSpec, learning_rates, mittag_leffler, ml_tail
 from ltlab.trainer import (
@@ -29,7 +29,8 @@ from ltlab.trainer import (
     run_experiment,
 )
 
-from oracles import fixture_class_losses, focal_loss, ib_loss, make_nc_fixture, weighted_ce_dlogits
+from oracles import (central_difference, fixture_bank, fixture_class_losses, focal_loss, ib_loss, make_nc_fixture,
+                     weighted_ce_dlogits)
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 SEEDS = (1, 2, 3)
@@ -102,9 +103,7 @@ def test_criterion_2_collapsed_fixture_properties():
         losses = fixture_class_losses(fx)
         worst["spread"] = max(worst["spread"], float(losses.max() - losses.min()))
         worst["rho"] = max(worst["rho"], loss_imbalance_rho(losses))
-        x = np.concatenate(fx.features)
-        y = np.repeat(np.arange(c), [b.shape[0] for b in fx.features])
-        bank = FeatureBank.from_labels(x, y)
+        bank = fixture_bank(fx)
         means, global_mean = class_means(bank)
         worst["nc1"] = max(worst["nc1"], nc1(bank, means, global_mean))
         worst["nc2"] = max(worst["nc2"], nc2(fx.classifier))
@@ -230,21 +229,8 @@ def test_criterion_7_gradient_check():
             _, z = forward(params, x)
             return float(np.mean(w * _ce_from_logits(z, y)))
 
-        h = 1e-5
         for name, g in grads.items():
-            arr = getattr(params, name)
-            fd = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                i = it.multi_index
-                orig = arr[i]
-                arr[i] = orig + h
-                up = loss()
-                arr[i] = orig - h
-                down = loss()
-                arr[i] = orig
-                fd[i] = (up - down) / (2 * h)
-                it.iternext()
+            fd = central_difference(getattr(params, name), loss, h=1e-5)
             worst = max(worst, float(np.abs(g - fd).max() / max(1.0, np.abs(fd).max())))
     elapsed = time.time() - start
     ok = worst <= 1e-5 and elapsed < 10.0

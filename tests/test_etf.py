@@ -4,16 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltlab.etf import make_etf
-from ltlab.nc_metrics import FeatureBank, class_means, nc1, nc2, nc3, nc4_agreement
+from ltlab.nc_metrics import class_means, nc1, nc2, nc3, nc4_agreement
 from ltlab.reweighting import loss_imbalance_rho
 
-from oracles import etf_gram, fixture_class_losses, make_nc_fixture
-
-
-def bank_from_fixture(fx):
-    x = np.concatenate(fx.features)
-    y = np.repeat(np.arange(len(fx.features)), [b.shape[0] for b in fx.features])
-    return FeatureBank.from_labels(x, y)
+from oracles import etf_gram, fixture_bank, fixture_class_losses, make_nc_fixture
 
 
 class TestMakeEtf:
@@ -103,7 +97,7 @@ class TestNcFixture:
         rng = np.random.default_rng(8)
         fx = make_nc_fixture(4, 12, n_per_class=3, scale=1.5, radius=1.2,
                              global_mean=rng.standard_normal(12), seed=21)
-        bank = bank_from_fixture(fx)
+        bank = fixture_bank(fx)
         means, global_mean = class_means(bank)
         assert nc1(bank, means, global_mean) <= 1e-9
         assert nc2(fx.classifier) <= 1e-9

@@ -20,7 +20,7 @@ from ltlab.nc_metrics import (
 )
 
 from ltlab.linalg import pinv
-from oracles import covariances, make_nc_fixture, nc1_exact
+from oracles import covariances, fixture_bank, make_nc_fixture, nc1_exact
 
 TOY = FeatureBank(features=np.array([[0.0], [2.0], [4.0], [6.0]]), offsets=(0, 2, 4))
 
@@ -63,12 +63,6 @@ def _mask_bank(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     return tuple(x[y == c] for c in np.unique(y))
-
-
-def fixture_bank(fx):
-    x = np.concatenate(fx.features)
-    y = np.repeat(np.arange(len(fx.features)), [b.shape[0] for b in fx.features])
-    return FeatureBank.from_labels(x, y)
 
 
 class TestFeatureBank:
@@ -178,10 +172,6 @@ def _separated_bank(seed, sizes, p, dead=(), offset=0.0):
 
 
 class TestNc1:
-    def test_fixture_zero(self):
-        fx = make_nc_fixture(4, 7, n_per_class=3, scale=2.0, radius=1.5, seed=1)
-        assert _nc1(fixture_bank(fx)) <= 1e-9
-
     def test_1d_toy_value(self):
         assert _nc1(TOY) == pytest.approx(0.125)
         assert nc1_exact(TOY) == Fraction(1, 8)
@@ -269,10 +259,6 @@ class TestNc2:
 
 
 class TestNc3:
-    def test_fixture_self_duality(self):
-        fx = make_nc_fixture(5, 11, n_per_class=2, scale=1.3, radius=0.9, seed=5)
-        assert _nc3(fx.classifier, fixture_bank(fx)) <= 1e-9
-
     def test_random_inputs_bounded(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
@@ -297,10 +283,6 @@ class TestNc3:
 
 
 class TestNc4Agreement:
-    def test_fixture_full_agreement(self):
-        fx = make_nc_fixture(4, 6, n_per_class=3, scale=1.0, radius=1.0, seed=8)
-        assert _nc4(fx.classifier, np.zeros(4), fixture_bank(fx)) == 1.0
-
     def test_zero_classifier_brute_force(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((25, 3))

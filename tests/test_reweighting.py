@@ -27,6 +27,8 @@ from ltlab.trainer import (
     prepare_run,
 )
 
+from oracles import closed_form_where
+
 
 def _closed_form_scalar(l_c, l_bar, alpha, w0):
     """Scalar closed form with Python branches: the reference for the vector form."""
@@ -35,17 +37,6 @@ def _closed_form_scalar(l_c, l_bar, alpha, w0):
     if alpha == 0.0:
         return l_bar / l_c
     return (l_bar * l_c + alpha * w0) / (l_c * l_c + alpha)
-
-
-def _closed_form_where(l_c, l_bar, alpha, w0):
-    """The closed form as one np.where composition, every corner on every
-    call: the reference for the kernel's one-expression common case."""
-    l_c, l_bar, alpha, w0 = (np.asarray(v, dtype=np.float64) for v in (l_c, l_bar, alpha, w0))
-    anchored, zero = alpha > 0, l_c == 0
-    with np.errstate(over="ignore"):
-        num = np.where(anchored, l_bar * l_c + alpha * w0, l_bar)
-        den = np.where(anchored, l_c * l_c + alpha, l_c)
-        return np.where(zero, w0, num / np.where(zero, 1.0, den))
 
 
 def _closed_form_exact(l_c, l_bar, alpha, w0):
@@ -228,7 +219,7 @@ class TestClosedFormWeight:
         if scalar_alpha:
             alpha = float(alpha[0])
         with np.errstate(invalid="ignore"):  # inf / inf reads NaN in both forms
-            expected = _closed_form_where(l_c, l_bar, alpha, w0)
+            expected = closed_form_where(l_c, l_bar, alpha, w0)
             assert np.array_equal(_closed_form(l_c, l_bar, alpha, w0), expected, equal_nan=True)
         got = closed_form_weight(l_c, l_bar, alpha, w0)
         exact = np.array([_closed_form_exact(*row) for row in zip(*np.broadcast_arrays(l_c, l_bar, alpha, w0))])
@@ -376,8 +367,8 @@ class TestInverseWeights:
                 assert w_hat[c] == 1.0
 
 
-class TestBatchClassStats:
-    # Class means enter through w_star: with alpha = 0, w_c * L_c = L_bar.
+class TestClassMeanLosses:
+    # The class means L_c and their mean L_bar enter through w_star: with alpha = 0, w_c * L_c = L_bar.
     def test_single_class(self):
         w = _solve([1.0, 3.0], [0, 0], [1], mode="batch")
         assert w.tolist() == [1.0]
@@ -393,7 +384,8 @@ class TestBatchClassStats:
         assert w.tolist() == [1.0] * 5
 
 
-class TestMacroState:
+class TestMacroCounters:
+    # The counters B_c (one per batch that holds the class) and beta = B_c^-gamma over its mean.
     def test_counter_updates(self):
         data, state, ctx = _inverse_run([0, 0, 1], 2)
         _step(state, ctx, data.x[:2], data.y[:2])
@@ -434,7 +426,8 @@ class TestMacroState:
         assert np.mean(beta[labels]) == pytest.approx(1.0, abs=1e-10)
 
 
-class TestEffectiveWeights:
+class TestComposedWeights:
+    # w_hat = beta * w_star, and the `weights` command that prints all three.
     def test_all_ones_when_balanced(self):
         w = _solve([1.0, 1.0], [0, 1], [3, 3], alpha=0.7, gamma=1.3)
         assert w[0] == pytest.approx(1.0)

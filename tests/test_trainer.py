@@ -35,16 +35,11 @@ from ltlab.trainer import (
     train_epoch,
 )
 
-from oracles import focal_loss, nc1_exact, softmax, weighted_ce_dlogits
+from oracles import central_difference, closed_form_where, focal_loss, nc1_exact, softmax, weighted_ce_dlogits
 
 
 def small_linear_params(seed=0, c=3, d=4):
     return init_params(c, d, 0, seed)
-
-
-def weighted_ce(params, x, y, w):
-    _, z = forward(params, x)
-    return float(np.mean(np.asarray(w) * _ce_from_logits(z, np.asarray(y))))
 
 
 def kernel_grads(params, x, y, w):
@@ -53,24 +48,6 @@ def kernel_grads(params, x, y, w):
     grads = params.zeros_like()
     backward(params, x, h, weighted_ce_dlogits(z, y, w), grads)
     return grads.tensors()
-
-
-def finite_difference(params, name, loss, h=1e-5):
-    """Central differences of loss() w.r.t. every entry of params.<name>."""
-    arr = getattr(params, name)
-    fd = np.zeros_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    while not it.finished:
-        i = it.multi_index
-        orig = arr[i]
-        arr[i] = orig + h
-        up = loss()
-        arr[i] = orig - h
-        down = loss()
-        arr[i] = orig
-        fd[i] = (up - down) / (2 * h)
-        it.iternext()
-    return fd
 
 
 class TestForward:
@@ -156,50 +133,6 @@ class TestBackward:
         g2 = kernel_grads(params, x, y, 2 * w)
         for k in g1:
             assert np.allclose(g2[k], 2 * g1[k], rtol=1e-15)
-
-    @pytest.mark.parametrize("hidden", [0, 5])
-    def test_finite_difference_agreement(self, hidden):
-        rng = np.random.default_rng(3)
-        params = init_params(4, 6, hidden, seed=4)
-        x = rng.standard_normal((8, 6))
-        y = rng.integers(0, 4, 8)
-        w = rng.uniform(0.2, 2.0, 8)
-        grads = kernel_grads(params, x, y, w)
-        for name, g in grads.items():
-            fd = finite_difference(params, name, lambda: weighted_ce(params, x, y, w))
-            rel = np.abs(g - fd).max() / max(1.0, np.abs(fd).max())
-            assert rel < 1e-5, f"{name}: {rel}"
-
-    def test_range_path_finite_difference(self):
-        # Training adds the range regularizer on the hidden features and
-        # reaches the hidden layer only through dh_extra, composed as here.
-        method = MethodConfig(name="range")
-        range_args = (method.range_k, method.range_margin, method.range_alpha, method.range_beta)
-        rng = np.random.default_rng(11)
-        params = init_params(3, 5, 6, seed=12)
-        x = rng.standard_normal((12, 5))
-        y = np.repeat(np.arange(3), 4)
-        m = len(y)
-
-        def loss():
-            h, z = forward(params, x)
-            return (float(np.mean(_ce_from_logits(z, y)))
-                    + method.range_lambda * range_loss_grad(h, y, *range_args)[0])
-
-        h, z = forward(params, x)
-        dz = weighted_ce_dlogits(z, y, np.ones(m))
-        _, range_grad = range_loss_grad(h, y, *range_args)
-        grads, ce_only = params.zeros_like(), params.zeros_like()
-        backward(params, x, h.copy(), dz, grads, dh_extra=method.range_lambda * range_grad)
-        backward(params, x, h, dz, ce_only)  # overwrites h
-        grads, ce_only = grads.tensors(), ce_only.tensors()
-        for name, g in grads.items():
-            fd = finite_difference(params, name, loss, h=1e-6)
-            scale = max(1.0, np.abs(fd).max())
-            assert np.abs(g - fd).max() / scale < 1e-6, name
-            if name.startswith("hidden"):
-                # The range term moves these far beyond the tolerance.
-                assert np.abs(ce_only[name] - fd).max() / scale > 1e-3, name
 
     def test_gradient_is_weighted_sum_of_per_sample_gradients(self):
         params = small_linear_params(seed=5)
@@ -647,12 +580,7 @@ def _inverse_weights_ref(losses, labels, batch_counts, prior, config, mode):
     w_hat = np.ones(len(batch_counts))
     if mode != "macro":
         l_c = np.bincount(labels, weights=losses, minlength=len(n))[present] / n[present]
-        l_bar, alpha, w0 = l_c.mean(), config.alpha, prior[present]
-        zero = l_c == 0
-        with np.errstate(over="ignore"):
-            num = np.where(alpha > 0, l_bar * l_c + alpha * w0, l_bar)
-            den = np.where(alpha > 0, l_c * l_c + alpha, l_c)
-            w_hat[present] = np.where(zero, w0, num / np.where(zero, 1.0, den))
+        w_hat[present] = closed_form_where(l_c, l_c.mean(), config.alpha, prior[present])
     if mode != "batch":
         beta = batch_counts[present].astype(np.float64) ** -config.gamma
         w_hat[present] *= beta / beta.mean()
@@ -730,6 +658,13 @@ ORACLE_ARMS = [dict(method=m) for m in VALID_METHODS if m != "inverse"] + [
 
 def _arm_id(arm):
     return "-".join(f"{v}" for v in arm.values())
+
+
+def _fd_id(arm):
+    """The arm's method and base (ce when not set), then its other settings
+    but the default mode: ``inverse-ce``, ``inverse-cb-True``."""
+    rest = [f"{v}" for k, v in arm.items() if k not in ("method", "base") and v != "both"]
+    return "-".join([arm["method"], arm.get("base", "ce"), *rest])
 
 
 class TestLockstep:
@@ -883,11 +818,10 @@ class TestBatchStepFiniteDifference:
     """
 
     @pytest.mark.parametrize("hidden", (0, 6))
-    @pytest.mark.parametrize("method, base", [(m, "ce") for m in VALID_METHODS] + [("inverse", "ib"),
-                                                                                   ("inverse", "focal")])
-    def test_applied_gradient(self, method, base, hidden):
+    @pytest.mark.parametrize("arm", ORACLE_ARMS, ids=_fd_id)
+    def test_applied_gradient(self, arm, hidden):
         train, _ = _long_tail_data(seed=31)
-        cfg = _config(method, hidden, base=base, switch_epoch=0)
+        cfg = _config(hidden=hidden, switch_epoch=0, **arm)
         state, ctx = prepare_run(cfg, train)
         run = state.run(0)  # views of the one-run stack's row
         idx = np.arange(0, len(train), 3)  # every class present
@@ -897,22 +831,28 @@ class TestBatchStepFiniteDifference:
         range_args = (cfg.method.range_k, cfg.method.range_margin, cfg.method.range_alpha,
                       cfg.method.range_beta)
 
+        def range_term():
+            h, _ = forward(run.params, x)
+            return cfg.method.range_lambda * range_loss_grad(h, y, *range_args)[0]
+
         def loss():
             value = float(np.mean(coef * _differentiable_loss(run.params, ctx, x, y)))
-            if ctx.base_method == "range":
-                h, _ = forward(run.params, x)
-                value += cfg.method.range_lambda * range_loss_grad(h, y, *range_args)[0]
-            return value
+            return value + range_term() if ctx.base_method == "range" else value
 
         before = copy.copy(run.params)
         [applied] = _batch_update(state, ctx, x[None], y[None], 0, 0.0)  # lr 0 leaves the parameters alone
         assert np.array_equal(run.params.flat, before.flat)
         assert applied == pytest.approx(loss(), rel=1e-12)
         for name, g in run.grads.tensors().items():
-            fd = finite_difference(run.params, name, loss, h=1e-6)
+            fd = central_difference(getattr(run.params, name), loss, h=1e-6)
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(g - fd).max() / scale < 1e-6, name
             assert np.abs(fd).max() > 1e-4, name  # the check is not vacuous
+            if ctx.base_method == "range" and name.startswith("hidden"):
+                # The range term reaches the hidden layer only through
+                # dh_extra, and moves its gradient far beyond the tolerance.
+                share = central_difference(getattr(run.params, name), range_term, h=1e-6)
+                assert np.abs(share).max() / scale > 1e-3, name
 
 
 class TestEpochEndFiniteness:
