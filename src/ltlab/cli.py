@@ -96,8 +96,9 @@ def cmd_gen(args) -> int:
     cfg = load_experiment_config(args.config)
     if isinstance(cfg.dataset, CsvSource):
         raise ConfigError("gen requires a synthetic [dataset] section")
-    out = _make_out(_check_out(args.out))
+    out = _check_out(args.out)
     train, test = gaussian_mixture(cfg.dataset)
+    _make_out(out)
     manifest = {
         "C": cfg.dataset.class_count,
         "counts": train.counts.tolist(),

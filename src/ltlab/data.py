@@ -120,7 +120,8 @@ def _class_centers(spec: LongTailSpec) -> np.ndarray:
 
 
 def gaussian_mixture(spec: LongTailSpec):
-    """Build (train, test) datasets; fully deterministic given spec.seed."""
+    """Build (train, test) datasets; fully deterministic given spec.seed.
+    A drawn feature beyond the float range is a ConfigError."""
     centers = _class_centers(spec)
     counts = exp_profile_counts(spec)
     rng = np.random.default_rng(spec.seed)
@@ -133,9 +134,13 @@ def gaussian_mixture(spec: LongTailSpec):
             ys.append(np.full(n, c, dtype=np.int64))
         return np.concatenate(xs), np.concatenate(ys)
 
-    train = Dataset(*draw(counts), split="train")
-    test = Dataset(*draw([spec.test_per_class] * spec.class_count), split="test")
-    return train, test
+    with np.errstate(over="ignore"):
+        train, test = draw(counts), draw([spec.test_per_class] * spec.class_count)
+    # min and max find an inf or a NaN without an (n, d) temporary.
+    if not all(np.isfinite([x.min(), x.max()]).all() for x, _ in (train, test)):
+        raise ConfigError(f"[dataset] class_separation = {spec.class_separation!r} and noise_sigma = "
+                          f"{spec.noise_sigma!r} draw features beyond the float range")
+    return Dataset(*train, split="train"), Dataset(*test, split="test")
 
 
 def save_csv_dataset(dataset: Dataset, path, label_column: str = "label") -> None:

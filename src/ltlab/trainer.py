@@ -442,21 +442,20 @@ def _base_losses(ctx: RunContext, h, z, y):
     probs /= s
     flat = probs.reshape(-1)
     weights = ctx.class_weights[y]
+    ell = _ce(z_target, zmax, s)  # -log p_t, finite where p_t underflows
     if ctx.base_method == "focal":
-        p_t = np.clip(flat[target], 1e-300, 1.0)
+        p_t = flat[target]
         one_m = 1.0 - p_t
         decay = one_m ** method.focal_gamma
-        ell = decay * (-np.log(p_t))
         # d(loss)/dz_k = gcoef * (delta_tk - p_k); gcoef = -1 recovers plain CE.
         gcoef = -decay
         if method.focal_gamma > 0:
             pos = one_m > 0
-            gcoef[pos] += (method.focal_gamma * p_t[pos] * np.log(p_t[pos])
+            gcoef[pos] -= (method.focal_gamma * p_t[pos] * ell[pos]
                            * one_m[pos] ** (method.focal_gamma - 1.0))
         probs *= -gcoef[..., None]
         flat[target] += gcoef
-        return ell, weights, probs
-    ell = _ce(z_target, zmax, s)
+        return decay * ell, weights, probs
     if ctx.base_method == "ib":
         # Influence factor |p - onehot|_1 |h|_1 = 2(1 - p_t) |h|_1, used as
         # a per-sample attenuation treated as constant by the gradient.

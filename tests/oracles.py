@@ -1,10 +1,11 @@
-"""Reference forms that the tests check ``ltlab`` against.
+"""Reference forms that the tests check ``ltlab`` against, and the
+fixtures they check it on.
 
-Training computes the losses in array form, once per batch or epoch
-(``trainer._base_losses`` builds the focal and influence-balanced sample
-losses from the batch's softmax). Here they are written the plain way, one
-sample or one class at a time, so that an identity they satisfy can be
-checked on its own.
+``softmax`` and ``weighted_ce_dlogits`` give the softmax and the weighted
+cross entropy's dlogits rows the plain way. No base loss is copied here:
+``trainer_losses`` runs the trainer's own kernel, ``trainer._base_losses``,
+on one batch, so that the focal, influence-balanced and cross-entropy
+properties are checked on the losses that train.
 
 ``central_difference`` is the finite-difference reference for every
 gradient, and ``closed_form_where`` the closed-form weight with every
@@ -14,7 +15,8 @@ corner taken by ``np.where``.
 exactly at the collapsed end-state: all features at their class means,
 class means on a simplex ETF around the global mean, and classifier rows
 aligned with the centered means. At that configuration every class has
-the same average cross-entropy loss, which the fixture tests exploit;
+the same average cross-entropy loss, which ``fixture_class_losses``
+computes with the trainer's cross entropy as the epoch-end report does;
 ``fixture_bank`` gives its features as a ``FeatureBank``.
 
 ``covariances`` gives NC1's p x p scatter matrices one class block at a
@@ -29,12 +31,14 @@ series and the asymptotic tail in ``scheduler``.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from ltlab.etf import make_etf
 from ltlab.linalg import pinv
 from ltlab.nc_metrics import FeatureBank
+from ltlab.trainer import MethodConfig, _base_losses, _ce_from_logits, _class_weights
 
 
 def softmax(z):
@@ -80,56 +84,21 @@ def closed_form_where(l_c, l_bar, alpha, w0):
         return np.where(zero, w0, num / np.where(zero, 1.0, den))
 
 
-def _check_probs(probs) -> np.ndarray:
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("probability vector must be 1-D")
-    if (p < 0).any() or (p > 1).any():
-        raise ValueError("probabilities must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
-    return p
-
-
-def focal_loss(probs, target: int, gamma: float, alpha_t: float | None = None,
-               eps_floor: bool = False) -> float:
-    """-alpha_t * (1 - p_t)^gamma * log(p_t).
-
-    gamma = 0 with no alpha_t reduces to cross entropy. A zero target
-    probability raises unless ``eps_floor`` is set, which clips p_t at
-    1e-12 instead.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if alpha_t is not None and not 0.0 <= alpha_t <= 1.0:
-        raise ValueError("alpha_t must lie in [0, 1]")
-    p = _check_probs(probs)
-    p_t = float(p[target])
-    if p_t == 0.0:
-        if not eps_floor:
-            raise ValueError("target probability is zero (infinite loss); enable eps_floor to clip")
-        p_t = 1e-12
-    factor = 1.0 if alpha_t is None else alpha_t
-    return float(-factor * (1.0 - p_t) ** gamma * np.log(p_t))
-
-
-def ib_loss(probs, target: int, feature, eps: float) -> float:
-    """Cross entropy attenuated by the sample's influence factor.
-
-    The influence factor is the l1 gap between the prediction and the
-    one-hot target times the l1 norm of the feature; eps keeps the
-    denominator positive.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    p = _check_probs(probs)
-    p_t = float(p[target])
-    if p_t == 0.0:
-        raise ValueError("target probability is zero (infinite loss)")
-    one_hot = np.zeros_like(p)
-    one_hot[target] = 1.0
-    influence = float(np.abs(p - one_hot).sum()) * float(np.abs(np.asarray(feature, dtype=np.float64)).sum())
-    return float(-np.log(p_t) / (influence + eps))
+def trainer_losses(name, logits, targets, features=None, **hyper) -> np.ndarray:
+    """Each row's loss for base ``name`` as ``trainer._base_losses``
+    weights it, on a one-run batch: the (B, C) ``logits``, the (B,)
+    ``targets`` and the (B, p) ``features`` (default one 1.0 per row), which
+    only IB reads. The class weights come from ``_class_weights`` for one
+    sample per class, as ``prepare_run`` builds them, and ``hyper`` sets the
+    ``MethodConfig`` hyper-parameters."""
+    z = np.array(logits, dtype=np.float64, ndmin=2)  # a copy: _base_losses overwrites it
+    y = np.asarray(targets).reshape(-1)
+    h = np.ones((len(y), 1)) if features is None else np.array(features, dtype=np.float64, ndmin=2)
+    method = MethodConfig(name=name, **hyper)
+    ctx = SimpleNamespace(config=SimpleNamespace(method=method), base_method=name,
+                          class_weights=_class_weights(method, name, np.ones(z.shape[1], dtype=np.int64)))
+    ell, weights, _ = _base_losses(ctx, h[None], z[None], y[None])
+    return (weights * ell)[0]
 
 
 @dataclass(frozen=True)
@@ -209,19 +178,13 @@ def fixture_bank(fixture: NcFixture) -> FeatureBank:
 
 
 def fixture_class_losses(fixture: NcFixture) -> np.ndarray:
-    """Average cross-entropy loss per class at the fixture configuration.
-
-    Logits are classifier @ feature with zero bias; the loss is the
-    standard softmax cross entropy computed via log-sum-exp.
-    """
-    w = fixture.classifier
-    losses = np.empty(len(fixture.features))
-    for c, block in enumerate(fixture.features):
-        z = block @ w.T  # (n, C)
-        zmax = z.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-        losses[c] = float(np.mean(lse - z[:, c]))
-    return losses
+    """Average cross-entropy loss per class at the fixture configuration, as
+    ``trainer._epoch_report`` computes it: the trainer's per-sample cross
+    entropy of the zero-bias logits, summed per class by ``np.bincount``."""
+    bank = fixture_bank(fixture)
+    counts = np.diff(bank.offsets)
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return np.bincount(labels, weights=_ce_from_logits(bank.features @ fixture.classifier.T, labels)) / counts
 
 
 def covariances(bank: FeatureBank):

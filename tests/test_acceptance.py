@@ -29,8 +29,7 @@ from ltlab.trainer import (
     run_experiment,
 )
 
-from oracles import (central_difference, fixture_bank, fixture_class_losses, focal_loss, ib_loss, make_nc_fixture,
-                     weighted_ce_dlogits)
+from oracles import central_difference, fixture_bank, make_nc_fixture, trainer_losses, weighted_ce_dlogits
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 SEEDS = (1, 2, 3)
@@ -100,10 +99,14 @@ def test_criterion_2_collapsed_fixture_properties():
             global_mean=rng.standard_normal(p),
             seed=int(rng.integers(0, 2**31)),
         )
-        losses = fixture_class_losses(fx)
+        # Per-class losses as the epoch-end report takes them: the trainer's
+        # cross entropy, averaged per class by a bincount.
+        bank = fixture_bank(fx)
+        counts = np.diff(bank.offsets)
+        labels = np.repeat(np.arange(len(counts)), counts)
+        losses = np.bincount(labels, weights=_ce_from_logits(bank.features @ fx.classifier.T, labels)) / counts
         worst["spread"] = max(worst["spread"], float(losses.max() - losses.min()))
         worst["rho"] = max(worst["rho"], loss_imbalance_rho(losses))
-        bank = fixture_bank(fx)
         means, global_mean = class_means(bank)
         worst["nc1"] = max(worst["nc1"], nc1(bank, means, global_mean))
         worst["nc2"] = max(worst["nc2"], nc2(fx.classifier))
@@ -244,20 +247,16 @@ def test_criterion_8_baseline_sanity():
     cb0_exact = bool(np.all(cb0 == 1.0))
 
     rng = np.random.default_rng(9)
-    focal_ce = True
-    for _ in range(25):
-        p = rng.dirichlet(np.ones(6))
-        t = int(rng.integers(6))
-        if p[t] <= 0:
-            continue
-        if abs(focal_loss(p, t, gamma=0.0) - (-math.log(p[t]))) > 1e-12:
-            focal_ce = False
+    probs, targets = zip(*((rng.dirichlet(np.ones(6)), int(rng.integers(6))) for _ in range(25)))
+    probs, targets = np.array(probs), np.array(targets)
+    focal = trainer_losses("focal", np.log(probs), targets, focal_gamma=0.0)
+    focal_ce = bool(np.all(np.abs(focal + np.log(probs[np.arange(25), targets])) <= 1e-12))
 
     cb_lim = cb_weights(counts, 1.0 - 1e-8)
     ratio = cb_lim / inv_freq_weights(counts)
     ratio_const = float(np.abs(ratio / ratio[0] - 1.0).max())
 
-    ib_zero = ib_loss([0.0, 0.0, 1.0], 2, feature=np.ones(5), eps=1e-3) == 0.0
+    ib_zero = trainer_losses("ib", [[-1e4, -1e4, 0.0]], [2], np.ones((1, 5)), ib_eps=1e-3)[0] == 0.0
     elapsed = time.time() - start
     ok = cb0_exact and focal_ce and ratio_const <= 1e-4 and ib_zero and elapsed < 1.0
     assert report(8, ok, f"cb(beta=0)==1 {cb0_exact}, focal(gamma=0)==CE {focal_ce}, "

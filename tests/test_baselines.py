@@ -14,8 +14,9 @@ from ltlab.baselines import (
     inv_sqrt_weights,
     range_loss_grad,
 )
+from ltlab.trainer import _ce_from_logits
 
-from oracles import central_difference, focal_loss, ib_loss
+from oracles import central_difference, trainer_losses
 
 
 class TestFrequencyWeights:
@@ -59,71 +60,65 @@ class TestCbWeights:
         assert np.abs(ratio / ratio[0] - 1.0).max() < 1e-4
 
 
-class TestFocalLoss:
-    def test_gamma_zero_is_cross_entropy(self):
-        probs = [0.2, 0.5, 0.3]
-        assert focal_loss(probs, 1, gamma=0.0) == pytest.approx(-math.log(0.5), rel=1e-12)
-
-    def test_perfect_prediction(self):
-        assert focal_loss([0.0, 1.0], 1, gamma=2.0) == 0.0
-
-    def test_hand_value(self):
-        # 0.25 * ln 2
-        assert focal_loss([0.5, 0.5], 0, gamma=2.0) == pytest.approx(0.173287, rel=1e-5)
-
-    def test_alpha_scaling(self):
-        base = focal_loss([0.5, 0.5], 0, gamma=2.0)
-        assert focal_loss([0.5, 0.5], 0, gamma=2.0, alpha_t=0.25) == pytest.approx(base / 4)
-
-    def test_zero_probability(self):
-        with pytest.raises(ValueError, match="eps_floor"):
-            focal_loss([1.0, 0.0], 1, gamma=2.0)
-        floored = focal_loss([1.0, 0.0], 1, gamma=0.0, eps_floor=True)
-        assert floored == pytest.approx(-math.log(1e-12))
-
-    def test_monotone_in_target_probability(self):
-        grid = np.linspace(0.01, 0.99, 60)
-        for gamma in (0.0, 0.5, 2.0, 5.0):
-            vals = [focal_loss([p, 1 - p], 0, gamma=gamma) for p in grid]
-            assert np.all(np.diff(vals) <= 1e-12)
-
-    def test_invalid_probs(self):
-        with pytest.raises(ValueError):
-            focal_loss([0.7, 0.7], 0, gamma=1.0)
-        with pytest.raises(ValueError):
-            focal_loss([-0.1, 1.1], 0, gamma=1.0)
+def _criterion_8_draws():
+    """Acceptance criterion 8's 25 draws: the logits log p of p ~ Dirichlet(1^6), and a target each."""
+    rng = np.random.default_rng(9)
+    probs, targets = zip(*((rng.dirichlet(np.ones(6)), int(rng.integers(6))) for _ in range(25)))
+    return np.log(probs), np.array(targets)
 
 
-class TestIbLoss:
-    def test_perfect_one_hot(self):
-        assert ib_loss([0.0, 1.0], 1, feature=np.ones(4), eps=1e-3) == 0.0
+def _ib_within_ce_over_eps():
+    """Whether IB with class coefficients 1 stays within CE / eps, on 50 random rows and three eps."""
+    rng = np.random.default_rng(0)
+    z, y, h = rng.standard_normal((50, 5)), rng.integers(5, size=50), rng.standard_normal((50, 7))
+    return np.array([trainer_losses("ib", z, y, h, ib_eps=eps, ib_alpha_scale=5.0)
+                     <= _ce_from_logits(z, y) / eps + 1e-12 for eps in (1e-6, 1e-3, 1e-1)])
 
-    def test_hand_value(self):
-        # |p - y|_1 = 1, |h|_1 = 1
-        val = ib_loss([0.5, 0.5], 0, feature=[1.0], eps=1e-3)
-        assert val == pytest.approx(math.log(2) / 1.001, rel=1e-6)
-        assert val == pytest.approx(0.692455, rel=1e-4)
 
-    def test_feature_scaling_halves_loss(self):
-        f = np.full(8, 10.0)
-        a = ib_loss([0.6, 0.4], 0, feature=f, eps=1e-6)
-        b = ib_loss([0.6, 0.4], 0, feature=2 * f, eps=1e-6)
-        assert b == pytest.approx(a / 2, rel=1e-4)
+GRID = np.linspace(0.01, 0.99, 60)  # p_t of a two-class row, rising
+HALF = [[0.0, 0.0]]  # p = (0.5, 0.5)
+PERFECT = [[-1e4, 0.0]]  # p = (0, 1) exactly: exp(-1e4) underflows
 
-    def test_bounded_by_ce_over_eps(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(5))
-            t = int(rng.integers(5))
-            if p[t] == 0:
-                continue
-            eps = 10 ** rng.uniform(-6, -1)
-            h = rng.standard_normal(7)
-            assert ib_loss(p, t, h, eps) <= -math.log(p[t]) / eps + 1e-12
 
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            ib_loss([0.5, 0.5], 0, feature=[1.0], eps=0.0)
+def case(name, got, want, rel=0.0):
+    """A row of BASE_LOSS_CASES: ``got()`` equals ``want()`` to relative ``rel``, 0 meaning bit for bit."""
+    return pytest.param(got, want, rel, id=name)
+
+
+# Focal (default gamma 2) and IB properties, each on the trainer's own kernel.
+BASE_LOSS_CASES = [
+    case("focal-gamma-0-is-ce", lambda: trainer_losses("focal", *_criterion_8_draws(), focal_gamma=0.0),
+         lambda: _ce_from_logits(*_criterion_8_draws())),
+    *(case(f"{name}-perfect-prediction-is-0", lambda name=name: trainer_losses(name, PERFECT, [1], np.ones((1, 4))),
+           lambda: 0.0) for name in ("focal", "ib")),
+    case("focal-hand-value", lambda: trainer_losses("focal", HALF, [0]), lambda: 0.25 * math.log(2)),
+    # |p - onehot|_1 = 1 and |h|_1 = 1; the class coefficients are 1.
+    case("ib-hand-value", lambda: trainer_losses("ib", HALF, [0], [[1.0]], ib_alpha_scale=2.0),
+         lambda: math.log(2) / 1.001, rel=1e-15),
+    case("focal-alpha-scaling", lambda: trainer_losses("focal", HALF, [0], focal_alpha=0.25),
+         lambda: trainer_losses("focal", HALF, [0]) / 4),
+    # p_t = exp(-1e4) underflows to 0, and the loss stays the cross entropy's 1e4.
+    *(case(f"focal-underflow-gamma-{gamma}", lambda gamma=gamma: trainer_losses("focal", [[0.0, -1e4]], [1],
+                                                                                 focal_gamma=gamma),
+           lambda: 1e4) for gamma in (0.0, 2.0)),
+    *(case(f"focal-falls-as-p_t-rises-gamma-{gamma}",
+           lambda gamma=gamma: np.diff(trainer_losses("focal", np.log([GRID, 1 - GRID]).T, np.zeros(60, dtype=int),
+                                                      focal_gamma=gamma)) < 0,
+           lambda: True) for gamma in (0.0, 0.5, 2.0, 5.0)),
+    case("ib-halves-as-h-doubles",
+         lambda: trainer_losses("ib", np.log([[0.6, 0.4]]), [0], np.full((1, 8), 20.0), ib_eps=1e-6),
+         lambda: trainer_losses("ib", np.log([[0.6, 0.4]]), [0], np.full((1, 8), 10.0), ib_eps=1e-6) / 2, rel=1e-4),
+    case("ib-bounded-by-ce-over-eps", _ib_within_ce_over_eps, lambda: True),
+]
+
+
+@pytest.mark.parametrize("got, want, rel", BASE_LOSS_CASES)
+def test_base_loss(got, want, rel):
+    got, want = got(), want()
+    if rel:
+        assert np.allclose(got, want, rtol=rel, atol=0.0)
+    else:
+        assert np.all(got == want), (got, want)
 
 
 class TestIbClassCoefficients:

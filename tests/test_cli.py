@@ -520,6 +520,10 @@ BAD_INPUTS = [
     bad("train-negative-train-seed", config(("seed = 1", "seed = -1")), TRAIN, 2,
         "[train] seed must be >= 0, got -1\n"),
     bad("train-negative-seed-flag", config(), TRAIN + " --seed 2 --seed -5", 2, "--seed must be >= 0, got -5\n"),
+    # A noise draw times 1e308 overflows: the config is at fault, not the data or training.
+    *(bad(f"{argv.split()[0]}-mixture-overflows", config(("noise_sigma = 1.0", "noise_sigma = 1e308")), argv, 2,
+          "[dataset] class_separation = 2.0 and noise_sigma = 1e+308 draw features beyond the float range\n")
+      for argv in (GEN, TRAIN)),
     # Two classes leave the tail tercile empty, so acc_tail has no classes to average.
     bad("train-two-classes", config(("classes = 4", "classes = 2")), TRAIN, 3, "the training set has 2 classes"),
     bad("train-csv-missing", config(text="[dataset]\nkind = csv\ntrain_path = {t}/absent.csv\n"

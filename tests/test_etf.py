@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ltlab.etf import make_etf
 from ltlab.nc_metrics import class_means, nc1, nc2, nc3, nc4_agreement
-from ltlab.reweighting import loss_imbalance_rho
 
 from oracles import etf_gram, fixture_bank, fixture_class_losses, make_nc_fixture
 
@@ -70,17 +69,6 @@ class TestEtfGram:
 
 
 class TestNcFixture:
-    def test_equal_class_losses(self):
-        rng = np.random.default_rng(0)
-        fx = make_nc_fixture(5, 9, n_per_class=4, scale=1.7, radius=0.8,
-                             global_mean=rng.standard_normal(9), seed=2)
-        losses = fixture_class_losses(fx)
-        assert losses.max() - losses.min() < 1e-12
-
-    def test_zero_imbalance_coefficient(self):
-        fx = make_nc_fixture(7, 16, n_per_class=2, scale=2.0, radius=1.0, seed=9)
-        assert loss_imbalance_rho(fixture_class_losses(fx)) <= 1e-12
-
     def test_logit_pattern_c3(self):
         fx = make_nc_fixture(3, 3, n_per_class=1, scale=1.0, radius=1.0, seed=0)
         z = fx.classifier @ fx.features[0][0]

@@ -35,7 +35,7 @@ from ltlab.trainer import (
     train_epoch,
 )
 
-from oracles import central_difference, closed_form_where, focal_loss, nc1_exact, softmax, weighted_ce_dlogits
+from oracles import central_difference, closed_form_where, nc1_exact, softmax, weighted_ce_dlogits
 
 
 def small_linear_params(seed=0, c=3, d=4):
@@ -518,15 +518,17 @@ def _ce_from_logits_ref(z, y):
     return lse - z[np.arange(len(y)), y]
 
 
-def _focal_from_probs_ref(probs, y, gamma):
+def _focal_from_probs_ref(probs, ce, y, gamma):
+    """Focal losses (1 - p_t)^gamma ce and their dlogits rows, with the
+    cross entropy ``ce`` standing for -log p_t."""
     idx = np.arange(len(y))
-    p_t = np.clip(probs[idx, y], 1e-300, 1.0)
+    p_t = probs[idx, y]
     one_m = 1.0 - p_t
-    losses = one_m ** gamma * (-np.log(p_t))
+    losses = one_m ** gamma * ce
     gcoef = -(one_m ** gamma)
     if gamma > 0:
         pos = one_m > 0
-        gcoef[pos] += gamma * p_t[pos] * np.log(p_t[pos]) * one_m[pos] ** (gamma - 1.0)
+        gcoef[pos] -= gamma * p_t[pos] * ce[pos] * one_m[pos] ** (gamma - 1.0)
     dz = -gcoef[:, None] * probs
     dz[idx, y] += gcoef
     return losses, dz
@@ -548,10 +550,10 @@ def _class_weights_ref(ctx):
 def _base_losses_ref(ctx, h, z, probs, y):
     method = ctx.config.method
     weights = _class_weights_ref(ctx)[y]
-    if ctx.base_method == "focal":
-        ell, dz = _focal_from_probs_ref(probs, y, method.focal_gamma)
-        return ell, weights, dz
     ell = _ce_from_logits_ref(z, y)
+    if ctx.base_method == "focal":
+        ell, dz = _focal_from_probs_ref(probs, ell, y, method.focal_gamma)
+        return ell, weights, dz
     dz = probs.copy()
     dz[np.arange(len(y)), y] -= 1.0
     if ctx.base_method == "ib":
@@ -783,11 +785,12 @@ class TestBatchStepOracle:
 
 def _differentiable_loss(params, ctx, x, y):
     """Per-sample base loss from the public forward pass: focal through the
-    scalar ``focal_loss`` oracle, CE otherwise."""
+    batch-step oracle ``_focal_from_probs_ref``, CE otherwise."""
     _, z = forward(params, x)
+    ce = _ce_from_logits(z, y)
     if ctx.base_method == "focal":
-        return np.array([focal_loss(p, t, ctx.config.method.focal_gamma) for p, t in zip(softmax(z), y)])
-    return _ce_from_logits(z, y)
+        return _focal_from_probs_ref(softmax(z), ce, y, ctx.config.method.focal_gamma)[0]
+    return ce
 
 
 def _stop_gradient_coef(params, ctx, x, y, counts_after):
