@@ -255,7 +255,8 @@ def load_csv_dataset(path, label_column: str = "label", split: str = "train") ->
 def load_csv_matrix(path, what: str) -> np.ndarray:
     """A headerless CSV of finite numbers, ``nc-eval``'s classifier or bias,
     as a 2-D float64 array: rows split by ``csv.reader`` (blank ones skipped),
-    cells read as in the dataset reader. An error names the bad line, from 1."""
+    cells read as in the dataset reader. An error names the bad line, from 1,
+    or the file if no row is left."""
     rows = []
     try:
         with open(path, newline="", encoding="utf-8", errors="replace") as fh:
@@ -270,7 +271,9 @@ def load_csv_matrix(path, what: str) -> np.ndarray:
                     rows.append(row)
     except OSError as exc:
         raise DataError(f"cannot open {what} file {path}: {exc}") from exc
-    return np.array(rows, ndmin=2)
+    if not rows:
+        raise DataError(f"{what} file {path}: no data rows")
+    return np.array(rows)
 
 
 def batch_iter(dataset: Dataset, batch_size: int, epoch_seeds):

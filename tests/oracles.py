@@ -8,8 +8,12 @@ on one batch, so that the focal, influence-balanced and cross-entropy
 properties are checked on the losses that train.
 
 ``central_difference`` is the finite-difference reference for every
-gradient, and ``closed_form_where`` the closed-form weight with every
-corner taken by ``np.where``.
+gradient, ``closed_form_where`` the closed-form weight with every corner
+taken by ``np.where``, and ``inverse_weights_ref`` the inverse solve of one
+batch built on it, the one reference for ``reweighting.inverse_weights``.
+
+``case`` makes a row of a table of checked values, and ``assert_close``
+compares a row's values: bit for bit, or to a relative tolerance.
 
 ``make_nc_fixture`` constructs a feature/classifier snapshot that sits
 exactly at the collapsed end-state: all features at their class means,
@@ -19,9 +23,8 @@ the same average cross-entropy loss, which ``fixture_class_losses``
 computes with the trainer's cross entropy as the epoch-end report does;
 ``fixture_bank`` gives its features as a ``FeatureBank``.
 
-``covariances`` gives NC1's p x p scatter matrices one class block at a
-time, and ``nc1_exact`` gives NC1 itself in exact rational arithmetic, the
-reference that ``nc_metrics.nc1`` is checked against to 1e-12.
+``nc1_exact`` gives NC1 in exact rational arithmetic, the one reference
+that ``nc_metrics.nc1`` is checked against.
 
 ``ml_quadrature`` gives the Mittag-Leffler decay value E_a(-z) by
 Gauss-Legendre quadrature of its spectral integral, independent of the
@@ -34,6 +37,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from ltlab.etf import make_etf
 from ltlab.linalg import pinv
@@ -82,6 +86,38 @@ def closed_form_where(l_c, l_bar, alpha, w0):
         num = np.where(anchored, l_bar * l_c + alpha * w0, l_bar)
         den = np.where(anchored, l_c * l_c + alpha, l_c)
         return np.where(zero, w0, num / np.where(zero, 1.0, den))
+
+
+def inverse_weights_ref(losses, labels, batch_counts, prior, config):
+    """The inverse solve's w_hat (C,) for one batch, the plain way: class
+    means by ``np.bincount``, w_star by ``closed_form_where`` and beta =
+    B_c^-gamma over its mean, composed as ``config.mode`` says; absent
+    classes get 1."""
+    n = np.bincount(labels, minlength=len(batch_counts))
+    present = n > 0
+    w_hat = np.ones(len(batch_counts))
+    if config.mode != "macro":
+        l_c = np.bincount(labels, weights=losses, minlength=len(n))[present] / n[present]
+        w_hat[present] = closed_form_where(l_c, l_c.mean(), config.alpha, prior[present])
+    if config.mode != "batch":
+        beta = batch_counts[present].astype(np.float64) ** -config.gamma
+        w_hat[present] *= beta / beta.mean()
+    return w_hat
+
+
+def case(name, got, want, rel=0.0):
+    """A table row: ``got()`` equals ``want()`` to relative ``rel``, 0 meaning bit for bit."""
+    return pytest.param(got, want, rel, id=name)
+
+
+def assert_close(got, want, rel):
+    """``got`` equals ``want``, a scalar or of ``got``'s shape: bit for bit
+    at ``rel`` 0, else to relative ``rel`` with no absolute slack."""
+    assert np.shape(want) in ((), np.shape(got)), (got, want)
+    if rel:
+        assert np.allclose(got, want, rtol=rel, atol=0.0), (got, want)
+    else:
+        assert np.all(got == want), (got, want)
 
 
 def trainer_losses(name, logits, targets, features=None, **hyper) -> np.ndarray:
@@ -185,19 +221,6 @@ def fixture_class_losses(fixture: NcFixture) -> np.ndarray:
     counts = np.diff(bank.offsets)
     labels = np.repeat(np.arange(len(counts)), counts)
     return np.bincount(labels, weights=_ce_from_logits(bank.features @ fixture.classifier.T, labels)) / counts
-
-
-def covariances(bank: FeatureBank):
-    """Within-class scatter Sigma_W (averaged over all samples) and
-    between-class scatter Sigma_B of the centered class means, summed one
-    class block at a time: the p x p terms of NC1's definition."""
-    means = np.stack([block.mean(axis=0) for block in bank.blocks])
-    sigma_w = np.zeros((bank.feature_dim, bank.feature_dim))
-    for block, mu in zip(bank.blocks, means):
-        centered = block - mu
-        sigma_w += centered.T @ centered
-    centered_means = means - means.mean(axis=0)
-    return sigma_w / len(bank.features), centered_means.T @ centered_means / bank.class_count
 
 
 def _row_basis(rows):

@@ -16,7 +16,7 @@ from ltlab.baselines import (
 )
 from ltlab.trainer import _ce_from_logits
 
-from oracles import central_difference, trainer_losses
+from oracles import assert_close, case, central_difference, trainer_losses
 
 
 class TestFrequencyWeights:
@@ -80,11 +80,6 @@ HALF = [[0.0, 0.0]]  # p = (0.5, 0.5)
 PERFECT = [[-1e4, 0.0]]  # p = (0, 1) exactly: exp(-1e4) underflows
 
 
-def case(name, got, want, rel=0.0):
-    """A row of BASE_LOSS_CASES: ``got()`` equals ``want()`` to relative ``rel``, 0 meaning bit for bit."""
-    return pytest.param(got, want, rel, id=name)
-
-
 # Focal (default gamma 2) and IB properties, each on the trainer's own kernel.
 BASE_LOSS_CASES = [
     case("focal-gamma-0-is-ce", lambda: trainer_losses("focal", *_criterion_8_draws(), focal_gamma=0.0),
@@ -114,11 +109,7 @@ BASE_LOSS_CASES = [
 
 @pytest.mark.parametrize("got, want, rel", BASE_LOSS_CASES)
 def test_base_loss(got, want, rel):
-    got, want = got(), want()
-    if rel:
-        assert np.allclose(got, want, rtol=rel, atol=0.0)
-    else:
-        assert np.all(got == want), (got, want)
+    assert_close(got(), want(), rel)
 
 
 class TestIbClassCoefficients:

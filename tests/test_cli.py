@@ -576,7 +576,10 @@ BAD_INPUTS = [
                                    "2: a cell is not a finite number")]),
     *(bad(f"nc-eval-bias-{shape}", dumps(bias=text), NC + BIAS, 3,
           f"bias shape {shape} is not one row of 4 values\n")
-      for text, shape in [("1,2\n3,4\n", "2x2"), ("1\n2\n3\n4\n", "4x1"), ("", "1x0")]),
+      for text, shape in [("1,2\n3,4\n", "2x2"), ("1\n2\n3\n4\n", "4x1")]),
+    *(bad(f"nc-eval-{what}-{name}", dumps(**{what: text}), NC + (BIAS if what == "bias" else ""), 3,
+          f"{what} file {{t}}/{what}.csv: no data rows\n")
+      for what in ("classifier", "bias") for name, text in [("empty", ""), ("blank", "\n\r\n\n")]),
     bad("nc-eval-losses-missing", dumps(), NC + LOSSES.replace("losses.json", "absent.json"), 3,
         "cannot open losses file {t}/absent.json: "),
     *(bad(f"nc-eval-losses-{name}", dumps(losses=text), NC + LOSSES, 3, "losses file {t}/losses.json" + message)

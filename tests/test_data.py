@@ -137,34 +137,6 @@ class TestCsvRoundTrip:
         assert len(ds) == 3
         assert ds.counts.tolist() == [2, 1]
 
-    def test_text_cell_names_row(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("f0,label\n1.0,0\noops,1\n")
-        with pytest.raises(DataError, match="row 3"):
-            load_csv_dataset(path)
-
-    def test_bad_label_names_row(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("f0,label\n1.0,0\n2.0,1.5\n")
-        with pytest.raises(DataError, match="row 3"):
-            load_csv_dataset(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="cannot open"):
-            load_csv_dataset(tmp_path / "nope.csv")
-
-    def test_missing_label_column(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("f0,f1\n1.0,2.0\n")
-        with pytest.raises(DataError, match="label"):
-            load_csv_dataset(path)
-
-    def test_gap_in_classes(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("f0,label\n1.0,0\n2.0,2\n3.0,0\n")
-        with pytest.raises(DataError, match="classes \\[1\\]"):
-            load_csv_dataset(path)
-
     def test_counts_match_manual_tally(self, tmp_path):
         rng = np.random.default_rng(6)
         labels = rng.integers(0, 3, size=50)
@@ -175,12 +147,6 @@ class TestCsvRoundTrip:
         ds = load_csv_dataset(path)
         tally = [int((labels == c).sum()) for c in range(3)]
         assert ds.counts.tolist() == tally
-
-    def test_unbalanced_test_split_rejected(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("f0,label\n1.0,0\n2.0,0\n3.0,1\n")
-        with pytest.raises(DataError, match="balanced"):
-            load_csv_dataset(path, split="test")
 
 
 def load_text(tmp_path, text, **kwargs):
@@ -194,6 +160,50 @@ def reject(tmp_path, text, match):
     with pytest.raises(DataError, match=match) as info:
         load_text(tmp_path, text)
     return str(info.value)
+
+
+# Texts the reader rejects (None: no file), its keyword arguments, and the
+# message, in which {p} is the file's path. A message that ends in a newline
+# is the whole message, else its start. Rows count from 1 at the header, and
+# blank lines count as rows.
+REJECTED_CSV = [
+    pytest.param("f0,label\n1.0,0\noops,1\n", {}, "{p} row 3: non-numeric feature cell\n", id="text-cell"),
+    pytest.param("f0,f1\n1.0,2.0\n", {}, "{p}: no column named 'label' in header\n", id="no-label-column"),
+    pytest.param("f0,label\n1.0,0\n2.0,2\n3.0,0\n", {},
+                 "{p}: classes [1] have no samples (labels must cover 0..C-1)\n", id="class-gap"),
+    pytest.param("f0,label\n1.0,0\n2.0,0\n3.0,1\n", {"split": "test"}, "{p}: test split must be class-balanced\n",
+                 id="unbalanced-test-split"),
+    pytest.param(None, {}, "cannot open dataset file {p}: [Errno 2] No such file or directory: '{p}'\n",
+                 id="missing-file"),
+    pytest.param("f0,label\n1.5,0\n\noops,1\n", {}, "{p} row 4: non-numeric feature cell\n",
+                 id="blank-line-counts-as-a-row"),
+    pytest.param("f0,label\n", {}, "{p}: no data rows\n", id="header-only"),
+    pytest.param("f0,label\n\n\n", {}, "{p}: no data rows\n", id="header-and-blank-lines"),
+    pytest.param("", {}, "{p}: empty file\n", id="empty-file"),
+    pytest.param("label\n0\n", {}, "{p}: no feature columns\n", id="no-feature-columns"),
+    pytest.param("f0,label\n1.0,0\n2.0,-1\n", {}, "{p} row 3: negative label -1\n", id="negative-label"),
+    pytest.param("f0,label\n1.0,0\n2.0,99999999999999999999\n", {}, "{p} row 3: label '99999999999999999999' "
+                 "is not below the 2 data rows, so some class has no samples\n", id="label-beyond-int64"),
+    # The parse error of row 3 is named before the non-finite value of row 2.
+    pytest.param("f0,label\nnan,0\n1.0,x\n", {}, "{p} row 3: non-integer label 'x'\n",
+                 id="parse-error-before-non-finite"),
+    pytest.param("f0,label\n1.0,0\n#2.0,1\n", {}, "{p} row 3: non-numeric feature cell\n",
+                 id="hash-is-not-a-comment"),
+]
+
+
+@pytest.mark.parametrize("text, kwargs, message", REJECTED_CSV)
+def test_rejected_csv(tmp_path, text, kwargs, message):
+    path = tmp_path / "d.csv"
+    if text is not None:
+        path.write_bytes(text.encode())
+    with pytest.raises(DataError) as info:
+        load_csv_dataset(path, **kwargs)
+    message = message.replace("{p}", str(path))
+    if message.endswith("\n"):
+        assert str(info.value) + "\n" == message
+    else:
+        assert str(info.value).startswith(message)
 
 
 class TestCsvReaderContract:
@@ -225,9 +235,6 @@ class TestCsvReaderContract:
         assert ds.x.tolist() == [[1.5], [2.5]]
         assert ds.y.tolist() == [0, 1]
 
-    def test_blank_lines_count_as_rows(self, tmp_path):
-        reject(tmp_path, "f0,label\n1.5,0\n\noops,1\n", "row 4: non-numeric feature cell")
-
     @pytest.mark.parametrize("text, message", [
         ("f0,f1,label\n1,2,0\n3,1\n", "row 3: expected 3 cells, got 2"),
         ("f0,f1,label\n1,2,0\n3,4,1,5\n", "row 3: expected 3 cells, got 4"),
@@ -237,19 +244,6 @@ class TestCsvReaderContract:
     ])
     def test_ragged_rows(self, tmp_path, text, message):
         reject(tmp_path, text, message)
-
-    def test_header_only(self, tmp_path):
-        reject(tmp_path, "f0,label\n", "no data rows")
-        reject(tmp_path, "f0,label\n\n\n", "no data rows")
-
-    def test_empty_file(self, tmp_path):
-        reject(tmp_path, "", "empty file")
-
-    def test_no_feature_columns(self, tmp_path):
-        reject(tmp_path, "label\n0\n", "no feature columns")
-
-    def test_negative_label(self, tmp_path):
-        reject(tmp_path, "f0,label\n1.0,0\n2.0,-1\n", "row 3: negative label -1")
 
     @pytest.mark.parametrize("label", ["1.5", "nan", "inf", "", "one", "0x1"])
     def test_non_integer_label(self, tmp_path, label):
@@ -266,12 +260,6 @@ class TestCsvReaderContract:
     def test_non_finite_feature_names_row(self, tmp_path, cell):
         reject(tmp_path, f"f0,f1,label\n1,2,0\n3,4,1\n5,{cell},1\n",
                "row 4: non-finite feature value")
-
-    def test_parse_errors_are_named_before_non_finite_values(self, tmp_path):
-        reject(tmp_path, "f0,label\nnan,0\n1.0,x\n", "row 3: non-integer label 'x'")
-
-    def test_label_too_large_for_int64(self, tmp_path):
-        reject(tmp_path, "f0,label\n1.0,0\n2.0,99999999999999999999\n", "row 3: label")
 
     @pytest.mark.parametrize("label", ["2", "100000"])
     def test_label_not_below_row_count(self, tmp_path, label):
@@ -325,7 +313,6 @@ class TestCsvReaderContract:
         reject(tmp_path, text, f"^dataset file {path}: field larger than field limit")
 
     def test_hash_is_not_a_comment(self, tmp_path):
-        reject(tmp_path, "f0,label\n1.0,0\n#2.0,1\n", "row 3: non-numeric feature cell")
         ds = load_text(tmp_path, "f0,#label\n1.0,0\n2.0,1\n", label_column="#label")
         assert ds.y.tolist() == [0, 1]
 

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ltlab.cli import main
 from ltlab.data import Dataset
 from ltlab.reweighting import (
     ReweightConfig,
@@ -27,16 +25,7 @@ from ltlab.trainer import (
     prepare_run,
 )
 
-from oracles import closed_form_where
-
-
-def _closed_form_scalar(l_c, l_bar, alpha, w0):
-    """Scalar closed form with Python branches: the reference for the vector form."""
-    if l_c == 0.0:
-        return w0
-    if alpha == 0.0:
-        return l_bar / l_c
-    return (l_bar * l_c + alpha * w0) / (l_c * l_c + alpha)
+from oracles import assert_close, case, closed_form_where, inverse_weights_ref
 
 
 def _closed_form_exact(l_c, l_bar, alpha, w0):
@@ -58,38 +47,17 @@ def _assert_within_2_ulp(got, exact):
     return normal
 
 
-def _solve_loop(losses, labels, batch_counts, prior, alpha, gamma, mode):
-    """Reference solve: per-class dicts of w_star and beta, composed by mode."""
-    present = sorted({int(c) for c in labels})
-    mean_loss = {c: float(np.mean([l for l, y in zip(losses, labels) if y == c])) for c in present}
-    l_bar = float(np.mean([mean_loss[c] for c in present]))
-    w_star = {c: _closed_form_scalar(mean_loss[c], l_bar, alpha, float(prior[c])) for c in present}
-    raw = {c: float(batch_counts[c]) ** -gamma for c in present}
-    raw_mean = float(np.mean([raw[c] for c in present]))
-    beta = {c: raw[c] / raw_mean for c in present}
-    if mode == "batch":
-        return w_star
-    if mode == "macro":
-        return beta
-    return {c: beta[c] * w_star[c] for c in present}
-
-
-def _one_run(losses, labels, counts, prior, config):
+def _solve(losses, labels, counts, prior=None, **reweight):
     """``inverse_weights`` on one batch, as the stack of one run: w_hat (C,)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    sizes = np.bincount(labels, minlength=len(counts))
-    return inverse_weights(np.asarray(losses, dtype=np.float64), labels, sizes[None],
-                           np.asarray(counts)[None], np.asarray(prior)[None], config)[0]
-
-
-def _solve(losses, labels, counts, prior=None, alpha=0.0, gamma=1.0, mode="both"):
-    counts = np.asarray(counts, dtype=np.int64)
+    labels, counts = np.asarray(labels, dtype=np.int64), np.asarray(counts, dtype=np.int64)
     prior = np.ones(len(counts)) if prior is None else np.asarray(prior, dtype=np.float64)
-    return _one_run(losses, labels, counts, prior, ReweightConfig(alpha=alpha, gamma=gamma, mode=mode))
+    sizes = np.bincount(labels, minlength=len(counts))
+    return inverse_weights(np.asarray(losses, dtype=np.float64), labels, sizes[None], counts[None], prior[None],
+                           ReweightConfig(**reweight))[0]
 
 
-def _inverse_run(labels, class_count, **train_kwargs):
-    """A prepared inverse run on a tiny dataset holding ``labels``; lr 0 keeps the params."""
+def _inverse_run(labels, **train_kwargs):
+    """A prepared inverse run on a tiny dataset holding ``labels``."""
     labels = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(0)
     data = Dataset(x=rng.normal(size=(len(labels), 3)), y=labels, split="train")
@@ -99,10 +67,32 @@ def _inverse_run(labels, class_count, **train_kwargs):
     return data, state, ctx
 
 
-def _step(state, ctx, x, y):
-    """One lr-0 batch step of the one-run stack; returns its loss."""
-    [loss] = _batch_update(state, ctx, x[None], y[None], 0, 0.0)
-    return loss
+def _first_step(labels, **reweight):
+    """One lr-0 batch step of that run over all of its rows: the batch's
+    reweighted mean loss, and the run's state after the step."""
+    data, state, ctx = _inverse_run(labels, reweight=ReweightConfig(**reweight))
+    [loss] = _batch_update(state, ctx, data.x[None], data.y[None], 0, 0.0)
+    return loss, state
+
+
+def _plain_ce(labels):
+    """The run's per-sample cross entropies at its initial parameters, which lr 0 keeps."""
+    data, state, _ = _inverse_run(labels)
+    _, z = forward(state.params[0], data.x)
+    return _ce_from_logits(z, data.y)
+
+
+def _balanced_stream():
+    """Ten solves over three classes of equal loss that appear in every
+    batch: each step's reweighted and plain mean loss."""
+    rng = np.random.default_rng(5)
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    means = []
+    for step in range(1, 11):
+        losses = np.repeat(rng.uniform(0.5, 2.0), 6)
+        w_hat = _solve(losses, labels, [step] * 3)
+        means.append((np.mean(w_hat[labels] * losses), np.mean(losses)))
+    return np.array(means).T
 
 
 class TestLossImbalanceRho:
@@ -138,19 +128,6 @@ class TestLossImbalanceRho:
 
 
 class TestClosedFormWeight:
-    def test_alpha_zero_reduces_to_ratio(self):
-        assert closed_form_weight(2.0, 1.0, 0.0, 1.0) == pytest.approx(0.5)
-
-    def test_fixed_point(self):
-        assert closed_form_weight(1.0, 1.0, 5.0, 1.0) == pytest.approx(1.0)
-
-    def test_hand_example(self):
-        # (1.5*2 + 0.1*1) / (4 + 0.1)
-        assert closed_form_weight(2.0, 1.5, 0.1, 1.0) == pytest.approx(3.1 / 4.1)
-
-    def test_zero_loss_fallback(self):
-        assert closed_form_weight(0.0, 3.0, 0.0, 0.7) == 0.7
-
     def test_validation(self):
         with pytest.raises(ValueError):
             closed_form_weight(-1.0, 1.0, 0.0)
@@ -192,8 +169,7 @@ class TestClosedFormWeight:
         for i, row in enumerate(rows):
             scalar = closed_form_weight(*row)
             assert isinstance(scalar, float)
-            assert scalar == vec[i] == _closed_form_scalar(*row)
-
+            assert scalar == vec[i] == closed_form_where(*row)
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 1e300)),
@@ -240,13 +216,6 @@ class TestClosedFormWeight:
         assert np.isfinite(got).all()
         assert np.allclose(got, exact, rtol=1e-15, atol=0.0)
 
-    def test_weights_near_the_float_maximum(self):
-        assert closed_form_weight(1e200, 2e200, 0.5) == 2.0
-        assert closed_form_weight(3e200, 2e200, 0.5) == 2.0 / 3.0
-        # l_c^2 overflows alone, which would read 0.
-        assert closed_form_weight(1e300, 1.0, 1e300) == pytest.approx(2e-300, rel=1e-15, abs=0.0)
-        assert closed_form_weight(1e-300, 1e300, 0.0) == math.inf  # the weight itself overflows
-
     @settings(max_examples=200, deadline=None)
     @given(l_c=st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100)), min_size=1, max_size=12),
            l_bar=st.floats(1e-100, 1e100), w0=st.floats(0.01, 3.0),
@@ -268,11 +237,6 @@ class TestClosedFormWeight:
         solve = inverse_weights(l_c, slots, sizes, counts, np.full((1, len(l_c)), w0), config)
         scaled = inverse_weights(l_c * 2.0 ** k, slots, sizes, counts, np.full((1, len(l_c)), w0), config)
         assert scaled.tobytes() == solve.tobytes()
-
-    def test_underflowing_prior_term_gives_the_positive_weight(self):
-        # alpha * w0 underflows and max(l_c, sqrt(alpha)) < 1/2: the plain form reads 0.
-        assert closed_form_weight(1.5069039997331095e-135, 5.20332114337114e-310,
-                                  7.134795094119794e-95, 1.5422903982074907e-277) == 1.5422903982074907e-277
 
     def test_no_zero_for_a_weight_that_a_float_holds(self):
         # Log-uniform arguments over the whole float range: a weight is 0 only
@@ -299,12 +263,6 @@ class TestClosedFormWeight:
         alpha = rng.choice([1e-3, 0.1, 0.5, 2.0], size=20_000)
         assert _rescued(l_c, l_bar, alpha, w0).tobytes() == _closed_form(l_c, l_bar, alpha, w0).tobytes()
 
-    def test_nan_alpha_takes_the_corner_form(self):
-        # NaN > 0 is false, so the corner form reads it as unanchored: l_bar / l_c.
-        assert closed_form_weight(2.0, 1.0, np.nan) == 0.5
-        assert _closed_form(np.array([2.0]), 1.0, np.nan, 1.0)[0] == 0.5
-
-
 class TestInverseWeights:
     # Up to 24 classes: a run's row of class slots outgrows numpy's 8-element pairwise-sum block.
     @settings(max_examples=300, deadline=None)
@@ -322,7 +280,7 @@ class TestInverseWeights:
         prior = (np.array(data.draw(st.lists(st.floats(0.01, 3.0), min_size=class_count,
                                              max_size=class_count)))
                  if with_prior else np.ones(class_count))
-        self._check(losses, labels, counts, prior, alpha, gamma, mode)
+        self._check(losses, labels, counts, prior, alpha=alpha, gamma=gamma, mode=mode)
 
     @pytest.mark.parametrize("mode", ("both", "batch", "macro"))
     @pytest.mark.parametrize("losses, labels, counts", [
@@ -333,7 +291,7 @@ class TestInverseWeights:
     @pytest.mark.parametrize("alpha", (0.0, 0.4))
     def test_edge_cases_match_loop_oracle(self, losses, labels, counts, mode, alpha):
         prior = np.linspace(0.5, 2.0, len(counts))
-        self._check(losses, labels, np.array(counts, dtype=np.int64), prior, alpha, 1.7, mode)
+        self._check(losses, labels, np.array(counts, dtype=np.int64), prior, alpha=alpha, gamma=1.7, mode=mode)
 
     @pytest.mark.parametrize("mode", ("both", "batch"))
     @pytest.mark.parametrize("bad", (0.0, -1.0))
@@ -341,79 +299,18 @@ class TestInverseWeights:
         w_hat = _solve([1.0, 2.0], [0, 1], [1, 1, 1], prior=[1.0, 1.0, bad], mode=mode)
         assert w_hat.tolist() == _solve([1.0, 2.0], [0, 1], [1, 1, 1], mode=mode).tolist()
 
-    def test_macro_reads_neither_losses_nor_prior(self):
-        beta = _solve([-1.0, 2.0], [0, 1], [1, 4], prior=[0.0, -1.0], gamma=1.0, mode="macro")
-        assert beta.tolist() == pytest.approx([1.6, 0.4])
-
-    def test_equalizes_the_weighted_class_losses(self):
-        # Per batch the solve minimizes (w_c L_c - L_bar)^2 + alpha (w_c - w0_c)^2.
-        # At L_c = 0.5 and 1.5 (L_bar = 1), alpha = 0.5 and w0 = 1 the weights
-        # are 4/3 and 8/11: the class with the higher loss gets the lower weight.
-        w = _solve([0.5, 1.5], [0, 1], [1, 1], alpha=0.5, mode="batch")
-        exact = np.array([_closed_form_exact(l_c, 1.0, 0.5, 1.0) for l_c in (0.5, 1.5)])
-        assert exact.tolist() == [4 / 3, 8 / 11]
-        assert _assert_within_2_ulp(w, exact).all()
-        assert w[1] < 1.0 < w[0]
-
     @staticmethod
-    def _check(losses, labels, counts, prior, alpha, gamma, mode):
-        w_hat = _one_run(losses, labels, counts, prior, ReweightConfig(alpha=alpha, gamma=gamma, mode=mode))
-        expected = _solve_loop(losses, labels, counts, prior, alpha, gamma, mode)
+    def _check(losses, labels, counts, prior, **reweight):
+        w_hat = _solve(losses, labels, counts, prior, **reweight)
+        want = inverse_weights_ref(losses, labels, counts, prior, ReweightConfig(**reweight))
+        present = np.bincount(labels, minlength=len(counts)) > 0
         assert w_hat.shape == counts.shape
-        for c in range(len(counts)):
-            if c in expected:
-                assert w_hat[c] == pytest.approx(expected[c], rel=1e-12, abs=0.0)
-            else:
-                assert w_hat[c] == 1.0
-
-
-class TestClassMeanLosses:
-    # The class means L_c and their mean L_bar enter through w_star: with alpha = 0, w_c * L_c = L_bar.
-    def test_single_class(self):
-        w = _solve([1.0, 3.0], [0, 0], [1], mode="batch")
-        assert w.tolist() == [1.0]
-
-    def test_two_classes(self):
-        # class means 1.5 and 6.0; L_bar averages classes, not samples: 3.75
-        w = _solve([1.0, 2.0, 6.0], [0, 0, 1], [1, 1], mode="batch")
-        assert w[0] == pytest.approx(3.75 / 1.5)
-        assert w[1] == pytest.approx(3.75 / 6.0)
-
-    def test_single_sample(self):
-        w = _solve([0.42], [3], [0, 0, 0, 1, 0], alpha=0.3)
-        assert w.tolist() == [1.0] * 5
+        assert_close(w_hat[present], want[present], 1e-12)
+        assert np.all(w_hat[~present] == 1.0)
 
 
 class TestMacroCounters:
-    # The counters B_c (one per batch that holds the class) and beta = B_c^-gamma over its mean.
-    def test_counter_updates(self):
-        data, state, ctx = _inverse_run([0, 0, 1], 2)
-        _step(state, ctx, data.x[:2], data.y[:2])
-        assert state.batch_counts.tolist() == [[1, 0]]
-        state.batch_counts[:] = [4, 1]
-        _step(state, ctx, data.x, data.y)
-        assert state.batch_counts.tolist() == [[5, 2]]
-
-    def test_double_update_increments_twice(self):
-        data, state, ctx = _inverse_run([1, 2, 2, 0], 3)
-        for _ in range(2):
-            _step(state, ctx, data.x[:3], data.y[:3])
-        assert state.batch_counts.tolist() == [[0, 2, 2]]
-        assert state.batch_counts.dtype == np.int64
-
-    def test_factors_hand_example(self):
-        beta = _solve([1.0, 1.0], [0, 1], [4, 1], gamma=1.0, mode="macro")
-        assert beta[0] == pytest.approx(0.4)
-        assert beta[1] == pytest.approx(1.6)
-
-    def test_factors_gamma_zero(self):
-        beta = _solve([1.0, 2.0, 3.0], [0, 1, 2], [7, 2, 30], gamma=0.0, mode="macro")
-        assert beta.tolist() == [1.0, 1.0, 1.0]
-
-    def test_factors_equal_counts(self):
-        beta = _solve([1.0, 2.0, 3.0, 4.0], [0, 1, 2, 3], [6, 6, 6, 6], gamma=2.7, mode="macro")
-        assert all(b == pytest.approx(1.0) for b in beta)
-
+    # beta = B_c^-gamma over its mean over the present classes.
     @settings(max_examples=60, deadline=None)
     @given(
         counts=st.lists(st.integers(1, 10_000), min_size=1, max_size=20),
@@ -426,73 +323,76 @@ class TestMacroCounters:
         assert np.mean(beta[labels]) == pytest.approx(1.0, abs=1e-10)
 
 
-class TestComposedWeights:
-    # w_hat = beta * w_star, and the `weights` command that prints all three.
-    def test_all_ones_when_balanced(self):
-        w = _solve([1.0, 1.0], [0, 1], [3, 3], alpha=0.7, gamma=1.3)
-        assert w[0] == pytest.approx(1.0)
-        assert w[1] == pytest.approx(1.0)
+# The solve's hand values. The closed form w* = (l_bar l_c + alpha w0) / (l_c^2 + alpha)
+# is l_bar / l_c at alpha = 0 and w0 at l_c = 0; beta = B_c^-gamma over its mean
+# over the present classes; w_hat = beta w*. A tolerance of 1e-6 is pytest.approx's.
+SOLVE_CASES = [
+    case("closed-form-alpha-0-is-the-ratio", lambda: closed_form_weight(2.0, 1.0, 0.0, 1.0), lambda: 0.5, rel=1e-6),
+    case("closed-form-fixed-point", lambda: closed_form_weight(1.0, 1.0, 5.0, 1.0), lambda: 1.0, rel=1e-6),
+    # (1.5*2 + 0.1*1) / (4 + 0.1)
+    case("closed-form-hand-value", lambda: closed_form_weight(2.0, 1.5, 0.1, 1.0), lambda: 3.1 / 4.1, rel=1e-6),
+    case("closed-form-zero-loss-is-w0", lambda: closed_form_weight(0.0, 3.0, 0.0, 0.7), lambda: 0.7),
+    # Near the float maximum. In the third l_c^2 overflows alone, which would read 0.
+    case("closed-form-near-max-1e200", lambda: closed_form_weight(1e200, 2e200, 0.5), lambda: 2.0),
+    case("closed-form-near-max-3e200", lambda: closed_form_weight(3e200, 2e200, 0.5), lambda: 2.0 / 3.0),
+    case("closed-form-near-max-l_c-squared-overflows", lambda: closed_form_weight(1e300, 1.0, 1e300),
+         lambda: 2e-300, rel=1e-15),
+    case("closed-form-near-max-weight-overflows", lambda: closed_form_weight(1e-300, 1e300, 0.0), lambda: math.inf),
+    # alpha * w0 underflows and max(l_c, sqrt(alpha)) < 1/2: the plain form reads 0.
+    case("closed-form-underflowing-prior-term", lambda: closed_form_weight(
+        1.5069039997331095e-135, 5.20332114337114e-310, 7.134795094119794e-95, 1.5422903982074907e-277),
+         lambda: 1.5422903982074907e-277),
+    # NaN > 0 is false, so the corner form reads it as unanchored: l_bar / l_c.
+    case("closed-form-nan-alpha-is-unanchored", lambda: closed_form_weight(2.0, 1.0, np.nan), lambda: 0.5),
+    case("closed-form-kernel-nan-alpha-is-unanchored", lambda: _closed_form(np.array([2.0]), 1.0, np.nan, 1.0),
+         lambda: 0.5),
+    # The class means L_c, and L_bar, the mean of the class means (3.75 here, not the sample mean).
+    case("solve-one-class", lambda: _solve([1.0, 3.0], [0, 0], [1], mode="batch"), lambda: [1.0]),
+    case("solve-two-class-means", lambda: _solve([1.0, 2.0, 6.0], [0, 0, 1], [1, 1], mode="batch"),
+         lambda: [3.75 / 1.5, 3.75 / 6.0], rel=1e-6),
+    case("solve-one-sample", lambda: _solve([0.42], [3], [0, 0, 0, 1, 0], alpha=0.3), lambda: [1.0] * 5),
+    # Per batch the solve minimizes (w_c L_c - L_bar)^2 + alpha (w_c - w0_c)^2. At L_c = 0.5 and
+    # 1.5 (L_bar = 1), alpha = 0.5 and w0 = 1 the weights are 4/3 and 8/11, each rounded once:
+    # the class with the higher loss gets the lower weight.
+    case("solve-equalizes-the-weighted-class-losses",
+         lambda: _solve([0.5, 1.5], [0, 1], [1, 1], alpha=0.5, mode="batch"), lambda: [4 / 3, 8 / 11]),
+    case("macro-hand-value", lambda: _solve([1.0, 1.0], [0, 1], [4, 1], mode="macro"), lambda: [0.4, 1.6],
+         rel=1e-6),
+    case("macro-gamma-0-is-ones", lambda: _solve([1.0, 2.0, 3.0], [0, 1, 2], [7, 2, 30], gamma=0.0, mode="macro"),
+         lambda: [1.0] * 3),
+    case("macro-equal-counts-are-ones",
+         lambda: _solve([1.0, 2.0, 3.0, 4.0], [0, 1, 2, 3], [6, 6, 6, 6], gamma=2.7, mode="macro"),
+         lambda: [1.0] * 4, rel=1e-6),
+    case("macro-reads-neither-losses-nor-prior",
+         lambda: _solve([-1.0, 2.0], [0, 1], [1, 4], prior=[0.0, -1.0], mode="macro"), lambda: [1.6, 0.4],
+         rel=1e-6),
+    case("macro-counters-stay-int64", lambda: _first_step([1, 2, 2, 0])[1].batch_counts.dtype.name,
+         lambda: "int64"),
+    case("composed-balanced-is-ones", lambda: _solve([1.0, 1.0], [0, 1], [3, 3], alpha=0.7, gamma=1.3),
+         lambda: [1.0, 1.0], rel=1e-6),
+    *(case(f"composed-first-batch-{mode}", lambda mode=mode: _solve([1.0, 3.0], [0, 1], [1, 1], mode=mode),
+           lambda want=want: want, rel=1e-6)
+      for mode, want in (("batch", [2.0, 2.0 / 3.0]), ("macro", [1.0, 1.0]), ("both", [2.0, 2.0 / 3.0]))),
+    case("composed-macro", lambda: _solve([1.0, 3.0], [0, 1], [4, 1]), lambda: [0.8, 16.0 / 15.0], rel=1e-6),
+    case("composed-zero-loss-takes-the-prior", lambda: _solve([0.0, 2.0], [0, 1], [1, 1], prior=[2.5, 1.0],
+                                                              gamma=0.0)[0], lambda: 2.5, rel=1e-6),
+    # The batch step's reweighted mean loss. On the first batch every present class has B_c = 1,
+    # so beta is all ones.
+    case("batch-loss-with-unit-weights-is-the-plain-mean", lambda: _first_step([0, 1, 0, 2, 1], mode="macro")[0],
+         lambda: np.mean(_plain_ce([0, 1, 0, 2, 1])), rel=1e-12),
+    # alpha = gamma = 0: every class's weighted mean is L_bar, so the loss is the class-balanced mean.
+    case("batch-loss-is-the-class-balanced-mean", lambda: _first_step([0, 0, 0, 1, 2, 2], gamma=0.0)[0],
+         lambda: np.mean(np.bincount([0, 0, 0, 1, 2, 2], weights=_plain_ce([0, 0, 0, 1, 2, 2])) / [3, 1, 2]),
+         rel=1e-12),
+    # Equal class losses and equal appearance counts leave the plain mean at every step.
+    case("batch-loss-on-a-balanced-stream-is-the-plain-mean", lambda: _balanced_stream()[0],
+         lambda: _balanced_stream()[1], rel=1e-12),
+]
 
-    def test_pure_batch_weights(self):
-        w_star = _solve([1.0, 3.0], [0, 1], [1, 1], mode="batch")
-        beta = _solve([1.0, 3.0], [0, 1], [1, 1], mode="macro")
-        w_hat = _solve([1.0, 3.0], [0, 1], [1, 1])
-        assert w_star[0] == pytest.approx(2.0)
-        assert w_star[1] == pytest.approx(2.0 / 3.0)
-        assert beta[0] == pytest.approx(1.0)
-        assert w_hat[0] == pytest.approx(2.0)
-        assert w_hat[1] == pytest.approx(2.0 / 3.0)
 
-    def test_macro_composition(self):
-        w = _solve([1.0, 3.0], [0, 1], [4, 1], gamma=1.0)
-        assert w[0] == pytest.approx(0.8)
-        assert w[1] == pytest.approx(16.0 / 15.0)
-
-    def test_prior_weights_used(self):
-        w = _solve([0.0, 2.0], [0, 1], [1, 1], prior=[2.5, 1.0], gamma=0.0)
-        assert w[0] == pytest.approx(2.5)  # zero-loss fallback hits the prior
-
-    def test_json_round_trip(self, capsys):
-        assert main(["weights", "--losses", "1,3", "--alpha", "0"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload["weights"]) == {"0", "1"}
-        assert set(payload["weights"]["0"]) == {"w_star", "beta", "w_hat"}
-        assert payload["weights"]["1"]["w_hat"] == pytest.approx(2.0 / 3.0)
-
-
-class TestReweightedBatchLoss:
-    # _batch_update returns the batch's reweighted mean loss; lr 0 leaves the
-    # parameters alone so the losses below can be recomputed independently.
-    def _batch_ce(self, state, data):
-        _, z = forward(state.params[0], data.x)
-        return _ce_from_logits(z, data.y)
-
-    def test_unit_weights_match_plain_mean(self):
-        # first batch: every present class has B_c = 1, so beta is all ones
-        data, state, ctx = _inverse_run([0, 1, 0, 2, 1], 3, reweight=ReweightConfig(mode="macro"))
-        loss = _step(state, ctx, data.x, data.y)
-        assert loss == pytest.approx(float(np.mean(self._batch_ce(state, data))), rel=1e-12)
-
-    def test_hand_example(self):
-        # alpha = gamma = 0: every class's weighted mean is L_bar, so the
-        # reweighted batch loss is the class-balanced mean loss
-        data, state, ctx = _inverse_run([0, 0, 0, 1, 2, 2], 3, reweight=ReweightConfig(gamma=0.0))
-        ce = self._batch_ce(state, data)
-        l_bar = np.mean([ce[data.y == c].mean() for c in range(3)])
-        loss = _step(state, ctx, data.x, data.y)
-        assert loss == pytest.approx(l_bar, rel=1e-12)
-
-    def test_no_op_on_balanced_stream(self):
-        # equal per-class losses and equal appearance counts keep the
-        # reweighted loss identical to the plain mean at every step
-        rng = np.random.default_rng(5)
-        counts = np.zeros(3, dtype=np.int64)
-        labels = np.array([0, 0, 1, 1, 2, 2])
-        for _ in range(10):
-            losses = np.repeat(rng.uniform(0.5, 2.0), 6)
-            counts += 1
-            w_hat = _solve(losses, labels, counts, alpha=0.0, gamma=1.0)
-            assert np.mean(w_hat[labels] * losses) == pytest.approx(np.mean(losses), rel=1e-12)
+@pytest.mark.parametrize("got, want, rel", SOLVE_CASES)
+def test_solve(got, want, rel):
+    assert_close(got(), want(), rel)
 
 
 class TestReweightConfig:
@@ -507,5 +407,5 @@ class TestReweightConfig:
     def test_default_prior(self):
         # ones unless use_base_prior is set and the base's class weights are count-based
         for kwargs in ({}, {"use_base_prior": True}, {"base": "cb"}):
-            _, _, ctx = _inverse_run([0, 1, 1, 2, 2, 2], 3, reweight=ReweightConfig(**kwargs))
+            _, _, ctx = _inverse_run([0, 1, 1, 2, 2, 2], reweight=ReweightConfig(**kwargs))
             assert ctx.prior.tolist() == [[1.0, 1.0, 1.0]]

@@ -35,7 +35,7 @@ from ltlab.trainer import (
     train_epoch,
 )
 
-from oracles import central_difference, closed_form_where, nc1_exact, softmax, weighted_ce_dlogits
+from oracles import central_difference, inverse_weights_ref, nc1_exact, softmax, weighted_ce_dlogits
 
 
 def small_linear_params(seed=0, c=3, d=4):
@@ -500,7 +500,7 @@ class TestRunExperiment:
 # --- The batch step before the flat parameter buffer, kept as the oracle. ---
 # Parameters and velocity are separate arrays in a namespace and a dict;
 # every intermediate is recomputed as the batch step once did, and the
-# weight solve takes every closed-form corner with np.where.
+# weight solve is ``oracles.inverse_weights_ref``.
 
 def _forward_batch_ref(params, x):
     if params.hidden_weights is not None:
@@ -576,19 +576,6 @@ def _grads_from_dz_ref(params, x, h, dz, dh_extra=None):
     return grads
 
 
-def _inverse_weights_ref(losses, labels, batch_counts, prior, config, mode):
-    n = np.bincount(labels, minlength=len(batch_counts))
-    present = n > 0
-    w_hat = np.ones(len(batch_counts))
-    if mode != "macro":
-        l_c = np.bincount(labels, weights=losses, minlength=len(n))[present] / n[present]
-        w_hat[present] = closed_form_where(l_c, l_c.mean(), config.alpha, prior[present])
-    if mode != "batch":
-        beta = batch_counts[present].astype(np.float64) ** -config.gamma
-        w_hat[present] *= beta / beta.mean()
-    return w_hat
-
-
 def _sgd_step_ref(params, grads, lr, momentum, weight_decay, velocity, update_bias):
     for name, grad in grads.items():
         if not update_bias and name in ("bias", "hidden_bias"):
@@ -608,8 +595,7 @@ def _batch_update_ref(ref, ctx, x, y, epoch, lr):
     if config.method.name == "inverse":
         ref.batch_counts += np.bincount(y, minlength=len(ref.batch_counts)) > 0
         if epoch >= config.reweight.switch_epoch:
-            w_hat = _inverse_weights_ref(weights * ell, y, ref.batch_counts, ctx.prior[0],
-                                         config.reweight, config.reweight.mode)
+            w_hat = inverse_weights_ref(weights * ell, y, ref.batch_counts, ctx.prior[0], config.reweight)
             coef = weights * w_hat[y]
     m = len(y)
     loss = float(np.mean(coef * ell))
