@@ -229,6 +229,8 @@ def load_csv_dataset(path, label_column: str = "label", split: str = "train") ->
             raise DataError(f"{path} row 1: not UTF-8 text")
         if label_column not in header:
             raise DataError(f"{path}: no column named {label_column!r} in header")
+        if header.count(label_column) > 1:
+            raise DataError(f"{path}: more than one column named {label_column!r} in header")
         label_idx = header.index(label_column)
         if len(header) < 2:
             raise DataError(f"{path}: no feature columns")

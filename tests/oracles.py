@@ -12,8 +12,11 @@ gradient, ``closed_form_where`` the closed-form weight with every corner
 taken by ``np.where``, and ``inverse_weights_ref`` the inverse solve of one
 batch built on it, the one reference for ``reweighting.inverse_weights``.
 
-``case`` makes a row of a table of checked values, and ``assert_close``
-compares a row's values: bit for bit, or to a relative tolerance.
+``case`` makes a row of a module's value table (``SOLVE_CASES``,
+``KERNEL_CASES``, ``SCHEDULE_CASES``, ``BASE_LOSS_CASES``, ``METRIC_CASES``,
+``ETF_CASES``, ``PINV_CASES``), and ``assert_close`` compares a row's values:
+bit for bit, or to a relative tolerance. ``rejected`` makes a row of a
+module's ``REJECTED_*_ARGS`` table, checked by ``pytest.raises``.
 
 ``make_nc_fixture`` constructs a feature/classifier snapshot that sits
 exactly at the collapsed end-state: all features at their class means,
@@ -110,6 +113,11 @@ def case(name, got, want, rel=0.0):
     return pytest.param(got, want, rel, id=name)
 
 
+def rejected(name, call, error, match):
+    """A table row: ``call()`` raises ``error`` with a message that ``match`` searches."""
+    return pytest.param(call, error, match, id=name)
+
+
 def assert_close(got, want, rel):
     """``got`` equals ``want``, a scalar or of ``got``'s shape: bit for bit
     at ``rel`` 0, else to relative ``rel`` with no absolute slack."""
@@ -117,7 +125,7 @@ def assert_close(got, want, rel):
     if rel:
         assert np.allclose(got, want, rtol=rel, atol=0.0), (got, want)
     else:
-        assert np.all(got == want), (got, want)
+        assert np.all(np.asarray(got) == want), (got, want)
 
 
 def trainer_losses(name, logits, targets, features=None, **hyper) -> np.ndarray:

@@ -16,48 +16,19 @@ from ltlab.baselines import (
 )
 from ltlab.trainer import _ce_from_logits
 
-from oracles import assert_close, case, central_difference, trainer_losses
+from oracles import assert_close, case, central_difference, rejected, trainer_losses
 
 
 class TestFrequencyWeights:
-    def test_inv_freq(self):
-        assert np.allclose(inv_freq_weights((10, 5)), [0.1, 0.2])
-        assert np.allclose(inv_freq_weights((1,)), [1.0])
-        assert np.allclose(inv_freq_weights((2, 4, 8)), [0.5, 0.25, 0.125])
-
-    def test_inv_sqrt(self):
-        assert np.allclose(inv_sqrt_weights((4, 16)), [0.5, 0.25])
-        assert np.allclose(inv_sqrt_weights((1, 1)), [1.0, 1.0])
-
     def test_inv_sqrt_monotone(self):
         w = inv_sqrt_weights((1, 3, 9, 100))
         assert np.all(np.diff(w) < 0)
 
 
-class TestCbWeights:
-    def test_beta_zero_is_uniform(self):
-        assert np.array_equal(cb_weights((3, 50, 7), 0.0), np.ones(3))
-
-    def test_single_sample_class(self):
-        for beta in (0.1, 0.5, 0.9999):
-            assert cb_weights((1,), beta)[0] == pytest.approx(1.0)
-
-    def test_hand_value(self):
-        w = cb_weights((100,), 0.99)
-        assert w[0] == pytest.approx(0.01 / (1 - 0.99 ** 100), rel=1e-12)
-        assert w[0] == pytest.approx(0.0157746, rel=1e-4)
-
-    def test_beta_range(self):
-        with pytest.raises(ValueError):
-            cb_weights((2, 3), 1.0)
-        with pytest.raises(ValueError):
-            cb_weights((2, 3), -0.1)
-
-    def test_limit_matches_inverse_frequency(self):
-        counts = (5, 17, 301, 4000)
-        w = cb_weights(counts, 1.0 - 1e-8)
-        ratio = w * np.asarray(counts)
-        assert np.abs(ratio / ratio[0] - 1.0).max() < 1e-4
+def _ib_draws():
+    """20 random (counts, alpha_scale) pairs of six classes."""
+    rng = np.random.default_rng(1)
+    return [(rng.integers(1, 500, size=6), float(rng.uniform(0.1, 10))) for _ in range(20)]
 
 
 def _criterion_8_draws():
@@ -78,10 +49,31 @@ def _ib_within_ce_over_eps():
 GRID = np.linspace(0.01, 0.99, 60)  # p_t of a two-class row, rising
 HALF = [[0.0, 0.0]]  # p = (0.5, 0.5)
 PERFECT = [[-1e4, 0.0]]  # p = (0, 1) exactly: exp(-1e4) underflows
+CB_COUNTS = np.array([5, 17, 301, 4000])
 
 
-# Focal (default gamma 2) and IB properties, each on the trainer's own kernel.
+# The base methods' values: the static class weights (inverse frequency,
+# inverse square root, class-balanced, IB's class coefficients), and focal
+# (default gamma 2) and IB on the trainer's own kernel.
 BASE_LOSS_CASES = [
+    case("inv-freq", lambda: inv_freq_weights((10, 5)), lambda: [0.1, 0.2]),
+    case("inv-freq-one-class", lambda: inv_freq_weights((1,)), lambda: 1.0),
+    case("inv-freq-powers-of-two", lambda: inv_freq_weights((2, 4, 8)), lambda: [0.5, 0.25, 0.125]),
+    case("inv-sqrt", lambda: inv_sqrt_weights((4, 16)), lambda: [0.5, 0.25]),
+    case("inv-sqrt-ones", lambda: inv_sqrt_weights((1, 1)), lambda: 1.0),
+    case("cb-beta-zero-is-uniform", lambda: cb_weights((3, 50, 7), 0.0), lambda: 1.0),
+    case("cb-single-sample-class", lambda: [cb_weights((1,), beta)[0] for beta in (0.1, 0.5, 0.9999)], lambda: 1.0),
+    # 0.0157746 to six digits.
+    case("cb-hand-value", lambda: cb_weights((100,), 0.99), lambda: (1.0 - 0.99) / (1.0 - 0.99 ** 100), rel=1e-15),
+    # n_c w_c is the same for every class in the limit beta -> 1.
+    case("cb-limit-is-inverse-frequency", lambda: cb_weights(CB_COUNTS, 1.0 - 1e-8) * CB_COUNTS,
+         lambda: cb_weights(CB_COUNTS, 1.0 - 1e-8)[0] * CB_COUNTS[0], rel=1e-4),
+    case("ib-coefficients-symmetric", lambda: ib_class_coefficients((1, 1), 1.0), lambda: 0.5),
+    case("ib-coefficients-hand-value", lambda: ib_class_coefficients((1, 3), 1.0),
+         lambda: [1.0 / (1.0 + 1 / 3), 1 / 3 / (1.0 + 1 / 3)]),
+    case("ib-coefficients-sum-to-the-scale",
+         lambda: [ib_class_coefficients(counts, scale).sum() for counts, scale in _ib_draws()],
+         lambda: [scale for _, scale in _ib_draws()], rel=1e-14),
     case("focal-gamma-0-is-ce", lambda: trainer_losses("focal", *_criterion_8_draws(), focal_gamma=0.0),
          lambda: _ce_from_logits(*_criterion_8_draws())),
     *(case(f"{name}-perfect-prediction-is-0", lambda name=name: trainer_losses(name, PERFECT, [1], np.ones((1, 4))),
@@ -112,54 +104,44 @@ def test_base_loss(got, want, rel):
     assert_close(got(), want(), rel)
 
 
-class TestIbClassCoefficients:
-    def test_symmetry(self):
-        assert np.allclose(ib_class_coefficients((1, 1), 1.0), [0.5, 0.5])
+REJECTED_BASELINE_ARGS = [
+    *(rejected(f"cb-beta-{beta}", lambda beta=beta: cb_weights((2, 3), beta), ValueError, "beta must lie in")
+      for beta in (1.0, -0.1)),
+    rejected("ib-scale-zero", lambda: ib_class_coefficients((2, 3), 0.0), ValueError, "alpha_scale must be positive"),
+]
 
-    def test_hand_example(self):
-        assert np.allclose(ib_class_coefficients((1, 3), 1.0), [0.75, 0.25])
 
-    def test_sum_equals_scale(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            counts = rng.integers(1, 500, size=6)
-            scale = float(rng.uniform(0.1, 10))
-            assert ib_class_coefficients(counts, scale).sum() == pytest.approx(scale)
+@pytest.mark.parametrize("call, error, match", REJECTED_BASELINE_ARGS)
+def test_rejected_baseline_args(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def _range(x, y, k, margin, alpha, beta):
+    """The range loss and its gradient for the rows ``x`` with labels ``y``."""
+    return range_loss_grad(np.array(x, dtype=np.float64), np.array(y), k, margin, alpha, beta)
 
 
 class TestRangeLoss:
     def test_tight_clusters_far_centers(self):
-        x = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 0.0]])
-        y = np.array([0, 0, 1, 1])
-        val = range_loss_grad(x, y, k=2, margin=5.0, alpha=1.0, beta=1.0)[0]
-        assert val == pytest.approx(0.0, abs=1e-10)
+        # Each class's one distance is floored, and the centres lie beyond the margin.
+        got = _range([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0], [10.0, 0.0]], [0, 0, 1, 1], 2, 5.0, 1.0, 1.0)[0]
+        assert_close(got, 2 * RANGE_DIST_FLOOR, 1e-15)
 
     def test_inter_hinge(self):
-        x = np.array([[0.0], [3.0]])
-        y = np.array([0, 1])
-        assert range_loss_grad(x, y, k=1, margin=5.0, alpha=0.0, beta=1.0)[0] == pytest.approx(2.0)
+        assert _range([[0.0], [3.0]], [0, 1], 1, 5.0, 0.0, 1.0)[0] == 5.0 - 3.0
 
     def test_inter_inactive_beyond_margin(self):
-        x = np.array([[0.0], [7.0]])
-        y = np.array([0, 1])
-        assert range_loss_grad(x, y, k=1, margin=5.0, alpha=0.0, beta=1.0)[0] == 0.0
+        assert _range([[0.0], [7.0]], [0, 1], 1, 5.0, 0.0, 1.0)[0] == 0.0
 
     def test_harmonic_mean_of_top_ranges(self):
-        x = np.array([[0.0], [1.0], [3.0], [50.0]])
-        y = np.array([0, 0, 0, 1])
-        # pairwise distances 1, 3, 2; top-2 are 3 and 2
-        expected = 2.0 / (1 / 3.0 + 1 / 2.0)
-        val = range_loss_grad(x, y, k=2, margin=1.0, alpha=1.0, beta=0.0)[0]
-        assert val == pytest.approx(expected)
+        # Pairwise distances 1, 3 and 2: the top two are 3 and 2.
+        assert _range([[0.0], [1.0], [3.0], [50.0]], [0, 0, 0, 1], 2, 1.0, 1.0, 0.0)[0] == 2.0 / (1 / 3.0 + 1 / 2.0)
 
     def test_single_class_has_no_inter_term(self):
-        # No centre pair: the hinge adds nothing and pushes no row, as a
-        # singleton class adds no intra term.
-        x = np.array([[0.0], [2.0]])
-        y = np.array([0, 0])
+        # No centre pair: the hinge adds nothing and pushes no row, as a singleton class adds no intra term.
         for beta in (0.0, 1.0):
-            assert range_loss_grad(x, y, k=1, margin=1.0, alpha=0.0, beta=beta)[0] == 0.0
-            assert not range_loss_grad(x, y, k=1, margin=1.0, alpha=0.0, beta=beta)[1].any()
+            assert not np.append(*_range([[0.0], [2.0]], [0, 0], 1, 1.0, 0.0, beta)).any()
 
     def test_inter_term_lipschitz(self):
         # inter term moves at most as fast as the center distance
@@ -259,13 +241,15 @@ def range_batches(draw):
 
 
 def _centres_resolved(x, y):
-    """False when two class centres coincide up to rounding."""
+    """False when two class centres coincide, or the two nearest centre
+    pairs are equally far apart, up to rounding."""
     classes = np.unique(y)
     if len(classes) < 2:
         return True
     centres = np.stack([x[y == c].mean(axis=0) for c in classes])
-    gaps = np.linalg.norm(centres[:, None] - centres[None], axis=2)
-    return gaps[np.triu_indices(len(classes), 1)].min() > 1e-9 * max(1.0, np.abs(x).max())
+    gaps = np.sort(np.linalg.norm(centres[:, None] - centres[None], axis=2)[np.triu_indices(len(classes), 1)])
+    tol = 1e-9 * max(1.0, np.abs(x).max())
+    return gaps[0] > tol and (len(gaps) == 1 or gaps[1] - gaps[0] > tol)
 
 
 class TestPairIndices:
@@ -302,10 +286,10 @@ class TestRangeLossMatchesLoop:
         assert grad.dtype == np.float64 and grad.shape == x.shape  # also with no same-class pair
         assert value == pytest.approx(want_value, rel=1e-12)
         if not _centres_resolved(x, y):
-            # The hinge direction is the sign of rounding noise here: numpy's
-            # mean sums a single column pairwise but several columns row by
-            # row, so the loop itself flips it with the feature layout.
-            # Check the intra gradient alone.
+            # The hinge direction, or the pair it pushes apart, is rounding
+            # noise here: numpy's mean sums a single column pairwise but
+            # several columns row by row, so the loop itself flips it with
+            # the feature layout. Check the intra gradient alone.
             _, want_grad = _range_loss_grad_loop(x, y, k, margin, alpha, 0.0)
             _, grad = range_loss_grad(x, y, k, margin, alpha, 0.0)
         assert np.allclose(grad, want_grad, rtol=0.0, atol=1e-12)

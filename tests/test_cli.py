@@ -533,6 +533,8 @@ BAD_INPUTS = [
         "the training set has 2 classes"),
     bad("train-csv-not-utf8", csv_dataset(train_edit=cell(1, -1, "0\xff")), TRAIN, 3,
         "{t}/train/train.csv row 2: not UTF-8 text"),
+    bad("train-csv-two-label-columns", csv_dataset(train_edit=cell(0, 0, "label")), TRAIN, 3,
+        "{t}/train/train.csv: more than one column named 'label' in header\n"),
     bad("train-csv-shape-mismatch", csv_dataset(("classes = 4", "classes = 10"),
                                                 test_edits=[("classes = 4", "classes = 5")]),
         TRAIN, 3, "train/test shape mismatch: 8x10 vs 8x5\n"),

@@ -169,6 +169,8 @@ def reject(tmp_path, text, match):
 REJECTED_CSV = [
     pytest.param("f0,label\n1.0,0\noops,1\n", {}, "{p} row 3: non-numeric feature cell\n", id="text-cell"),
     pytest.param("f0,f1\n1.0,2.0\n", {}, "{p}: no column named 'label' in header\n", id="no-label-column"),
+    pytest.param("f0,label,label\n1.0,0,0\n2.0,1,1\n", {}, "{p}: more than one column named 'label' in header\n",
+                 id="two-label-columns"),
     pytest.param("f0,label\n1.0,0\n2.0,2\n3.0,0\n", {},
                  "{p}: classes [1] have no samples (labels must cover 0..C-1)\n", id="class-gap"),
     pytest.param("f0,label\n1.0,0\n2.0,0\n3.0,1\n", {"split": "test"}, "{p}: test split must be class-balanced\n",

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from ltlab.linalg import pinv
 
+from oracles import assert_close, case, rejected
+
 
 def gauss_inverse(a):
     """Independent dense inverse by Gauss-Jordan elimination with partial pivoting."""
@@ -23,48 +25,49 @@ def gauss_inverse(a):
     return aug[:, n:]
 
 
+def rank_one_error():
+    """The largest entry of |pinv(u v^T) - v u^T / (|u|^2 |v|^2)|."""
+    rng = np.random.default_rng(11)
+    u, v = rng.standard_normal(6), rng.standard_normal(4)
+    return np.abs(pinv(np.outer(u, v)) - np.outer(v, u) / (u @ u) / (v @ v)).max()
+
+
+PINV_CASES = [
+    case("zero-matrix", lambda: pinv(np.zeros((3, 5))), lambda: np.zeros((5, 3))),
+    case("rank-one", lambda: rank_one_error() < 1e-12, lambda: True),
+    # Singular values at or below rank_tol times the largest count as zero.
+    case("rank-tol-cuts-a-small-singular-value", lambda: pinv(np.diag([1.0, 1e-9]), rank_tol=1e-6)[1, 1], lambda: 0.0),
+    case("rank-tol-keeps-a-larger-one", lambda: pinv(np.diag([1.0, 1e-9]), rank_tol=1e-12)[1, 1], lambda: 1e9,
+         rel=1e-12),
+    case("accepts-lists", lambda: pinv([[2, 0], [0, 4]]), lambda: [[0.5, 0.0], [0.0, 0.25]]),
+]
+
+
+@pytest.mark.parametrize("got, want, rel", PINV_CASES)
+def test_pinv(got, want, rel):
+    assert_close(got(), want(), rel)
+
+
+REJECTED_PINV_ARGS = [
+    rejected("one-dimensional", lambda: pinv([1.0, 2.0, 3.0]), ValueError, "2-D"),
+    rejected("nan-entry", lambda: pinv([[1.0, np.nan]]), ValueError, "finite"),
+    rejected("inf-entry", lambda: pinv([[np.inf, 0.0]]), ValueError, "finite"),
+    rejected("negative-rank-tol", lambda: pinv(np.eye(2), rank_tol=-1.0), ValueError, "rank_tol must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", REJECTED_PINV_ARGS)
+def test_rejected_pinv_args(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestPinv:
     def test_inverse_agreement(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             a = rng.standard_normal((5, 5)) + 5 * np.eye(5)
             assert np.abs(pinv(a) - gauss_inverse(a)).max() < 1e-10
-
-    def test_zero_matrix(self):
-        out = pinv(np.zeros((3, 5)))
-        assert out.shape == (5, 3)
-        assert np.all(out == 0.0)
-
-    def test_rank_one(self):
-        rng = np.random.default_rng(11)
-        u = rng.standard_normal(6)
-        v = rng.standard_normal(4)
-        a = np.outer(u, v)
-        expected = np.outer(v, u) / (u @ u) / (v @ v)
-        assert np.abs(pinv(a) - expected).max() < 1e-12
-
-    def test_rank_tol_cuts_small_singular_values(self):
-        a = np.diag([1.0, 1e-9])
-        strict = pinv(a, rank_tol=1e-6)
-        assert strict[1, 1] == 0.0
-        loose = pinv(a, rank_tol=1e-12)
-        assert loose[1, 1] == pytest.approx(1e9)
-
-    def test_validates_shape(self):
-        with pytest.raises(ValueError, match="2-D"):
-            pinv([1.0, 2.0, 3.0])
-
-    def test_rejects_non_finite(self):
-        for bad in ([[1.0, np.nan]], [[np.inf, 0.0]]):
-            with pytest.raises(ValueError, match="finite"):
-                pinv(bad)
-
-    def test_accepts_lists(self):
-        assert np.array_equal(pinv([[2, 0], [0, 4]]), [[0.5, 0.0], [0.0, 0.25]])
-
-    def test_negative_rank_tol_rejected(self):
-        with pytest.raises(ValueError):
-            pinv(np.eye(2), rank_tol=-1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -20,7 +20,7 @@ from ltlab.nc_metrics import (
 )
 
 from ltlab.linalg import pinv
-from oracles import fixture_bank, make_nc_fixture, nc1_exact
+from oracles import assert_close, case, fixture_bank, make_nc_fixture, nc1_exact, rejected
 
 TOY = FeatureBank(features=np.array([[0.0], [2.0], [4.0], [6.0]]), offsets=(0, 2, 4))
 
@@ -67,10 +67,8 @@ def _mask_bank(x, y):
 
 class TestFeatureBank:
     def test_from_labels(self):
-        x = np.array([[1.0], [2.0], [3.0]])
-        bank = FeatureBank.from_labels(x, [1, 0, 1])
-        assert np.array_equal(bank.blocks[1], [[1.0], [3.0]])
-        assert np.array_equal(bank.features, [[2.0], [1.0], [3.0]])
+        bank = FeatureBank.from_labels(np.array([[1.0], [2.0], [3.0]]), [1, 0, 1])
+        assert np.array_equal(bank.blocks[1], [[1.0], [3.0]]) and np.array_equal(bank.features, [[2.0], [1.0], [3.0]])
         assert bank.offsets.tolist() == [0, 1, 3]
 
     @settings(max_examples=60, deadline=None)
@@ -95,18 +93,15 @@ class TestFeatureBank:
             FeatureBank.from_labels(np.zeros((3, 2)), [0, 1])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FeatureBank.from_labels(np.zeros((0, 2)), np.zeros(0, dtype=int))
-        with pytest.raises(ValueError, match="non-empty"):
-            FeatureBank(features=np.zeros((2, 2)), offsets=(0, 0, 2))
-        with pytest.raises(ValueError, match="offsets from 0 to 2"):
-            FeatureBank(features=np.zeros((2, 2)), offsets=(0, 1, 3))
-        with pytest.raises(ValueError, match="float64"):
-            FeatureBank(features=np.zeros(2), offsets=(0, 2))
-        with pytest.raises(ValueError, match="float64"):
-            FeatureBank(features=np.zeros((2, 2), dtype=np.float32), offsets=(0, 2))
         with pytest.raises(ValueError, match="offsets from 0 to 0 for C >= 1 classes"):
-            FeatureBank(features=np.zeros((0, 2)), offsets=(0,))
+            FeatureBank.from_labels(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        for features, offsets, match in [(np.zeros((2, 2)), (0, 0, 2), "non-empty"),
+                                         (np.zeros((2, 2)), (0, 1, 3), "offsets from 0 to 2"),
+                                         (np.zeros(2), (0, 2), "float64"),
+                                         (np.zeros((2, 2), np.float32), (0, 2), "float64"),
+                                         (np.zeros((0, 2)), (0,), "offsets from 0 to 0 for C >= 1 classes")]:
+            with pytest.raises(ValueError, match=match):
+                FeatureBank(features=features, offsets=offsets)
 
     def test_keeps_the_given_array(self):
         x = np.arange(8.0).reshape(4, 2)
@@ -118,16 +113,12 @@ class TestFeatureBank:
 
 class TestClassMeans:
     def test_single_sample_classes(self):
-        bank = FeatureBank.from_labels(np.array([[1.0, 0.0], [0.0, 2.0]]), [0, 1])
-        means, global_mean = class_means(bank)
-        assert np.array_equal(means, [[1.0, 0.0], [0.0, 2.0]])
-        assert np.array_equal(global_mean, [0.5, 1.0])
+        means, global_mean = class_means(FeatureBank.from_labels(np.array([[1.0, 0.0], [0.0, 2.0]]), [0, 1]))
+        assert np.array_equal(means, [[1.0, 0.0], [0.0, 2.0]]) and np.array_equal(global_mean, [0.5, 1.0])
 
     def test_symmetric_global_mean(self):
         m = np.array([1.5, -2.0, 0.25])
-        bank = FeatureBank.from_labels(np.vstack([m, -m]), [0, 1])
-        _, global_mean = class_means(bank)
-        assert np.abs(global_mean).max() == 0.0
+        assert np.abs(class_means(FeatureBank.from_labels(np.vstack([m, -m]), [0, 1]))[1]).max() == 0.0
 
     def test_permutation_oracle(self):
         rng = np.random.default_rng(0)
@@ -152,16 +143,11 @@ def _separated_bank(seed, sizes, p, dead=(), offset=0.0):
 
 class TestNc1:
     def test_1d_toy_value(self):
-        assert _nc1(TOY) == pytest.approx(0.125)
+        assert_close(_nc1(TOY), 0.125, 1e-12)
         assert nc1_exact(TOY) == Fraction(1, 8)
 
     def test_scale_invariance(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((60, 5))
-        y = rng.integers(0, 3, size=60)
-        base = _nc1(FeatureBank.from_labels(x, y))
-        scaled = _nc1(FeatureBank.from_labels(7.3 * x, y))
-        assert scaled == pytest.approx(base, rel=1e-9)
+        assert_close(_nc1(_scaled(2, 60, 5, 7.3)[1]), _nc1(_scaled(2, 60, 5)[1]), 1e-9)
 
     @pytest.mark.parametrize("sizes, p, dead, offset", [
         ((9, 5, 7, 3, 6, 4, 8), 3, (), 0.0),  # C - 1 >= p: Sigma_B has full rank
@@ -207,26 +193,46 @@ class TestNc1:
             nc1(bank, means, global_mean, centred=np.zeros((30, 3)))
 
 
+def _scaled(seed, n, p, feature_scale=1.0, classifier_scale=1.0):
+    """A random (3, p) classifier and a bank of n random rows of p features in 3 classes, each scaled."""
+    rng = np.random.default_rng(seed)
+    x, y, w = rng.standard_normal((n, p)), rng.integers(0, 3, size=n), rng.standard_normal((3, p))
+    return classifier_scale * w, FeatureBank.from_labels(feature_scale * x, y)
+
+
+# NC2 and NC3 on hand inputs: the distances of the normalized W W^T and W M
+# from the simplex-ETF Gram.
+METRIC_CASES = [
+    case("nc2-etf-rows-give-zero", lambda: nc2(2.7 * make_etf(5, 9, seed=3).T) <= 1e-9, lambda: True),
+    # W W^T = I and ||I|| = 2, as nc2 forms them.
+    case("nc2-orthonormal-rows", lambda: nc2(np.eye(4, 7)),
+         lambda: np.linalg.norm(np.eye(4) / 2.0 - etf_gram_target(4))),
+    case("nc2-scale-invariant", lambda: nc2(3.14 * np.random.default_rng(4).standard_normal((6, 10))),
+         lambda: nc2(np.random.default_rng(4).standard_normal((6, 10))), rel=1e-12),
+    case("nc3-separate-scaling-invariance", lambda: _nc3(*_scaled(7, 30, 4, 0.25, 5.0)),
+         lambda: _nc3(*_scaled(7, 30, 4)), rel=1e-12),
+]
+
+
+@pytest.mark.parametrize("got, want, rel", METRIC_CASES)
+def test_metric(got, want, rel):
+    assert_close(got(), want(), rel)
+
+
+REJECTED_METRIC_ARGS = [
+    rejected("nc2-zero-classifier", lambda: nc2(np.zeros((3, 5))), ValueError, "zero matrix"),
+    rejected("nc3-dimension-mismatch", lambda: _nc3(np.ones((2, 3)), TOY), ValueError,
+             "classifier dim 3 != feature dim 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", REJECTED_METRIC_ARGS)
+def test_rejected_metric_args(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestNc2:
-    def test_etf_rows_give_zero(self):
-        w = 2.7 * make_etf(5, 9, seed=3).T
-        assert nc2(w) <= 1e-9
-
-    def test_orthonormal_rows_closed_form(self):
-        c = 4
-        w = np.eye(c, 7)
-        expected = np.linalg.norm(np.eye(c) / np.sqrt(c) - etf_gram_target(c))
-        assert nc2(w) == pytest.approx(expected, rel=1e-12)
-
-    def test_global_scaling_invariance(self):
-        rng = np.random.default_rng(4)
-        w = rng.standard_normal((6, 10))
-        assert nc2(3.14 * w) == pytest.approx(nc2(w), rel=1e-12)
-
-    def test_zero_classifier_rejected(self):
-        with pytest.raises(ValueError, match="zero matrix"):
-            nc2(np.zeros((3, 5)))
-
     def test_etf_gram_target_is_one_read_only_array(self):
         c = 6
         target = etf_gram_target(c)
@@ -246,19 +252,6 @@ class TestNc3:
             val = _nc3(w, FeatureBank.from_labels(x, y))
             assert 0.0 < val <= 2.0
 
-    def test_separate_scaling_invariance(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((30, 4))
-        y = rng.integers(0, 3, size=30)
-        w = rng.standard_normal((3, 4))
-        a = _nc3(w, FeatureBank.from_labels(x, y))
-        b = _nc3(5.0 * w, FeatureBank.from_labels(0.25 * x, y))
-        assert b == pytest.approx(a, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            _nc3(np.ones((2, 3)), TOY)
-
 
 class TestNc4Agreement:
     def test_zero_classifier_brute_force(self):
@@ -273,8 +266,7 @@ class TestNc4Agreement:
         assert got == pytest.approx(expected)
 
     def test_single_class(self):
-        bank = FeatureBank.from_labels(np.array([[1.0], [2.0]]), [0, 0])
-        assert _nc4(np.array([[1.0]]), np.zeros(1), bank) == 1.0
+        assert _nc4([[1.0]], np.zeros(1), FeatureBank.from_labels(np.array([[1.0], [2.0]]), [0, 0])) == 1.0
 
     @pytest.mark.parametrize("labels", [(0, 0, 1, 1), (1, 1, 2, 2), (3, 3, 7, 7)])
     def test_class_ids_need_not_start_at_zero(self, labels):

@@ -35,7 +35,16 @@ from ltlab.trainer import (
     train_epoch,
 )
 
-from oracles import central_difference, inverse_weights_ref, nc1_exact, softmax, weighted_ce_dlogits
+from oracles import (
+    assert_close,
+    case,
+    central_difference,
+    inverse_weights_ref,
+    nc1_exact,
+    rejected,
+    softmax,
+    weighted_ce_dlogits,
+)
 
 
 def small_linear_params(seed=0, c=3, d=4):
@@ -48,70 +57,6 @@ def kernel_grads(params, x, y, w):
     grads = params.zeros_like()
     backward(params, x, h, weighted_ce_dlogits(z, y, w), grads)
     return grads.tensors()
-
-
-class TestForward:
-    def test_zero_logits_uniform(self):
-        params = ModelParams(weights=np.zeros((4, 3)), bias=np.zeros(4))
-        probs = softmax(forward(params, np.array([[1.0, -2.0, 0.5]]))[1])[0]
-        assert np.allclose(probs, 0.25, atol=1e-12)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_dominant_logit(self):
-        params = ModelParams(weights=np.array([[500.0], [0.0], [0.0]]), bias=np.zeros(3))
-        probs = softmax(forward(params, np.array([[1.0]]))[1])[0]
-        assert probs[0] == pytest.approx(1.0)
-        assert probs[1] == pytest.approx(0.0, abs=1e-200)
-
-    def test_identity_model_logits(self):
-        params = ModelParams(weights=np.eye(3), bias=np.array([0.1, 0.2, 0.3]))
-        x = np.array([[1.0, 2.0, 3.0]])
-        h, z = forward(params, x)
-        assert np.array_equal(h, x)
-        assert np.allclose(z, [[1.1, 2.2, 3.3]])
-
-    def test_hidden_relu_path(self):
-        params = ModelParams(
-            weights=np.array([[1.0, 0.0], [0.0, 1.0]]),
-            bias=np.zeros(2),
-            hidden_weights=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-            hidden_bias=np.zeros(2),
-        )
-        h, _ = forward(params, np.array([[2.0, 9.0, 9.0]]))
-        assert np.array_equal(h, [[2.0, 0.0]])
-
-    def test_dimension_mismatch(self):
-        params = small_linear_params()
-        with pytest.raises(ValueError):
-            forward(params, np.ones((1, 7)))
-
-
-class TestCeLoss:
-    def test_uniform_two_classes(self):
-        assert _ce_from_logits(np.zeros((1, 2)), np.array([0]))[0] == pytest.approx(math.log(2), rel=1e-12)
-
-    def test_correct_one_hot(self):
-        assert _ce_from_logits(np.array([[-1000.0, 0.0]]), np.array([1]))[0] == 0.0
-
-    def test_non_target_permutation_invariance(self):
-        params = ModelParams(weights=np.eye(4), bias=np.zeros(4))
-        z1 = np.array([[1.0, 2.0, 3.0, 0.5]])
-        z2 = np.array([[1.0, 0.5, 3.0, 2.0]])  # swap non-target logits
-        l1 = _ce_from_logits(z1, np.array([2]))
-        l2 = _ce_from_logits(z2, np.array([2]))
-        assert l1[0] == pytest.approx(l2[0], rel=1e-15)
-
-    def test_given_argmax_and_in_place_exp_change_no_bit(self):
-        # The epoch end passes the logits' argmax for the row max and lets
-        # the exp overwrite the logits; ties in the max are common here.
-        rng = np.random.default_rng(5)
-        z = np.round(3 * rng.standard_normal((60, 6)))
-        y = rng.integers(0, 6, size=60)
-        want = _ce_from_logits(z.copy(), y)
-        work = z.copy()
-        got = _ce_from_logits(work, y, out=work, argmax=z.argmax(axis=1))
-        assert got.tobytes() == want.tobytes()
-        assert not np.array_equal(work, z)  # the buffer holds the exp now
 
 
 class TestBackward:
@@ -162,46 +107,88 @@ class TestBackward:
             assert np.array_equal(getattr(params, name), getattr(before, name) - 0.1 * g), name
 
 
-def one_by_one(weight, bias):
-    return ModelParams(weights=[[weight]], bias=[bias])
+def probabilities(weights, x):
+    """The softmax of a zero-bias linear model's logits for the one row ``x``."""
+    return softmax(forward(ModelParams(weights=weights, bias=np.zeros(len(weights))), np.array([x]))[1])[0]
+
+
+def stepped(weight, bias, grad_weight, grad_bias, steps=1, lr=0.1, momentum=0.0, weight_decay=0.0,
+            update_bias=True):
+    """A 1x1 model's [weight, bias], then its gradient's, after ``steps`` SGD steps from zero velocity."""
+    params = ModelParams(weights=[[weight]], bias=[bias])
+    grads = ModelParams(weights=[[grad_weight]], bias=[grad_bias])
+    velocity = params.zeros_like()
+    for _ in range(steps):
+        sgd_step(params, grads, lr, momentum, weight_decay, velocity, update_bias)
+    return np.concatenate([params.flat, grads.flat])
+
+
+IDENTITY = ModelParams(weights=np.eye(3), bias=np.array([0.1, 0.2, 0.3]))
+HIDDEN = ModelParams(weights=np.eye(2), bias=np.zeros(2), hidden_weights=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                     hidden_bias=np.zeros(2))
+
+# The forward pass, the cross entropy and the SGD step on hand inputs. The
+# SGD rows' wants repeat the step's float arithmetic, so they hold bit for bit.
+KERNEL_CASES = [
+    case("forward-zero-weights-give-uniform-probabilities", lambda: probabilities(np.zeros((4, 3)), [1.0, -2.0, 0.5]),
+         lambda: 0.25),
+    # exp(-500) leaves the row sum at exactly 1.
+    case("forward-dominant-logit", lambda: probabilities([[500.0], [0.0], [0.0]], [1.0]),
+         lambda: [1.0, np.exp(-500.0), np.exp(-500.0)]),
+    case("forward-identity-model-features", lambda: forward(IDENTITY, np.array([[1.0, 2.0, 3.0]]))[0],
+         lambda: [[1.0, 2.0, 3.0]]),
+    case("forward-identity-model-logits", lambda: forward(IDENTITY, np.array([[1.0, 2.0, 3.0]]))[1],
+         lambda: [[1.0 + 0.1, 2.0 + 0.2, 3.0 + 0.3]]),
+    case("forward-hidden-relu", lambda: forward(HIDDEN, np.array([[2.0, 9.0, 9.0]]))[0], lambda: [[2.0, 0.0]]),
+    case("ce-uniform-two-classes", lambda: _ce_from_logits(np.zeros((1, 2)), np.array([0])), lambda: np.log(2.0)),
+    case("ce-correct-one-hot", lambda: _ce_from_logits(np.array([[-1000.0, 0.0]]), np.array([1])), lambda: 0.0),
+    case("ce-non-target-permutation", lambda: _ce_from_logits(np.array([[1.0, 0.5, 3.0, 2.0]]), np.array([2])),
+         lambda: _ce_from_logits(np.array([[1.0, 2.0, 3.0, 0.5]]), np.array([2])), rel=1e-15),
+    case("sgd-vanilla-step", lambda: stepped(1.0, 0.0, 0.5, 0.0), lambda: [1.0 - 0.5 * 0.1, 0.0, 0.5, 0.0]),
+    case("sgd-zero-grads-no-motion", lambda: stepped(2.0, 1.0, 0.0, 0.0, lr=0.5, momentum=0.9),
+         lambda: [2.0, 1.0, 0.0, 0.0]),
+    # Two steps: v = 1, then 0.9 + 1. The gradient buffer is left as it is.
+    case("sgd-momentum-unroll", lambda: stepped(0.0, 0.0, 1.0, 0.0, steps=2, momentum=0.9),
+         lambda: [-0.1 - (0.9 + 1.0) * 0.1, 0.0, 1.0, 0.0]),
+    case("sgd-weight-decay-enters-velocity", lambda: stepped(10.0, 0.0, 0.0, 0.0, weight_decay=0.01),
+         lambda: [10.0 - 10.0 * 0.01 * 0.1, 0.0, 0.0, 0.0]),
+    case("sgd-bias-frozen", lambda: stepped(1.0, 0.5, 1.0, 1.0, update_bias=False),
+         lambda: [1.0 - 1.0 * 0.1, 0.5, 1.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("got, want, rel", KERNEL_CASES)
+def test_kernel(got, want, rel):
+    assert_close(got(), want(), rel)
+
+
+REJECTED_TRAINER_ARGS = [
+    rejected("forward-dimension-mismatch", lambda: forward(small_linear_params(), np.ones((1, 7))), ValueError,
+             "mismatch"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", REJECTED_TRAINER_ARGS)
+def test_rejected_trainer_args(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+class TestCeLoss:
+    def test_given_argmax_and_in_place_exp_change_no_bit(self):
+        # The epoch end passes the logits' argmax for the row max and lets
+        # the exp overwrite the logits; ties in the max are common here.
+        rng = np.random.default_rng(5)
+        z = np.round(3 * rng.standard_normal((60, 6)))
+        y = rng.integers(0, 6, size=60)
+        want = _ce_from_logits(z.copy(), y)
+        work = z.copy()
+        got = _ce_from_logits(work, y, out=work, argmax=z.argmax(axis=1))
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(work, z)  # the buffer holds the exp now
 
 
 class TestSgdStep:
-    def test_vanilla_step(self):
-        params = one_by_one(1.0, 0.0)
-        sgd_step(params, one_by_one(0.5, 0.0), lr=0.1, momentum=0.0, weight_decay=0.0,
-                 velocity=params.zeros_like())
-        assert params.weights[0, 0] == pytest.approx(0.95)
-
-    def test_zero_grads_no_motion(self):
-        params = one_by_one(2.0, 1.0)
-        sgd_step(params, params.zeros_like(), lr=0.5, momentum=0.9, weight_decay=0.0,
-                 velocity=params.zeros_like())
-        assert params.weights[0, 0] == 2.0
-        assert params.bias[0] == 1.0
-
-    def test_momentum_unroll(self):
-        params = one_by_one(0.0, 0.0)
-        vel = params.zeros_like()
-        g = one_by_one(1.0, 0.0)
-        sgd_step(params, g, lr=0.1, momentum=0.9, weight_decay=0.0, velocity=vel)
-        sgd_step(params, g, lr=0.1, momentum=0.9, weight_decay=0.0, velocity=vel)
-        assert params.weights[0, 0] == pytest.approx(-0.1 * (1.0 + 1.9))
-        assert g.weights[0, 0] == 1.0  # the gradient buffer is left as it is
-
-    def test_weight_decay_enters_velocity(self):
-        params = one_by_one(10.0, 0.0)
-        sgd_step(params, params.zeros_like(), lr=0.1, momentum=0.0, weight_decay=0.01,
-                 velocity=params.zeros_like())
-        assert params.weights[0, 0] == pytest.approx(10.0 - 0.1 * 0.1)
-
-    def test_bias_frozen_when_disabled(self):
-        params = one_by_one(1.0, 0.5)
-        sgd_step(params, one_by_one(1.0, 1.0), lr=0.1, momentum=0.0, weight_decay=0.0,
-                 velocity=params.zeros_like(), update_bias=False)
-        assert params.bias[0] == 0.5
-        assert params.weights[0, 0] != 1.0
-
     def test_both_biases_and_their_velocity_frozen(self):
         params = init_params(3, 4, 5, seed=0)
         params.bias[:] = [0.1, -0.2, 0.3]
@@ -487,14 +474,12 @@ class TestRunExperiment:
         assert np.isfinite(records[-1].train_loss)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ConfigError):
-            ReweightConfig(mode="bogus")
-        with pytest.raises(ConfigError):
-            MethodConfig(name="nope")
-        with pytest.raises(ConfigError):
-            ReweightConfig(base="inverse")
+        for make, match in [(lambda: TrainConfig(epochs=0), "epochs and batch_size must be >= 1"),
+                            (lambda: ReweightConfig(mode="bogus"), "unknown mode 'bogus'"),
+                            (lambda: MethodConfig(name="nope"), "unknown method 'nope'"),
+                            (lambda: ReweightConfig(base="inverse"), "base must be a base method")]:
+            with pytest.raises(ConfigError, match=match):
+                make()
 
 
 # --- The batch step before the flat parameter buffer, kept as the oracle. ---
