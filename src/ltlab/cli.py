@@ -166,7 +166,7 @@ def _load_class_losses(path: str, class_count: int) -> list[float]:
     """The per-class losses of ``nc-eval --losses``: a JSON list of one
     finite, nonnegative number per class."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             losses = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot open losses file {path}: {exc}") from exc

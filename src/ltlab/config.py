@@ -105,7 +105,7 @@ def _read_document(path: str) -> dict[str, dict[str, str]]:
     # an unknown one: its keys would otherwise leak into every section.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -180,7 +180,7 @@ def _bad_row(path, header: list, label_idx: int, n_rows=None):
     non-finite value or, given ``n_rows``, the first label that leaves a
     class empty. None if no row is at fault."""
     value_problem = None
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
         reader = _csv_rows(fh, "dataset", path)
         next(reader)
         for row_no, row in enumerate(reader, start=2):
@@ -218,7 +218,7 @@ def load_csv_dataset(path, label_column: str = "label", split: str = "train") ->
     row that is not UTF-8 text, is rejected with the offending row number.
     """
     try:
-        fh = open(path, encoding="utf-8", errors="replace")
+        fh = open(path, encoding="utf-8-sig", errors="replace")
     except OSError as exc:
         raise DataError(f"cannot open dataset file {path}: {exc}") from exc
     with fh:
@@ -261,7 +261,7 @@ def load_csv_matrix(path, what: str) -> np.ndarray:
     or the file if no row is left."""
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
             for line_no, cells in enumerate(_csv_rows(fh, what, path), start=1):
                 if cells:
                     row = [_number(cell) for cell in cells]

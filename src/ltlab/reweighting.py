@@ -20,9 +20,8 @@ over its C slots (absent classes add exact zeros), and the closed form and
 beta over every slot; one run is the stack of one. The trainer builds its
 inputs, so the solve checks none, and no batch pays for validation.
 ``closed_form_weight`` validates its arguments (it serves ``ltlab
-weights``), takes the corners from the solve's kernel and every anchored
-weight from the exponent-split form ``_rescued``, which no product's over-
-or underflow can spoil.
+weights``) and calls the same kernel, ``_closed_form``, whose exponent-split
+form no product's over- or underflow can spoil.
 """
 
 from __future__ import annotations
@@ -120,25 +119,24 @@ def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
         raise ValueError("alpha must be >= 0")
     if (w0 <= 0).any():
         raise ValueError("prior weight must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.asarray(_closed_form(l_c, l_bar, alpha, w0))
-    finite = np.isfinite(l_c) & np.isfinite(l_bar) & np.isfinite(alpha) & np.isfinite(w0)
-    anchored = (alpha > 0) & (l_c > 0) & finite
-    w[anchored] = _rescued(*(np.broadcast_to(v, w.shape)[anchored] for v in (l_c, l_bar, alpha, w0)))
+    w = _closed_form(l_c, l_bar, alpha, w0)
     return float(w) if w.ndim == 0 else w
 
 
-def _rescued(l_c, l_bar, alpha, w0):
-    """The closed form for finite arguments with positive l_c and alpha,
-    with no product over- or underflowing: each product is its factors'
-    frexp mantissas' product times a power of two, each sum is taken at its
-    larger term's exponent, and only the quotient is scaled back. Where the
-    plain form stays in the normal range, the two round alike."""
+@np.errstate(all="ignore")  # the corners that np.where drops may divide by 0 or read inf * 0
+def _closed_form(l_c, l_bar, alpha, w0):
+    """The closed form on unchecked, broadcastable arguments: w0 where
+    l_c = 0, l_bar / l_c where alpha is 0 or NaN (NaN > 0 is false), and
+    (l_bar*l_c + alpha*w0) / (l_c^2 + alpha) everywhere else, with no
+    product over- or underflowing: each product is its factors' frexp
+    mantissas' product times a power of two, each sum is taken at its larger
+    term's exponent, and only the quotient is scaled back, so a weight beyond
+    the float range is inf. Where the plain form's products stay in the
+    normal range, the two round alike."""
     (m_c, e_c), (m_bar, e_bar), (m_a, e_a), (m_0, e_0) = map(np.frexp, (l_c, l_bar, alpha, w0))
     num, e_num = _sum_at_larger(m_bar * m_c, e_bar + e_c, m_a * m_0, e_a + e_0)
     den, e_den = _sum_at_larger(m_c * m_c, 2 * e_c, m_a, e_a)
-    with np.errstate(over="ignore"):  # a weight beyond the float range is inf
-        return np.ldexp(num / den, e_num - e_den)
+    return np.where(l_c == 0, w0, np.where(alpha > 0, np.ldexp(num / den, e_num - e_den), l_bar / l_c))
 
 
 def _sum_at_larger(x, e_x, y, e_y):
@@ -146,30 +144,6 @@ def _sum_at_larger(x, e_x, y, e_y):
     zero x has no exponent."""
     e = np.where(x > 0, np.maximum(e_x, e_y), e_y)
     return np.ldexp(x, e_x - e) + np.ldexp(y, e_y - e), e
-
-
-def _closed_form(l_c, l_bar, alpha, w0):
-    """The closed form on validated input: ``l_c`` an array, ``alpha`` a
-    float or an array.
-
-    With every l_c > 0 and alpha > 0 it is the one expression
-    (l_bar*l_c + alpha*w0) / (l_c^2 + alpha); otherwise it takes the exact
-    corners only: w0 where l_c = 0, and l_bar / l_c where alpha is 0 or NaN.
-    Its products are not guarded against over- or underflow, which takes
-    arguments near an end of the float range: l_c and alpha both below
-    2^-500, where alpha*w0 can read 0, or a diverging run's finite l_c, whose
-    l_c^2 overflows into a NaN weight that training reports as a non-finite
-    loss. ``closed_form_weight`` takes its anchored weights from ``_rescued``.
-    """
-    # A NaN alpha fails this test and takes the corner form, which reads it as unanchored.
-    plain_alpha = (alpha > 0).all() if isinstance(alpha, np.ndarray) else alpha > 0
-    with np.errstate(over="ignore"):
-        if plain_alpha and l_c.all():
-            return (l_bar * l_c + alpha * w0) / (l_c * l_c + alpha)
-        anchored, zero = alpha > 0, l_c == 0
-        num = np.where(anchored, l_bar * l_c + alpha * w0, l_bar)
-        den = np.where(anchored, l_c * l_c + alpha, l_c)
-        return np.where(zero, w0, num / np.where(zero, 1.0, den))
 
 
 def inverse_weights(losses, slots, n, batch_counts, prior, config: ReweightConfig) -> np.ndarray:
@@ -193,8 +167,7 @@ def inverse_weights(losses, slots, n, batch_counts, prior, config: ReweightConfi
         sums = np.bincount(slots.ravel(), weights=losses.ravel(), minlength=n.size).reshape(n.shape)
         mean = sums / np.maximum(n, 1)  # an absent class's is an exact zero
         l_bar = np.add.reduce(mean, axis=1, keepdims=True) / size
-        # An absent class stands in L_bar, which keeps the one-expression closed form.
-        w = _closed_form(np.where(present, mean, l_bar), l_bar, config.alpha, prior)
+        w = _closed_form(mean, l_bar, config.alpha, prior)
     if config.mode != "batch":
         beta = np.where(present, np.maximum(batch_counts, 1.0) ** -config.gamma, 0.0)
         w = w * (beta / (np.add.reduce(beta, axis=1, keepdims=True) / size))
