@@ -7,8 +7,9 @@ are that dataclass's field names: [train] fills ``TrainConfig``, and
 [dataset] fills ``LongTailSpec``, or ``CsvSource`` with ``kind = csv``;
 its ``classes`` key is ``LongTailSpec.class_count``. A key left out keeps
 its field's default, and so does an empty number, boolean or list; an
-empty string is taken as given. Numbers must be finite, and integers
-within numpy's int64 range. Unknown sections (``[DEFAULT]`` too) or keys
+empty string is taken as given. Integers must lie within numpy's int64
+range; every other bound, finiteness too, is the dataclass's own check,
+whose message names the key. Unknown sections (``[DEFAULT]`` too) or keys
 are rejected before anything runs, so a typo cannot silently fall back
 to a default.
 """
@@ -16,7 +17,6 @@ to a default.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import Field, dataclass, fields
 
 from .data import LongTailSpec
@@ -54,13 +54,6 @@ def _boolean(raw: str) -> bool:
     return value
 
 
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):  # float() reads nan and inf
-        raise ValueError(raw)
-    return value
-
-
 def _int64(raw: str) -> int:
     value = int(raw)
     if not -2**63 <= value < 2**63:  # numpy's int64, which every count and size becomes
@@ -70,23 +63,23 @@ def _int64(raw: str) -> int:
 
 def _number_or_text(raw: str) -> float | str:
     try:
-        float(raw)
+        return float(raw)
     except ValueError:
         return raw  # the dataclass decides which words it takes
-    return _finite(raw)
 
 
 # One converter per field annotation (the modules postpone annotations, so
 # each is the string written in the dataclass), with what a bad value is
-# not. Text fields take "" as given; ``str`` cannot fail.
+# not. Text fields take "" as given; their converters cannot fail. ``float``
+# reads nan and inf, which the dataclasses reject, naming the key.
 _CONVERTERS = {
     "int": (_int64, "an integer in the int64 range"),
-    "float": (_finite, "a finite number"),
+    "float": (float, "a number"),
     "bool": (_boolean, "a valid boolean"),
     "tuple[int, ...]": (lambda raw: tuple(_int64(v) for v in raw.split(",") if v.strip()),
                         "a comma-separated integer list"),
     "str": (str, None),
-    "float | str": (_number_or_text, "a finite number"),
+    "float | str": (_number_or_text, None),
 }
 _TEXT_TYPES = ("str", "float | str")
 _KEY_OF_FIELD = {"class_count": "classes"}
@@ -150,7 +143,8 @@ def _build(cls, doc: dict[str, dict[str, str]], section: str, **nested):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from exc
+        name, space, rest = str(exc).partition(" ")  # a message that starts with a field names its key
+        raise ConfigError(f"[{section}] {_KEY_OF_FIELD.get(name, name)}{space}{rest}") from exc
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_ranges
 from .etf import make_etf
 
 __all__ = [
@@ -46,18 +46,9 @@ class LongTailSpec:
     test_per_class: int = 100
 
     def __post_init__(self):
-        if self.class_count < 2:
-            raise ConfigError("class_count must be >= 2")
-        if self.n_max < 1 or self.test_per_class < 1:
-            raise ConfigError("sample counts must be >= 1")
-        if self.imbalance_factor < 1:
-            raise ConfigError("imbalance_factor must be >= 1")
-        if self.input_dim < 1:
-            raise ConfigError("input_dim must be >= 1")
-        if self.class_separation <= 0 or self.noise_sigma < 0:
-            raise ConfigError("class_separation must be > 0 and noise_sigma >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_ranges(self, class_count="[2, inf)", n_max="[1, inf)", imbalance_factor="[1, inf)",
+                     input_dim="[1, inf)", class_separation="(0, inf)", noise_sigma="[0, inf)",
+                     seed="[0, inf)", test_per_class="[1, inf)")
 
 
 @dataclass(frozen=True)

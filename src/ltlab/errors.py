@@ -15,3 +15,16 @@ class DataError(ValueError):
 
 class NumericError(RuntimeError):
     """Non-finite value encountered during training or evaluation."""
+
+
+def check_ranges(obj, **intervals: str) -> None:
+    """Raise ConfigError for the first named field of ``obj`` outside its
+    interval, written as text such as ``"[0, 1)"`` or ``"(0, inf)"``. Every
+    comparison is false for NaN, and no interval is closed at an infinity,
+    so a value that passes is a finite number."""
+    for name, interval in intervals.items():
+        value = getattr(obj, name)
+        lo, hi = map(float, interval[1:-1].split(","))
+        if not ((lo <= value if interval[0] == "[" else lo < value)
+                and (value <= hi if interval[-1] == "]" else value < hi)):
+            raise ConfigError(f"{name} must lie in {interval}, got {value!r}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import BASE_METHODS
-from .errors import ConfigError
+from .errors import ConfigError, check_ranges
 
 __all__ = [
     "ReweightConfig",
@@ -65,12 +65,7 @@ class ReweightConfig:
     use_base_prior: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError("alpha must be >= 0")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be >= 0")
-        if self.switch_epoch < 0:
-            raise ConfigError("switch_epoch must be >= 0")
+        check_ranges(self, alpha="[0, inf)", gamma="[0, inf)", switch_epoch="[0, inf)")
         if self.mode not in REWEIGHT_MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; valid: {', '.join(REWEIGHT_MODES)}")
         if self.base not in BASE_METHODS:
@@ -113,12 +108,12 @@ def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
     holds is within 2 ulp of the exact one.
     """
     l_c, l_bar, alpha, w0 = (np.asarray(v, dtype=np.float64) for v in (l_c, l_bar, alpha, w0))
-    if (l_c < 0).any() or (l_bar < 0).any():
-        raise ValueError("losses must be nonnegative")
-    if (alpha < 0).any():
-        raise ValueError("alpha must be >= 0")
-    if (w0 <= 0).any():
-        raise ValueError("prior weight must be positive")
+    if not (np.isfinite(l_c) & (l_c >= 0)).all() or not (np.isfinite(l_bar) & (l_bar >= 0)).all():
+        raise ValueError("losses must be finite and nonnegative")
+    if not (np.isfinite(alpha) & (alpha >= 0)).all():
+        raise ValueError("alpha must be finite and >= 0")
+    if not (np.isfinite(w0) & (w0 > 0)).all():
+        raise ValueError("prior weight must be finite and positive")
     w = _closed_form(l_c, l_bar, alpha, w0)
     return float(w) if w.ndim == 0 else w
 
@@ -126,13 +121,13 @@ def closed_form_weight(l_c, l_bar, alpha, w0=1.0):
 @np.errstate(all="ignore")  # the corners that np.where drops may divide by 0 or read inf * 0
 def _closed_form(l_c, l_bar, alpha, w0):
     """The closed form on unchecked, broadcastable arguments: w0 where
-    l_c = 0, l_bar / l_c where alpha is 0 or NaN (NaN > 0 is false), and
-    (l_bar*l_c + alpha*w0) / (l_c^2 + alpha) everywhere else, with no
-    product over- or underflowing: each product is its factors' frexp
-    mantissas' product times a power of two, each sum is taken at its larger
-    term's exponent, and only the quotient is scaled back, so a weight beyond
-    the float range is inf. Where the plain form's products stay in the
-    normal range, the two round alike."""
+    l_c = 0, l_bar / l_c where alpha is 0, and (l_bar*l_c + alpha*w0) /
+    (l_c^2 + alpha) everywhere else, with no product over- or underflowing:
+    each product is its factors' frexp mantissas' product times a power of
+    two, each sum is taken at its larger term's exponent, and only the
+    quotient is scaled back, so a weight beyond the float range is inf.
+    Where the plain form's products stay in the normal range, the two round
+    alike."""
     (m_c, e_c), (m_bar, e_bar), (m_a, e_a), (m_0, e_0) = map(np.frexp, (l_c, l_bar, alpha, w0))
     num, e_num = _sum_at_larger(m_bar * m_c, e_bar + e_c, m_a * m_0, e_a + e_0)
     den, e_den = _sum_at_larger(m_c * m_c, 2 * e_c, m_a, e_a)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_ranges
 
 __all__ = [
     "LrSpec",
@@ -157,19 +157,11 @@ class LrSpec:
     def __post_init__(self):
         if self.schedule not in ("mile", "multistep"):
             raise ConfigError(f"unknown schedule {self.schedule!r}; valid: mile, multistep")
-        if isinstance(self.tail_param, str):
-            if self.tail_param != "entropy":
-                raise ConfigError(f"tail_param = {self.tail_param!r} must be a number or 'entropy'")
-        elif not 0.0 < self.tail_param <= 1.0:
-            raise ConfigError(f"tail_param must lie in (0, 1], got {self.tail_param}")
-        if not self.eta0 > 0:
-            raise ConfigError(f"eta0 must be positive, got {self.eta0}")
-        for name in ("eps", "decay"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
-        for name in ("warmup_epochs", "switch_epoch"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if isinstance(self.tail_param, str) and self.tail_param != "entropy":
+            raise ConfigError(f"tail_param = {self.tail_param!r} must be a number or 'entropy'")
+        tail = {} if self.tail_param == "entropy" else {"tail_param": "(0, 1]"}
+        check_ranges(self, eta0="(0, inf)", warmup_epochs="[0, inf)", switch_epoch="[0, inf)", **tail,
+                     eps="(0, 1)", decay="(0, 1)")
         ms = tuple(int(m) for m in self.milestones)
         if any(m < 0 for m in ms):
             raise ConfigError(f"milestones must be >= 0, got {', '.join(map(str, ms))}")

@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines, reweighting
 from .baselines import BASE_METHODS
 from .data import Dataset, batch_iter
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_ranges
 from .nc_metrics import FeatureBank, make_report
 from .reweighting import ReweightConfig
 from .scheduler import LrSpec, learning_rates
@@ -145,23 +145,9 @@ class MethodConfig:
     def __post_init__(self):
         if self.name not in VALID_METHODS:
             raise ConfigError(f"unknown method {self.name!r}; valid: {', '.join(VALID_METHODS)}")
-        if not 0.0 <= self.cb_beta < 1.0:
-            raise ConfigError(f"cb_beta must be >= 0 and < 1, got {self.cb_beta}")
-        if self.focal_gamma < 0:
-            raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
-        if self.focal_alpha <= 0:
-            raise ConfigError(f"focal_alpha must be positive, got {self.focal_alpha}")
-        if self.ib_eps <= 0:
-            raise ConfigError(f"ib_eps must be positive, got {self.ib_eps}")
-        if self.ib_alpha_scale <= 0:
-            raise ConfigError(f"ib_alpha_scale must be positive, got {self.ib_alpha_scale}")
-        if self.range_k < 1:
-            raise ConfigError(f"range_k must be >= 1, got {self.range_k}")
-        if self.range_margin <= 0:
-            raise ConfigError(f"range_margin must be positive, got {self.range_margin}")
-        for name in ("range_alpha", "range_beta", "range_lambda"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_ranges(self, cb_beta="[0, 1)", focal_gamma="[0, inf)", focal_alpha="(0, inf)", ib_eps="(0, inf)",
+                     ib_alpha_scale="(0, inf)", range_k="[1, inf)", range_margin="(0, inf)",
+                     range_alpha="[0, inf)", range_beta="[0, inf)", range_lambda="[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -178,16 +164,8 @@ class TrainConfig:
     lr: LrSpec = field(default_factory=LrSpec)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be >= 0 and < 1, got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
-        if self.hidden_dim < 0:
-            raise ConfigError("hidden_dim must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_ranges(self, epochs="[1, inf)", batch_size="[1, inf)", momentum="[0, 1)", weight_decay="[0, inf)",
+                     seed="[0, inf)", hidden_dim="[0, inf)")
         if self.lr.schedule == "mile" and self.epochs <= self.lr.warmup_epochs:
             raise ConfigError(f"epochs = {self.epochs} leaves no epoch after the mile schedule's "
                               f"warmup_epochs = {self.lr.warmup_epochs}")

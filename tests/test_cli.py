@@ -533,9 +533,9 @@ BAD_INPUTS = [
     bad("train-repeated-seed", config(), TRAIN + " --seed 4 --seed 2 --seed 4 --seed 2", 2,
         "--seed 4 is given more than once"),
     bad("train-negative-dataset-seed", config(("seed = 3", "seed = -3")), TRAIN, 2,
-        "[dataset] seed must be >= 0, got -3\n"),
+        "[dataset] seed must lie in [0, inf), got -3\n"),
     bad("train-negative-train-seed", config(("seed = 1", "seed = -1")), TRAIN, 2,
-        "[train] seed must be >= 0, got -1\n"),
+        "[train] seed must lie in [0, inf), got -1\n"),
     bad("train-negative-seed-flag", config(), TRAIN + " --seed 2 --seed -5", 2, "--seed must be >= 0, got -5\n"),
     # A noise draw times 1e308 overflows: the config is at fault, not the data or training.
     *(bad(f"{argv.split()[0]}-mixture-overflows", config(("noise_sigma = 1.0", "noise_sigma = 1e308")), argv, 2,

@@ -1,6 +1,8 @@
 """The INI loader: which keys it accepts, where each lands, and how it
 rejects a bad document (exit 2, naming the section and key)."""
 
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,49 @@ OTHER_KEYS = [
 # Every key whose field is a number: float or float | str.
 FLOAT_KEYS = [(section, key) for section, key, _, _, want in SYNTHETIC_KEYS + OTHER_KEYS
               if isinstance(want, float)]
+
+SECTION_CLASSES = {"dataset": LongTailSpec, "train": TrainConfig, "method": MethodConfig,
+                   "reweight": ReweightConfig, "lr": LrSpec}
+BELOW_0, BELOW_1, ABOVE_1 = -math.ulp(0.0), math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+
+# (class, field, interval, the values just outside its finite bounds, its closed finite
+# bounds): every int and float field of the five dataclasses.
+RANGED_FIELDS = [
+    (LongTailSpec, "class_count", "[2, inf)", [1], [2]),
+    (LongTailSpec, "n_max", "[1, inf)", [0], [1]),
+    (LongTailSpec, "imbalance_factor", "[1, inf)", [BELOW_1], [1.0]),
+    (LongTailSpec, "input_dim", "[1, inf)", [0], [1]),
+    (LongTailSpec, "class_separation", "(0, inf)", [0.0], []),
+    (LongTailSpec, "noise_sigma", "[0, inf)", [BELOW_0], [0.0]),
+    (LongTailSpec, "seed", "[0, inf)", [-1], [0]),
+    (LongTailSpec, "test_per_class", "[1, inf)", [0], [1]),
+    (TrainConfig, "epochs", "[1, inf)", [0], [1]),
+    (TrainConfig, "batch_size", "[1, inf)", [0], [1]),
+    (TrainConfig, "momentum", "[0, 1)", [BELOW_0, 1.0], [0.0]),
+    (TrainConfig, "weight_decay", "[0, inf)", [BELOW_0], [0.0]),
+    (TrainConfig, "seed", "[0, inf)", [-1], [0]),
+    (TrainConfig, "hidden_dim", "[0, inf)", [-1], [0]),
+    (MethodConfig, "cb_beta", "[0, 1)", [BELOW_0, 1.0], [0.0]),
+    (MethodConfig, "focal_gamma", "[0, inf)", [BELOW_0], [0.0]),
+    (MethodConfig, "focal_alpha", "(0, inf)", [0.0], []),
+    (MethodConfig, "ib_eps", "(0, inf)", [0.0], []),
+    (MethodConfig, "ib_alpha_scale", "(0, inf)", [0.0], []),
+    (MethodConfig, "range_k", "[1, inf)", [0], [1]),
+    (MethodConfig, "range_margin", "(0, inf)", [0.0], []),
+    (MethodConfig, "range_alpha", "[0, inf)", [BELOW_0], [0.0]),
+    (MethodConfig, "range_beta", "[0, inf)", [BELOW_0], [0.0]),
+    (MethodConfig, "range_lambda", "[0, inf)", [BELOW_0], [0.0]),
+    (ReweightConfig, "alpha", "[0, inf)", [BELOW_0], [0.0]),
+    (ReweightConfig, "gamma", "[0, inf)", [BELOW_0], [0.0]),
+    (ReweightConfig, "switch_epoch", "[0, inf)", [-1], [0]),
+    (LrSpec, "eta0", "(0, inf)", [0.0], []),
+    (LrSpec, "warmup_epochs", "[0, inf)", [-1], [0]),
+    (LrSpec, "switch_epoch", "[0, inf)", [-1], [0]),
+    (LrSpec, "tail_param", "(0, 1]", [0.0, ABOVE_1], [1.0]),
+    (LrSpec, "eps", "(0, 1)", [0.0, 1.0], []),
+    (LrSpec, "decay", "(0, 1)", [0.0, 1.0], []),
+]
+INTERVALS = {(cls, name): interval for cls, name, interval, *_ in RANGED_FIELDS}
 
 
 def _document(entries) -> str:
@@ -193,20 +238,20 @@ class TestRejected:
         assert err.count(f"[{section}]") == 1
 
     @pytest.mark.parametrize("text, named", [
-        ("[dataset]\nimbalance_factor = 0.5\n", "[dataset] imbalance_factor must be >= 1"),
+        ("[dataset]\nimbalance_factor = 0.5\n", "[dataset] imbalance_factor must lie in [1, inf), got 0.5"),
         ("[dataset]\nkind = parquet\n", "[dataset] kind must be 'synthetic' or 'csv', got 'parquet'"),
-        ("[train]\nepochs = 0\n", "[train] epochs and batch_size must be >= 1"),
-        ("[train]\nweight_decay = -1\n", "[train] weight_decay must be >= 0"),
+        ("[train]\nepochs = 0\n", "[train] epochs must lie in [1, inf), got 0"),
+        ("[train]\nweight_decay = -1\n", "[train] weight_decay must lie in [0, inf), got -1.0"),
         ("[method]\nname = bogus\n", "[method] unknown method 'bogus'"),
-        ("[reweight]\nalpha = -1\n", "[reweight] alpha must be >= 0"),
-        ("[reweight]\ngamma = -1\n", "[reweight] gamma must be >= 0"),
-        ("[reweight]\nswitch_epoch = -1\n", "[reweight] switch_epoch must be >= 0"),
+        ("[reweight]\nalpha = -1\n", "[reweight] alpha must lie in [0, inf), got -1.0"),
+        ("[reweight]\ngamma = -1\n", "[reweight] gamma must lie in [0, inf), got -1.0"),
+        ("[reweight]\nswitch_epoch = -1\n", "[reweight] switch_epoch must lie in [0, inf), got -1"),
         ("[reweight]\nmode = bogus\n", "[reweight] unknown mode 'bogus'"),
         ("[reweight]\nbase = inverse\n", "[reweight] base must be a base method, got 'inverse'"),
         ("[lr]\nschedule = cosine\n", "[lr] unknown schedule 'cosine'"),
-        ("[lr]\neta0 = 0\n", "[lr] eta0 must be positive, got 0.0"),
-        ("[lr]\nwarmup_epochs = -1\n", "[lr] warmup_epochs must be >= 0, got -1"),
-        ("[lr]\nswitch_epoch = -1\n", "[lr] switch_epoch must be >= 0, got -1"),
+        ("[lr]\neta0 = 0\n", "[lr] eta0 must lie in (0, inf), got 0.0"),
+        ("[lr]\nwarmup_epochs = -1\n", "[lr] warmup_epochs must lie in [0, inf), got -1"),
+        ("[lr]\nswitch_epoch = -1\n", "[lr] switch_epoch must lie in [0, inf), got -1"),
         ("[lr]\neps = 5\n", "[lr] eps must lie in (0, 1), got 5.0"),
         ("[lr]\ndecay = 1\n", "[lr] decay must lie in (0, 1), got 1.0"),
         ("[lr]\ntail_param = 0\n", "[lr] tail_param must lie in (0, 1], got 0.0"),
@@ -216,24 +261,27 @@ class TestRejected:
          "[train] epochs = 40 leaves no epoch after the mile schedule's warmup_epochs = 40"),
         ("[train]\nepochs = 2\n[lr]\nschedule = mile\nwarmup_epochs = 3\n",
          "[train] epochs = 2 leaves no epoch after the mile schedule's warmup_epochs = 3"),
-        ("[method]\nfocal_gamma = -1\n", "[method] focal_gamma must be >= 0, got -1.0"),
-        ("[method]\nfocal_alpha = -1\n", "[method] focal_alpha must be positive, got -1.0"),
-        ("[method]\nrange_lambda = -5\n", "[method] range_lambda must be >= 0, got -5.0"),
-        ("[method]\nrange_k = 0\n", "[method] range_k must be >= 1, got 0"),
-        ("[method]\nrange_margin = 0\n", "[method] range_margin must be positive, got 0.0"),
-        ("[method]\nrange_alpha = -1\n", "[method] range_alpha must be >= 0, got -1.0"),
-        ("[method]\nrange_beta = -1\n", "[method] range_beta must be >= 0, got -1.0"),
-        ("[method]\ncb_beta = 1\n", "[method] cb_beta must be >= 0 and < 1, got 1.0"),
-        ("[method]\ncb_beta = -0.5\n", "[method] cb_beta must be >= 0 and < 1, got -0.5"),
-        ("[method]\nib_alpha_scale = 0\n", "[method] ib_alpha_scale must be positive, got 0.0"),
-        ("[train]\nmomentum = -1\n", "[train] momentum must be >= 0 and < 1, got -1.0"),
-        ("[train]\nmomentum = 1\n", "[train] momentum must be >= 0 and < 1, got 1.0"),
-        ("[method]\nib_eps = 0\n", "[method] ib_eps must be positive, got 0.0"),
-        ("[method]\nib_eps = -1\n", "[method] ib_eps must be positive, got -1.0"),
+        ("[method]\nfocal_gamma = -1\n", "[method] focal_gamma must lie in [0, inf), got -1.0"),
+        ("[method]\nfocal_alpha = -1\n", "[method] focal_alpha must lie in (0, inf), got -1.0"),
+        ("[method]\nrange_lambda = -5\n", "[method] range_lambda must lie in [0, inf), got -5.0"),
+        ("[method]\nrange_k = 0\n", "[method] range_k must lie in [1, inf), got 0"),
+        ("[method]\nrange_margin = 0\n", "[method] range_margin must lie in (0, inf), got 0.0"),
+        ("[method]\nrange_alpha = -1\n", "[method] range_alpha must lie in [0, inf), got -1.0"),
+        ("[method]\nrange_beta = -1\n", "[method] range_beta must lie in [0, inf), got -1.0"),
+        ("[method]\ncb_beta = 1\n", "[method] cb_beta must lie in [0, 1), got 1.0"),
+        ("[method]\ncb_beta = -0.5\n", "[method] cb_beta must lie in [0, 1), got -0.5"),
+        ("[method]\nib_alpha_scale = 0\n", "[method] ib_alpha_scale must lie in (0, inf), got 0.0"),
+        ("[train]\nmomentum = -1\n", "[train] momentum must lie in [0, 1), got -1.0"),
+        ("[train]\nmomentum = 1\n", "[train] momentum must lie in [0, 1), got 1.0"),
+        ("[method]\nib_eps = 0\n", "[method] ib_eps must lie in (0, inf), got 0.0"),
+        ("[method]\nib_eps = -1\n", "[method] ib_eps must lie in (0, inf), got -1.0"),
+        # The key the file wrote, not the field LongTailSpec.class_count.
+        ("[dataset]\nclasses = 1\n", "[dataset] classes must lie in [2, inf), got 1"),
     ])
     def test_bad_setting_names_section_once(self, tmp_path, capsys, text, named):
         err = _rejected(tmp_path, capsys, text)
-        assert named in err and err.count("[") == 1
+        section = named[:named.index("]") + 1]
+        assert named in err and err.count(section) == 1
 
     @pytest.mark.parametrize("kwargs", [{"alpha": -1.0}, {"gamma": -1.0}, {"switch_epoch": -1},
                                         {"mode": "bogus"}, {"base": "inverse"}])
@@ -254,7 +302,8 @@ class TestRejected:
     @pytest.mark.parametrize("section, key", FLOAT_KEYS)
     def test_non_finite_number_names_section_and_key(self, tmp_path, capsys, section, key, raw):
         err = _rejected(tmp_path, capsys, f"[{section}]\n{key} = {raw}\n")
-        assert f"[{section}] {key} = {raw!r} is not a finite number" in err
+        interval = INTERVALS[SECTION_CLASSES[section], key]
+        assert err == f"config error: [{section}] {key} must lie in {interval}, got {float(raw)!r}\n"
 
     @pytest.mark.parametrize("section, key", [("reweight", "banana"), ("dataset", "class_count"),
                                               ("train", "method"), ("train", "reweight_mode"),
@@ -273,6 +322,29 @@ class TestRejected:
         # A missing, a malformed or a non-UTF-8 file through the CLI: test_cli.BAD_INPUTS.
         with pytest.raises(ConfigError, match="malformed config file"):
             _load(tmp_path, "[train]\nepochs = 1\nepochs = 2\n")
+
+
+class TestRanges:
+    """Each numeric field's interval, as its dataclass declares it, from Python."""
+
+    def test_every_numeric_field_is_in_the_table(self):
+        numeric = {(cls, f.name) for cls in SECTION_CLASSES.values() for f in fields(cls)
+                   if f.type in ("int", "float", "float | str")}
+        assert numeric == set(INTERVALS)
+
+    @pytest.mark.parametrize("cls, name, interval, value", [
+        pytest.param(cls, name, interval, value, id=f"{cls.__name__}-{name}-{value!r}")
+        for cls, name, interval, outside, _ in RANGED_FIELDS for value in [math.nan, math.inf, -math.inf, *outside]])
+    def test_outside_the_interval_is_named(self, cls, name, interval, value):
+        with pytest.raises(ConfigError) as info:
+            cls(**{name: value})
+        assert str(info.value) == f"{name} must lie in {interval}, got {value!r}"
+
+    @pytest.mark.parametrize("cls, name, value", [
+        pytest.param(cls, name, value, id=f"{cls.__name__}-{name}-{value!r}")
+        for cls, name, _, _, closed in RANGED_FIELDS for value in closed])
+    def test_closed_bound_is_accepted(self, cls, name, value):
+        assert getattr(cls(**{name: value}), name) == value
 
 
 # A fuzzed value: any text, a number, or bytes that are not UTF-8.

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -317,10 +318,6 @@ SOLVE_CASES = [
     case("closed-form-underflowing-prior-term", lambda: closed_form_weight(
         1.5069039997331095e-135, 5.20332114337114e-310, 7.134795094119794e-95, 1.5422903982074907e-277),
          lambda: 1.5422903982074907e-277),
-    # NaN > 0 is false, so the kernel reads it as unanchored: l_bar / l_c.
-    case("closed-form-nan-alpha-is-unanchored", lambda: closed_form_weight(2.0, 1.0, np.nan), lambda: 0.5),
-    case("closed-form-kernel-nan-alpha-is-unanchored", lambda: _closed_form(np.array([2.0]), 1.0, np.nan, 1.0),
-         lambda: 0.5),
     # The class means L_c, and L_bar, the mean of the class means (3.75 here, not the sample mean).
     case("solve-one-class", lambda: _solve([1.0, 3.0], [0, 0], [1], mode="batch"), lambda: [1.0]),
     case("solve-two-class-means", lambda: _solve([1.0, 2.0, 6.0], [0, 0, 1], [1, 1], mode="batch"),
@@ -372,12 +369,19 @@ REJECTED_REWEIGHT_ARGS = [
     rejected("rho-negative", lambda: loss_imbalance_rho([1.0, -0.1]), ValueError, "class losses must be nonnegative"),
     rejected("rho-nan", lambda: loss_imbalance_rho([1.0, np.nan]), ValueError, "class losses must be finite"),
     *(rejected(f"closed-form-{name}", lambda args=args: closed_form_weight(*args), ValueError, match)
-      for name, args, match in [("negative-loss", (-1.0, 1.0, 0.0), "losses must be nonnegative"),
-                                ("negative-entry", (np.array([1.0, -1.0]), 1.0, 0.0), "losses must be nonnegative"),
-                                ("negative-alpha", (1.0, 1.0, -0.5), "alpha must be >= 0"),
-                                ("zero-prior", (1.0, 1.0, 0.0, 0.0), "prior weight must be positive")]),
+      for name, args, match in [("negative-loss", (-1.0, 1.0, 0.0), "losses must be finite and nonnegative"),
+                                ("negative-entry", (np.array([1.0, -1.0]), 1.0, 0.0),
+                                 "losses must be finite and nonnegative"),
+                                ("inf-loss", (np.inf, 1.0, 0.5), "losses must be finite and nonnegative"),
+                                ("inf-mean-loss", (1.0, np.inf, 0.5), "losses must be finite and nonnegative"),
+                                ("negative-alpha", (1.0, 1.0, -0.5), "alpha must be finite and >= 0"),
+                                ("nan-alpha", (2.0, 1.0, np.nan), "alpha must be finite and >= 0"),
+                                ("inf-alpha", (1.0, 1.0, np.inf), "alpha must be finite and >= 0"),
+                                ("zero-prior", (1.0, 1.0, 0.0, 0.0), "prior weight must be finite and positive"),
+                                ("nan-prior", (1.0, 1.0, 0.5, np.nan), "prior weight must be finite and positive")]),
     *(rejected(f"config-negative-{key}", lambda key=key, value=value: ReweightConfig(**{key: value}), ConfigError,
-               f"{key} must be >= 0") for key, value in (("alpha", -0.1), ("gamma", -1.0), ("switch_epoch", -1))),
+               re.escape(f"{key} must lie in [0, inf), got {value!r}"))
+      for key, value in (("alpha", -0.1), ("gamma", -1.0), ("switch_epoch", -1))),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,7 +129,8 @@ REJECTED_SCHEDULE_ARGS = [
     rejected("ml-negative-z", lambda: mittag_leffler(0.5, -0.1), ValueError, "z must be >= 0"),
     rejected("ml-tail-at-zero", lambda: ml_tail(0.5, 0.0), ValueError, "undefined at z = 0"),
     rejected("entropy-alpha-one-class", lambda: entropy_alpha([10]), ValueError, "at least two classes"),
-    rejected("mile-eta0-zero", lambda: mile_rates(eta0=0.0), ConfigError, "eta0 must be positive"),
+    rejected("mile-eta0-zero", lambda: mile_rates(eta0=0.0), ConfigError,
+             re.escape("eta0 must lie in (0, inf), got 0.0")),
     rejected("mile-tail-param-zero", lambda: mile_rates(tail_param=0.0), ConfigError, "tail_param must lie in"),
     rejected("mile-eps-one", lambda: mile_rates(eps=1.0), ConfigError, "eps must lie in"),
     rejected("mile-no-iteration-after-the-warmup", lambda: mile_rates(warmup_epochs=10), ValueError,

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -474,7 +475,7 @@ class TestRunExperiment:
         assert np.isfinite(records[-1].train_loss)
 
     def test_config_validation(self):
-        for make, match in [(lambda: TrainConfig(epochs=0), "epochs and batch_size must be >= 1"),
+        for make, match in [(lambda: TrainConfig(epochs=0), re.escape("epochs must lie in [1, inf), got 0")),
                             (lambda: ReweightConfig(mode="bogus"), "unknown mode 'bogus'"),
                             (lambda: MethodConfig(name="nope"), "unknown method 'nope'"),
                             (lambda: ReweightConfig(base="inverse"), "base must be a base method")]:
